@@ -12,12 +12,12 @@ flat torus:
   fields and residual checks of the linearized flow/Euler equations.
 """
 
-from .bessel import BesselPair, HomogeneousSolutions, bessel_i, bessel_k
+from .bessel import HomogeneousSolutions
 from .config import RunConfig, parse_config, radial_from_spec
-from .curvature import (CurvatureResult, PressureSolution, compute_HJ,
-                        curvature_mode_closed, curvature_mode_oracle,
-                        curvature_normalized, curvature_report, curvature_total,
-                        oscillation_study, pressure_bvp_solve, pressure_closed_form)
+from .curvature import (CurvatureResult, PressureSolution, curvature_mode_closed,
+                        curvature_mode_oracle, curvature_normalized, curvature_report,
+                        curvature_total, oscillation_study, pressure_bvp_solve,
+                        pressure_closed_form)
 from .errors import (AccuracyError, DegenerateSectionError, DomainError,
                      HypothesisViolationError, InvalidModeError, ParseError,
                      RegularityError, SwirlcurvError, ValidationError)
@@ -28,8 +28,7 @@ from .jacobi import (JacobiSolution, ResidualReport, SLSpectrum, assemble_jacobi
 from .modes import (FourierMode, VelocitySample, assemble_velocity,
                     cross_inner_product, divergence_residual, mode_energy,
                     swirl_energy)
-from .profile import (CriteriaReport, RadialProfile, classify_criteria,
-                      curvature_density, eval_profile, vorticity)
+from .profile import CriteriaReport, RadialProfile, classify_criteria
 from .radial import (ComplexRadialFunction, ExpressionFunction, PolynomialFunction,
                      RadialFunction, TableFunction, constant, zero)
 

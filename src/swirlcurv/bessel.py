@@ -1,9 +1,9 @@
 """Modified Bessel functions and the homogeneous pressure-ODE solutions.
 
-Only orders 0 and 1, real nonnegative arguments.  Every value comes with its
-exponentially scaled twin (I * e^{-x}, K * e^{+x}) so that downstream
-formulas can be rewritten into ratio form and evaluated without overflow for
-mode numbers up to 10^4.
+Only orders 0 and 1, real nonnegative arguments, and only in exponentially
+scaled form (I * e^{-x}, K * e^{+x}, from scipy's i0e/i1e/k0e/k1e) so that
+downstream formulas can be written in ratio form and evaluated without
+overflow for mode numbers up to 10^4.
 
 The pressure ODE  (1/r)(r y')' - n^2 y = 0  has the bounded solution
 xi_n(r) = I0(|n| r) and the companion  zeta_n(r) = (K1/I1)(|n|) I0(|n| r)
@@ -13,48 +13,12 @@ xi zeta' - zeta xi' = -1/r.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, InvalidModeError
+from .errors import InvalidModeError
 
-__all__ = ["BesselPair", "bessel_i", "bessel_k", "HomogeneousSolutions"]
-
-
-@dataclass(frozen=True)
-class BesselPair:
-    order: int
-    x: float
-    value: float
-    scaled_value: float  # value * e^{-x} for I, value * e^{+x} for K
-
-
-def bessel_i(order: int, x: float) -> BesselPair:
-    """I0 or I1 together with its exponentially scaled value."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"bessel_i requires x >= 0, got {x}")
-    scaled = float(sp.i0e(x) if order == 0 else sp.i1e(x))
-    # the plain value overflows past x ~ 713; report inf there
-    value = scaled * math.exp(x) if x < 700.0 else math.inf
-    return BesselPair(order, x, value, scaled)
-
-
-def bessel_k(order: int, x: float) -> BesselPair:
-    """K0 or K1 together with its exponentially scaled value."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"bessel_k requires x > 0, got {x}")
-    scaled = float(sp.k0e(x) if order == 0 else sp.k1e(x))
-    value = scaled * math.exp(-x)
-    return BesselPair(order, x, value, scaled)
+__all__ = ["HomogeneousSolutions"]
 
 
 class HomogeneousSolutions:
@@ -72,8 +36,6 @@ class HomogeneousSolutions:
         self.N = abs(int(n))
         # K1(N)/I1(N) in scaled space; the plain ratio is this times e^{-2N}
         self.c_scaled = float(sp.k1e(self.N) / sp.i1e(self.N))
-
-    # -- scaled accessors (primary interface) --------------------------------
 
     def xi_scaled(self, r):
         """xi(r) e^{-N r} = i0e(N r)."""
@@ -95,24 +57,6 @@ class HomogeneousSolutions:
         x = self.N * r
         return self.N * (self.c_scaled * np.exp(-2.0 * self.N * (1.0 - r)) * sp.i1e(x)
                          - sp.k1e(x))
-
-    # -- plain accessors (valid while e^{N r} is representable) --------------
-
-    def xi(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.xi_scaled(r) * np.exp(self.N * r)
-
-    def xi_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.xi_prime_scaled(r) * np.exp(self.N * r)
-
-    def zeta(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.zeta_scaled(r) * np.exp(-self.N * r)
-
-    def zeta_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.zeta_prime_scaled(r) * np.exp(-self.N * r)
 
     def wronskian(self, r):
         """xi zeta' - zeta xi'; equals -1/r for the exact solutions.

@@ -2,22 +2,17 @@
 
 Every command reads one JSON config (see :mod:`swirlcurv.config`) and writes
 deterministic artifacts into the output directory: CSV numbers use fixed
-17-significant-digit scientific notation and rows are ordered by (n, m)
-regardless of how the computation was scheduled.  Exit status: 0 success,
-2 when a theorem hypothesis is violated by the input, 1 for anything else;
-errors are reported as single-line JSON on stderr.
-
-The environment variable ``SWIRLCURV_THREADS`` (default 1) sets the worker
-count for batch commands.
+17-significant-digit scientific notation and rows are ordered by (n, m).
+Exit status: 0 success, 2 when a theorem hypothesis is violated by the
+input, 1 for anything else; errors are reported as single-line JSON on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,18 +45,11 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SWIRLCURV_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_check_profile(cfg: RunConfig, out: Path, grid, quiet):
+def _cmd_check_profile(cfg: RunConfig, out: Path, grid):
     report = classify_criteria(cfg.profile, int(cfg.params.get("sample_count", 256)))
     payload = {
         "eta_strictly_positive": report.eta_strictly_positive,
@@ -76,24 +64,19 @@ def _cmd_check_profile(cfg: RunConfig, out: Path, grid, quiet):
     return ["criteria.json"]
 
 
-def _cmd_curvature(cfg: RunConfig, out: Path, grid, quiet):
+def _cmd_curvature(cfg: RunConfig, out: Path, grid):
     oracle_grid = int(grid or cfg.params.get("grid", 2048))
-    modes = sorted(cfg.modes, key=lambda m: m.n)
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda m: curvature_report(cfg.profile, m, oracle_grid), modes))
-    else:
-        results = [curvature_report(cfg.profile, m, oracle_grid) for m in modes]
-    rows = [(res.n, res.kbar_closed, res.kbar_oracle, res.discrepancy, res.k_normalized)
-            for res in sorted(results, key=lambda rr: rr.n)]
+    rows = []
+    for m in sorted(cfg.modes, key=lambda mm: mm.n):
+        res = curvature_report(cfg.profile, m, oracle_grid)
+        rows.append((res.n, res.kbar_closed, res.kbar_oracle, res.discrepancy,
+                     res.k_normalized))
     _write_csv(out / "curvature.csv",
                ["n", "kbar_closed", "kbar_oracle", "discrepancy", "k_normalized"], rows)
     return ["curvature.csv"]
 
 
-def _cmd_spectrum(cfg: RunConfig, out: Path, grid, quiet):
+def _cmd_spectrum(cfg: RunConfig, out: Path, grid):
     eigen_grid = int(grid or cfg.params.get("grid", 2048))
     m_max = int(cfg.params.get("m_max", 3))
     n_list = cfg.params.get("n_list") or [int(cfg.params.get("n", 1))]
@@ -108,7 +91,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, grid, quiet):
     return ["spectrum.csv"]
 
 
-def _cmd_jacobi(cfg: RunConfig, out: Path, grid, quiet):
+def _cmd_jacobi(cfg: RunConfig, out: Path, grid):
     eigen_grid = int(grid or cfg.params.get("grid", 2048))
     n = int(cfg.params.get("n", 1))
     m = int(cfg.params.get("m", 1))
@@ -145,7 +128,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, grid, quiet):
     return artifacts
 
 
-def _cmd_oscillation(cfg: RunConfig, out: Path, grid, quiet):
+def _cmd_oscillation(cfg: RunConfig, out: Path, grid):
     n = int(cfg.params.get("n", 1))
     k_max = int(cfg.params.get("k_max", 32))
     rows = oscillation_study(cfg.profile, n, range(1, k_max + 1))
@@ -153,7 +136,7 @@ def _cmd_oscillation(cfg: RunConfig, out: Path, grid, quiet):
     return ["oscillation.csv"]
 
 
-def _cmd_limit(cfg: RunConfig, out: Path, grid, quiet):
+def _cmd_limit(cfg: RunConfig, out: Path, grid):
     m = int(cfg.params.get("m", 1))
     n_list = [int(x) for x in cfg.params.get("n_list", [4, 8, 16, 32, 64])]
     eigen_grid = int(grid or cfg.params.get("grid", 1024))
@@ -183,7 +166,7 @@ def run_command(command: str, cfg: RunConfig, out_dir, grid=None, quiet=False) -
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        artifacts = _COMMANDS[command](cfg, out, grid, quiet)
+        artifacts = _COMMANDS[command](cfg, out, grid)
     except HypothesisViolationError as exc:
         print(json.dumps({"error": "hypothesis-violation", "message": str(exc)}),
               file=sys.stderr)

@@ -89,9 +89,14 @@ def parse_config(source) -> RunConfig:
         raw = source
     else:
         raise ValidationError(f"cannot read config from {source!r}")
-    if "profile" not in raw:
-        raise ValidationError("config missing 'profile'")
-    profile = RadialProfile(radial_from_spec(raw["profile"]))
-    modes = [_mode_from_spec(m) for m in raw.get("modes", [])]
-    params = dict(raw.get("params", {}))
+    try:
+        if "profile" not in raw:
+            raise ValidationError("config missing 'profile'")
+        profile = RadialProfile(radial_from_spec(raw["profile"]))
+        modes = [_mode_from_spec(m) for m in raw.get("modes", [])]
+        params = dict(raw.get("params", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        # a document or spec of the wrong type, a missing key or an empty
+        # coefficient list is a config error, not a crash
+        raise ValidationError(f"malformed config: {type(exc).__name__}: {exc}") from exc
     return RunConfig(raw=raw, profile=profile, modes=modes, params=params)

@@ -31,12 +31,10 @@ from .errors import (DegenerateSectionError, InvalidModeError, RegularityError,
 from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy, swirl_energy
 from .profile import RadialProfile
 from .quadrature import quad_complex, quad_real
-from .radial import PolynomialFunction
 
 __all__ = [
     "PressureSolution",
     "CurvatureResult",
-    "compute_HJ",
     "pressure_closed_form",
     "pressure_bvp_solve",
     "curvature_mode_closed",
@@ -91,25 +89,6 @@ class PressureSolution:
         resid = d2 + d1 / r - self.n ** 2 * q - rhs
         scale = max(float(np.max(np.abs(rhs))), 1e-300)
         return float(np.max(np.abs(resid)) / scale)
-
-
-def compute_HJ(p: RadialProfile, m: FourierMode, r: float):
-    """Plain (unscaled) H_n(r) and J_n(r); overflows only for very large |n|."""
-    if m.n == 0:
-        raise InvalidModeError("H_n/J_n require n != 0")
-    hs = HomogeneousSolutions(m.n)
-    N = hs.N
-
-    def h_int(s):
-        return s * s * m.f(s) * float(p.u(s)) * N * sp.i1e(N * s) * np.exp(N * s)
-
-    def j_int(s):
-        return s * s * m.f(s) * float(p.u(s)) * hs.zeta_prime_scaled(s) * np.exp(-N * s)
-
-    fu_scale = _fu_scale(p, m)
-    H = quad_complex(h_int, 0.0, r, epsabs=1e-13 * max(fu_scale, 1.0)) if r > 0 else 0.0j
-    J = -quad_complex(j_int, r, 1.0, epsabs=1e-13 * max(fu_scale, 1.0)) if r < 1 else 0.0j
-    return complex(H), complex(J)
 
 
 def _fu_scale(p: RadialProfile, m: FourierMode, samples: int = 33) -> float:
@@ -322,16 +301,19 @@ def curvature_total(p: RadialProfile, modes, *, count_conjugate_pairs: bool = Fa
     return total
 
 
-def curvature_normalized(p: RadialProfile, m: FourierMode) -> float:
-    """Kbar divided by the Gram determinant of (X, Y_n)."""
-    kbar = curvature_mode_closed(p, m)
+def _gram_determinant(p: RadialProfile, m: FourierMode) -> float:
     xx = swirl_energy(p)
     yy = mode_energy(m)
     xy = cross_inner_product(p, m)
     denom = xx * yy - xy * xy
     if denom <= 1e-300:
         raise DegenerateSectionError("section degenerate: Gram determinant vanishes")
-    return kbar / denom
+    return denom
+
+
+def curvature_normalized(p: RadialProfile, m: FourierMode) -> float:
+    """Kbar divided by the Gram determinant of (X, Y_n)."""
+    return curvature_mode_closed(p, m) / _gram_determinant(p, m)
 
 
 @dataclass
@@ -348,7 +330,7 @@ def curvature_report(p: RadialProfile, m: FourierMode, grid: int = 4096) -> Curv
     kc = curvature_mode_closed(p, m)
     ko = curvature_mode_oracle(p, m, grid)
     try:
-        kn = curvature_normalized(p, m)
+        kn = kc / _gram_determinant(p, m)
     except (RegularityError, DegenerateSectionError):
         kn = float("nan")
     return CurvatureResult(
@@ -375,7 +357,7 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
     """
     if n == 0:
         raise InvalidModeError("oscillation study requires n != 0")
-    xx = quad_real(lambda r: r ** 3 * float(p.u(r)) ** 2, 0.0, 1.0)
+    xx = swirl_energy(p)
     out = []
     for k in k_values:
         w = k * np.pi
@@ -393,5 +375,5 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
 
         numerator = quad_real(num, 0.0, 1.0, limit=400)
         denominator = quad_real(den, 0.0, 1.0, limit=400)
-        out.append((int(k), numerator / (FOUR_PI_SQ * xx * denominator)))
+        out.append((int(k), numerator / (xx * denominator)))
     return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["Node", "parse_expression", "evaluate", "differentiate"]
+__all__ = ["Node", "parse_expression", "differentiate"]
 
 _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -368,10 +368,6 @@ def _fold(node: Node) -> float:
 def parse_expression(text: str) -> Node:
     """Parse ``text`` into an AST; raises :class:`ParseError` with an offset."""
     return _Parser(text).parse()
-
-
-def evaluate(node: Node, r):
-    return node.eval(r)
 
 
 def differentiate(node: Node) -> Node:

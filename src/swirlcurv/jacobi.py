@@ -123,7 +123,8 @@ def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048,
 
     Solves at ``grid`` and ``2 * grid`` and Richardson-extrapolates; the grid
     is doubled (up to three times) until the conservative relative error
-    estimate |lambda_2N - lambda_N| / 3 falls below ``tol``.
+    estimate |lambda_2N - lambda_N| / 3 falls below ``tol``.  After a doubling
+    the old fine level is the new coarse one, so each level is solved once.
     """
     if n == 0:
         raise InvalidModeError("spectrum requires n != 0")
@@ -137,8 +138,8 @@ def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048,
             f"u * omega is not positive on [0,1]; witnesses: {report.witness_points}")
 
     n_abs = abs(int(n))
+    lam1 = _solve_grid(p, n_abs, m_max, grid)[0]
     for _ in range(4):
-        lam1, _, _, _ = _solve_grid(p, n_abs, m_max, grid)
         lam2, phi2, r2, ray2 = _solve_grid(p, n_abs, m_max, 2 * grid)
         est = np.abs(lam2 - lam1) / 3.0 / lam2
         if np.all(est <= tol):
@@ -148,6 +149,7 @@ def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048,
             return SLSpectrum(n=int(n), eigenvalues=lam, error_estimates=est,
                               r=r2, phi=phi_full, grid=grid, profile=p,
                               _rayleigh=ray2)
+        lam1 = lam2
         grid *= 2
     raise AccuracyError(
         f"eigenvalue estimate did not reach tol={tol} by grid {grid}",
@@ -225,7 +227,7 @@ class JacobiSolution:
         if self.phase == "cos":
             return (2.0 * self.lam ** 2 * u / (self.n * r ** 2)) * np.sin(self.n * z) \
                 * (np.cos(theta) - 1.0) * phi
-        up = np.asarray(self.profile.u_prime(r), dtype=float)
+        up = np.asarray(self.profile.u.derivative(r), dtype=float)
         # sine branch keeps a secular u'(r) t term; it does not re-vanish at t*
         return np.sin(self.n * z) * phi * self.lam * (
             (2.0 * u / r ** 2) * (self.lam / self.n) * np.sin(theta) + (up / r) * t)
@@ -250,7 +252,7 @@ class JacobiSolution:
         z = np.asarray(z)
         if self.phase == "cos":
             return -(2.0 * self.lam * u / r ** 2) * np.sin(self.n * z) * np.sin(theta) * phi
-        up = np.asarray(self.profile.u_prime(r), dtype=float)
+        up = np.asarray(self.profile.u.derivative(r), dtype=float)
         return np.sin(self.n * z) * phi * self.lam * (
             (2.0 * u / r ** 2) * np.cos(theta) + up / r)
 
@@ -361,7 +363,7 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution, grid: int = 256,
         # (scales taken over every term so a vanishing rhs at special times
         #  does not turn round-off into a large relative residual)
         g = sol.g(t, r, z)
-        up = np.asarray(p.u_prime(r), dtype=float)
+        up = np.asarray(p.u.derivative(r), dtype=float)
         dg = sol.dg_dt(t, r, z)
         d1 = np.max(np.abs(dg - h)) / max(np.max(np.abs(h)), np.max(np.abs(dg)), floor)
         df = sol.df_dt(t, r, z)

@@ -22,9 +22,6 @@ from .radial import RadialFunction
 __all__ = [
     "RadialProfile",
     "CriteriaReport",
-    "eval_profile",
-    "vorticity",
-    "curvature_density",
     "classify_criteria",
 ]
 
@@ -37,31 +34,12 @@ class RadialProfile:
     def __init__(self, u: RadialFunction):
         self.u = u
 
-    def u_value(self, r):
-        return self.u(r)
-
-    def u_prime(self, r):
-        return self.u.derivative(r)
-
     def omega(self, r):
         return 2.0 * self.u(r) + np.asarray(r, dtype=float) * self.u.derivative(r)
 
     def eta(self, r):
         u = self.u(r)
         return u * u + 2.0 * np.asarray(r, dtype=float) * u * self.u.derivative(r)
-
-
-def eval_profile(p: RadialProfile, r):
-    """Return (u(r), u'(r))."""
-    return p.u(r), p.u.derivative(r)
-
-
-def vorticity(p: RadialProfile, r):
-    return p.omega(r)
-
-
-def curvature_density(p: RadialProfile, r):
-    return p.eta(r)
 
 
 @dataclass

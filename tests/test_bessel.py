@@ -2,55 +2,46 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
-from swirlcurv import DomainError, HomogeneousSolutions, InvalidModeError, bessel_i, bessel_k
+from swirlcurv import HomogeneousSolutions, InvalidModeError
 
 from _oracles import (five_point_diff, i0_series, i1_series, k0_series,
                       k1_from_wronskian)
 
 
 def test_i_matches_power_series():
+    # with N = 1 the scaled accessors times e^{x} are I0(x) and I1(x)
+    hs = HomogeneousSolutions(1)
     for x in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0):
-        assert bessel_i(0, x).value == pytest.approx(i0_series(x), rel=1e-13)
-        assert bessel_i(1, x).value == pytest.approx(i1_series(x), rel=1e-13, abs=1e-300)
+        assert float(hs.xi_scaled(x)) * math.exp(x) == pytest.approx(i0_series(x), rel=1e-13)
+        assert float(hs.xi_prime_scaled(x)) * math.exp(x) == \
+            pytest.approx(i1_series(x), rel=1e-13, abs=1e-300)
 
 
 def test_k_matches_series_oracles():
     for x in (0.1, 0.5, 1.0, 2.0):
-        assert bessel_k(0, x).value == pytest.approx(k0_series(x), rel=1e-12)
-        assert bessel_k(1, x).value == pytest.approx(k1_from_wronskian(x), rel=1e-12)
+        assert float(sp.k0e(x)) * math.exp(-x) == pytest.approx(k0_series(x), rel=1e-12)
+        assert float(sp.k1e(x)) * math.exp(-x) == \
+            pytest.approx(k1_from_wronskian(x), rel=1e-12)
 
 
 def test_scaled_values_consistent():
-    for x in (0.5, 3.0, 25.0):
-        bi = bessel_i(0, x)
-        assert bi.scaled_value == pytest.approx(bi.value * math.exp(-x), rel=1e-12)
-        bk = bessel_k(1, x)
-        assert bk.scaled_value == pytest.approx(bk.value * math.exp(x), rel=1e-12)
-
-
-def test_huge_argument_scaled_finite():
-    # plain I overflows, the scaled twin must stay finite and O(1/sqrt(x))
-    bi = bessel_i(0, 5000.0)
-    assert math.isinf(bi.value)
-    assert 0.0 < bi.scaled_value < 1.0
-    bk = bessel_k(0, 5000.0)
-    assert bk.value == 0.0 or bk.value < 1e-300 or bk.value > 0  # underflow allowed
-    assert 0.0 < bk.scaled_value < 1.0
-
-
-def test_domain_errors():
-    with pytest.raises(DomainError):
-        bessel_i(0, -1.0)
-    with pytest.raises(DomainError):
-        bessel_k(1, 0.0)
-    with pytest.raises(ValueError):
-        bessel_i(2, 1.0)
+    # scaled accessors times e^{+-N r} against the unscaled scipy functions
+    n = 25
+    hs = HomogeneousSolutions(n)
+    c = float(sp.k1(n) / sp.i1(n))
+    for r in (0.02, 0.12, 0.5, 1.0):
+        x = n * r
+        assert float(hs.xi_scaled(r)) * math.exp(x) == pytest.approx(sp.i0(x), rel=1e-12)
+        assert float(hs.xi_prime_scaled(r)) * math.exp(x) == \
+            pytest.approx(n * sp.i1(x), rel=1e-12)
+        assert float(hs.zeta_scaled(r)) * math.exp(-x) == \
+            pytest.approx(c * sp.i0(x) + sp.k0(x), rel=1e-12)
 
 
 def test_wronskian_identity_wide_range():
     # I0(x) K1(x) + I1(x) K0(x) = 1/x, checked in scaled arithmetic
-    from scipy import special as sp
     x = np.linspace(0.1, 50.0, 500)
     w = sp.i0e(x) * sp.k1e(x) + sp.i1e(x) * sp.k0e(x)
     np.testing.assert_allclose(w, 1.0 / x, rtol=1e-12)
@@ -58,8 +49,6 @@ def test_wronskian_identity_wide_range():
 
 def test_ratio_derivative_identity():
     # d/dx (K1/I1) = -1 / (x I1(x)^2); the sign here is the Wronskian's
-    from scipy import special as sp
-
     def ratio(x):
         return sp.k1e(x) / sp.i1e(x) * math.exp(-2.0 * x)
 
@@ -80,13 +69,13 @@ def test_homogeneous_requires_nonzero_n():
 
 def test_xi_is_i0():
     hs = HomogeneousSolutions(2)
-    assert hs.xi(0.5) == pytest.approx(i0_series(1.0), rel=1e-13)
-    assert hs.xi_prime(0.5) == pytest.approx(2.0 * i1_series(1.0), rel=1e-13)
+    assert float(hs.xi_scaled(0.5)) * math.e == pytest.approx(i0_series(1.0), rel=1e-13)
+    assert float(hs.xi_prime_scaled(0.5)) * math.e == \
+        pytest.approx(2.0 * i1_series(1.0), rel=1e-13)
 
 
 def test_zeta_neumann_boundary_condition():
     # zeta'(1) = 0 holds to round-off by construction
-    from scipy import special as sp
     for n in (1, 3, 10, 100, 2000):
         hs = HomogeneousSolutions(n)
         scale = hs.N * float(sp.k1e(hs.N))
@@ -111,7 +100,9 @@ def test_both_solutions_satisfy_the_ode(n):
     hs = HomogeneousSolutions(n)
     h = 1e-3
     r = np.linspace(0.2, 0.9, 33)
-    for fn in (hs.xi, hs.zeta):
+    plain = (lambda x: hs.xi_scaled(x) * math.exp(n * x),
+             lambda x: hs.zeta_scaled(x) * math.exp(-n * x))
+    for fn in plain:
         y = np.array([float(fn(x)) for x in r])
         ym2 = np.array([float(fn(x - 2 * h)) for x in r])
         ym1 = np.array([float(fn(x - h)) for x in r])
@@ -121,13 +112,6 @@ def test_both_solutions_satisfy_the_ode(n):
         d2 = (-ym2 + 16 * ym1 - 30 * y + 16 * yp1 - yp2) / (12 * h * h)
         resid = d2 + d1 / r - n * n * y
         assert np.max(np.abs(resid) / (n * n * np.abs(y))) < 1e-7
-
-
-def test_scaled_and_plain_agree_moderate_n():
-    hs = HomogeneousSolutions(5)
-    r = 0.7
-    assert float(hs.xi_scaled(r)) * math.exp(5 * r) == pytest.approx(float(hs.xi(r)))
-    assert float(hs.zeta_scaled(r)) * math.exp(-5 * r) == pytest.approx(float(hs.zeta(r)))
 
 
 def test_no_overflow_for_large_mode_numbers():

@@ -54,18 +54,6 @@ def test_curvature_command_deterministic(tmp_path):
         assert "e" in r[1]  # scientific notation with full precision
 
 
-def test_curvature_threaded_matches_serial(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "modes": MODES,
-                               "params": {"grid": 1024}})
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    assert main(["curvature", "--config", cfg, "--out", str(serial), "--quiet"]) == 0
-    monkeypatch.setenv("SWIRLCURV_THREADS", "4")
-    assert main(["curvature", "--config", cfg, "--out", str(threaded), "--quiet"]) == 0
-    assert (serial / "curvature.csv").read_text() == \
-        (threaded / "curvature.csv").read_text()
-
-
 def test_spectrum_command(tmp_path):
     cfg = write_cfg(tmp_path, {"profile": {"poly": [1.0]},
                                "params": {"m_max": 2, "n_list": [1, 2], "grid": 512}})
@@ -137,6 +125,23 @@ def test_bad_config_exit_code(tmp_path, capsys):
 
     bad_expr = write_cfg(tmp_path, {"profile": {"expr": "2 - r^"}}, "bad_expr.json")
     assert main(["check-profile", "--config", bad_expr, "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"profile": {"table": {"values": [1.0] * 9}}},                 # table without "r"
+    {"profile": {"poly": []}},                                     # empty coefficients
+    {"profile": GOOD_PROFILE, "modes": [{"n": "x"}]},              # non-integer n
+    {"profile": GOOD_PROFILE, "modes": 5},                         # modes not a list
+    5,                                                             # not an object
+])
+def test_malformed_config_is_a_validation_error(tmp_path, capsys, payload):
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["check-profile", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValidationError"
 
 
 def test_unknown_command_rejected(tmp_path):

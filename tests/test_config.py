@@ -18,7 +18,7 @@ BASIC = {
 
 def test_parse_from_dict():
     cfg = parse_config(BASIC)
-    assert cfg.profile.u_value(0.5) == pytest.approx(1.75)
+    assert cfg.profile.u(0.5) == pytest.approx(1.75)
     assert len(cfg.modes) == 2
     assert cfg.modes[0].n == 1
     assert cfg.modes[1].g(0.5) == pytest.approx(0.125 + 0.125j)
@@ -60,7 +60,7 @@ def test_table_profile_spec():
     import numpy as np
     r = np.linspace(0, 1, 9).tolist()
     cfg = parse_config({"profile": {"table": {"r": r, "values": [1.0] * 9}}})
-    assert cfg.profile.u_value(0.3) == pytest.approx(1.0)
+    assert cfg.profile.u(0.3) == pytest.approx(1.0)
 
 
 def test_missing_mode_functions_default_to_zero():

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 from scipy.integrate import simpson
 
-from swirlcurv import (DegenerateSectionError, FourierMode, InvalidModeError,
-                       PolynomialFunction, RadialProfile, TableFunction,
-                       ValidationError, compute_HJ, curvature_mode_closed,
+import swirlcurv.curvature as curvature
+from swirlcurv import (DegenerateSectionError, FourierMode, HomogeneousSolutions,
+                       InvalidModeError, PolynomialFunction, RadialProfile,
+                       TableFunction, ValidationError, curvature_mode_closed,
                        curvature_mode_oracle, curvature_normalized,
                        curvature_report, curvature_total, mode_energy,
                        oscillation_study, pressure_bvp_solve, pressure_closed_form,
@@ -23,24 +25,24 @@ PI2 = math.pi ** 2
 # H_n / J_n
 # ---------------------------------------------------------------------------
 
+def _h_closed_route(p, m, r):
+    """H_n(r) as the closed route forms it: the ratio H_n/I1(|n| r) times I1."""
+    hs = HomogeneousSolutions(m.n)
+    eps_scale = max(curvature._fu_scale(p, m), 1.0)
+    return curvature._h_over_i1(p, m, hs, r, eps_scale) * sp.i1(hs.N * r)
+
+
 def test_hj_vanish_for_zero_f():
     m = mode_poly(1, [0, 0, 1, -1])
-    H, J = compute_HJ(u_const(), m, 0.5)
-    assert H == 0.0 and J == 0.0
+    assert _h_closed_route(u_const(), m, 0.5) == 0.0
 
 
 def test_h_at_one_matches_series_oracle():
     # u = 1, f = r, n = 1: H_1(1) = int_0^1 s^3 I1(s) ds
     m = mode_poly(1, [0.0], f_re=[0.0, 1.0])
-    H, J = compute_HJ(u_const(), m, 1.0)
+    H = _h_closed_route(u_const(), m, 1.0)
     assert H.real == pytest.approx(int_r3_i1(), rel=1e-11)
     assert abs(H.imag) < 1e-14
-    assert J == 0.0  # integral over an empty interval
-
-
-def test_hj_require_nonzero_mode():
-    with pytest.raises(InvalidModeError):
-        compute_HJ(u_const(), mode_poly(0, [0.0], f_re=[0.0, 1.0]), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +62,7 @@ def test_pressure_zero_for_zero_f():
 def test_pressure_boundary_condition(n):
     p = u_quadratic()
     m = standard_mode(n)
-    f1u1 = complex(m.f(1.0)) * float(p.u_value(1.0))
+    f1u1 = complex(m.f(1.0)) * float(p.u(1.0))
     for builder in (pressure_closed_form, lambda pp, mm: pressure_bvp_solve(pp, mm, 1024)):
         sol = builder(p, m)
         assert sol.q_prime(1.0) == pytest.approx(-f1u1, abs=1e-9)
@@ -196,7 +198,7 @@ def test_combined_field_oracle_cross_terms_cancel():
     nz = 64
     z = 2 * np.pi * np.arange(nz) / nz
 
-    u = np.asarray(p.u_value(r))
+    u = np.asarray(p.u(r))
     eta = np.asarray(p.eta(r))
     w_r = np.zeros((r.size, nz), dtype=complex)
     w_th = np.zeros_like(w_r)
@@ -247,6 +249,23 @@ def test_report_nan_normalization_for_divergent_mode():
     rep = curvature_report(p, m, grid=1024)
     assert np.isfinite(rep.kbar_closed)
     assert math.isnan(rep.k_normalized)
+
+
+def test_report_runs_closed_route_once_per_mode(monkeypatch):
+    p = u_quadratic()
+    modes = [standard_mode(1), standard_mode(3)]
+    expected = [curvature_normalized(p, m) for m in modes]
+    closed = curvature.curvature_mode_closed
+    calls = []
+
+    def counting(pp, mm):
+        calls.append(mm.n)
+        return closed(pp, mm)
+
+    monkeypatch.setattr(curvature, "curvature_mode_closed", counting)
+    reports = [curvature_report(p, m, grid=1024) for m in modes]
+    assert calls == [1, 3]
+    assert [rep.k_normalized for rep in reports] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import swirlcurv.jacobi as jacobi
 from swirlcurv import (HypothesisViolationError, InvalidModeError, ValidationError,
                        assemble_jacobi, conjugate_times, jacobi_residuals,
                        lambda_over_n_study, sl_spectrum)
@@ -26,6 +27,25 @@ def test_constant_profile_spectrum_matches_bessel_zeros():
         assert s.eigenvalues[m - 1] == pytest.approx(exact_lambda(m, 1), abs=1e-8)
     assert np.all(np.diff(s.eigenvalues) > 0)
     assert np.all(s.error_estimates < 1e-6)
+
+
+def test_each_grid_level_solved_once(monkeypatch):
+    # u = 1, n = 1, m_max = 2 misses tol = 1e-6 at grids 256 and 512, so the
+    # grid doubles twice and the accepted pair is (1024, 2048)
+    coarse = jacobi._solve_grid(u_const(), 1, 2, 1024)[0]
+    fine = jacobi._solve_grid(u_const(), 1, 2, 2048)[0]
+    solve = jacobi._solve_grid
+    levels = []
+
+    def counting(p, n, m_max, N):
+        levels.append(N)
+        return solve(p, n, m_max, N)
+
+    monkeypatch.setattr(jacobi, "_solve_grid", counting)
+    s = sl_spectrum(u_const(), 1, 2, grid=256, tol=1e-6)
+    assert levels == [256, 512, 1024, 2048]
+    assert s.grid == 1024
+    assert np.array_equal(s.eigenvalues, (4.0 * fine - coarse) / 3.0)
 
 
 def test_spectrum_other_wavenumbers():

@@ -4,31 +4,30 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from swirlcurv import classify_criteria, curvature_density, eval_profile, vorticity
+from swirlcurv import classify_criteria
 
 from _helpers import profile_poly, u_const, u_decreasing, u_quadratic
 
 
 def test_constant_profile_values():
     p = u_const()
-    u, up = eval_profile(p, 0.5)
-    assert u == 1.0 and up == 0.0
-    assert vorticity(p, 0.3) == pytest.approx(2.0)
-    assert curvature_density(p, 0.3) == pytest.approx(1.0)
+    assert p.u(0.5) == 1.0 and p.u.derivative(0.5) == 0.0
+    assert p.omega(0.3) == pytest.approx(2.0)
+    assert p.eta(0.3) == pytest.approx(1.0)
 
 
 def test_rigid_rotation_values():
     # u = r: omega = 3r, eta = 3r^2
     p = profile_poly([0.0, 1.0])
-    assert vorticity(p, 0.4) == pytest.approx(1.2)
-    assert curvature_density(p, 0.4) == pytest.approx(0.48)
+    assert p.omega(0.4) == pytest.approx(1.2)
+    assert p.eta(0.4) == pytest.approx(0.48)
 
 
 def test_quadratic_profile_eta():
     # u = 1 + r^2: eta = (1 + r^2)(1 + 5 r^2)
     p = u_quadratic()
     r = np.linspace(0, 1, 9)
-    np.testing.assert_allclose(curvature_density(p, r), (1 + r ** 2) * (1 + 5 * r ** 2))
+    np.testing.assert_allclose(p.eta(r), (1 + r ** 2) * (1 + 5 * r ** 2))
 
 
 def test_classify_positive_profiles():
@@ -76,8 +75,8 @@ def test_loosening_tolerance_keeps_true_flags():
 def test_eta_matches_finite_difference_of_r_u_squared(coeffs, r):
     p = profile_poly(coeffs)
     h = 1e-6
-    fd = ((r + h) * p.u_value(r + h) ** 2 - (r - h) * p.u_value(r - h) ** 2) / (2 * h)
-    assert curvature_density(p, r) == pytest.approx(fd, rel=1e-6, abs=1e-7)
+    fd = ((r + h) * p.u(r + h) ** 2 - (r - h) * p.u(r - h) ** 2) / (2 * h)
+    assert p.eta(r) == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
 @given(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=5),
@@ -86,5 +85,5 @@ def test_vorticity_matches_finite_difference_of_r2_u(coeffs, r):
     # omega = (1/r) d/dr (r^2 u)
     p = profile_poly(coeffs)
     h = 1e-6
-    fd = ((r + h) ** 2 * p.u_value(r + h) - (r - h) ** 2 * p.u_value(r - h)) / (2 * h)
-    assert vorticity(p, r) == pytest.approx(fd / r, rel=1e-6, abs=1e-7)
+    fd = ((r + h) ** 2 * p.u(r + h) - (r - h) ** 2 * p.u(r - h)) / (2 * h)
+    assert p.omega(r) == pytest.approx(fd / r, rel=1e-6, abs=1e-7)
