@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -51,15 +52,7 @@ def _write_json(path: Path, payload):
 
 def _cmd_check_profile(cfg: RunConfig, out: Path, grid):
     report = classify_criteria(cfg.profile, int(cfg.params.get("sample_count", 256)))
-    payload = {
-        "eta_strictly_positive": report.eta_strictly_positive,
-        "eta_nonnegative": report.eta_nonnegative,
-        "u_omega_positive": report.u_omega_positive,
-        "eta_min": report.eta_min,
-        "u_omega_min": report.u_omega_min,
-        "tolerance": report.tolerance,
-        "witness_points": report.witness_points,
-    }
+    payload = asdict(report)
     _write_json(out / "criteria.json", payload)
     return ["criteria.json"]
 
@@ -141,12 +134,9 @@ def _cmd_limit(cfg: RunConfig, out: Path, grid):
     n_list = [int(x) for x in cfg.params.get("n_list", [4, 8, 16, 32, 64])]
     eigen_grid = int(grid or cfg.params.get("grid", 1024))
     pairs = lambda_over_n_study(cfg.profile, m, n_list, grid=eigen_grid)
-    rows = []
-    prev = None
-    for n, ratio in pairs:
-        diff = float("nan") if prev is None else ratio - prev
-        rows.append((n, ratio, diff))
-        prev = ratio
+    ratios = [ratio for _, ratio in pairs]
+    diffs = [float("nan")] + [b - a for a, b in zip(ratios, ratios[1:])]
+    rows = [(n, ratio, diff) for (n, ratio), diff in zip(pairs, diffs)]
     _write_csv(out / "limit.csv", ["n", "lambda_over_n", "diff"], rows)
     return ["limit.csv"]
 

@@ -22,9 +22,11 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import RegularityError, ValidationError
 from .modes import FourierMode
-from .profile import RadialProfile
+from .profile import RadialProfile, chebyshev_grid
 from .radial import (ComplexRadialFunction, ExpressionFunction, PolynomialFunction,
                      RadialFunction, TableFunction, zero)
 
@@ -79,8 +81,23 @@ def _is_existing_path(source) -> bool:
         return False
 
 
+def _require_finite(profile: RadialProfile, modes) -> None:
+    """Reject a profile or mode with a non-finite value on the criteria grid."""
+    r = chebyshev_grid(256)
+    with np.errstate(all="ignore"):
+        samples = [profile.u(r), profile.u.derivative(r), profile.eta(r)]
+        for m in modes:
+            samples += [m.g(r), m.g.derivative(r), m.f(r), m.f.derivative(r)]
+    if not all(np.all(np.isfinite(v)) for v in samples):
+        raise ValidationError("u, u', eta, g, g', f or f' is not finite on [0, 1]")
+
+
 def parse_config(source) -> RunConfig:
-    """Build a RunConfig from a dict, a JSON string, or a file path."""
+    """Build a RunConfig from a dict, a JSON string, or a file path.
+
+    Profile and modes must be finite on [0, 1], and modes must meet the axis
+    and wall conditions; finite energy is not required (g'(0) != 0 is fine).
+    """
     if isinstance(source, (str, Path)) and _is_existing_path(source):
         raw = json.loads(Path(source).read_text())
     elif isinstance(source, str):
@@ -99,4 +116,10 @@ def parse_config(source) -> RunConfig:
         # a document or spec of the wrong type, a missing key or an empty
         # coefficient list is a config error, not a crash
         raise ValidationError(f"malformed config: {type(exc).__name__}: {exc}") from exc
+    _require_finite(profile, modes)
+    for m in modes:
+        try:
+            m.validate(require_finite_energy=False)
+        except RegularityError as exc:
+            raise ValidationError(f"mode n = {m.n}: {exc}") from exc
     return RunConfig(raw=raw, profile=profile, modes=modes, params=params)

@@ -30,7 +30,7 @@ from .errors import (DegenerateSectionError, InvalidModeError, RegularityError,
                      ValidationError)
 from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy, swirl_energy
 from .profile import RadialProfile
-from .quadrature import quad_complex, quad_real
+from .quadrature import converge, gauss_nodes, panel_edges, quad_real
 
 __all__ = [
     "PressureSolution",
@@ -50,13 +50,17 @@ __all__ = [
 # Pressure solutions
 # ---------------------------------------------------------------------------
 
+def _scalar_or_array(r, values):
+    return complex(values) if np.ndim(r) == 0 else values
+
+
 @dataclass
 class PressureSolution:
     """The Fourier coefficient q_n of the pressure in the Leray projection."""
 
     n: int
-    q: object            # callable r -> complex
-    q_prime: object      # callable r -> complex
+    q: object            # r (number or array) -> complex values
+    q_prime: object      # r (number or array) -> complex values
     source: str          # "closed-form" or "bvp"
     grid: int | None
     profile: RadialProfile
@@ -71,93 +75,100 @@ class PressureSolution:
         """
         h = 1e-3
         r = np.linspace(2 * h + 1e-3, 1.0 - 2 * h - 1e-3, grid)
-        q = np.array([self.q(x) for x in r])
-        qm2 = np.array([self.q(x - 2 * h) for x in r])
-        qm1 = np.array([self.q(x - h) for x in r])
-        qp1 = np.array([self.q(x + h) for x in r])
-        qp2 = np.array([self.q(x + 2 * h) for x in r])
+        qm2, qm1, q, qp1, qp2 = self.q(r + h * np.arange(-2, 3)[:, None])
         d1 = (qm2 - 8 * qm1 + 8 * qp1 - qp2) / (12 * h)
         d2 = (-qm2 + 16 * qm1 - 30 * q + 16 * qp1 - qp2) / (12 * h * h)
 
         p, m = self.profile, self.mode
-        u = np.asarray(p.u(r), dtype=float)
-        up = np.asarray(p.u.derivative(r), dtype=float)
-        f = np.asarray(m.f(r), dtype=complex)
-        fp = np.asarray(m.f.derivative(r), dtype=complex)
+        u = p.u(r)
+        f = m.f(r)
         # -(1/r) d/dr (r^2 f u) = -(2 f u + r (f' u + f u'))
-        rhs = -(2 * f * u + r * (fp * u + f * up))
+        rhs = -(2 * f * u + r * (m.f.derivative(r) * u + f * p.u.derivative(r)))
         resid = d2 + d1 / r - self.n ** 2 * q - rhs
         scale = max(float(np.max(np.abs(rhs))), 1e-300)
         return float(np.max(np.abs(resid)) / scale)
 
 
-def _fu_scale(p: RadialProfile, m: FourierMode, samples: int = 33) -> float:
-    s = np.linspace(0.0, 1.0, samples)
-    vals = np.abs(np.array([m.f(x) for x in s]) * np.array([float(p.u(x)) for x in s]))
-    return float(max(np.max(vals), 1e-300))
+def _knots(p: RadialProfile, m: FourierMode):
+    return np.concatenate([p.u.knots, m.knots])
 
 
-def _h_over_i1(p, m, hs, r, eps_scale):
-    """H_n(r) / I1(|n| r), evaluated as a single quadrature in ratio form."""
-    if r <= 0.0:
-        return 0.0j
+def _carry(p, m, x, kernel, decay, reverse=False):
+    """y_k = decay_k y_{k-1} + int s^2 f u kernel_k(s) ds over gap k of the
+    ascending radii x, by one Gauss panel per gap; from 0 before the first gap
+    (before the last one with ``reverse``)."""
+    s, w = gauss_nodes(x)
+    increment = np.sum(w * s * s * m.f(s) * p.u(s) * kernel(s), axis=1).tolist()
+    decay = decay.tolist()
+    out = np.empty(len(increment), dtype=complex)
+    acc = 0j
+    for k in reversed(range(len(out))) if reverse else range(len(out)):
+        acc = decay[k] * acc + increment[k]
+        out[k] = acc
+    return out
+
+
+def _h_ratio(p: RadialProfile, m: FourierMode, r):
+    """H_n(r) / I1(N r) at ascending radii r > 0, N = |n|.
+
+    H_n(r) = int_0^r s^2 f u N I1(N s) ds, so across the gap to r_k+1 the
+    ratio is multiplied by I1(N r_k) / I1(N r_k+1) and gains the gap integral
+    of s^2 f u N I1(N s) / I1(N r_k+1).  Both ratios are formed from i1e
+    times exp(-N * distance) <= 1, so n = 10^4 cannot overflow.
+    """
+    N = abs(m.n)
+    lo = np.concatenate([[0.0], r[:-1]])
+    i1 = sp.i1e(N * r)
+    return _carry(p, m, np.concatenate([[0.0], r]),
+                  lambda s: N * sp.i1e(N * s) / i1[:, None] * np.exp(-N * (r[:, None] - s)),
+                  sp.i1e(N * lo) / i1 * np.exp(-N * (r - lo)))
+
+
+def _xi_j(p: RadialProfile, m: FourierMode, hs: HomogeneousSolutions, r):
+    """xi_n(r) J_n(r) at ascending radii r < 1, carried down from J_n(1) = 0,
+    with J_n(r) = -int_r^1 s^2 f u zeta_n'(s) ds and I0 ratios as above."""
     N = hs.N
-    i1r = float(sp.i1e(N * r))
-
-    def integrand(s):
-        ratio = sp.i1e(N * s) / i1r * np.exp(-N * (r - s))
-        return s * s * m.f(s) * float(p.u(s)) * N * ratio
-
-    return quad_complex(integrand, 0.0, r, epsabs=1e-13 * eps_scale, epsrel=1e-10)
+    hi = np.append(r[1:], 1.0)
+    i0 = sp.i0e(N * r)
+    return _carry(p, m, np.append(r, 1.0),
+                  lambda s: -hs.zeta_prime_scaled(s) * i0[:, None] * np.exp(-N * (s - r[:, None])),
+                  i0 / sp.i0e(N * hi) * np.exp(-N * (hi - r)), reverse=True)
 
 
 def pressure_closed_form(p: RadialProfile, m: FourierMode) -> PressureSolution:
-    """q_n = -zeta_n H_n + xi_n J_n, assembled from scaled Bessel products."""
+    """q_n = -zeta_n H_n + xi_n J_n, assembled from scaled Bessel products.
+
+    H_n / I1 and xi_n J_n are carried up and down across the Gauss nodes of
+    the panel rule joined with the requested radii; the panels are doubled
+    until the values at those radii settle.
+    """
     if m.n == 0:
         raise InvalidModeError("closed-form pressure requires n != 0")
     hs = HomogeneousSolutions(m.n)
-    N, c = hs.N, hs.c_scaled
-    eps = 1e-13 * max(_fu_scale(p, m), 1.0)
+    N = hs.N
 
-    def fu(s):
-        return s * s * m.f(s) * float(p.u(s))
+    def carried(radii, edges):
+        x = np.union1d(gauss_nodes(edges)[0].ravel(), radii)
+        out = np.zeros((2, x.size), dtype=complex)
+        out[0, x > 0] = _h_ratio(p, m, x[x > 0])
+        out[1, x < 1] = _xi_j(p, m, hs, x[x < 1])
+        return out[:, np.searchsorted(x, radii)]
 
-    def q(r):
-        r = float(r)
-        # zeta(r) * H(r): integrand contains I1(Ns) zeta(r), exponents <= 0
-        def zh(s):
-            core = (c * sp.i1e(N * s) * sp.i0e(N * r) * np.exp(N * (s + r - 2.0))
-                    + sp.i1e(N * s) * sp.k0e(N * r) * np.exp(N * (s - r)))
-            return fu(s) * N * core
+    def solve(r, derivative):
+        x = np.asarray(r, dtype=float)
+        h, t = converge(lambda edges: carried(x.ravel(), edges),
+                        panel_edges(0.0, 1.0, _knots(p, m)))
+        h, t = h.reshape(x.shape), t.reshape(x.shape)
+        with np.errstate(invalid="ignore"):   # the scaled zeta is infinite at r = 0
+            if derivative:
+                zeta_h = hs.zeta_prime_scaled(x) * sp.i1e(N * x) * h
+                t = N * sp.i1e(N * x) / sp.i0e(N * x) * t - x * m.f(x) * p.u(x)
+            else:
+                zeta_h = hs.zeta_scaled(x) * sp.i1e(N * x) * h
+        return _scalar_or_array(r, np.where(x > 0, -zeta_h, 0.0) + t)
 
-        # xi(r) * J(r) = -int_r^1 fu(s) zeta'(s) xi(r) ds
-        def xj(s):
-            core = N * (c * sp.i1e(N * s) * sp.i0e(N * r) * np.exp(N * (s + r - 2.0))
-                        - sp.k1e(N * s) * sp.i0e(N * r) * np.exp(N * (r - s)))
-            return fu(s) * core
-
-        t1 = quad_complex(zh, 0.0, r, epsabs=eps) if r > 0 else 0.0j
-        t2 = -quad_complex(xj, r, 1.0, epsabs=eps) if r < 1 else 0.0j
-        return -t1 + t2
-
-    def q_prime(r):
-        r = float(r)
-
-        def zph(s):
-            core = N * (c * sp.i1e(N * s) * sp.i1e(N * r) * np.exp(N * (s + r - 2.0))
-                        - sp.i1e(N * s) * sp.k1e(N * r) * np.exp(N * (s - r)))
-            return fu(s) * N * core
-
-        def xpj(s):
-            core = N * N * (c * sp.i1e(N * s) * sp.i1e(N * r) * np.exp(N * (s + r - 2.0))
-                            - sp.k1e(N * s) * sp.i1e(N * r) * np.exp(N * (r - s)))
-            return fu(s) * core
-
-        t1 = quad_complex(zph, 0.0, r, epsabs=eps) if r > 0 else 0.0j
-        t2 = -quad_complex(xpj, r, 1.0, epsabs=eps) if r < 1 else 0.0j
-        return -t1 + t2 - r * m.f(r) * float(p.u(r))
-
-    return PressureSolution(m.n, q, q_prime, "closed-form", None, p, m)
+    return PressureSolution(m.n, lambda r: solve(r, False), lambda r: solve(r, True),
+                            "closed-form", None, p, m)
 
 
 def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> PressureSolution:
@@ -172,6 +183,7 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> Pr
         raise InvalidModeError("pressure BVP requires n != 0")
     if grid < 64:
         raise ValidationError("grid must be >= 64")
+    beta = complex(-m.f(1.0) * float(p.u(1.0)))
 
     def solve(N):
         h = 1.0 / N
@@ -183,10 +195,8 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> Pr
         rhs = -(2 * f * u + r * (fp * u + f * up))
         n2 = m.n ** 2
 
-        # banded storage: rows (upper, diag, lower)
-        upper = np.zeros(N + 1, dtype=complex)
-        diag = np.zeros(N + 1, dtype=complex)
-        lower = np.zeros(N + 1, dtype=complex)
+        ab = np.zeros((3, N + 1), dtype=complex)
+        upper, diag, lower = ab   # banded storage rows, as views
         b = np.array(rhs, dtype=complex)
 
         # axis row: 4 (q1 - q0)/h^2 - n^2 q0 = rhs(0)  (from 2 q'' - n^2 q)
@@ -198,30 +208,22 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> Pr
         diag[1:N] = -2.0 / h ** 2 - n2
         upper[2:N + 1] = 1.0 / h ** 2 + 1.0 / (2 * h * ri)
         # boundary row at r = 1 with ghost point and q'(1) = beta
-        beta = -m.f(1.0) * float(p.u(1.0))
         lower[N - 1] = 2.0 / h ** 2
         diag[N] = -2.0 / h ** 2 - n2
         b[N] = rhs[N] - beta * (2.0 / h + 1.0)
-
-        ab = np.zeros((3, N + 1), dtype=complex)
-        ab[0, 1:] = upper[1:]
-        ab[1, :] = diag
-        ab[2, :-1] = lower[:-1]
         return r, solve_banded((1, 1), ab, b)
 
     r1, q1 = solve(grid)
     r2, q2 = solve(2 * grid)
     q_extrap = (4.0 * q2[::2] - q1) / 3.0
-
-    beta = complex(-m.f(1.0) * float(p.u(1.0)))
     spline_re = CubicSpline(r1, q_extrap.real, bc_type=((1, 0.0), (1, beta.real)))
     spline_im = CubicSpline(r1, q_extrap.imag, bc_type=((1, 0.0), (1, beta.imag)))
 
     def q(r):
-        return complex(spline_re(r) + 1j * spline_im(r))
+        return _scalar_or_array(r, spline_re(r) + 1j * spline_im(r))
 
     def q_prime(r):
-        return complex(spline_re(r, 1) + 1j * spline_im(r, 1))
+        return _scalar_or_array(r, spline_re(r, 1) + 1j * spline_im(r, 1))
 
     return PressureSolution(m.n, q, q_prime, "bvp", grid, p, m)
 
@@ -231,30 +233,20 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> Pr
 # ---------------------------------------------------------------------------
 
 def curvature_mode_closed(p: RadialProfile, m: FourierMode) -> float:
-    """Non-normalized curvature of span(X, Y_n) via the closed Bessel formula."""
+    """Non-normalized curvature of span(X, Y_n) via the closed Bessel formula.
+
+    The integrand sees every node at once, ascending, so H_n / I1 is carried
+    from node to node in one sweep.
+    """
     if m.n == 0:
         return 0.0
-    hs = HomogeneousSolutions(m.n)
     n2 = m.n ** 2
-    eps_scale = max(_fu_scale(p, m), 1.0)
 
-    def first(r):
-        if r == 0.0:
-            return 0.0
-        g = m.g(r)
-        return n2 * abs(g) ** 2 * float(p.eta(r)) / r
+    def integrand(r):
+        h = _h_ratio(p, m, r)
+        return (n2 * np.abs(m.g(r)) ** 2 * p.eta(r) + np.abs(h) ** 2) / r
 
-    term1 = quad_real(first, 0.0, 1.0)
-
-    def second(r):
-        if r == 0.0:
-            return 0.0
-        hs_val = _h_over_i1(p, m, hs, r, eps_scale)
-        return abs(hs_val) ** 2 / r
-
-    term2 = quad_real(second, 0.0, 1.0, epsabs=1e-12 * eps_scale ** 2, epsrel=1e-9,
-                      limit=300)
-    return FOUR_PI_SQ * (term1 + term2)
+    return FOUR_PI_SQ * quad_real(integrand, 0.0, 1.0, points=_knots(p, m))
 
 
 def curvature_mode_oracle(p: RadialProfile, m: FourierMode, grid: int = 4096) -> float:
@@ -270,17 +262,16 @@ def curvature_mode_oracle(p: RadialProfile, m: FourierMode, grid: int = 4096) ->
     n2 = m.n ** 2
 
     def integrand(r):
-        if r == 0.0:
-            return 0.0
-        g = m.g(r)
         f = m.f(r)
-        u = float(p.u(r))
+        u = p.u(r)
+        # w_theta = (q' + r f u) u / r; the radial part contracts to
+        # n^2 |g|^2 eta / r^2, the theta part carries r^2; volume element r dr
         w_theta = (q.q_prime(r) + r * f * u) * u / r
-        # radial part contracts to n^2 |g|^2 eta / r^2; theta parts carry r^2
-        val = n2 * abs(g) ** 2 * float(p.eta(r)) / r ** 2 + (np.conj(f) * w_theta).real * r ** 2
-        return val * r  # volume element r dr
+        return (n2 * np.abs(m.g(r)) ** 2 * p.eta(r) / r
+                + (np.conj(f) * w_theta).real * r ** 3)
 
-    return FOUR_PI_SQ * quad_real(integrand, 0.0, 1.0, epsabs=1e-11, epsrel=1e-9, limit=300)
+    return FOUR_PI_SQ * quad_real(integrand, 0.0, 1.0, epsabs=1e-11, epsrel=1e-9,
+                                  points=_knots(p, m))
 
 
 def curvature_total(p: RadialProfile, modes, *, count_conjugate_pairs: bool = False) -> float:
@@ -361,19 +352,9 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
     out = []
     for k in k_values:
         w = k * np.pi
-
-        def num(r):
-            if r == 0.0:
-                return 0.0
-            return n * n * np.sin(w * r) ** 2 * float(p.eta(r)) / r
-
-        def den(r):
-            s = np.sin(w * r)
-            c = np.cos(w * r)
-            first = 0.0 if r == 0.0 else n * n * s * s / r
-            return first + (w * c) ** 2
-
-        numerator = quad_real(num, 0.0, 1.0, limit=400)
-        denominator = quad_real(den, 0.0, 1.0, limit=400)
+        numerator = quad_real(lambda r: n * n * np.sin(w * r) ** 2 * p.eta(r) / r, 0.0, 1.0,
+                              points=p.u.knots)
+        denominator = quad_real(
+            lambda r: n * n * np.sin(w * r) ** 2 / r + (w * np.cos(w * r)) ** 2, 0.0, 1.0)
         out.append((int(k), numerator / (xx * denominator)))
     return out

@@ -38,9 +38,6 @@ class Node:
     def diff(self) -> "Node":
         raise NotImplementedError
 
-    def is_const(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class Const(Node):
@@ -52,9 +49,6 @@ class Const(Node):
 
     def diff(self):
         return Const(0.0)
-
-    def is_const(self):
-        return True
 
     def __str__(self):
         return repr(self.value)
@@ -126,9 +120,7 @@ class Pow(Node):
     exponent: float
 
     def eval(self, r):
-        return self.arg_pow(self.base.eval(r))
-
-    def arg_pow(self, x):
+        x = self.base.eval(r)
         p = self.exponent
         if p == int(p) and p >= 0:
             # integer powers stay exact for polynomials and avoid 0**0.5 edge cases

@@ -101,10 +101,7 @@ def _solve_grid(p: RadialProfile, n: int, m_max: int, N: int):
 
     phi = y / d[:, None] / np.sqrt(h)  # weight-norm one: h * sum(w phi^2) = 1
     # fix sign: dominant lobe positive
-    for k in range(phi.shape[1]):
-        j = int(np.argmax(np.abs(phi[:, k])))
-        if phi[j, k] < 0.0:
-            phi[:, k] = -phi[:, k]
+    phi *= np.sign(phi[np.argmax(np.abs(phi), axis=0), np.arange(phi.shape[1])])
 
     # discrete Rayleigh identity defect
     ray = np.empty(m_max)
@@ -231,11 +228,6 @@ class JacobiSolution:
         # sine branch keeps a secular u'(r) t term; it does not re-vanish at t*
         return np.sin(self.n * z) * phi * self.lam * (
             (2.0 * u / r ** 2) * (self.lam / self.n) * np.sin(theta) + (up / r) * t)
-
-    def dh_dt(self, t, r, z):
-        theta, phi, _, _, r = self._parts(t, r)
-        tfac = -np.sin(theta) if self.phase == "cos" else np.cos(theta)
-        return (self.n / self.lam) * tfac * phi * np.cos(self.n * np.asarray(z))
 
     def dj_dt(self, t, r, z):
         theta, phi, _, om, r = self._parts(t, r)

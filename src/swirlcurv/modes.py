@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import RegularityError, ValidationError
 from .profile import RadialProfile
-from .quadrature import quad_complex, quad_real
+from .quadrature import quad_real
 from .radial import ComplexRadialFunction
 
 __all__ = [
@@ -48,6 +48,10 @@ class FourierMode:
 
     def scaled(self, c: complex) -> "FourierMode":
         return FourierMode(self.n, self.g.scaled(c), self.f.scaled(c))
+
+    @property
+    def knots(self):
+        return np.concatenate([self.g.knots, self.f.knots])
 
     def field_scale(self, samples: int = 64) -> float:
         r = np.linspace(1.0 / samples, 1.0, samples)
@@ -119,7 +123,7 @@ def divergence_residual(m: FourierMode, grid_size: int = 64, *,
 
 def swirl_energy(p: RadialProfile) -> float:
     """<<X, X>> = 4 pi^2 * int_0^1 r^3 u(r)^2 dr."""
-    return FOUR_PI_SQ * quad_real(lambda r: r ** 3 * float(p.u(r)) ** 2, 0.0, 1.0)
+    return FOUR_PI_SQ * quad_real(lambda r: r ** 3 * p.u(r) ** 2, 0.0, 1.0, points=p.u.knots)
 
 
 def mode_energy(m: FourierMode) -> float:
@@ -128,19 +132,16 @@ def mode_energy(m: FourierMode) -> float:
         raise RegularityError("mode energy diverges: g'(0) != 0")
 
     def integrand(r):
-        if r == 0.0:
-            return 0.0
-        g = m.g(r)
-        gp = m.g.derivative(r)
-        f = m.f(r)
-        return ((m.n ** 2 * abs(g) ** 2 + abs(gp) ** 2) / r + r ** 3 * abs(f) ** 2)
+        g2 = m.n ** 2 * np.abs(m.g(r)) ** 2 + np.abs(m.g.derivative(r)) ** 2
+        return g2 / r + r ** 3 * np.abs(m.f(r)) ** 2
 
-    return FOUR_PI_SQ * quad_real(integrand, 0.0, 1.0)
+    return FOUR_PI_SQ * quad_real(integrand, 0.0, 1.0, points=m.knots)
 
 
 def cross_inner_product(p: RadialProfile, m: FourierMode) -> float:
     """<<X, Y_n>>; zero unless n = 0 by z-orthogonality."""
     if m.n != 0:
         return 0.0
-    val = quad_complex(lambda r: r ** 3 * float(p.u(r)) * m.f(r), 0.0, 1.0)
+    val = quad_real(lambda r: r ** 3 * p.u(r) * m.f(r), 0.0, 1.0,
+                    points=np.concatenate([p.u.knots, m.knots]))
     return FOUR_PI_SQ * val.real

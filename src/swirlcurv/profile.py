@@ -17,11 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ValidationError
 from .radial import RadialFunction
 
 __all__ = [
     "RadialProfile",
     "CriteriaReport",
+    "chebyshev_grid",
     "classify_criteria",
 ]
 
@@ -54,7 +56,7 @@ class CriteriaReport:
     """Each witness is a dict {criterion, r, value} recording a failing point."""
 
 
-def _chebyshev_grid(count: int) -> np.ndarray:
+def chebyshev_grid(count: int) -> np.ndarray:
     # Chebyshev points mapped to [0,1], endpoints included
     k = np.arange(count)
     pts = 0.5 * (1.0 - np.cos(np.pi * k / (count - 1)))
@@ -98,12 +100,11 @@ def classify_criteria(p: RadialProfile, sample_count: int = 256,
     on the grid; loosening tol_scale can only keep true flags true.
     """
     if sample_count < 2:
-        raise ValueError("sample_count must be >= 2")
-    grid = _chebyshev_grid(sample_count)
+        raise ValidationError("sample_count must be >= 2")
+    grid = chebyshev_grid(sample_count)
 
-    eta_fn = lambda r: p.eta(r)
     uo_fn = lambda r: p.u(r) * p.omega(r)
-    eta_pts, eta_vals, eta_roots = _scan(eta_fn, grid)
+    eta_pts, eta_vals, eta_roots = _scan(p.eta, grid)
     uo_pts, uo_vals, uo_roots = _scan(uo_fn, grid)
 
     tol = tol_scale * (1.0 + float(np.max(np.abs(eta_vals))))
@@ -120,16 +121,11 @@ def classify_criteria(p: RadialProfile, sample_count: int = 256,
         u_omega_min=uo_min,
         tolerance=tol,
     )
-    if not report.eta_strictly_positive:
-        report.witness_points.append(
-            {"criterion": "eta", "r": float(eta_pts[eta_min_i]), "value": eta_min})
-        for root in eta_roots:
-            report.witness_points.append(
-                {"criterion": "eta", "r": float(root), "value": float(eta_fn(root))})
-    if not report.u_omega_positive:
-        report.witness_points.append(
-            {"criterion": "u_omega", "r": float(uo_pts[uo_min_i]), "value": uo_min})
-        for root in uo_roots:
-            report.witness_points.append(
-                {"criterion": "u_omega", "r": float(root), "value": float(uo_fn(root))})
+    for name, ok, pts, i, value, roots, fn in (
+            ("eta", report.eta_strictly_positive, eta_pts, eta_min_i, eta_min, eta_roots, p.eta),
+            ("u_omega", report.u_omega_positive, uo_pts, uo_min_i, uo_min, uo_roots, uo_fn)):
+        if not ok:
+            report.witness_points.append({"criterion": name, "r": float(pts[i]), "value": value})
+            report.witness_points += [{"criterion": name, "r": float(x), "value": float(fn(x))}
+                                      for x in roots]
     return report

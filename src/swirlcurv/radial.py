@@ -37,7 +37,10 @@ def _check_domain(r):
 
 
 class RadialFunction:
-    """A real scalar function of r in [0, 1] with two derivatives."""
+    """A real scalar function of r in [0, 1] with two derivatives; ``knots`` are
+    the radii where it is only piecewise smooth (quadrature breakpoints)."""
+
+    knots = ()
 
     def __call__(self, r):
         raise NotImplementedError
@@ -112,7 +115,7 @@ class TableFunction(RadialFunction):
             raise ValueError("need matching 1-d arrays with at least 4 nodes")
         if r_nodes[0] > _DOMAIN_SLACK or r_nodes[-1] < 1.0 - _DOMAIN_SLACK:
             raise ValueError("table nodes must span [0, 1]")
-        self.r_nodes = r_nodes
+        self.knots = r_nodes
         self.values = values
         self._spline = CubicSpline(r_nodes, values, bc_type="natural")
         self._d1 = self._spline.derivative(1)
@@ -131,7 +134,7 @@ class TableFunction(RadialFunction):
         return float(out) if np.ndim(r) == 0 else out
 
     def __repr__(self):
-        return f"TableFunction(<{self.r_nodes.size} nodes>)"
+        return f"TableFunction(<{self.knots.size} nodes>)"
 
 
 def constant(value: float) -> RadialFunction:
@@ -143,48 +146,35 @@ def zero() -> RadialFunction:
 
 
 class ComplexRadialFunction:
-    """Complex radial function stored as a (real, imaginary) pair."""
+    """Complex radial function factor * (real + i imag), stored as its parts."""
 
-    def __init__(self, real: RadialFunction, imag: RadialFunction | None = None):
+    def __init__(self, real: RadialFunction, imag: RadialFunction | None = None,
+                 factor: complex = 1.0):
         self.real = real
         self.imag = imag
+        self.factor = factor
+
+    @property
+    def knots(self):
+        return np.concatenate([self.real.knots, () if self.imag is None else self.imag.knots])
+
+    def _evaluate(self, method: str, r):
+        re = getattr(self.real, method)(r)
+        if self.imag is None:
+            value = re + 0.0j if np.ndim(r) == 0 else re.astype(complex)
+        else:
+            value = re + 1j * getattr(self.imag, method)(r)
+        return value if self.factor == 1.0 else self.factor * value
 
     def __call__(self, r):
-        re = self.real(r)
-        if self.imag is None:
-            return re + 0.0j if np.ndim(r) == 0 else re.astype(complex)
-        return re + 1j * self.imag(r)
+        return self._evaluate("__call__", r)
 
     def derivative(self, r):
-        re = self.real.derivative(r)
-        if self.imag is None:
-            return re + 0.0j if np.ndim(r) == 0 else re.astype(complex)
-        return re + 1j * self.imag.derivative(r)
+        return self._evaluate("derivative", r)
 
     def second_derivative(self, r):
-        re = self.real.second_derivative(r)
-        if self.imag is None:
-            return re + 0.0j if np.ndim(r) == 0 else re.astype(complex)
-        return re + 1j * self.imag.second_derivative(r)
+        return self._evaluate("second_derivative", r)
 
     def scaled(self, c: complex) -> "ComplexRadialFunction":
         """Return c * self, keeping exact derivatives (c complex scalar)."""
-        return _ScaledComplex(self, complex(c))
-
-
-class _ScaledComplex(ComplexRadialFunction):
-    def __init__(self, base: ComplexRadialFunction, factor: complex):
-        self.base = base
-        self.factor = factor
-
-    def __call__(self, r):
-        return self.factor * self.base(r)
-
-    def derivative(self, r):
-        return self.factor * self.base.derivative(r)
-
-    def second_derivative(self, r):
-        return self.factor * self.base.second_derivative(r)
-
-    def scaled(self, c: complex) -> "ComplexRadialFunction":
-        return _ScaledComplex(self.base, self.factor * complex(c))
+        return ComplexRadialFunction(self.real, self.imag, self.factor * complex(c))

@@ -105,3 +105,53 @@ def central_diff(fn, x: float, h: float):
 def five_point_diff(fn, x: float, h: float):
     """Fourth-order central first derivative."""
     return (fn(x - 2 * h) - 8 * fn(x - h) + 8 * fn(x + h) - fn(x + 2 * h)) / (12 * h)
+
+
+# ---------------------------------------------------------------------------
+# Curvature reference values from mpmath (a third route, independent of both
+# the closed Bessel-ratio rule and the finite-difference oracle)
+# ---------------------------------------------------------------------------
+
+# (u, n, g, f, Kbar): u, g, f as ascending polynomial coefficients (g and f
+# complex), Kbar = 4 pi^2 int_0^1 (1/r) [n^2 |g|^2 eta + |H_n|^2 / I1(|n| r)^2] dr
+# from ``kbar_mpmath`` at 30 digits, confirmed to the digits shown at 40.
+KBAR_REFERENCES = [
+    ([1.0, 0.0, 1.0], 3, [0, 0, 1, -1], [0, 1, -1], "23.71589935452322637369163"),
+    ([2.0, 0.0, -1.0], 2, [0, 0, 1, -1 + 0.5j, 0, -0.5j], [0, 1 - 0.3j, -1],
+     "1.298802181392846052156531"),
+    ([1.0, 0.0, 1.0], 100, [0, 0, 1, -1], [0, 1, -1], "26162.79756580552615952609"),
+]
+
+
+def kbar_mpmath(u, n, g, f, dps=30):
+    """Kbar of the closed formula by nested ``mpmath.quad`` at ``dps`` digits.
+
+    Produced ``KBAR_REFERENCES``; the tests read the frozen values and do not
+    run this (minutes per value at large n).  The inner integral
+    H_n(r) / I1(N r) = int_0^r s^2 f u N I1(N s) / I1(N r) ds is split at
+    r - 40/N, r - 10/N and r - 2/N, because the Bessel ratio peaks at s = r
+    with width 1/N.
+    """
+    from mpmath import mp
+
+    mp.dps = dps
+    N = abs(int(n))
+
+    def poly(coeffs, x):
+        return sum(mp.mpmathify(c) * x ** k for k, c in enumerate(coeffs))
+
+    du = [k * c for k, c in enumerate(u)][1:]
+
+    def eta(r):
+        return poly(u, r) ** 2 + 2 * r * poly(u, r) * poly(du, r)
+
+    def h_ratio(r):
+        i1r = mp.besseli(1, N * r)
+        pts = [0] + [r - d / N for d in (40, 10, 2) if r - d / N > 0] + [r]
+        return mp.quad(lambda s: s * s * poly(f, s) * poly(u, s) * N * mp.besseli(1, N * s) / i1r,
+                       pts)
+
+    outer = [0, mp.mpf(1) / N, mp.mpf(10) / N, 1] if N > 10 else [0, 1]
+    first = mp.quad(lambda r: N * N * abs(poly(g, r)) ** 2 * eta(r) / r, [0, 1])
+    second = mp.quad(lambda r: abs(h_ratio(r)) ** 2 / r, outer)
+    return 4 * mp.pi ** 2 * (first + second)

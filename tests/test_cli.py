@@ -133,6 +133,10 @@ def test_bad_config_exit_code(tmp_path, capsys):
     {"profile": GOOD_PROFILE, "modes": [{"n": "x"}]},              # non-integer n
     {"profile": GOOD_PROFILE, "modes": 5},                         # modes not a list
     5,                                                             # not an object
+    {"profile": {"expr": "sqrt(r-2)"}},                            # NaN everywhere
+    {"profile": {"expr": "log(r)"}},                               # -inf at the axis
+    {"profile": GOOD_PROFILE, "modes": [{"n": 1, "g": {"poly": [0, 0, 1]}}]},  # g(1) != 0
+    {"profile": GOOD_PROFILE, "params": {"sample_count": 1}},      # too few samples
 ])
 def test_malformed_config_is_a_validation_error(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, payload)
@@ -142,6 +146,7 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys, payload):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ValidationError"
+    assert not (tmp_path / "criteria.json").exists()
 
 
 def test_unknown_command_rejected(tmp_path):

@@ -9,7 +9,7 @@ BASIC = {
     "profile": {"expr": "2 - r^2"},
     "modes": [
         {"n": 1, "g": {"poly": [0, 0, 1, -1]}, "f": {"poly": [0, 1]}},
-        {"n": 2, "g": {"expr": "r^2*(1-r)"}, "g_imag": {"poly": [0, 0, 0.5]},
+        {"n": 2, "g": {"expr": "r^2*(1-r)"}, "g_imag": {"poly": [0, 0, 1, -1]},
          "f": {"poly": [0.0]}},
     ],
     "params": {"grid": 512, "m_max": 2},

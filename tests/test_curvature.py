@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy import special as sp
 from scipy.integrate import simpson
 
 import swirlcurv.curvature as curvature
-from swirlcurv import (DegenerateSectionError, FourierMode, HomogeneousSolutions,
+from swirlcurv import (DegenerateSectionError, FourierMode,
                        InvalidModeError, PolynomialFunction, RadialProfile,
                        TableFunction, ValidationError, curvature_mode_closed,
                        curvature_mode_oracle, curvature_normalized,
@@ -15,8 +18,9 @@ from swirlcurv import (DegenerateSectionError, FourierMode, HomogeneousSolutions
                        swirl_energy)
 from swirlcurv.radial import ComplexRadialFunction
 
-from _helpers import mode_poly, random_mode, standard_mode, u_const, u_quadratic
-from _oracles import int_r3_i1
+from _helpers import (G_BASE, mode_poly, profile_poly, random_mode, standard_mode,
+                      u_const, u_decreasing, u_quadratic)
+from _oracles import KBAR_REFERENCES, int_r3_i1
 
 PI2 = math.pi ** 2
 
@@ -26,10 +30,10 @@ PI2 = math.pi ** 2
 # ---------------------------------------------------------------------------
 
 def _h_closed_route(p, m, r):
-    """H_n(r) as the closed route forms it: the ratio H_n/I1(|n| r) times I1."""
-    hs = HomogeneousSolutions(m.n)
-    eps_scale = max(curvature._fu_scale(p, m), 1.0)
-    return curvature._h_over_i1(p, m, hs, r, eps_scale) * sp.i1(hs.N * r)
+    """H_n(r) as the closed route forms it: the ratio H_n/I1(|n| r), carried
+    across 256 gaps up to r, times I1."""
+    ratio = curvature._h_ratio(p, m, np.linspace(0.0, r, 257)[1:])
+    return ratio[-1] * sp.i1(abs(m.n) * r)
 
 
 def test_hj_vanish_for_zero_f():
@@ -279,3 +283,58 @@ def test_oscillation_study_decreases():
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(InvalidModeError):
         oscillation_study(u_const(), 0, range(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# Third reference (mpmath) and properties over random admissible modes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("u, n, g, f, kbar", KBAR_REFERENCES)
+def test_closed_route_matches_mpmath_reference(u, n, g, f, kbar):
+    m = mode_poly(n, [complex(c).real for c in g], [complex(c).imag for c in g],
+                  [complex(c).real for c in f], [complex(c).imag for c in f])
+    assert curvature_mode_closed(profile_poly(u), m) == pytest.approx(float(kbar), rel=1e-12)
+
+
+_COEF = st.floats(-1.0, 1.0)
+
+
+def _admissible_mode(n, g_lead, g_re, g_im, f_re, f_im):
+    """g = r^2 (1 - r) * cubic (leading real coefficient nonzero), f = r * quadratic."""
+    return mode_poly(n, npoly.polymul(G_BASE, [g_lead] + g_re), npoly.polymul(G_BASE, g_im),
+                     npoly.polymul([0.0, 1.0], f_re), npoly.polymul([0.0, 1.0], f_im))
+
+
+admissible_modes = st.builds(
+    _admissible_mode, st.integers(1, 64), st.floats(0.1, 1.0),
+    st.lists(_COEF, min_size=3, max_size=3), st.lists(_COEF, min_size=4, max_size=4),
+    st.lists(_COEF, min_size=3, max_size=3), st.lists(_COEF, min_size=3, max_size=3))
+profiles = st.sampled_from([u_const, u_quadratic, u_decreasing])
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=12, database=None)
+
+
+@PROPERTY
+@given(profiles, admissible_modes)
+def test_property_closed_matches_oracle(profile, m):
+    p = profile()
+    kc = curvature_mode_closed(p, m)
+    ko = curvature_mode_oracle(p, m, grid=4096)
+    assert abs(kc - ko) / (1.0 + abs(kc)) <= 1e-6
+
+
+@PROPERTY
+@given(profiles, admissible_modes, st.floats(0.1, 10.0), st.floats(0.0, 2 * math.pi))
+def test_property_quadratic_homogeneity(profile, m, rho, theta):
+    p = profile()
+    c = rho * complex(math.cos(theta), math.sin(theta))
+    k = curvature_mode_closed(p, m)
+    assert curvature_mode_closed(p, m.scaled(c)) == pytest.approx(rho ** 2 * k, rel=1e-12)
+
+
+@PROPERTY
+@given(st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3), st.floats(0.1, 2.0),
+       admissible_modes)
+def test_property_positive_eta_gives_positive_curvature(tail, head, m):
+    # u > 0 with nonnegative coefficients has u' >= 0, so eta = u^2 + 2 r u u' > 0
+    p = profile_poly([head] + tail)
+    assert curvature_mode_closed(p, m) > 0.0
