@@ -30,16 +30,14 @@ __all__ = ["main", "run_command"]
 _FMT = "%.16e"  # 17 significant digits, reproducible diffs
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _FMT % float(value)
-
-
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    """``rows``: tuples or a 2-D float array.  A column whose first value is an
+    integer is written as one, every other value with ``_FMT``."""
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    line = ",".join("%d" if isinstance(v, (int, np.integer)) else _FMT
+                    for v in (rows[0] if rows else ())) + "\n"
+    path.write_text(",".join(header) + "\n"
+                    + line * len(rows) % tuple(v for row in rows for v in row))
 
 
 def _write_json(path: Path, payload):
@@ -112,11 +110,9 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, grid):
     for idx, t in enumerate(times):
         for name in ("h", "j", "g", "f"):
             vals = getattr(sol, name)(t, rr[:, :1], zz[:1, :])
-            vals = np.broadcast_to(vals, rr.shape)
-            rows = [(rr[i, k], zz[i, k], vals[i, k])
-                    for i in range(snap) for k in range(16)]
+            table = np.stack([rr, zz, np.broadcast_to(vals, rr.shape)], axis=-1)
             fname = f"jacobi_{name}_t{idx}.csv"
-            _write_csv(out / fname, ["r", "z", name], rows)
+            _write_csv(out / fname, ["r", "z", name], table.reshape(-1, 3))
             artifacts.append(fname)
     return artifacts
 

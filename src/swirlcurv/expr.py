@@ -120,12 +120,9 @@ class Pow(Node):
     exponent: float
 
     def eval(self, r):
-        x = self.base.eval(r)
-        p = self.exponent
-        if p == int(p) and p >= 0:
-            # integer powers stay exact for polynomials and avoid 0**0.5 edge cases
-            return x ** int(p)
-        return x ** p
+        # np.power for scalars too: Python's float ** can differ from numpy's in
+        # the last bit, and a value must not depend on being evaluated in an array
+        return np.power(self.base.eval(r), self.exponent)
 
     def diff(self):
         p = self.exponent

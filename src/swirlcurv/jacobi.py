@@ -17,10 +17,11 @@ tridiagonal problem, with Richardson extrapolation over grid doublings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .errors import AccuracyError, HypothesisViolationError, InvalidModeError, ValidationError
 from .profile import RadialProfile, classify_criteria
@@ -42,15 +43,71 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 @dataclass
+class _Pencil:
+    """One grid level of the discretized problem: the symmetric tridiagonal
+    matrix W^-1/2 A W^-1/2 and its eigenvalues C nearest zero, ascending."""
+
+    n: int                # |n|
+    N: int                # grid intervals; the matrix has N - 1 rows
+    w: np.ndarray         # weight 2 u omega / r at the interior nodes
+    main: np.ndarray
+    off: np.ndarray
+    c: np.ndarray         # selected eigenvalues as the bisection returned them
+
+    @property
+    def lam(self) -> np.ndarray:
+        # the weight w already carries the factor 2, so the pencil eigenvalue is C
+        # itself; the largest C (closest to zero) give the smallest lambda
+        return np.sqrt(-self.c[::-1])
+
+
+@dataclass
 class SLSpectrum:
+    """Eigenvalues of ``sl_spectrum``; the eigenfunctions ``r``/``phi`` (and the
+    Rayleigh defects) are computed by inverse iteration on first access."""
+
     n: int
     eigenvalues: np.ndarray          # lambda_{mn}, ascending, Richardson-extrapolated
     error_estimates: np.ndarray      # conservative relative error estimates
-    r: np.ndarray                    # fine grid including both endpoints
-    phi: np.ndarray                  # (m_max, len(r)) weight-normalized eigenfunctions
     grid: int                        # grid actually used (coarse level)
     profile: RadialProfile = field(repr=False, default=None)
-    _rayleigh: np.ndarray = field(repr=False, default=None)
+    _fine: _Pencil = field(repr=False, default=None)
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """Fine grid including both endpoints."""
+        return np.linspace(0.0, 1.0, self._fine.N + 1)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """(m_max, len(r)) weight-normalized eigenfunctions, zero at both ends."""
+        pen = self._fine
+        K = pen.main.size
+        stein, = get_lapack_funcs(("stein",), (pen.main, pen.off))
+        isplit = np.zeros(K, dtype=np.int32)
+        isplit[0] = K  # one block: the off-diagonal never vanishes
+        vecs, info = stein(pen.main, pen.off, pen.c, np.ones(K, dtype=np.int32), isplit)
+        if info != 0:
+            raise AccuracyError(f"inverse iteration failed (stein info={info})")
+        # largest C first; weight-norm one: h * sum(w phi^2) = 1
+        phi = vecs[:, ::-1] / np.sqrt(pen.w)[:, None] / np.sqrt(1.0 / pen.N)
+        # fix sign: dominant lobe positive
+        phi *= np.sign(phi[np.argmax(np.abs(phi), axis=0), np.arange(phi.shape[1])])
+        full = np.zeros((phi.shape[1], K + 2))
+        full[:, 1:-1] = phi.T
+        return full
+
+    @cached_property
+    def _rayleigh(self) -> np.ndarray:
+        # discrete Rayleigh identity defect, with the solver's quadratic forms
+        pen = self._fine
+        h = 1.0 / pen.N
+        a = 1.0 / ((np.arange(pen.N) + 0.5) * h)
+        ph = self.phi[:, 1:-1]
+        rhs = -(np.sum(a * np.diff(self.phi) ** 2 / h ** 2, axis=1)
+                + np.sum(pen.n * pen.n * ph ** 2 / self.r[1:-1], axis=1)) * h
+        lhs = pen.c[::-1] * np.sum(pen.w * ph ** 2, axis=1) * h
+        return np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
 
     def spline(self, m: int) -> CubicSpline:
         """Cubic-spline interpolant of phi_{mn} (m is 1-based)."""
@@ -68,7 +125,7 @@ class SLSpectrum:
         return float(self._rayleigh[m - 1])
 
 
-def _solve_grid(p: RadialProfile, n: int, m_max: int, N: int):
+def _solve_grid(p: RadialProfile, n: int, m_max: int, N: int) -> _Pencil:
     h = 1.0 / N
     r = np.linspace(0.0, 1.0, N + 1)
     ri = r[1:-1]
@@ -90,33 +147,18 @@ def _solve_grid(p: RadialProfile, n: int, m_max: int, N: int):
 
     K = N - 1
     lo = max(K - m_max, 0)
-    vals, vecs = eigh_tridiagonal(b_main, b_off, select="i", select_range=(lo, K - 1))
-    # the weight w already carries the factor 2, so the pencil eigenvalue is C
-    # itself; the last m_max (largest C, closest to zero) give the smallest lambda
-    cvals = vals[::-1][:m_max]
-    y = vecs[:, ::-1][:, :m_max]
-    if np.any(cvals >= 0.0):
+    # eigenvalues only (Sturm bisection); SLSpectrum.phi runs inverse iteration
+    # on the accepted level when the eigenfunctions are read
+    vals = eigh_tridiagonal(b_main, b_off, eigvals_only=True, select="i",
+                            select_range=(lo, K - 1))
+    if np.any(vals >= 0.0):
         raise AccuracyError("eigenvalue C came out nonnegative; weight not definite?")
-    lam = np.sqrt(-cvals)
-
-    phi = y / d[:, None] / np.sqrt(h)  # weight-norm one: h * sum(w phi^2) = 1
-    # fix sign: dominant lobe positive
-    phi *= np.sign(phi[np.argmax(np.abs(phi), axis=0), np.arange(phi.shape[1])])
-
-    # discrete Rayleigh identity defect
-    ray = np.empty(m_max)
-    for k in range(m_max):
-        ph = phi[:, k]
-        dphi = np.diff(np.concatenate([[0.0], ph, [0.0]]))
-        rhs = -(np.sum(a * dphi ** 2 / h ** 2) + np.sum(n * n * ph ** 2 / ri)) * h
-        lhs = cvals[k] * np.sum(w * ph ** 2) * h
-        ray[k] = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return lam, phi, r, ray
+    return _Pencil(n=n, N=N, w=w, main=b_main, off=b_off, c=vals)
 
 
 def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048,
                 tol: float = 1e-6) -> SLSpectrum:
-    """Smallest ``m_max`` eigenvalues lambda_{mn} with eigenfunctions.
+    """Smallest ``m_max`` eigenvalues lambda_{mn}; eigenfunctions on demand.
 
     Solves at ``grid`` and ``2 * grid`` and Richardson-extrapolates; the grid
     is doubled (up to three times) until the conservative relative error
@@ -135,18 +177,15 @@ def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048,
             f"u * omega is not positive on [0,1]; witnesses: {report.witness_points}")
 
     n_abs = abs(int(n))
-    lam1 = _solve_grid(p, n_abs, m_max, grid)[0]
+    coarse = _solve_grid(p, n_abs, m_max, grid).lam
     for _ in range(4):
-        lam2, phi2, r2, ray2 = _solve_grid(p, n_abs, m_max, 2 * grid)
-        est = np.abs(lam2 - lam1) / 3.0 / lam2
+        fine = _solve_grid(p, n_abs, m_max, 2 * grid)
+        lam2 = fine.lam
+        est = np.abs(lam2 - coarse) / 3.0 / lam2
         if np.all(est <= tol):
-            lam = (4.0 * lam2 - lam1) / 3.0
-            phi_full = np.zeros((m_max, r2.size))
-            phi_full[:, 1:-1] = phi2.T
-            return SLSpectrum(n=int(n), eigenvalues=lam, error_estimates=est,
-                              r=r2, phi=phi_full, grid=grid, profile=p,
-                              _rayleigh=ray2)
-        lam1 = lam2
+            return SLSpectrum(n=int(n), eigenvalues=(4.0 * lam2 - coarse) / 3.0,
+                              error_estimates=est, grid=grid, profile=p, _fine=fine)
+        coarse = lam2
         grid *= 2
     raise AccuracyError(
         f"eigenvalue estimate did not reach tol={tol} by grid {grid}",

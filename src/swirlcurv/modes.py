@@ -62,15 +62,15 @@ class FourierMode:
         """Check the axis/boundary invariants; raises on violation."""
         scale = self.field_scale()
         if abs(self.g(0.0)) > tol * scale:
-            raise RegularityError(f"g(0) = {self.g(0.0)!r} must vanish on the axis")
+            raise RegularityError(f"g(0) = {complex(self.g(0.0))} must vanish on the axis")
         if abs(self.f(0.0)) > tol * scale:
-            raise RegularityError(f"f(0) = {self.f(0.0)!r} must vanish on the axis")
+            raise RegularityError(f"f(0) = {complex(self.f(0.0))} must vanish on the axis")
         if self.n != 0 and abs(self.g(1.0)) > tol * scale:
             raise RegularityError(
-                f"g(1) = {self.g(1.0)!r} must vanish for n = {self.n} != 0")
+                f"g(1) = {complex(self.g(1.0))} must vanish for n = {self.n} != 0")
         if require_finite_energy and abs(self.g.derivative(0.0)) > tol * scale:
             raise RegularityError(
-                f"g'(0) = {self.g.derivative(0.0)!r} must vanish for finite energy")
+                f"g'(0) = {complex(self.g.derivative(0.0))} must vanish for finite energy")
 
 
 @dataclass(frozen=True)

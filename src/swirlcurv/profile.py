@@ -78,18 +78,15 @@ def _bisect_root(fn, a, b, fa, fb, tol=1e-12):
 
 
 def _scan(fn, grid):
-    vals = np.array([float(fn(r)) for r in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(_bisect_root(fn, grid[i], grid[i + 1], vals[i], vals[i + 1]))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
-    pts = np.concatenate([grid, roots]) if roots else grid
-    all_vals = np.concatenate([vals, [float(fn(r)) for r in roots]]) if roots else vals
-    return pts, all_vals, roots
+    """Values of ``fn`` on ``grid`` (one array call) followed by its roots there:
+    exact zeros at grid points and a bisected root in every sign change."""
+    vals = np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape)
+    hits = np.flatnonzero((vals == 0.0) | np.append(vals[:-1] * vals[1:] < 0.0, False))
+    roots = [grid[i] if vals[i] == 0.0
+             else _bisect_root(fn, grid[i], grid[i + 1], vals[i], vals[i + 1])
+             for i in hits]
+    return (np.concatenate([grid, roots]),
+            np.concatenate([vals, [float(fn(r)) for r in roots]]))
 
 
 def classify_criteria(p: RadialProfile, sample_count: int = 256,
@@ -104,8 +101,8 @@ def classify_criteria(p: RadialProfile, sample_count: int = 256,
     grid = chebyshev_grid(sample_count)
 
     uo_fn = lambda r: p.u(r) * p.omega(r)
-    eta_pts, eta_vals, eta_roots = _scan(p.eta, grid)
-    uo_pts, uo_vals, uo_roots = _scan(uo_fn, grid)
+    eta_pts, eta_vals = _scan(p.eta, grid)
+    uo_pts, uo_vals = _scan(uo_fn, grid)
 
     tol = tol_scale * (1.0 + float(np.max(np.abs(eta_vals))))
     eta_min_i = int(np.argmin(eta_vals))
@@ -121,11 +118,12 @@ def classify_criteria(p: RadialProfile, sample_count: int = 256,
         u_omega_min=uo_min,
         tolerance=tol,
     )
-    for name, ok, pts, i, value, roots, fn in (
-            ("eta", report.eta_strictly_positive, eta_pts, eta_min_i, eta_min, eta_roots, p.eta),
-            ("u_omega", report.u_omega_positive, uo_pts, uo_min_i, uo_min, uo_roots, uo_fn)):
+    for name, ok, pts, vals, i in (
+            ("eta", report.eta_strictly_positive, eta_pts, eta_vals, eta_min_i),
+            ("u_omega", report.u_omega_positive, uo_pts, uo_vals, uo_min_i)):
         if not ok:
-            report.witness_points.append({"criterion": name, "r": float(pts[i]), "value": value})
-            report.witness_points += [{"criterion": name, "r": float(x), "value": float(fn(x))}
-                                      for x in roots]
+            # the minimum first, then every root found (they follow the grid values)
+            report.witness_points += [{"criterion": name, "r": float(pts[k]),
+                                       "value": float(vals[k])}
+                                      for k in [i, *range(grid.size, pts.size)]]
     return report

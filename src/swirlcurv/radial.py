@@ -32,7 +32,7 @@ def _check_domain(r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > 1.0 + _DOMAIN_SLACK):
         bad = arr[(arr < -_DOMAIN_SLACK) | (arr > 1.0 + _DOMAIN_SLACK)]
-        raise DomainError(f"radius {np.ravel(bad)[0]!r} outside [0, 1]")
+        raise DomainError(f"radius {float(np.ravel(bad)[0])} outside [0, 1]")
     return np.clip(arr, 0.0, 1.0) if arr.ndim else float(min(max(float(arr), 0.0), 1.0))
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import swirlcurv.jacobi as jacobi
 from swirlcurv.cli import main
 
 GOOD_PROFILE = {"expr": "1 + r^2"}
@@ -88,6 +89,38 @@ def test_jacobi_command(tmp_path):
     assert (tmp_path / "jacobi_f_t2.csv").exists()
 
 
+@pytest.mark.parametrize("command,params,stein_calls", [
+    ("spectrum", {"m_max": 2, "n_list": [1, 2], "grid": 512}, 0),
+    ("limit-study", {"m": 1, "n_list": [4, 8], "grid": 512}, 0),
+    ("jacobi", {"n": 1, "m": 1, "grid": 512, "eval_grid": 128}, 1),
+])
+def test_eigenfunctions_only_when_read(tmp_path, monkeypatch, command, params, stein_calls):
+    # eigenvalues come from bisection alone; inverse iteration (LAPACK stein) runs
+    # once, for the eigenfunctions the jacobi command reads, and never elsewhere
+    calls = []
+    lookup = jacobi.get_lapack_funcs
+    eigh = jacobi.eigh_tridiagonal
+
+    def counting_lookup(names, arrays):
+        assert names == ("stein",)
+        stein, = lookup(names, arrays)
+
+        def counted(*args):
+            calls.append(args)
+            return stein(*args)
+        return [counted]
+
+    def values_only(*args, **kwargs):
+        assert kwargs.get("eigvals_only") is True
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "get_lapack_funcs", counting_lookup)
+    monkeypatch.setattr(jacobi, "eigh_tridiagonal", values_only)
+    cfg = write_cfg(tmp_path, {"profile": {"poly": [1.0]}, "params": params})
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == stein_calls
+
+
 def test_oscillation_command(tmp_path):
     cfg = write_cfg(tmp_path, {"profile": {"poly": [1.0]},
                                "params": {"n": 1, "k_max": 6}})
@@ -146,6 +179,7 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys, payload):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ValidationError"
+    assert "np." not in lines[0]  # plain numbers, not numpy reprs
     assert not (tmp_path / "criteria.json").exists()
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import swirlcurv.jacobi as jacobi
 from swirlcurv import (HypothesisViolationError, InvalidModeError, ValidationError,
@@ -32,20 +33,59 @@ def test_constant_profile_spectrum_matches_bessel_zeros():
 def test_each_grid_level_solved_once(monkeypatch):
     # u = 1, n = 1, m_max = 2 misses tol = 1e-6 at grids 256 and 512, so the
     # grid doubles twice and the accepted pair is (1024, 2048)
-    coarse = jacobi._solve_grid(u_const(), 1, 2, 1024)[0]
-    fine = jacobi._solve_grid(u_const(), 1, 2, 2048)[0]
-    solve = jacobi._solve_grid
-    levels = []
+    coarse = jacobi._solve_grid(u_const(), 1, 2, 1024).lam
+    fine = jacobi._solve_grid(u_const(), 1, 2, 2048).lam
+    eigh = jacobi.eigh_tridiagonal
+    sizes = []
 
-    def counting(p, n, m_max, N):
-        levels.append(N)
-        return solve(p, n, m_max, N)
+    def counting(d, e, *args, **kwargs):
+        sizes.append(len(d))
+        return eigh(d, e, *args, **kwargs)
 
-    monkeypatch.setattr(jacobi, "_solve_grid", counting)
+    monkeypatch.setattr(jacobi, "eigh_tridiagonal", counting)
     s = sl_spectrum(u_const(), 1, 2, grid=256, tol=1e-6)
-    assert levels == [256, 512, 1024, 2048]
+    assert sizes == [255, 511, 1023, 2047]
     assert s.grid == 1024
     assert np.array_equal(s.eigenvalues, (4.0 * fine - coarse) / 3.0)
+
+
+def _eager_solve(p, n, m_max, N):
+    """Eigenpairs of one grid level from one eigh_tridiagonal call with vectors,
+    normalized, sign-fixed and checked by the discrete Rayleigh identity."""
+    h = 1.0 / N
+    ri = np.linspace(0.0, 1.0, N + 1)[1:-1]
+    w = 2.0 * p.u(ri) * p.omega(ri) / ri
+    a = 1.0 / ((np.arange(N) + 0.5) * h)
+    main = -(a[1:] + a[:-1]) / h ** 2 - n * n / ri
+    d = np.sqrt(w)
+    K = N - 1
+    vals, vecs = eigh_tridiagonal(main / w, a[1:-1] / h ** 2 / (d[:-1] * d[1:]),
+                                  select="i", select_range=(K - m_max, K - 1))
+    cvals = vals[::-1]
+    phi = vecs[:, ::-1] / d[:, None] / np.sqrt(h)
+    phi *= np.sign(phi[np.argmax(np.abs(phi), axis=0), np.arange(m_max)])
+    ray = []
+    for k in range(m_max):
+        ph = phi[:, k]
+        dphi = np.diff(np.concatenate([[0.0], ph, [0.0]]))
+        rhs = -(np.sum(a * dphi ** 2 / h ** 2) + np.sum(n * n * ph ** 2 / ri)) * h
+        lhs = cvals[k] * np.sum(w * ph ** 2) * h
+        ray.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
+    return np.sqrt(-cvals), phi.T, ray
+
+
+@pytest.mark.parametrize("profile_fn,n,m_max", [(u_const, 1, 3), (u_quadratic, 7, 4)])
+def test_lazy_eigenfunctions_equal_eager_solve(profile_fn, n, m_max):
+    p = profile_fn()
+    s = sl_spectrum(p, n, m_max, grid=1024)
+    N = 2 * s.grid
+    lam, phi, ray = _eager_solve(p, n, m_max, N)
+    assert np.array_equal(jacobi._solve_grid(p, n, m_max, N).lam, lam)
+    assert "phi" not in vars(s)  # nothing computed before it is read
+    assert np.array_equal(s.r, np.linspace(0.0, 1.0, N + 1))
+    assert np.array_equal(s.phi[:, 1:-1], phi)
+    assert np.all(s.phi[:, [0, -1]] == 0.0)
+    assert [s.rayleigh_residual(m) for m in range(1, m_max + 1)] == ray
 
 
 def test_spectrum_other_wavenumbers():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from swirlcurv import classify_criteria
+import swirlcurv.profile as profile
+from swirlcurv import ExpressionFunction, RadialProfile, TableFunction, classify_criteria
 
 from _helpers import profile_poly, u_const, u_decreasing, u_quadratic
 
@@ -62,6 +63,43 @@ def test_rigid_rotation_boundary_case():
     assert rep.eta_nonnegative
     assert not rep.u_omega_positive
     assert any(abs(w["r"]) < 1e-12 for w in rep.witness_points)
+
+
+def _scalar_scan(fn, grid):
+    """Reference for profile._scan: one scalar call per grid point."""
+    vals = np.array([float(fn(r)) for r in grid])
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(grid[i])
+        elif vals[i] * vals[i + 1] < 0.0:
+            roots.append(profile._bisect_root(fn, grid[i], grid[i + 1], vals[i], vals[i + 1]))
+    if vals[-1] == 0.0:
+        roots.append(grid[-1])
+    return (np.concatenate([grid, roots]),
+            np.concatenate([vals, [float(fn(r)) for r in roots]]))
+
+
+_TABLE_R = np.linspace(0.0, 1.0, 17)
+
+
+@pytest.mark.parametrize("make", [
+    u_quadratic, u_decreasing, lambda: profile_poly([0.0, 1.0]),
+    lambda: RadialProfile(ExpressionFunction("1 + 0.3*sin(3*r)")),
+    lambda: RadialProfile(ExpressionFunction("exp(-r^2) + sqrt(1 + r)")),
+    lambda: RadialProfile(ExpressionFunction("log(2 + r) - r^3")),
+    lambda: RadialProfile(ExpressionFunction("sqrt(1 + r) - r^3*exp(r)")),
+    # interior minimum of u*omega: a scalar Python ** would move it by an ulp
+    lambda: RadialProfile(ExpressionFunction("(1.2 - r)^3")),
+    lambda: RadialProfile(TableFunction(_TABLE_R, 2.0 - _TABLE_R ** 2)),
+    lambda: RadialProfile(ExpressionFunction("1")),
+    lambda: RadialProfile(ExpressionFunction("0")),  # every grid point is a root
+])
+def test_array_scan_matches_scalar_scan(monkeypatch, make):
+    p = make()
+    report = classify_criteria(p)
+    monkeypatch.setattr(profile, "_scan", _scalar_scan)
+    assert report == classify_criteria(p)
 
 
 def test_loosening_tolerance_keeps_true_flags():
