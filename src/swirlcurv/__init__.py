@@ -21,15 +21,13 @@ from .curvature import (CurvatureResult, PressureSolution, curvature_mode_closed
 from .errors import (AccuracyError, DegenerateSectionError, DomainError,
                      HypothesisViolationError, InvalidModeError, ParseError,
                      RegularityError, SwirlcurvError, ValidationError)
-from .expr import differentiate, parse_expression
+from .expr import parse_expression
 from .jacobi import (JacobiSolution, ResidualReport, SLSpectrum, assemble_jacobi,
                      conjugate_times, jacobi_residuals, lambda_over_n_study,
                      sl_spectrum)
-from .modes import (FourierMode, VelocitySample, assemble_velocity,
-                    cross_inner_product, divergence_residual, mode_energy,
-                    swirl_energy)
+from .modes import FourierMode, cross_inner_product, mode_energy, swirl_energy
 from .profile import CriteriaReport, RadialProfile, classify_criteria
 from .radial import (ComplexRadialFunction, ExpressionFunction, PolynomialFunction,
-                     RadialFunction, TableFunction, constant, zero)
+                     RadialFunction, TableFunction, zero)
 
 __version__ = "0.1.0"

@@ -22,28 +22,18 @@ __all__ = ["HomogeneousSolutions"]
 
 
 class HomogeneousSolutions:
-    """Scaled accessors for xi_n, zeta_n and their derivatives.
+    """Scaled accessors for zeta_n and zeta_n', which carry a factor e^{+|n| r}.
 
-    Scaled quantities carry a factor e^{-|n| r} on xi (growing family) and
-    e^{+|n| r} on zeta (decaying family); products appearing in the pressure
-    formulas combine these so that no intermediate exceeds O(1).
+    The growing family xi_n = I0(|n| r) is scipy's i0e times e^{|n| r}; the
+    pressure formulas combine the two so that no intermediate exceeds O(1).
     """
 
     def __init__(self, n: int):
         if n == 0:
             raise InvalidModeError("homogeneous solutions are defined for n != 0")
-        self.n = int(n)
         self.N = abs(int(n))
         # K1(N)/I1(N) in scaled space; the plain ratio is this times e^{-2N}
         self.c_scaled = float(sp.k1e(self.N) / sp.i1e(self.N))
-
-    def xi_scaled(self, r):
-        """xi(r) e^{-N r} = i0e(N r)."""
-        return sp.i0e(self.N * np.asarray(r, dtype=float))
-
-    def xi_prime_scaled(self, r):
-        """xi'(r) e^{-N r} = N i1e(N r)."""
-        return self.N * sp.i1e(self.N * np.asarray(r, dtype=float))
 
     def zeta_scaled(self, r):
         """zeta(r) e^{+N r}."""
@@ -57,11 +47,3 @@ class HomogeneousSolutions:
         x = self.N * r
         return self.N * (self.c_scaled * np.exp(-2.0 * self.N * (1.0 - r)) * sp.i1e(x)
                          - sp.k1e(x))
-
-    def wronskian(self, r):
-        """xi zeta' - zeta xi'; equals -1/r for the exact solutions.
-
-        Computed entirely in scaled space (the e^{+-Nr} factors cancel).
-        """
-        return (self.xi_scaled(r) * self.zeta_prime_scaled(r)
-                - self.zeta_scaled(r) * self.xi_prime_scaled(r))

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config
+from .config import RunConfig, check_number, parse_config
 from .curvature import curvature_report, oscillation_study
-from .errors import HypothesisViolationError, SwirlcurvError
+from .errors import HypothesisViolationError, SwirlcurvError, ValidationError
 from .jacobi import (assemble_jacobi, conjugate_times, jacobi_residuals,
                      lambda_over_n_study, sl_spectrum)
 from .profile import classify_criteria
@@ -44,19 +44,32 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _param(cfg: RunConfig, key: str, default, kind=int, minimum=None):
+    """``cfg.params[key]``, or ``default`` when absent, each value checked by
+    ``check_number`` and against ``minimum``; a list default takes a list."""
+    value = cfg.params.get(key, default)
+    many = isinstance(default, list)
+    if many and not isinstance(value, list):
+        raise ValidationError(f"param {key!r} must be a list, got {value!r}")
+    values = [check_number(v, kind, f"param {key!r}") for v in (value if many else [value])]
+    if minimum is not None and any(v < minimum for v in values):
+        raise ValidationError(f"param {key!r} must be >= {minimum}, got {value!r}")
+    return values if many else values[0]
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def _cmd_check_profile(cfg: RunConfig, out: Path, grid):
-    report = classify_criteria(cfg.profile, int(cfg.params.get("sample_count", 256)))
+    report = classify_criteria(cfg.profile, _param(cfg, "sample_count", 256))
     payload = asdict(report)
     _write_json(out / "criteria.json", payload)
     return ["criteria.json"]
 
 
 def _cmd_curvature(cfg: RunConfig, out: Path, grid):
-    oracle_grid = int(grid or cfg.params.get("grid", 2048))
+    oracle_grid = grid or _param(cfg, "grid", 2048)
     rows = []
     for m in sorted(cfg.modes, key=lambda mm: mm.n):
         res = curvature_report(cfg.profile, m, oracle_grid)
@@ -68,11 +81,11 @@ def _cmd_curvature(cfg: RunConfig, out: Path, grid):
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path, grid):
-    eigen_grid = int(grid or cfg.params.get("grid", 2048))
-    m_max = int(cfg.params.get("m_max", 3))
-    n_list = cfg.params.get("n_list") or [int(cfg.params.get("n", 1))]
+    eigen_grid = grid or _param(cfg, "grid", 2048)
+    m_max = _param(cfg, "m_max", 3)
+    n_list = _param(cfg, "n_list", []) or [_param(cfg, "n", 1)]
     rows = []
-    for n in sorted(int(x) for x in n_list):
+    for n in sorted(n_list):
         s = sl_spectrum(cfg.profile, n, m_max, grid=eigen_grid)
         for (m, t_star), lam, est in zip(conjugate_times(s), s.eigenvalues,
                                          s.error_estimates):
@@ -83,16 +96,17 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, grid):
 
 
 def _cmd_jacobi(cfg: RunConfig, out: Path, grid):
-    eigen_grid = int(grid or cfg.params.get("grid", 2048))
-    n = int(cfg.params.get("n", 1))
-    m = int(cfg.params.get("m", 1))
+    eigen_grid = grid or _param(cfg, "grid", 2048)
+    n = _param(cfg, "n", 1)
+    m = _param(cfg, "m", 1)
+    eval_grid = _param(cfg, "eval_grid", 256, minimum=1)
+    snap = _param(cfg, "snapshot_grid", 64, minimum=1)
     phase = cfg.params.get("phase", "cos")
     s = sl_spectrum(cfg.profile, n, m, grid=eigen_grid)
     sol = assemble_jacobi(cfg.profile, s, m, phase=phase)
-    times = [float(t) for t in cfg.params.get(
-        "times", [0.25 * sol.t_star, 0.5 * sol.t_star, 0.75 * sol.t_star])]
-    report = jacobi_residuals(cfg.profile, sol, grid=int(cfg.params.get("eval_grid", 256)),
-                              times=times)
+    times = _param(cfg, "times", [0.25 * sol.t_star, 0.5 * sol.t_star, 0.75 * sol.t_star],
+                   float)
+    report = jacobi_residuals(cfg.profile, sol, grid=eval_grid, times=times)
     _write_json(out / "jacobi_residuals.json", {
         "n": n, "m": m, "lambda": float(sol.lam), "t_star": sol.t_star, "phase": phase,
         "residual_swirl_transport": report.swirl_transport,
@@ -103,7 +117,6 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, grid):
     })
     artifacts = ["jacobi_residuals.json"]
 
-    snap = int(cfg.params.get("snapshot_grid", 64))
     r = np.linspace(1.0 / snap, 1.0, snap)
     z = 2.0 * np.pi * np.arange(16) / 16
     rr, zz = np.meshgrid(r, z, indexing="ij")
@@ -118,17 +131,17 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, grid):
 
 
 def _cmd_oscillation(cfg: RunConfig, out: Path, grid):
-    n = int(cfg.params.get("n", 1))
-    k_max = int(cfg.params.get("k_max", 32))
+    n = _param(cfg, "n", 1)
+    k_max = _param(cfg, "k_max", 32)
     rows = oscillation_study(cfg.profile, n, range(1, k_max + 1))
     _write_csv(out / "oscillation.csv", ["k", "k_normalized"], rows)
     return ["oscillation.csv"]
 
 
 def _cmd_limit(cfg: RunConfig, out: Path, grid):
-    m = int(cfg.params.get("m", 1))
-    n_list = [int(x) for x in cfg.params.get("n_list", [4, 8, 16, 32, 64])]
-    eigen_grid = int(grid or cfg.params.get("grid", 1024))
+    m = _param(cfg, "m", 1)
+    n_list = _param(cfg, "n_list", [4, 8, 16, 32, 64])
+    eigen_grid = grid or _param(cfg, "grid", 1024)
     pairs = lambda_over_n_study(cfg.profile, m, n_list, grid=eigen_grid)
     ratios = [ratio for _, ratio in pairs]
     diffs = [float("nan")] + [b - a for a, b in zip(ratios, ratios[1:])]

@@ -19,6 +19,7 @@ indent) that round-trips byte-identically through ``parse_config``.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,17 @@ from .profile import RadialProfile, chebyshev_grid
 from .radial import (ComplexRadialFunction, ExpressionFunction, PolynomialFunction,
                      RadialFunction, TableFunction, zero)
 
-__all__ = ["RunConfig", "parse_config", "radial_from_spec"]
+__all__ = ["RunConfig", "check_number", "parse_config", "radial_from_spec"]
+
+
+def check_number(value, kind, name: str):
+    """``value`` as ``kind``: a JSON integer for int, a finite JSON number for float,
+    within the float range either way (NaN and infinities fail the comparison)."""
+    if (isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
+            or not abs(value) <= sys.float_info.max):
+        noun = "integer" if kind is int else "number"
+        raise ValidationError(f"{name} must be a finite {noun}, got {value!r}")
+    return kind(value)
 
 
 def radial_from_spec(spec) -> RadialFunction:
@@ -58,8 +69,8 @@ def _complex_from_spec(cfg: dict, key: str) -> ComplexRadialFunction:
 def _mode_from_spec(cfg: dict) -> FourierMode:
     if "n" not in cfg:
         raise ValidationError("mode spec missing 'n'")
-    return FourierMode(int(cfg["n"]), _complex_from_spec(cfg, "g"),
-                       _complex_from_spec(cfg, "f"))
+    return FourierMode(check_number(cfg["n"], int, "mode 'n'"),
+                       _complex_from_spec(cfg, "g"), _complex_from_spec(cfg, "f"))
 
 
 @dataclass
@@ -95,8 +106,9 @@ def _require_finite(profile: RadialProfile, modes) -> None:
 def parse_config(source) -> RunConfig:
     """Build a RunConfig from a dict, a JSON string, or a file path.
 
-    Profile and modes must be finite on [0, 1], and modes must meet the axis
-    and wall conditions; finite energy is not required (g'(0) != 0 is fine).
+    Profile and modes must be finite on [0, 1], and modes must carry distinct
+    integer wavenumbers and meet the axis and wall conditions; finite energy
+    is not required (g'(0) != 0 is fine).
     """
     if isinstance(source, (str, Path)) and _is_existing_path(source):
         raw = json.loads(Path(source).read_text())
@@ -116,6 +128,9 @@ def parse_config(source) -> RunConfig:
         # a document or spec of the wrong type, a missing key or an empty
         # coefficient list is a config error, not a crash
         raise ValidationError(f"malformed config: {type(exc).__name__}: {exc}") from exc
+    ns = [m.n for m in modes]
+    if len(set(ns)) != len(ns):
+        raise ValidationError(f"duplicate mode numbers in {ns}")
     _require_finite(profile, modes)
     for m in modes:
         try:

@@ -61,8 +61,6 @@ class PressureSolution:
     n: int
     q: object            # r (number or array) -> complex values
     q_prime: object      # r (number or array) -> complex values
-    source: str          # "closed-form" or "bvp"
-    grid: int | None
     profile: RadialProfile
     mode: FourierMode
 
@@ -167,8 +165,7 @@ def pressure_closed_form(p: RadialProfile, m: FourierMode) -> PressureSolution:
                 zeta_h = hs.zeta_scaled(x) * sp.i1e(N * x) * h
         return _scalar_or_array(r, np.where(x > 0, -zeta_h, 0.0) + t)
 
-    return PressureSolution(m.n, lambda r: solve(r, False), lambda r: solve(r, True),
-                            "closed-form", None, p, m)
+    return PressureSolution(m.n, lambda r: solve(r, False), lambda r: solve(r, True), p, m)
 
 
 def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> PressureSolution:
@@ -225,7 +222,7 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> Pr
     def q_prime(r):
         return _scalar_or_array(r, spline_re(r, 1) + 1j * spline_im(r, 1))
 
-    return PressureSolution(m.n, q, q_prime, "bvp", grid, p, m)
+    return PressureSolution(m.n, q, q_prime, p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +271,12 @@ def curvature_mode_oracle(p: RadialProfile, m: FourierMode, grid: int = 4096) ->
                                   points=_knots(p, m))
 
 
-def curvature_total(p: RadialProfile, modes, *, count_conjugate_pairs: bool = False) -> float:
-    """Sum of per-mode curvatures; modes must carry distinct wavenumbers.
-
-    With ``count_conjugate_pairs`` each n > 0 entry is doubled to account for
-    the implicit conjugate partner at -n of a real field.
-    """
+def curvature_total(p: RadialProfile, modes) -> float:
+    """Sum of per-mode curvatures; modes must carry distinct wavenumbers."""
     ns = [m.n for m in modes]
     if len(set(ns)) != len(ns):
         raise ValidationError(f"duplicate mode numbers in {ns}")
-    total = 0.0
-    for m in sorted(modes, key=lambda mm: mm.n):
-        k = curvature_mode_closed(p, m)
-        if count_conjugate_pairs and m.n > 0:
-            k *= 2.0
-        total += k
-    return total
+    return sum(curvature_mode_closed(p, m) for m in sorted(modes, key=lambda mm: mm.n))
 
 
 def _gram_determinant(p: RadialProfile, m: FourierMode) -> float:
@@ -314,7 +301,6 @@ class CurvatureResult:
     kbar_oracle: float
     discrepancy: float
     k_normalized: float
-    oracle_grid: int
 
 
 def curvature_report(p: RadialProfile, m: FourierMode, grid: int = 4096) -> CurvatureResult:
@@ -330,7 +316,6 @@ def curvature_report(p: RadialProfile, m: FourierMode, grid: int = 4096) -> Curv
         kbar_oracle=ko,
         discrepancy=abs(kc - ko) / (1.0 + abs(kc)),
         k_normalized=kn,
-        oracle_grid=grid,
     )
 
 

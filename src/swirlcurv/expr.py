@@ -3,7 +3,7 @@
 Expressions are functions of the single variable ``r`` built from constants,
 ``+ - * /``, powers with constant exponents, and the unary functions
 ``sin cos exp log sqrt``.  Every AST node knows its exact symbolic
-derivative, so profiles written as expressions get exact first and second
+derivative (``Node.diff``), so profiles written as expressions get exact
 derivatives.
 
 Precedence (tightest first): power, unary minus, ``* /``, ``+ -``; binary
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["Node", "parse_expression", "differentiate"]
+__all__ = ["Node", "parse_expression"]
 
 _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -36,6 +36,7 @@ class Node:
         raise NotImplementedError
 
     def diff(self) -> "Node":
+        """Exact symbolic derivative with light constant folding."""
         raise NotImplementedError
 
 
@@ -50,9 +51,6 @@ class Const(Node):
     def diff(self):
         return Const(0.0)
 
-    def __str__(self):
-        return repr(self.value)
-
 
 @dataclass(frozen=True)
 class Var(Node):
@@ -61,9 +59,6 @@ class Var(Node):
 
     def diff(self):
         return Const(1.0)
-
-    def __str__(self):
-        return "r"
 
 
 @dataclass(frozen=True)
@@ -94,9 +89,6 @@ class BinOp(Node):
         num = _sub(_mul(da, rb), _mul(la, db))
         return BinOp("/", num, _mul(rb, rb))
 
-    def __str__(self):
-        return f"({self.left} {self.op} {self.right})"
-
 
 @dataclass(frozen=True)
 class Neg(Node):
@@ -107,9 +99,6 @@ class Neg(Node):
 
     def diff(self):
         return _neg(self.arg.diff())
-
-    def __str__(self):
-        return f"(-{self.arg})"
 
 
 @dataclass(frozen=True)
@@ -129,9 +118,6 @@ class Pow(Node):
         if p == 0:
             return Const(0.0)
         return _mul(_mul(Const(p), Pow(self.base, p - 1)), self.base.diff())
-
-    def __str__(self):
-        return f"({self.base}^{self.exponent!r})"
 
 
 @dataclass(frozen=True)
@@ -158,9 +144,6 @@ class Func(Node):
         else:  # sqrt
             outer = BinOp("/", Const(0.5), Func("sqrt", a))
         return _mul(outer, da)
-
-    def __str__(self):
-        return f"{self.name}({self.arg})"
 
 
 # -- tiny constant-folding constructors so derivative trees stay small -------
@@ -357,8 +340,3 @@ def _fold(node: Node) -> float:
 def parse_expression(text: str) -> Node:
     """Parse ``text`` into an AST; raises :class:`ParseError` with an offset."""
     return _Parser(text).parse()
-
-
-def differentiate(node: Node) -> Node:
-    """Exact symbolic derivative with light constant folding."""
-    return node.diff()

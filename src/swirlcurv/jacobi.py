@@ -70,7 +70,6 @@ class SLSpectrum:
     eigenvalues: np.ndarray          # lambda_{mn}, ascending, Richardson-extrapolated
     error_estimates: np.ndarray      # conservative relative error estimates
     grid: int                        # grid actually used (coarse level)
-    profile: RadialProfile = field(repr=False, default=None)
     _fine: _Pencil = field(repr=False, default=None)
 
     @cached_property
@@ -184,7 +183,7 @@ def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048,
         est = np.abs(lam2 - coarse) / 3.0 / lam2
         if np.all(est <= tol):
             return SLSpectrum(n=int(n), eigenvalues=(4.0 * lam2 - coarse) / 3.0,
-                              error_estimates=est, grid=grid, profile=p, _fine=fine)
+                              error_estimates=est, grid=grid, _fine=fine)
         coarse = lam2
         grid *= 2
     raise AccuracyError(
@@ -198,12 +197,11 @@ def conjugate_times(s: SLSpectrum):
             for m, lam in enumerate(s.eigenvalues)]
 
 
-def lambda_over_n_study(p: RadialProfile, m: int, n_list, grid: int = 1024,
-                        tol: float = 1e-6):
+def lambda_over_n_study(p: RadialProfile, m: int, n_list, grid: int = 1024):
     """Numerical convergence diagnostic for the finite limit of lambda_{mn}/n."""
     out = []
     for n in n_list:
-        s = sl_spectrum(p, int(n), m, grid=grid, tol=tol)
+        s = sl_spectrum(p, int(n), m, grid=grid)
         out.append((int(n), float(s.eigenvalues[m - 1] / abs(n))))
     return out
 
@@ -212,13 +210,20 @@ def lambda_over_n_study(p: RadialProfile, m: int, n_list, grid: int = 1024,
 # Jacobi fields
 # ---------------------------------------------------------------------------
 
+# Time factor T(theta) of h, its derivative T' and G = int_0^theta T.  Since
+# T'' = -T, the secular coefficient T' + G is the constant T'(0): 0 for cos, 1 for sin.
+_TIME_FACTORS = {"cos": (np.cos, lambda x: -np.sin(x), np.sin),
+                 "sin": (np.sin, np.cos, lambda x: 1.0 - np.cos(x))}
+
+
 @dataclass
 class JacobiSolution:
     """Closed-form Jacobi field built from one eigenpair.
 
     ``h`` and ``j`` are the stream/swirl components of the linearized Euler
-    solution; ``g`` and ``f`` the components of the Jacobi field itself.
-    All four are callables (t, r, z) -> array broadcast over (r, z).
+    solution; ``g`` and ``f`` the components of the Jacobi field itself.  They
+    and their time derivatives are callables (t, r, z) -> array broadcast over
+    (r, z), written for both phases through T, T' and G at theta = n t / lambda.
     """
 
     m: int
@@ -226,84 +231,68 @@ class JacobiSolution:
     lam: float
     t_star: float
     phase: str
-    spectrum: SLSpectrum = field(repr=False, default=None)
     profile: RadialProfile = field(repr=False, default=None)
     _phi: CubicSpline = field(repr=False, default=None)
 
-    def _parts(self, t, r):
-        r = np.asarray(r, dtype=float)
+    def _time(self, t):
+        T, dT, G = _TIME_FACTORS[self.phase]
         theta = self.n * t / self.lam
-        phi = self._phi(r)
-        u = np.asarray(self.profile.u(r), dtype=float)
-        om = np.asarray(self.profile.omega(r), dtype=float)
-        return theta, phi, u, om, r
+        return T(theta), dT(theta), G(theta)
+
+    def _space(self, r, z):
+        r, nz = np.asarray(r, dtype=float), self.n * np.asarray(z)
+        return r, self._phi(r), np.cos(nz), np.sin(nz)
 
     def h(self, t, r, z):
-        theta, phi, _, _, r = self._parts(t, r)
-        tfac = np.cos(theta) if self.phase == "cos" else np.sin(theta)
-        return tfac * phi * np.cos(self.n * np.asarray(z))
+        T, _, _ = self._time(t)
+        _, phi, cz, _ = self._space(r, z)
+        return T * phi * cz
 
     def j(self, t, r, z):
-        theta, phi, _, om, r = self._parts(t, r)
-        z = np.asarray(z)
-        if self.phase == "cos":
-            return -(self.lam * om / r ** 2) * phi * np.sin(self.n * z) * np.sin(theta)
-        return (self.lam * om / r ** 2) * phi * np.sin(self.n * z) * np.cos(theta)
+        _, dT, _ = self._time(t)
+        r, phi, _, sz = self._space(r, z)
+        return (self.lam * self.profile.omega(r) / r ** 2) * phi * sz * dT
 
     def g(self, t, r, z):
-        theta, phi, _, _, r = self._parts(t, r)
-        z = np.asarray(z)
-        if self.phase == "cos":
-            return (self.lam / self.n) * np.cos(self.n * z) * np.sin(theta) * phi
-        return (self.lam / self.n) * np.cos(self.n * z) * (1.0 - np.cos(theta)) * phi
+        _, _, G = self._time(t)
+        _, phi, cz, _ = self._space(r, z)
+        return (self.lam / self.n) * cz * G * phi
 
     def f(self, t, r, z):
-        theta, phi, u, _, r = self._parts(t, r)
-        z = np.asarray(z)
-        if self.phase == "cos":
-            return (2.0 * self.lam ** 2 * u / (self.n * r ** 2)) * np.sin(self.n * z) \
-                * (np.cos(theta) - 1.0) * phi
-        up = np.asarray(self.profile.u.derivative(r), dtype=float)
-        # sine branch keeps a secular u'(r) t term; it does not re-vanish at t*
-        return np.sin(self.n * z) * phi * self.lam * (
-            (2.0 * u / r ** 2) * (self.lam / self.n) * np.sin(theta) + (up / r) * t)
+        # f = int_0^t (j - (u'/r) dg/dz) dt, and omega / r^2 = 2 u / r^2 + u' / r; with
+        # the sine phase the secular u'(r) t term keeps f from re-vanishing at t*
+        (T, _, _), (T0, secular, _) = self._time(t), self._time(0.0)
+        r, phi, _, sz = self._space(r, z)
+        u, up = self.profile.u(r), self.profile.u.derivative(r)
+        return sz * phi * self.lam * (
+            (2.0 * u / r ** 2) * (self.lam / self.n) * (T - T0) + secular * (up / r) * t)
 
     def dj_dt(self, t, r, z):
-        theta, phi, _, om, r = self._parts(t, r)
-        z = np.asarray(z)
-        if self.phase == "cos":
-            return -(self.n * om / r ** 2) * phi * np.sin(self.n * z) * np.cos(theta)
-        return -(self.n * om / r ** 2) * phi * np.sin(self.n * z) * np.sin(theta)
+        T, _, _ = self._time(t)
+        r, phi, _, sz = self._space(r, z)
+        return -(self.n * self.profile.omega(r) / r ** 2) * phi * sz * T
 
     def dg_dt(self, t, r, z):
         return self.h(t, r, z)
 
     def df_dt(self, t, r, z):
-        theta, phi, u, _, r = self._parts(t, r)
-        z = np.asarray(z)
-        if self.phase == "cos":
-            return -(2.0 * self.lam * u / r ** 2) * np.sin(self.n * z) * np.sin(theta) * phi
-        up = np.asarray(self.profile.u.derivative(r), dtype=float)
-        return np.sin(self.n * z) * phi * self.lam * (
-            (2.0 * u / r ** 2) * np.cos(theta) + up / r)
+        (_, dT, _), (_, secular, _) = self._time(t), self._time(0.0)
+        r, phi, _, sz = self._space(r, z)
+        u, up = self.profile.u(r), self.profile.u.derivative(r)
+        return sz * phi * self.lam * ((2.0 * u / r ** 2) * dT + secular * up / r)
 
 
-def assemble_jacobi(p: RadialProfile, s: SLSpectrum, m: int, *, phase: str = "cos",
-                    lambda_override: float | None = None) -> JacobiSolution:
-    """Build the explicit Jacobi field for eigenpair (m, n) of ``s``.
-
-    ``lambda_override`` substitutes a wrong eigenvalue into the closed forms
-    (leaving the eigenfunction alone); it exists so tests can verify that the
-    residual harness detects an inconsistent solution.
-    """
+def assemble_jacobi(p: RadialProfile, s: SLSpectrum, m: int, *,
+                    phase: str = "cos") -> JacobiSolution:
+    """Build the explicit Jacobi field for eigenpair (m, n) of ``s``."""
     if phase not in ("cos", "sin"):
         raise ValidationError("phase must be 'cos' or 'sin'")
     if not (1 <= m <= len(s.eigenvalues)):
         raise ValidationError(f"eigenindex m={m} out of range")
-    lam = float(lambda_override if lambda_override is not None else s.eigenvalues[m - 1])
+    lam = float(s.eigenvalues[m - 1])
     return JacobiSolution(m=m, n=s.n, lam=lam,
                           t_star=float(2.0 * np.pi * lam / abs(s.n)),
-                          phase=phase, spectrum=s, profile=p, _phi=s.spline(m))
+                          phase=phase, profile=p, _phi=s.spline(m))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +320,13 @@ def _fft_dz(field: np.ndarray, order: int = 1) -> np.ndarray:
     return np.real(np.fft.ifft((1j * k) ** order * np.fft.fft(field, axis=-1), axis=-1))
 
 
+def _relative(defect, *terms) -> float:
+    """max |defect| over the largest max |term|: scales taken over every term, so
+    a term vanishing at a special time does not turn round-off into a large
+    relative residual."""
+    return float(np.max(np.abs(defect)) / max(*(np.max(np.abs(x)) for x in terms), 1e-300))
+
+
 def jacobi_residuals(p: RadialProfile, sol: JacobiSolution, grid: int = 256,
                      times=None) -> ResidualReport:
     """Evaluate the four linearized-equation residuals for a Jacobi solution.
@@ -356,9 +352,7 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution, grid: int = 256,
     lop = ddphi / r - dphi / r ** 2 - n * n * phi / r
 
     res_a = res_b = res_c = res_d = 0.0
-    floor = 1e-300
     for t in times:
-        theta = n * t / sol.lam
         cz = np.cos(n * z)
 
         h = sol.h(t, r, z)
@@ -367,14 +361,11 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution, grid: int = 256,
         # (a) swirl transport
         lhs = sol.dj_dt(t, r, z)
         rhs = (om / r ** 2) * _fft_dz(h)
-        res_a = max(res_a, float(np.max(np.abs(lhs - rhs))
-                                 / max(np.max(np.abs(rhs)), np.max(np.abs(lhs)), floor)))
+        res_a = max(res_a, _relative(lhs - rhs, rhs, lhs))
 
-        # time factor multiplying D(h): d/dt and d2/dt2 of the t-dependence of h
-        if sol.phase == "cos":
-            tf1, tf2 = -np.sin(theta) * n / sol.lam, -np.cos(theta) * (n / sol.lam) ** 2
-        else:
-            tf1, tf2 = np.cos(theta) * n / sol.lam, -np.sin(theta) * (n / sol.lam) ** 2
+        # time factor multiplying D(h): d/dt and d2/dt2 of the t-dependence T of h
+        T, dT, _ = sol._time(t)
+        tf1, tf2 = dT * n / sol.lam, -T * (n / sol.lam) ** 2
 
         # D(h) separates as (time factor) * [lop * cos(nz)]; assemble directly:
         dt_Dh = tf1 * lop * cz
@@ -382,26 +373,16 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution, grid: int = 256,
 
         # (b) stream transport: dt[D h] + 2 r u dj/dz = 0
         term = 2.0 * r * u * _fft_dz(j)
-        res_b = max(res_b, float(np.max(np.abs(dt_Dh + term))
-                                 / max(np.max(np.abs(term)), np.max(np.abs(dt_Dh)), floor)))
+        res_b = max(res_b, _relative(dt_Dh + term, term, dt_Dh))
 
         # (c) second-order equation: dtt[D h] + (2 u om / r) dzz h = 0
         term_c = (2.0 * u * om / r) * _fft_dz(h, order=2)
-        res_c = max(res_c, float(np.max(np.abs(dtt_Dh + term_c))
-                                 / max(np.max(np.abs(term_c)), np.max(np.abs(dtt_Dh)), floor)))
+        res_c = max(res_c, _relative(dtt_Dh + term_c, term_c, dtt_Dh))
 
         # (d) flow components: dg/dt = h  and  df/dt + (u'/r) dg/dz = j
-        # (scales taken over every term so a vanishing rhs at special times
-        #  does not turn round-off into a large relative residual)
-        g = sol.g(t, r, z)
-        up = np.asarray(p.u.derivative(r), dtype=float)
         dg = sol.dg_dt(t, r, z)
-        d1 = np.max(np.abs(dg - h)) / max(np.max(np.abs(h)), np.max(np.abs(dg)), floor)
         df = sol.df_dt(t, r, z)
-        drift = (up / r) * _fft_dz(g)
-        d2 = np.max(np.abs(df + drift - j)) / max(np.max(np.abs(j)),
-                                                  np.max(np.abs(df)),
-                                                  np.max(np.abs(drift)), floor)
-        res_d = max(res_d, float(max(d1, d2)))
+        drift = (np.asarray(p.u.derivative(r), dtype=float) / r) * _fft_dz(sol.g(t, r, z))
+        res_d = max(res_d, _relative(dg - h, h, dg), _relative(df + drift - j, j, df, drift))
 
     return ResidualReport(res_a, res_b, res_c, res_d)

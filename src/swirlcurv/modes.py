@@ -19,16 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegularityError, ValidationError
+from .errors import RegularityError
 from .profile import RadialProfile
 from .quadrature import quad_real
 from .radial import ComplexRadialFunction
 
 __all__ = [
     "FourierMode",
-    "VelocitySample",
-    "assemble_velocity",
-    "divergence_residual",
     "swirl_energy",
     "mode_energy",
     "cross_inner_product",
@@ -53,72 +50,24 @@ class FourierMode:
     def knots(self):
         return np.concatenate([self.g.knots, self.f.knots])
 
-    def field_scale(self, samples: int = 64) -> float:
-        r = np.linspace(1.0 / samples, 1.0, samples)
+    def field_scale(self) -> float:
+        r = np.linspace(1.0 / 64, 1.0, 64)
         return float(max(np.max(np.abs(self.g(r))), np.max(np.abs(self.g.derivative(r))),
                          np.max(np.abs(self.f(r))), 1e-300))
 
-    def validate(self, require_finite_energy: bool = True, tol: float = _AXIS_TOL) -> None:
+    def validate(self, require_finite_energy: bool = True) -> None:
         """Check the axis/boundary invariants; raises on violation."""
-        scale = self.field_scale()
-        if abs(self.g(0.0)) > tol * scale:
+        tol = _AXIS_TOL * self.field_scale()
+        if abs(self.g(0.0)) > tol:
             raise RegularityError(f"g(0) = {complex(self.g(0.0))} must vanish on the axis")
-        if abs(self.f(0.0)) > tol * scale:
+        if abs(self.f(0.0)) > tol:
             raise RegularityError(f"f(0) = {complex(self.f(0.0))} must vanish on the axis")
-        if self.n != 0 and abs(self.g(1.0)) > tol * scale:
+        if self.n != 0 and abs(self.g(1.0)) > tol:
             raise RegularityError(
                 f"g(1) = {complex(self.g(1.0))} must vanish for n = {self.n} != 0")
-        if require_finite_energy and abs(self.g.derivative(0.0)) > tol * scale:
+        if require_finite_energy and abs(self.g.derivative(0.0)) > tol:
             raise RegularityError(
                 f"g'(0) = {complex(self.g.derivative(0.0))} must vanish for finite energy")
-
-
-@dataclass(frozen=True)
-class VelocitySample:
-    r: float
-    z: float
-    v_r: complex
-    v_z: complex
-    v_theta: complex
-
-
-def assemble_velocity(m: FourierMode, r: float, z: float) -> VelocitySample:
-    """Evaluate the mode's velocity components at (r, z).
-
-    At r = 0 the components are defined by continuous extension, which
-    requires g'(0) = 0; otherwise the z-component g'/r blows up.
-    """
-    phase = np.exp(1j * m.n * z)
-    if r == 0.0:
-        if abs(m.g.derivative(0.0)) > _AXIS_TOL * m.field_scale():
-            raise RegularityError("axis value undefined: g'(0) != 0")
-        # g = O(r^2): -i n g / r -> 0 and g'/r -> g''(0)
-        return VelocitySample(0.0, float(z), 0.0j,
-                              complex(m.g.second_derivative(0.0)) * phase,
-                              complex(m.f(0.0)) * phase)
-    v_r = -1j * m.n / r * m.g(r) * phase
-    v_z = m.g.derivative(r) / r * phase
-    v_theta = m.f(r) * phase
-    return VelocitySample(float(r), float(z), complex(v_r), complex(v_z), complex(v_theta))
-
-
-def divergence_residual(m: FourierMode, grid_size: int = 64, *,
-                        radial_scale: float = 1.0) -> float:
-    """Max-norm of (1/r) d/dr (r v_r) + d/dz v_z over an (r, z) grid.
-
-    Radial derivatives come from the representation's exact derivative rule
-    and the z derivative is the exact factor in; a well-formed mode gives a
-    residual at round-off level.  ``radial_scale`` multiplies v_r only and
-    exists so tests can inject a fault and confirm the check has teeth.
-    """
-    if grid_size < 16:
-        raise ValidationError("grid_size must be >= 16")
-    r = np.linspace(1.0 / grid_size, 1.0, grid_size)
-    # r v_r = -i n g(r), so (1/r) d/dr (r v_r) = -i n g'(r) / r
-    d_radial = radial_scale * (-1j * m.n) * m.g.derivative(r) / r
-    d_axial = 1j * m.n * m.g.derivative(r) / r
-    resid = np.max(np.abs(d_radial + d_axial))
-    return float(resid / m.field_scale())
 
 
 def swirl_energy(p: RadialProfile) -> float:

@@ -89,12 +89,11 @@ def _scan(fn, grid):
             np.concatenate([vals, [float(fn(r)) for r in roots]]))
 
 
-def classify_criteria(p: RadialProfile, sample_count: int = 256,
-                      tol_scale: float = POSITIVITY_TOL_SCALE) -> CriteriaReport:
+def classify_criteria(p: RadialProfile, sample_count: int = 256) -> CriteriaReport:
     """Evaluate the positivity criteria on a Chebyshev grid plus detected roots.
 
-    "Strictly positive" means min > tol with tol = tol_scale * (1 + max |eta|)
-    on the grid; loosening tol_scale can only keep true flags true.
+    "Strictly positive" means min > tol with
+    tol = POSITIVITY_TOL_SCALE * (1 + max |eta|) on the grid.
     """
     if sample_count < 2:
         raise ValidationError("sample_count must be >= 2")
@@ -104,7 +103,7 @@ def classify_criteria(p: RadialProfile, sample_count: int = 256,
     eta_pts, eta_vals = _scan(p.eta, grid)
     uo_pts, uo_vals = _scan(uo_fn, grid)
 
-    tol = tol_scale * (1.0 + float(np.max(np.abs(eta_vals))))
+    tol = POSITIVITY_TOL_SCALE * (1.0 + float(np.max(np.abs(eta_vals))))
     eta_min_i = int(np.argmin(eta_vals))
     uo_min_i = int(np.argmin(uo_vals))
     eta_min = float(eta_vals[eta_min_i])

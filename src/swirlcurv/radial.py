@@ -1,4 +1,4 @@
-"""Radial functions on [0, 1] with exact (or spline) derivatives.
+"""Radial functions on [0, 1] with exact (or spline) first derivatives.
 
 Three interchangeable representations back every scalar radial function in
 the package: polynomial coefficients, a differentiable expression AST, or a
@@ -21,7 +21,6 @@ __all__ = [
     "ExpressionFunction",
     "TableFunction",
     "ComplexRadialFunction",
-    "constant",
     "zero",
 ]
 
@@ -37,8 +36,9 @@ def _check_domain(r):
 
 
 class RadialFunction:
-    """A real scalar function of r in [0, 1] with two derivatives; ``knots`` are
-    the radii where it is only piecewise smooth (quadrature breakpoints)."""
+    """A real scalar function of r in [0, 1] and its first derivative; ``knots``
+    are the radii where it is only piecewise smooth (quadrature breakpoints).
+    ``second_derivative`` is only a name that ``bench/tracing.py`` wraps."""
 
     knots = ()
 
@@ -53,7 +53,7 @@ class RadialFunction:
 
 
 class PolynomialFunction(RadialFunction):
-    """Polynomial in r with ascending coefficients; derivatives are exact."""
+    """Polynomial in r with ascending coefficients; the derivative is exact."""
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
@@ -61,7 +61,6 @@ class PolynomialFunction(RadialFunction):
             raise ValueError("coefficients must be a nonempty 1-d sequence")
         self.coeffs = c
         self._d1 = npoly.polyder(c) if c.size > 1 else np.zeros(1)
-        self._d2 = npoly.polyder(self._d1) if self._d1.size > 1 else np.zeros(1)
 
     def __call__(self, r):
         return npoly.polyval(_check_domain(r), self.coeffs)
@@ -69,34 +68,23 @@ class PolynomialFunction(RadialFunction):
     def derivative(self, r):
         return npoly.polyval(_check_domain(r), self._d1)
 
-    def second_derivative(self, r):
-        return npoly.polyval(_check_domain(r), self._d2)
-
     def __repr__(self):
         return f"PolynomialFunction({self.coeffs.tolist()})"
 
 
 class ExpressionFunction(RadialFunction):
-    """Radial function defined by an expression AST; derivatives are symbolic."""
+    """Radial function given by an expression string; the derivative is symbolic."""
 
-    def __init__(self, source):
-        if isinstance(source, str):
-            self.text = source
-            self.ast = expr_mod.parse_expression(source)
-        else:
-            self.text = str(source)
-            self.ast = source
-        self._d1 = expr_mod.differentiate(self.ast)
-        self._d2 = expr_mod.differentiate(self._d1)
+    def __init__(self, source: str):
+        self.text = source
+        self.ast = expr_mod.parse_expression(source)
+        self._d1 = self.ast.diff()
 
     def __call__(self, r):
         return self.ast.eval(_check_domain(r))
 
     def derivative(self, r):
         return self._d1.eval(_check_domain(r))
-
-    def second_derivative(self, r):
-        return self._d2.eval(_check_domain(r))
 
     def __repr__(self):
         return f"ExpressionFunction({self.text!r})"
@@ -105,7 +93,7 @@ class ExpressionFunction(RadialFunction):
 class TableFunction(RadialFunction):
     """Sampled values interpolated by a natural cubic spline.
 
-    The spline's derivatives *define* the derivatives of the profile.
+    The spline's derivative *defines* the derivative of the profile.
     """
 
     def __init__(self, r_nodes, values):
@@ -119,7 +107,6 @@ class TableFunction(RadialFunction):
         self.values = values
         self._spline = CubicSpline(r_nodes, values, bc_type="natural")
         self._d1 = self._spline.derivative(1)
-        self._d2 = self._spline.derivative(2)
 
     def __call__(self, r):
         out = self._spline(_check_domain(r))
@@ -129,16 +116,8 @@ class TableFunction(RadialFunction):
         out = self._d1(_check_domain(r))
         return float(out) if np.ndim(r) == 0 else out
 
-    def second_derivative(self, r):
-        out = self._d2(_check_domain(r))
-        return float(out) if np.ndim(r) == 0 else out
-
     def __repr__(self):
         return f"TableFunction(<{self.knots.size} nodes>)"
-
-
-def constant(value: float) -> RadialFunction:
-    return PolynomialFunction([float(value)])
 
 
 def zero() -> RadialFunction:
@@ -172,9 +151,6 @@ class ComplexRadialFunction:
     def derivative(self, r):
         return self._evaluate("derivative", r)
 
-    def second_derivative(self, r):
-        return self._evaluate("second_derivative", r)
-
     def scaled(self, c: complex) -> "ComplexRadialFunction":
-        """Return c * self, keeping exact derivatives (c complex scalar)."""
+        """Return c * self, keeping the exact derivative (c complex scalar)."""
         return ComplexRadialFunction(self.real, self.imag, self.factor * complex(c))

@@ -11,11 +11,10 @@ from _oracles import (five_point_diff, i0_series, i1_series, k0_series,
 
 
 def test_i_matches_power_series():
-    # with N = 1 the scaled accessors times e^{x} are I0(x) and I1(x)
-    hs = HomogeneousSolutions(1)
+    # xi = I0 and xi' / N = I1 enter as scipy's i0e, i1e times e^{x}
     for x in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0):
-        assert float(hs.xi_scaled(x)) * math.exp(x) == pytest.approx(i0_series(x), rel=1e-13)
-        assert float(hs.xi_prime_scaled(x)) * math.exp(x) == \
+        assert float(sp.i0e(x)) * math.exp(x) == pytest.approx(i0_series(x), rel=1e-13)
+        assert float(sp.i1e(x)) * math.exp(x) == \
             pytest.approx(i1_series(x), rel=1e-13, abs=1e-300)
 
 
@@ -27,15 +26,14 @@ def test_k_matches_series_oracles():
 
 
 def test_scaled_values_consistent():
-    # scaled accessors times e^{+-N r} against the unscaled scipy functions
+    # scaled values times e^{+-N r} against the unscaled scipy functions
     n = 25
     hs = HomogeneousSolutions(n)
     c = float(sp.k1(n) / sp.i1(n))
     for r in (0.02, 0.12, 0.5, 1.0):
         x = n * r
-        assert float(hs.xi_scaled(r)) * math.exp(x) == pytest.approx(sp.i0(x), rel=1e-12)
-        assert float(hs.xi_prime_scaled(r)) * math.exp(x) == \
-            pytest.approx(n * sp.i1(x), rel=1e-12)
+        assert float(sp.i0e(x)) * math.exp(x) == pytest.approx(sp.i0(x), rel=1e-12)
+        assert float(n * sp.i1e(x)) * math.exp(x) == pytest.approx(n * sp.i1(x), rel=1e-12)
         assert float(hs.zeta_scaled(r)) * math.exp(-x) == \
             pytest.approx(c * sp.i0(x) + sp.k0(x), rel=1e-12)
 
@@ -67,11 +65,23 @@ def test_homogeneous_requires_nonzero_n():
         HomogeneousSolutions(0)
 
 
+def xi_scaled(n, r):
+    """xi_n(r) e^{-N r} and xi_n'(r) e^{-N r}, N = |n|, from scipy's scaled I0, I1."""
+    r = np.asarray(r, dtype=float)
+    return sp.i0e(abs(n) * r), abs(n) * sp.i1e(abs(n) * r)
+
+
+def wronskian(n, r):
+    """xi zeta' - zeta xi' in scaled space (the e^{+-N r} factors cancel)."""
+    hs = HomogeneousSolutions(n)
+    xi, xi_prime = xi_scaled(n, r)
+    return xi * hs.zeta_prime_scaled(r) - hs.zeta_scaled(r) * xi_prime
+
+
 def test_xi_is_i0():
-    hs = HomogeneousSolutions(2)
-    assert float(hs.xi_scaled(0.5)) * math.e == pytest.approx(i0_series(1.0), rel=1e-13)
-    assert float(hs.xi_prime_scaled(0.5)) * math.e == \
-        pytest.approx(2.0 * i1_series(1.0), rel=1e-13)
+    xi, xi_prime = xi_scaled(2, 0.5)
+    assert float(xi) * math.e == pytest.approx(i0_series(1.0), rel=1e-13)
+    assert float(xi_prime) * math.e == pytest.approx(2.0 * i1_series(1.0), rel=1e-13)
 
 
 def test_zeta_neumann_boundary_condition():
@@ -84,14 +94,12 @@ def test_zeta_neumann_boundary_condition():
 
 def test_wronskian_is_minus_one_over_r():
     for n in (1, 2, 7, 50, 1000):
-        hs = HomogeneousSolutions(n)
         r = np.linspace(0.05, 1.0, 200)
-        np.testing.assert_allclose(hs.wronskian(r), -1.0 / r, rtol=1e-11)
+        np.testing.assert_allclose(wronskian(n, r), -1.0 / r, rtol=1e-11)
 
 
 def test_wronskian_spot_value():
-    hs = HomogeneousSolutions(1)
-    assert float(hs.wronskian(0.5)) == pytest.approx(-2.0, rel=1e-12)
+    assert float(wronskian(1, 0.5)) == pytest.approx(-2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -100,7 +108,7 @@ def test_both_solutions_satisfy_the_ode(n):
     hs = HomogeneousSolutions(n)
     h = 1e-3
     r = np.linspace(0.2, 0.9, 33)
-    plain = (lambda x: hs.xi_scaled(x) * math.exp(n * x),
+    plain = (lambda x: xi_scaled(n, x)[0] * math.exp(n * x),
              lambda x: hs.zeta_scaled(x) * math.exp(-n * x))
     for fn in plain:
         y = np.array([float(fn(x)) for x in r])
@@ -117,6 +125,6 @@ def test_both_solutions_satisfy_the_ode(n):
 def test_no_overflow_for_large_mode_numbers():
     hs = HomogeneousSolutions(10000)
     r = np.linspace(0.01, 1.0, 50)
-    for arr in (hs.xi_scaled(r), hs.zeta_scaled(r),
-                hs.xi_prime_scaled(r) / hs.N, hs.zeta_prime_scaled(r) / hs.N):
+    xi, xi_prime = xi_scaled(10000, r)
+    for arr in (xi, hs.zeta_scaled(r), xi_prime / hs.N, hs.zeta_prime_scaled(r) / hs.N):
         assert np.all(np.isfinite(arr))

@@ -160,27 +160,51 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert main(["check-profile", "--config", bad_expr, "--out", str(tmp_path)]) == 1
 
 
-@pytest.mark.parametrize("payload", [
-    {"profile": {"table": {"values": [1.0] * 9}}},                 # table without "r"
-    {"profile": {"poly": []}},                                     # empty coefficients
-    {"profile": GOOD_PROFILE, "modes": [{"n": "x"}]},              # non-integer n
-    {"profile": GOOD_PROFILE, "modes": 5},                         # modes not a list
-    5,                                                             # not an object
-    {"profile": {"expr": "sqrt(r-2)"}},                            # NaN everywhere
-    {"profile": {"expr": "log(r)"}},                               # -inf at the axis
-    {"profile": GOOD_PROFILE, "modes": [{"n": 1, "g": {"poly": [0, 0, 1]}}]},  # g(1) != 0
-    {"profile": GOOD_PROFILE, "params": {"sample_count": 1}},      # too few samples
+def case(command, payload, id):
+    return pytest.param(command, payload, id=id)
+
+
+ONE = {"poly": [1.0]}
+JACOBI = {"n": 1, "m": 1, "grid": 256, "eval_grid": 16, "snapshot_grid": 4}
+
+
+@pytest.mark.parametrize("command,payload", [
+    case("check-profile", {"profile": {"table": {"values": [1.0] * 9}}},  # table without "r"
+         "payload0"),
+    case("check-profile", {"profile": {"poly": []}}, "payload1"),         # empty coefficients
+    case("check-profile", {"profile": GOOD_PROFILE, "modes": [{"n": "x"}]},  # non-integer n
+         "payload2"),
+    case("check-profile", {"profile": GOOD_PROFILE, "modes": 5}, "payload3"),  # not a list
+    case("check-profile", 5, "5"),                                       # not an object
+    case("check-profile", {"profile": {"expr": "sqrt(r-2)"}}, "payload5"),  # NaN everywhere
+    case("check-profile", {"profile": {"expr": "log(r)"}}, "payload6"),  # -inf at the axis
+    case("check-profile", {"profile": GOOD_PROFILE,                      # g(1) != 0
+                           "modes": [{"n": 1, "g": {"poly": [0, 0, 1]}}]}, "payload7"),
+    case("check-profile", {"profile": GOOD_PROFILE, "params": {"sample_count": 1}},
+         "payload8"),                                                    # too few samples
+    case("check-profile", {"profile": {"expr": 5}}, "expr-not-text"),
+    case("jacobi", {"profile": ONE, "params": dict(JACOBI, times=[math.nan])}, "nan-time"),
+    case("spectrum", {"profile": ONE, "params": {"m_max": "x"}}, "text-m_max"),
+    case("spectrum", {"profile": ONE, "params": {"n_list": 5}}, "n_list-not-list"),
+    case("curvature", {"profile": GOOD_PROFILE, "modes": MODES,
+                       "params": {"grid": 1e400}}, "infinite-grid"),  # 1e400 reads as inf
+    case("jacobi", {"profile": ONE, "params": dict(JACOBI, snapshot_grid=0)}, "snapshot_grid-0"),
+    case("jacobi", {"profile": ONE, "params": dict(JACOBI, eval_grid=0)}, "eval_grid-0"),
+    case("curvature", {"profile": GOOD_PROFILE, "modes": [dict(MODES[0], n=1.5)]},
+         "fractional-n"),
+    case("curvature", {"profile": GOOD_PROFILE, "modes": [MODES[0], MODES[0]]},
+         "duplicate-n"),
 ])
-def test_malformed_config_is_a_validation_error(tmp_path, capsys, payload):
+def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
-    assert main(["check-profile", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ValidationError"
     assert "np." not in lines[0]  # plain numbers, not numpy reprs
-    assert not (tmp_path / "criteria.json").exists()
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]  # no artifact written
 
 
 def test_unknown_command_rejected(tmp_path):

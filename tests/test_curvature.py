@@ -186,8 +186,6 @@ def test_total_is_additive_and_checks_duplicates():
     total = curvature_total(p, modes)
     parts = [curvature_mode_closed(p, m) for m in modes]
     assert total == pytest.approx(sum(parts), rel=1e-12)
-    assert curvature_total(p, modes, count_conjugate_pairs=True) == \
-        pytest.approx(2.0 * sum(parts), rel=1e-12)
     with pytest.raises(ValidationError):
         curvature_total(p, [standard_mode(1), standard_mode(1)])
 

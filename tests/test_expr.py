@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from swirlcurv import ParseError, differentiate, parse_expression
+from swirlcurv import ParseError, parse_expression
 
 
 def ev(text, r):
@@ -12,7 +12,7 @@ def ev(text, r):
 
 
 def dv(text, r):
-    return differentiate(parse_expression(text)).eval(r)
+    return parse_expression(text).diff().eval(r)
 
 
 def test_basic_arithmetic():
@@ -64,7 +64,7 @@ def test_symbolic_derivatives_simple():
 
 
 def test_second_derivative():
-    d2 = differentiate(differentiate(parse_expression("cos(2*r)")))
+    d2 = parse_expression("cos(2*r)").diff().diff()
     assert d2.eval(0.3) == pytest.approx(-4.0 * math.cos(0.6), rel=1e-14)
 
 
@@ -72,7 +72,7 @@ def test_second_derivative():
 def test_derivative_matches_finite_difference(r):
     text = "exp(-r^2) * sin(3*r) + r / (2 + cos(r))"
     node = parse_expression(text)
-    d = differentiate(node)
+    d = node.diff()
     h = 1e-6
     fd = (node.eval(r + h) - node.eval(r - h)) / (2 * h)
     assert d.eval(r) == pytest.approx(fd, rel=1e-7, abs=1e-9)

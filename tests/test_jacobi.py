@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -201,7 +202,9 @@ def test_residual_detects_wrong_eigenvalue():
     p = u_const()
     s = sl_spectrum(p, 1, 1, grid=1024)
     good = assemble_jacobi(p, s, 1)
-    bad = assemble_jacobi(p, s, 1, lambda_override=float(s.eigenvalues[0]) * 1.01)
+    # a wrong eigenvalue in the closed forms, the eigenfunction left alone
+    lam = float(s.eigenvalues[0]) * 1.01
+    bad = dataclasses.replace(good, lam=lam, t_star=float(2.0 * np.pi * lam / abs(s.n)))
     rep_good = jacobi_residuals(p, good)
     rep_bad = jacobi_residuals(p, bad)
     assert rep_bad.max_residual() > 100 * rep_good.max_residual()
@@ -219,6 +222,37 @@ def test_sine_branch_residuals_and_secular_term():
     z = np.array([[np.pi / 4]])
     scale = np.max(np.abs(sol.f(0.25 * sol.t_star, r, z)))
     assert np.max(np.abs(sol.f(sol.t_star, r, z))) > 0.1 * scale
+
+
+def per_phase_closed_forms(sol, p, t, r, z):
+    """The seven fields written out separately for each phase, as references."""
+    lam, n, th = sol.lam, sol.n, sol.n * t / sol.lam
+    phi, u, up, om = sol._phi(r), p.u(r), p.u.derivative(r), p.omega(r)
+    cz, sz, c, s = np.cos(n * z), np.sin(n * z), np.cos(th), np.sin(th)
+    if sol.phase == "cos":
+        return {"h": c * phi * cz, "j": -(lam * om / r ** 2) * phi * sz * s,
+                "g": (lam / n) * cz * s * phi,
+                "f": (2.0 * lam ** 2 * u / (n * r ** 2)) * sz * (c - 1.0) * phi,
+                "dj_dt": -(n * om / r ** 2) * phi * sz * c, "dg_dt": c * phi * cz,
+                "df_dt": -(2.0 * lam * u / r ** 2) * sz * s * phi}
+    return {"h": s * phi * cz, "j": (lam * om / r ** 2) * phi * sz * c,
+            "g": (lam / n) * cz * (1.0 - c) * phi,
+            "f": sz * phi * lam * ((2.0 * u / r ** 2) * (lam / n) * s + (up / r) * t),
+            "dj_dt": -(n * om / r ** 2) * phi * sz * s, "dg_dt": s * phi * cz,
+            "df_dt": sz * phi * lam * ((2.0 * u / r ** 2) * c + up / r)}
+
+
+@pytest.mark.parametrize("phase", ["cos", "sin"])
+def test_fields_match_per_phase_closed_forms(phase):
+    p = u_quadratic()
+    sol = assemble_jacobi(p, sl_spectrum(p, 2, 1, grid=1024), 1, phase=phase)
+    r = np.linspace(0.1, 1.0, 37)[:, None]
+    z = np.linspace(0.0, 2 * np.pi, 11)[None, :]
+    for t in (0.0, 0.3 * sol.t_star, 0.5 * sol.t_star, sol.t_star, 1.7 * sol.t_star):
+        for name, expected in per_phase_closed_forms(sol, p, t, r, z).items():
+            scale = np.max(np.abs(getattr(sol, name)(0.3 * sol.t_star, r, z)))
+            np.testing.assert_allclose(getattr(sol, name)(t, r, z), expected,
+                                       rtol=1e-14, atol=1e-14 * scale, err_msg=name)
 
 
 def test_assemble_jacobi_validation():

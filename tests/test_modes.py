@@ -1,49 +1,13 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from swirlcurv import (FourierMode, RegularityError, ValidationError,
-                       assemble_velocity, cross_inner_product, divergence_residual,
-                       mode_energy, swirl_energy)
+from swirlcurv import RegularityError, cross_inner_product, mode_energy, swirl_energy
 
 from _helpers import cplx, mode_poly, standard_mode, u_const, u_quadratic
 
 PI2 = math.pi ** 2
-
-
-def test_velocity_components_example():
-    # n = 1, g = r^2(1-r), f = r at (r, z) = (0.5, 0)
-    m = mode_poly(1, [0, 0, 1, -1], f_re=[0, 1])
-    v = assemble_velocity(m, 0.5, 0.0)
-    assert v.v_r == pytest.approx(-0.25j)   # -(i/0.5) * 0.125
-    assert v.v_z == pytest.approx(0.5)      # (2*0.5 - 3*0.25)/0.5
-    assert v.v_theta == pytest.approx(0.5)
-
-
-def test_velocity_phase_factor():
-    m = standard_mode(2)
-    v0 = assemble_velocity(m, 0.5, 0.0)
-    v1 = assemble_velocity(m, 0.5, 0.4)
-    phase = np.exp(2j * 0.4)
-    assert v1.v_r == pytest.approx(v0.v_r * phase)
-    assert v1.v_z == pytest.approx(v0.v_z * phase)
-    assert v1.v_theta == pytest.approx(v0.v_theta * phase)
-
-
-def test_axis_value_by_continuous_extension():
-    m = standard_mode(1)  # g = r^2 - r^3, g''(0) = 2
-    v = assemble_velocity(m, 0.0, 0.0)
-    assert v.v_r == 0.0
-    assert v.v_z == pytest.approx(2.0)
-    assert v.v_theta == 0.0
-
-
-def test_axis_value_refused_for_irregular_mode():
-    bad = mode_poly(1, [0.0, 1.0, -1.0])  # g = r - r^2 has g'(0) = 1
-    with pytest.raises(RegularityError):
-        assemble_velocity(bad, 0.0, 0.0)
 
 
 def test_validate_flags_each_invariant():
@@ -58,15 +22,6 @@ def test_validate_flags_each_invariant():
         mode_poly(1, [0, 1, -1]).validate()            # g'(0) != 0
     # n = 0 may keep g(1) != 0
     mode_poly(0, [0, 0, 1]).validate()
-
-
-def test_divergence_residual_roundoff_and_fault():
-    m = standard_mode(4)
-    assert divergence_residual(m) < 1e-14
-    # scaling only the radial component must break the balance measurably
-    assert divergence_residual(m, radial_scale=1.01) > 1e-3
-    with pytest.raises(ValidationError):
-        divergence_residual(m, grid_size=8)
 
 
 def test_swirl_energy_closed_forms():

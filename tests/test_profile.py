@@ -102,12 +102,6 @@ def test_array_scan_matches_scalar_scan(monkeypatch, make):
     assert report == classify_criteria(p)
 
 
-def test_loosening_tolerance_keeps_true_flags():
-    rep_tight = classify_criteria(u_quadratic(), tol_scale=1e-14)
-    rep_loose = classify_criteria(u_quadratic(), tol_scale=1e-8)
-    assert rep_tight.eta_strictly_positive and rep_loose.eta_strictly_positive
-
-
 @given(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=5),
        st.floats(min_value=0.01, max_value=0.99))
 def test_eta_matches_finite_difference_of_r_u_squared(coeffs, r):

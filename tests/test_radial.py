@@ -2,21 +2,20 @@ import numpy as np
 import pytest
 
 from swirlcurv import (ComplexRadialFunction, DomainError, ExpressionFunction,
-                       PolynomialFunction, TableFunction, constant, zero)
+                       PolynomialFunction, TableFunction, zero)
 
 
 def test_polynomial_values_and_derivatives():
     p = PolynomialFunction([2.0, 0.0, -1.0])  # 2 - r^2
     assert p(0.5) == pytest.approx(1.75)
     assert p.derivative(0.5) == pytest.approx(-1.0)
-    assert p.second_derivative(0.9) == pytest.approx(-2.0)
     r = np.linspace(0, 1, 7)
     np.testing.assert_allclose(p(r), 2.0 - r ** 2)
 
 
 def test_polynomial_constant_and_zero():
-    assert constant(3.0)(0.7) == 3.0
-    assert constant(3.0).derivative(0.7) == 0.0
+    assert PolynomialFunction([3.0])(0.7) == 3.0
+    assert PolynomialFunction([3.0]).derivative(0.7) == 0.0
     assert zero()(0.2) == 0.0
 
 
@@ -26,7 +25,6 @@ def test_expression_function_matches_polynomial():
     r = np.linspace(0, 1, 17)
     np.testing.assert_allclose(e(r), p(r))
     np.testing.assert_allclose(e.derivative(r), p.derivative(r))
-    np.testing.assert_allclose(e.second_derivative(r), p.second_derivative(r))
 
 
 def test_domain_enforced():
