@@ -46,7 +46,8 @@ def _write_json(path: Path, payload):
 
 def _param(cfg: RunConfig, key: str, default, kind=int, minimum=None):
     """``cfg.params[key]``, or ``default`` when absent, each value checked by
-    ``check_number`` and against ``minimum``; a list default takes a list."""
+    ``check_number`` and against ``minimum``; a list default takes a list, and
+    an integer list may not repeat a value."""
     value = cfg.params.get(key, default)
     many = isinstance(default, list)
     if many and not isinstance(value, list):
@@ -54,6 +55,8 @@ def _param(cfg: RunConfig, key: str, default, kind=int, minimum=None):
     values = [check_number(v, kind, f"param {key!r}") for v in (value if many else [value])]
     if minimum is not None and any(v < minimum for v in values):
         raise ValidationError(f"param {key!r} must be >= {minimum}, got {value!r}")
+    if kind is int and len(set(values)) < len(values):
+        raise ValidationError(f"param {key!r} repeats a value: {value!r}")
     return values if many else values[0]
 
 
@@ -81,12 +84,11 @@ def _cmd_curvature(cfg: RunConfig, out: Path, grid):
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path, grid):
-    eigen_grid = grid or _param(cfg, "grid", 2048)
     m_max = _param(cfg, "m_max", 3)
     n_list = _param(cfg, "n_list", []) or [_param(cfg, "n", 1)]
     rows = []
     for n in sorted(n_list):
-        s = sl_spectrum(cfg.profile, n, m_max, grid=eigen_grid)
+        s = sl_spectrum(cfg.profile, n, m_max)
         for (m, t_star), lam, est in zip(conjugate_times(s), s.eigenvalues,
                                          s.error_estimates):
             rows.append((n, m, float(lam), t_star, float(est)))
@@ -96,13 +98,12 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, grid):
 
 
 def _cmd_jacobi(cfg: RunConfig, out: Path, grid):
-    eigen_grid = grid or _param(cfg, "grid", 2048)
     n = _param(cfg, "n", 1)
     m = _param(cfg, "m", 1)
     eval_grid = _param(cfg, "eval_grid", 256, minimum=1)
     snap = _param(cfg, "snapshot_grid", 64, minimum=1)
     phase = cfg.params.get("phase", "cos")
-    s = sl_spectrum(cfg.profile, n, m, grid=eigen_grid)
+    s = sl_spectrum(cfg.profile, n, m)
     sol = assemble_jacobi(cfg.profile, s, m, phase=phase)
     times = _param(cfg, "times", [0.25 * sol.t_star, 0.5 * sol.t_star, 0.75 * sol.t_star],
                    float)
@@ -141,8 +142,7 @@ def _cmd_oscillation(cfg: RunConfig, out: Path, grid):
 def _cmd_limit(cfg: RunConfig, out: Path, grid):
     m = _param(cfg, "m", 1)
     n_list = _param(cfg, "n_list", [4, 8, 16, 32, 64])
-    eigen_grid = grid or _param(cfg, "grid", 1024)
-    pairs = lambda_over_n_study(cfg.profile, m, n_list, grid=eigen_grid)
+    pairs = lambda_over_n_study(cfg.profile, m, n_list)
     ratios = [ratio for _, ratio in pairs]
     diffs = [float("nan")] + [b - a for a, b in zip(ratios, ratios[1:])]
     rows = [(n, ratio, diff) for (n, ratio), diff in zip(pairs, diffs)]
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=".", help="output directory for artifacts")
     parser.add_argument("--grid", type=int, default=None,
-                        help="override the solver grid size")
+                        help="override the curvature oracle's finite-difference grid")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
     try:

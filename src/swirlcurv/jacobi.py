@@ -2,29 +2,33 @@
 
 Along the geodesic generated by X = u(r) d/dtheta, perturbations with
 z-wavenumber n and stream function envelope phi(r) return to zero at times
-t = 2 pi lambda / n, where -lambda^2 is an eigenvalue of
+t = 2 pi lambda / n, where lambda^2 is an eigenvalue of
 
-    (d/dr)((1/r) phi') - (n^2 / r) phi = (2 C u omega / r) phi,
+    -(d/dr)((1/r) phi') + (n^2 / r) phi = lambda^2 (2 u omega / r) phi,
     phi(0) = phi(1) = 0,
 
 the phi = r psi form of the Bessel-type eigenproblem.  The weight
 2 u omega / r must be positive on [0, 1]; otherwise the construction is
-refused.  The discretization is a conservative second-order difference
-scheme reduced (by the diagonal weight's square root) to a symmetric
-tridiagonal problem, with Richardson extrapolation over grid doublings.
+refused.  The discretization is a Legendre-Galerkin method (Shen, SIAM J.
+Sci. Comput. 15, 1994) on the basis phi_k = r^2 (1 - r) P_k(2r - 1), which
+carries phi ~ r^2 at the axis and phi(1) = 0; each eigenfunction is a
+``numpy.polynomial.Legendre`` series, differentiated exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+from numpy.polynomial import Legendre
+from numpy.polynomial.legendre import legder, legvander
+# eigh_tridiagonal is not called here: the benchmark tracer (bench/tracing.py)
+# rebinds it by name until ROADMAP item 3 gives it a recorder to read
+from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 
 from .errors import AccuracyError, HypothesisViolationError, InvalidModeError, ValidationError
 from .profile import RadialProfile, classify_criteria
+from .quadrature import gauss_nodes
 
 __all__ = [
     "SLSpectrum",
@@ -42,153 +46,87 @@ __all__ = [
 # Spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Pencil:
-    """One grid level of the discretized problem: the symmetric tridiagonal
-    matrix W^-1/2 A W^-1/2 and its eigenvalues C nearest zero, ascending."""
-
-    n: int                # |n|
-    N: int                # grid intervals; the matrix has N - 1 rows
-    w: np.ndarray         # weight 2 u omega / r at the interior nodes
-    main: np.ndarray
-    off: np.ndarray
-    c: np.ndarray         # selected eigenvalues as the bisection returned them
-
-    @property
-    def lam(self) -> np.ndarray:
-        # the weight w already carries the factor 2, so the pencil eigenvalue is C
-        # itself; the largest C (closest to zero) give the smallest lambda
-        return np.sqrt(-self.c[::-1])
+# Doubling stops once no eigenvalue moves more than TOL relative.  Eigenvalue
+# errors go as the square of eigenfunction errors, so the Jacobi fields set TOL:
+# at 1e-6, u = 1 + r + r^2/2, n = 20, m = 4 stopped at K = 32 with residuals of
+# 3.4e-8.  Past K_MAX the K-panel rule no longer resolves P_k near the ends and
+# round-off grows (u = 1, n = 1, m <= 5: error 5e-11 at K = 128, 2e-9 at
+# K = 192, a spurious eigenvalue at K = 256).
+TOL, K_MAX = 1e-8, 192
+_BUBBLE = -Legendre.fromroots([0.0, 0.0, 1.0], domain=[0.0, 1.0])  # r^2 (1 - r)
 
 
 @dataclass
 class SLSpectrum:
-    """Eigenvalues of ``sl_spectrum``; the eigenfunctions ``r``/``phi`` (and the
-    Rayleigh defects) are computed by inverse iteration on first access."""
+    """Smallest eigenvalues of ``sl_spectrum`` and their eigenfunctions."""
 
     n: int
-    eigenvalues: np.ndarray          # lambda_{mn}, ascending, Richardson-extrapolated
-    error_estimates: np.ndarray      # conservative relative error estimates
-    grid: int                        # grid actually used (coarse level)
-    _fine: _Pencil = field(repr=False, default=None)
+    eigenvalues: np.ndarray          # lambda_{mn}, ascending, at the larger basis size
+    error_estimates: np.ndarray      # |lambda_K' - lambda_K| / lambda_K', K' the larger size
+    # the unread ``grid`` argument of sl_spectrum, echoed for the benchmark
+    # tracer (bench/tracing.py) until ROADMAP item 3 replaces it
+    grid: int
+    coef: np.ndarray = field(repr=False)  # (m_max, K): phi_mn = sum_k coef[m - 1, k] phi_k
 
-    @cached_property
-    def r(self) -> np.ndarray:
-        """Fine grid including both endpoints."""
-        return np.linspace(0.0, 1.0, self._fine.N + 1)
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        """(m_max, len(r)) weight-normalized eigenfunctions, zero at both ends."""
-        pen = self._fine
-        K = pen.main.size
-        stein, = get_lapack_funcs(("stein",), (pen.main, pen.off))
-        isplit = np.zeros(K, dtype=np.int32)
-        isplit[0] = K  # one block: the off-diagonal never vanishes
-        vecs, info = stein(pen.main, pen.off, pen.c, np.ones(K, dtype=np.int32), isplit)
-        if info != 0:
-            raise AccuracyError(f"inverse iteration failed (stein info={info})")
-        # largest C first; weight-norm one: h * sum(w phi^2) = 1
-        phi = vecs[:, ::-1] / np.sqrt(pen.w)[:, None] / np.sqrt(1.0 / pen.N)
-        # fix sign: dominant lobe positive
-        phi *= np.sign(phi[np.argmax(np.abs(phi), axis=0), np.arange(phi.shape[1])])
-        full = np.zeros((phi.shape[1], K + 2))
-        full[:, 1:-1] = phi.T
-        return full
-
-    @cached_property
-    def _rayleigh(self) -> np.ndarray:
-        # discrete Rayleigh identity defect, with the solver's quadratic forms
-        pen = self._fine
-        h = 1.0 / pen.N
-        a = 1.0 / ((np.arange(pen.N) + 0.5) * h)
-        ph = self.phi[:, 1:-1]
-        rhs = -(np.sum(a * np.diff(self.phi) ** 2 / h ** 2, axis=1)
-                + np.sum(pen.n * pen.n * ph ** 2 / self.r[1:-1], axis=1)) * h
-        lhs = pen.c[::-1] * np.sum(pen.w * ph ** 2, axis=1) * h
-        return np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
-
-    def spline(self, m: int) -> CubicSpline:
-        """Cubic-spline interpolant of phi_{mn} (m is 1-based)."""
-        return CubicSpline(self.r, self.phi[m - 1])
-
-    def oscillation_count(self, m: int) -> int:
-        """Number of interior sign changes of phi_{mn} (Sturm: m - 1)."""
-        v = self.phi[m - 1][1:-1]
-        v = v[np.abs(v) > 1e-9 * np.max(np.abs(v))]
-        return int(np.sum(v[:-1] * v[1:] < 0.0))
-
-    def rayleigh_residual(self, m: int) -> float:
-        """Relative defect of 2C int u w phi^2/r = -int (phi'^2 + n^2 phi^2)/r,
-        evaluated with the discrete quadratic forms of the solver."""
-        return float(self._rayleigh[m - 1])
+    def eigenfunction(self, m: int) -> Legendre:
+        """phi_{mn} on [0, 1] (m is 1-based): int (2 u omega / r) phi^2 dr = 1,
+        dominant lobe positive."""
+        return Legendre(self.coef[m - 1], domain=[0.0, 1.0]) * _BUBBLE
 
 
-def _solve_grid(p: RadialProfile, n: int, m_max: int, N: int) -> _Pencil:
-    h = 1.0 / N
-    r = np.linspace(0.0, 1.0, N + 1)
-    ri = r[1:-1]
-    u = np.asarray(p.u(ri), dtype=float)
-    om = np.asarray(p.omega(ri), dtype=float)
-    w = 2.0 * u * om / ri
-    if np.any(w <= 0.0):
+def _galerkin(p: RadialProfile, n: int, m_max: int, K: int):
+    """The ``m_max`` smallest lambda of the Galerkin pencil on phi_0 ... phi_{K-1},
+    int (phi' psi' + n^2 phi psi) / r = lambda^2 int (2 u omega / r) phi psi,
+    and the basis coefficients of their eigenfunctions, one row each."""
+    x, w = gauss_nodes(np.union1d(np.linspace(0.0, 1.0, K + 1), p.u.knots))
+    r, w = x.ravel(), w.ravel()
+    weight = 2.0 * p.u(r) * p.omega(r) / r
+    if np.any(weight <= 0.0):
         raise HypothesisViolationError("u * omega must be positive on (0, 1)")
-
-    # conservative flux coefficients a_e = 1/r at edge midpoints
-    edge = (np.arange(N) + 0.5) * h
-    a = 1.0 / edge
-    main = -(a[1:] + a[:-1]) / h ** 2 - n * n / ri
-    off = a[1:-1] / h ** 2
-
-    d = np.sqrt(w)
-    b_main = main / w
-    b_off = off / (d[:-1] * d[1:])
-
-    K = N - 1
-    lo = max(K - m_max, 0)
-    # eigenvalues only (Sturm bisection); SLSpectrum.phi runs inverse iteration
-    # on the accepted level when the eigenfunctions are read
-    vals = eigh_tridiagonal(b_main, b_off, eigvals_only=True, select="i",
-                            select_range=(lo, K - 1))
-    if np.any(vals >= 0.0):
-        raise AccuracyError("eigenvalue C came out nonnegative; weight not definite?")
-    return _Pencil(n=n, N=N, w=w, main=b_main, off=b_off, c=vals)
+    P = legvander(2.0 * r - 1.0, K - 1)
+    dP = legvander(2.0 * r - 1.0, K - 2) @ legder(np.eye(K), scl=2.0)
+    b, db = _BUBBLE(r)[:, None], _BUBBLE.deriv()(r)[:, None]
+    phi, dphi = b * P, db * P + b * dP
+    stiff = (dphi.T * (w / r)) @ dphi + n * n * ((phi.T * (w / r)) @ phi)
+    mass = (phi.T * (w * weight)) @ phi
+    lam2, vecs = eigh(stiff, mass, subset_by_index=[0, m_max - 1])
+    # mass-orthonormal vectors give each phi weight-norm one; make its dominant lobe positive
+    vals = phi @ vecs
+    vecs *= np.sign(vals[np.argmax(np.abs(vals), axis=0), np.arange(m_max)])
+    return np.sqrt(lam2), vecs.T
 
 
-def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048,
-                tol: float = 1e-6) -> SLSpectrum:
-    """Smallest ``m_max`` eigenvalues lambda_{mn}; eigenfunctions on demand.
+def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048) -> SLSpectrum:
+    """Smallest ``m_max`` eigenvalues lambda_{mn} and their eigenfunctions.
 
-    Solves at ``grid`` and ``2 * grid`` and Richardson-extrapolates; the grid
-    is doubled (up to three times) until the conservative relative error
-    estimate |lambda_2N - lambda_N| / 3 falls below ``tol``.  After a doubling
-    the old fine level is the new coarse one, so each level is solved once.
+    Solves at basis size K = max(16, 2 m_max) and doubles K, capped at
+    ``K_MAX``, until every eigenvalue moves less than ``TOL`` relative; the
+    larger size's eigenvalues are returned with that change as their error
+    estimate, and ``AccuracyError`` is raised past ``K_MAX`` (m_max above 40
+    is not supported).  ``grid`` is not read: it stays in the signature, and
+    in ``SLSpectrum.grid``, for the benchmark tracer (ROADMAP item 3).
     """
     if n == 0:
         raise InvalidModeError("spectrum requires n != 0")
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
-    if grid < 256:
-        raise ValidationError("grid must be >= 256")
     report = classify_criteria(p)
     if not report.u_omega_positive:
         raise HypothesisViolationError(
             f"u * omega is not positive on [0,1]; witnesses: {report.witness_points}")
 
     n_abs = abs(int(n))
-    coarse = _solve_grid(p, n_abs, m_max, grid).lam
-    for _ in range(4):
-        fine = _solve_grid(p, n_abs, m_max, 2 * grid)
-        lam2 = fine.lam
-        est = np.abs(lam2 - coarse) / 3.0 / lam2
-        if np.all(est <= tol):
-            return SLSpectrum(n=int(n), eigenvalues=(4.0 * lam2 - coarse) / 3.0,
-                              error_estimates=est, grid=grid, _fine=fine)
-        coarse = lam2
-        grid *= 2
-    raise AccuracyError(
-        f"eigenvalue estimate did not reach tol={tol} by grid {grid}",
-        error_estimate=float(np.max(est)))
+    K, lam, est = max(16, 2 * m_max), None, None
+    while K <= K_MAX:
+        fine, coef = _galerkin(p, n_abs, m_max, K)
+        if lam is not None:
+            est = np.abs(fine - lam) / fine
+            if np.all(est <= TOL):
+                return SLSpectrum(n=int(n), eigenvalues=fine, error_estimates=est,
+                                  grid=grid, coef=coef)
+        lam, K = fine, min(2 * K, K_MAX) if K < K_MAX else K + 1  # K_MAX is the last size
+    raise AccuracyError(f"{m_max} eigenvalues did not settle to {TOL:g} by basis size {K_MAX}",
+                        error_estimate=None if est is None else float(np.max(est)))
 
 
 def conjugate_times(s: SLSpectrum):
@@ -197,11 +135,11 @@ def conjugate_times(s: SLSpectrum):
             for m, lam in enumerate(s.eigenvalues)]
 
 
-def lambda_over_n_study(p: RadialProfile, m: int, n_list, grid: int = 1024):
+def lambda_over_n_study(p: RadialProfile, m: int, n_list):
     """Numerical convergence diagnostic for the finite limit of lambda_{mn}/n."""
     out = []
     for n in n_list:
-        s = sl_spectrum(p, int(n), m, grid=grid)
+        s = sl_spectrum(p, int(n), m)
         out.append((int(n), float(s.eigenvalues[m - 1] / abs(n))))
     return out
 
@@ -232,7 +170,7 @@ class JacobiSolution:
     t_star: float
     phase: str
     profile: RadialProfile = field(repr=False, default=None)
-    _phi: CubicSpline = field(repr=False, default=None)
+    _phi: Legendre = field(repr=False, default=None)
 
     def _time(self, t):
         T, dT, G = _TIME_FACTORS[self.phase]
@@ -292,7 +230,7 @@ def assemble_jacobi(p: RadialProfile, s: SLSpectrum, m: int, *,
     lam = float(s.eigenvalues[m - 1])
     return JacobiSolution(m=m, n=s.n, lam=lam,
                           t_star=float(2.0 * np.pi * lam / abs(s.n)),
-                          phase=phase, profile=p, _phi=s.spline(m))
+                          phase=phase, profile=p, _phi=s.eigenfunction(m))
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +270,9 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution, grid: int = 256,
     """Evaluate the four linearized-equation residuals for a Jacobi solution.
 
     Time derivatives are analytic (the closed forms are trigonometric in t);
-    z derivatives are spectral; r derivatives come from the eigenfunction
-    spline.  The radial grid starts away from the axis where the 1/r^2
-    factors would amplify interpolation noise.
+    z derivatives are spectral; r derivatives are those of the eigenfunction's
+    Legendre series.  The radial grid starts away from the axis, where the
+    1/r^2 factors would amplify round-off.
     """
     if times is None:
         times = [0.25 * sol.t_star, 0.5 * sol.t_star, 0.75 * sol.t_star]
@@ -346,8 +284,8 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution, grid: int = 256,
     u = np.asarray(p.u(r), dtype=float)
     om = np.asarray(p.omega(r), dtype=float)
     phi = sol._phi(r)
-    dphi = sol._phi(r, 1)
-    ddphi = sol._phi(r, 2)
+    dphi = sol._phi.deriv()(r)
+    ddphi = sol._phi.deriv(2)(r)
     # D_r phi := (phi'/r)' - n^2 phi / r, the radial part of the stream operator
     lop = ddphi / r - dphi / r ** 2 - n * n * phi / r
 

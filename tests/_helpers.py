@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+import swirlcurv.jacobi as jacobi
 from swirlcurv import (ComplexRadialFunction, FourierMode, PolynomialFunction,
-                       RadialProfile)
+                       RadialProfile, SLSpectrum)
 
 
 def profile_poly(coeffs) -> RadialProfile:
@@ -25,6 +26,12 @@ def u_quadratic() -> RadialProfile:
 def u_decreasing() -> RadialProfile:
     # u = 2 - r^2: eta changes sign at r = sqrt(2/5)
     return profile_poly([2.0, 0.0, -1.0])
+
+
+def fixed_size_spectrum(p: RadialProfile, n: int, K: int) -> SLSpectrum:
+    """lambda_1n and phi_1n at Galerkin basis size K, without sl_spectrum's doubling."""
+    lam, coef = jacobi._galerkin(p, n, 1, K)
+    return SLSpectrum(n=n, eigenvalues=lam, error_estimates=0.0 * lam, grid=0, coef=coef)
 
 
 def cplx(re_coeffs, im_coeffs=None) -> ComplexRadialFunction:

@@ -155,3 +155,55 @@ def kbar_mpmath(u, n, g, f, dps=30):
     first = mp.quad(lambda r: N * N * abs(poly(g, r)) ** 2 * eta(r) / r, [0, 1])
     second = mp.quad(lambda r: abs(h_ratio(r)) ** 2 / r, outer)
     return 4 * mp.pi ** 2 * (first + second)
+
+
+# ---------------------------------------------------------------------------
+# Sturm-Liouville reference values from a Frobenius power series (a third
+# route, independent of the Galerkin solver and of the benchmark's ODE shooting)
+# ---------------------------------------------------------------------------
+
+# (u, n, [lambda_1n, lambda_2n, ...]): u as ascending polynomial coefficients,
+# lambda from ``sl_mpmath`` at 50 digits, confirmed to the digits shown at 60.
+SL_REFERENCES = [
+    ([1.0, 0.0, 1.0], 1, ["1.272467027215984364015192", "2.355165166999162094624288",
+                          "3.419435869888166297585461"]),
+    ([1.0, 0.0, 1.0], 3, ["1.543517323292708874478725", "2.541879904290760251762828",
+                          "3.556155910135333916557560"]),
+    ([1.0, 0.0, 1.0], 5, ["1.951985515442162910489454", "2.877001573137680789053489",
+                          "3.817057469837206424679537"]),
+    ([1.0, 0.0, 1.0], 64, ["14.81769944471056505505723"]),
+]
+
+
+def sl_mpmath(u, n, lam0, dps=40):
+    """lambda with phi(1; lambda) = 0, by ``mpmath.findroot`` from ``lam0``.
+
+    phi'' - phi'/r - n^2 phi = -lambda^2 (2 u omega) phi is the SL problem
+    times r.  With 2 u omega = sum c_j r^j and phi = sum a_k r^k, a_2 = 1 (the
+    solution regular at the axis), k (k - 2) a_k = n^2 a_{k-2}
+    - lambda^2 sum_j c_j a_{k-2-j}.  The series is entire; it is summed until
+    its terms stay below 10^-dps of the largest, which at n = 64 are about
+    e^64 times phi(1), hence ``dps`` >= 40 there.  Produced ``SL_REFERENCES``.
+    """
+    from mpmath import mp
+
+    mp.dps = dps
+    u = [mp.mpf(c) for c in u]
+    omega = [(2 + k) * c for k, c in enumerate(u)]
+    c2 = [2 * sum(u[i] * omega[j - i] for i in range(max(0, j - len(omega) + 1),
+                                                      min(j, len(u) - 1) + 1))
+          for j in range(len(u) + len(omega) - 1)]
+    tiny = mp.mpf(10) ** -dps
+
+    def phi_at_one(lam):
+        a = [mp.zero, mp.zero, mp.one]
+        total, big, k = mp.one, mp.one, 3
+        while k < 40 or abs(a[-1]) + abs(a[-2]) > tiny * big:
+            conv = sum(c * a[k - 2 - j] for j, c in enumerate(c2) if k - 2 - j >= 0)
+            a.append((n * n * a[k - 2] - lam * lam * conv) / (k * (k - 2)))
+            total += a[-1]
+            big = max(big, abs(a[-1]))
+            k += 1
+        return total
+
+    return mp.findroot(phi_at_one, mp.mpf(lam0))

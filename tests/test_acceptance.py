@@ -16,7 +16,8 @@ from swirlcurv import (FourierMode, PolynomialFunction, RadialProfile,
                        lambda_over_n_study, oscillation_study, sl_spectrum)
 from swirlcurv.radial import ComplexRadialFunction
 
-from _helpers import mode_poly, random_mode, u_const, u_decreasing, u_quadratic
+from _helpers import (fixed_size_spectrum, mode_poly, random_mode, u_const,
+                      u_decreasing, u_quadratic)
 from _oracles import j1_zeros
 
 PI2 = math.pi ** 2
@@ -83,7 +84,7 @@ def ac5_spectra():
     spectra = {}
     t0 = time.time()
     for n in range(1, 11):
-        spectra[n] = sl_spectrum(u_const(), n, 5, grid=8192)
+        spectra[n] = sl_spectrum(u_const(), n, 5)
     return spectra, time.time() - t0
 
 
@@ -103,7 +104,7 @@ def test_ac5_spectrum_matches_bessel_zeros(ac5_spectra):
 def test_ac6_conjugate_vanishing_and_residuals(ac5_spectra):
     spectra, _ = ac5_spectra
     p2 = u_quadratic()
-    spectra2 = {n: sl_spectrum(p2, n, 3, grid=8192) for n in range(1, 6)}
+    spectra2 = {n: sl_spectrum(p2, n, 3) for n in range(1, 6)}
     pairs = [(u_const(), spectra[n], m) for n in range(1, 11) for m in range(1, 6)]
     pairs += [(p2, spectra2[n], m) for n in range(1, 6) for m in range(1, 4)]
 
@@ -120,19 +121,19 @@ def test_ac6_conjugate_vanishing_and_residuals(ac5_spectra):
         worst_vanish = max(worst_vanish, end / scale)
         worst_resid = max(worst_resid, jacobi_residuals(p, sol).max_residual())
 
-    # second-order decay of the discretization-limited residuals under grid
-    # doubling (the two analytic identities sit at round-off independent of grid)
+    # spectral decay of the discretization-limited residuals as the basis grows
+    # (the two analytic identities sit at round-off at every size), down to
+    # round-off at the basis size sl_spectrum accepts
     decay_ok = True
     ratios = []
     for p, n in ((u_const(), 1), (u_quadratic(), 2)):
         res = {}
-        for grid in (256, 512):
-            s = sl_spectrum(p, n, 1, grid=grid, tol=1e9)
-            sol = assemble_jacobi(p, s, 1)
-            rep = jacobi_residuals(p, sol)
-            res[grid] = max(rep.stream_transport, rep.second_order)
-        ratios.append(res[256] / res[512])
-        decay_ok = decay_ok and res[256] / res[512] >= 2.5
+        for K in (8, 16):
+            rep = jacobi_residuals(p, assemble_jacobi(p, fixed_size_spectrum(p, n, K), 1))
+            res[K] = max(rep.stream_transport, rep.second_order)
+        accepted = jacobi_residuals(p, assemble_jacobi(p, sl_spectrum(p, n, 1), 1))
+        ratios.append(res[8] / res[16])
+        decay_ok = decay_ok and res[8] / res[16] >= 100.0 and accepted.max_residual() <= 1e-10
 
     ok = worst_vanish <= 1e-8 and worst_resid <= 1e-6 and decay_ok
     report("AC-6", ok,
@@ -154,10 +155,10 @@ def test_ac7_oscillation_infimum_zero():
 
 
 def test_ac8_finite_limit_of_lambda_over_n():
-    pairs = lambda_over_n_study(u_const(), 1, [64], grid=1024)
+    pairs = lambda_over_n_study(u_const(), 1, [64])
     gap = abs(pairs[0][1] - 0.5)
 
-    pairs2 = lambda_over_n_study(u_quadratic(), 1, [4, 8, 16, 32, 64], grid=1024)
+    pairs2 = lambda_over_n_study(u_quadratic(), 1, [4, 8, 16, 32, 64])
     ratios = [x for _, x in pairs2]
     diffs = [abs(b - a) for a, b in zip(ratios, ratios[1:])]
     # the weight's maximum sits on the Dirichlet boundary, so the limit is

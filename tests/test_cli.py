@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-import swirlcurv.jacobi as jacobi
 from swirlcurv.cli import main
 
 GOOD_PROFILE = {"expr": "1 + r^2"}
@@ -89,38 +88,6 @@ def test_jacobi_command(tmp_path):
     assert (tmp_path / "jacobi_f_t2.csv").exists()
 
 
-@pytest.mark.parametrize("command,params,stein_calls", [
-    ("spectrum", {"m_max": 2, "n_list": [1, 2], "grid": 512}, 0),
-    ("limit-study", {"m": 1, "n_list": [4, 8], "grid": 512}, 0),
-    ("jacobi", {"n": 1, "m": 1, "grid": 512, "eval_grid": 128}, 1),
-])
-def test_eigenfunctions_only_when_read(tmp_path, monkeypatch, command, params, stein_calls):
-    # eigenvalues come from bisection alone; inverse iteration (LAPACK stein) runs
-    # once, for the eigenfunctions the jacobi command reads, and never elsewhere
-    calls = []
-    lookup = jacobi.get_lapack_funcs
-    eigh = jacobi.eigh_tridiagonal
-
-    def counting_lookup(names, arrays):
-        assert names == ("stein",)
-        stein, = lookup(names, arrays)
-
-        def counted(*args):
-            calls.append(args)
-            return stein(*args)
-        return [counted]
-
-    def values_only(*args, **kwargs):
-        assert kwargs.get("eigvals_only") is True
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(jacobi, "get_lapack_funcs", counting_lookup)
-    monkeypatch.setattr(jacobi, "eigh_tridiagonal", values_only)
-    cfg = write_cfg(tmp_path, {"profile": {"poly": [1.0]}, "params": params})
-    assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
-    assert len(calls) == stein_calls
-
-
 def test_oscillation_command(tmp_path):
     cfg = write_cfg(tmp_path, {"profile": {"poly": [1.0]},
                                "params": {"n": 1, "k_max": 6}})
@@ -194,6 +161,8 @@ JACOBI = {"n": 1, "m": 1, "grid": 256, "eval_grid": 16, "snapshot_grid": 4}
          "fractional-n"),
     case("curvature", {"profile": GOOD_PROFILE, "modes": [MODES[0], MODES[0]]},
          "duplicate-n"),
+    case("spectrum", {"profile": ONE, "params": {"n_list": [1, 1]}}, "repeated-n_list"),
+    case("limit-study", {"profile": ONE, "params": {"n_list": [4, 4]}}, "repeated-limit-n"),
 ])
 def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
@@ -205,6 +174,14 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, paylo
     assert json.loads(lines[0])["error"] == "ValidationError"
     assert "np." not in lines[0]  # plain numbers, not numpy reprs
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]  # no artifact written
+
+
+def test_spectrum_beyond_the_basis_exit_code(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"profile": ONE, "params": {"m_max": 100}})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "AccuracyError"
 
 
 def test_unknown_command_rejected(tmp_path):

@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import jn_zeros
 
 import swirlcurv.jacobi as jacobi
-from swirlcurv import (HypothesisViolationError, InvalidModeError, ValidationError,
-                       assemble_jacobi, conjugate_times, jacobi_residuals,
+from swirlcurv import (AccuracyError, HypothesisViolationError, InvalidModeError,
+                       ValidationError, assemble_jacobi, conjugate_times, jacobi_residuals,
                        lambda_over_n_study, sl_spectrum)
+from swirlcurv.quadrature import quad_real
 
-from _helpers import profile_poly, u_const, u_decreasing, u_quadratic
-from _oracles import j1_zeros
+from _helpers import fixed_size_spectrum, profile_poly, u_const, u_decreasing, u_quadratic
+from _oracles import SL_REFERENCES, j1_zeros
 
 
 def exact_lambda(m, n):
@@ -24,7 +27,7 @@ def exact_lambda(m, n):
 # ---------------------------------------------------------------------------
 
 def test_constant_profile_spectrum_matches_bessel_zeros():
-    s = sl_spectrum(u_const(), 1, 3, grid=1024)
+    s = sl_spectrum(u_const(), 1, 3)
     for m in (1, 2, 3):
         assert s.eigenvalues[m - 1] == pytest.approx(exact_lambda(m, 1), abs=1e-8)
     assert np.all(np.diff(s.eigenvalues) > 0)
@@ -32,87 +35,106 @@ def test_constant_profile_spectrum_matches_bessel_zeros():
 
 
 def test_each_grid_level_solved_once(monkeypatch):
-    # u = 1, n = 1, m_max = 2 misses tol = 1e-6 at grids 256 and 512, so the
-    # grid doubles twice and the accepted pair is (1024, 2048)
-    coarse = jacobi._solve_grid(u_const(), 1, 2, 1024).lam
-    fine = jacobi._solve_grid(u_const(), 1, 2, 2048).lam
-    eigh = jacobi.eigh_tridiagonal
+    # u = 1 + r^2, n = 1, m_max = 20 starts at K = 40 and settles between 80 and
+    # 160, so each basis size is solved once and the K = 160 values are reported
+    p = u_quadratic()
+    lam80, _ = jacobi._galerkin(p, 1, 20, 80)
+    lam160, coef160 = jacobi._galerkin(p, 1, 20, 160)
+    eigh = jacobi.eigh
     sizes = []
 
-    def counting(d, e, *args, **kwargs):
-        sizes.append(len(d))
-        return eigh(d, e, *args, **kwargs)
+    def counting(a, b, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(jacobi, "eigh_tridiagonal", counting)
-    s = sl_spectrum(u_const(), 1, 2, grid=256, tol=1e-6)
-    assert sizes == [255, 511, 1023, 2047]
-    assert s.grid == 1024
-    assert np.array_equal(s.eigenvalues, (4.0 * fine - coarse) / 3.0)
-
-
-def _eager_solve(p, n, m_max, N):
-    """Eigenpairs of one grid level from one eigh_tridiagonal call with vectors,
-    normalized, sign-fixed and checked by the discrete Rayleigh identity."""
-    h = 1.0 / N
-    ri = np.linspace(0.0, 1.0, N + 1)[1:-1]
-    w = 2.0 * p.u(ri) * p.omega(ri) / ri
-    a = 1.0 / ((np.arange(N) + 0.5) * h)
-    main = -(a[1:] + a[:-1]) / h ** 2 - n * n / ri
-    d = np.sqrt(w)
-    K = N - 1
-    vals, vecs = eigh_tridiagonal(main / w, a[1:-1] / h ** 2 / (d[:-1] * d[1:]),
-                                  select="i", select_range=(K - m_max, K - 1))
-    cvals = vals[::-1]
-    phi = vecs[:, ::-1] / d[:, None] / np.sqrt(h)
-    phi *= np.sign(phi[np.argmax(np.abs(phi), axis=0), np.arange(m_max)])
-    ray = []
-    for k in range(m_max):
-        ph = phi[:, k]
-        dphi = np.diff(np.concatenate([[0.0], ph, [0.0]]))
-        rhs = -(np.sum(a * dphi ** 2 / h ** 2) + np.sum(n * n * ph ** 2 / ri)) * h
-        lhs = cvals[k] * np.sum(w * ph ** 2) * h
-        ray.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
-    return np.sqrt(-cvals), phi.T, ray
-
-
-@pytest.mark.parametrize("profile_fn,n,m_max", [(u_const, 1, 3), (u_quadratic, 7, 4)])
-def test_lazy_eigenfunctions_equal_eager_solve(profile_fn, n, m_max):
-    p = profile_fn()
-    s = sl_spectrum(p, n, m_max, grid=1024)
-    N = 2 * s.grid
-    lam, phi, ray = _eager_solve(p, n, m_max, N)
-    assert np.array_equal(jacobi._solve_grid(p, n, m_max, N).lam, lam)
-    assert "phi" not in vars(s)  # nothing computed before it is read
-    assert np.array_equal(s.r, np.linspace(0.0, 1.0, N + 1))
-    assert np.array_equal(s.phi[:, 1:-1], phi)
-    assert np.all(s.phi[:, [0, -1]] == 0.0)
-    assert [s.rayleigh_residual(m) for m in range(1, m_max + 1)] == ray
+    monkeypatch.setattr(jacobi, "eigh", counting)
+    s = sl_spectrum(p, 1, 20)
+    assert sizes == [40, 80, 160]
+    assert np.array_equal(s.eigenvalues, lam160)
+    assert np.array_equal(s.coef, coef160)
+    assert np.array_equal(s.error_estimates, np.abs(lam160 - lam80) / lam160)
 
 
 def test_spectrum_other_wavenumbers():
     for n in (2, 5):
-        s = sl_spectrum(u_const(), n, 2, grid=1024)
+        s = sl_spectrum(u_const(), n, 2)
         for m in (1, 2):
             assert s.eigenvalues[m - 1] == pytest.approx(exact_lambda(m, n), abs=1e-7)
 
 
 def test_negative_n_same_spectrum():
-    s_pos = sl_spectrum(u_const(), 3, 2, grid=512)
-    s_neg = sl_spectrum(u_const(), -3, 2, grid=512)
+    s_pos = sl_spectrum(u_const(), 3, 2)
+    s_neg = sl_spectrum(u_const(), -3, 2)
     np.testing.assert_allclose(s_pos.eigenvalues, s_neg.eigenvalues, rtol=1e-12)
 
 
+def sign_changes(phi) -> int:
+    """Interior sign changes of phi on a fine grid (Sturm: m - 1 for phi_m)."""
+    v = phi(np.linspace(0.0, 1.0, 4001)[1:-1])
+    return int(np.sum(v[:-1] * v[1:] < 0.0))
+
+
 def test_eigenfunction_oscillation_counts():
-    s = sl_spectrum(u_quadratic(), 2, 4, grid=1024)
+    s = sl_spectrum(u_quadratic(), 2, 4)
     for m in (1, 2, 3, 4):
-        assert s.oscillation_count(m) == m - 1
+        assert sign_changes(s.eigenfunction(m)) == m - 1
+
+
+def weight_norm(p, phi) -> float:
+    return quad_real(lambda r: 2.0 * p.u(r) * p.omega(r) / r * phi(r) ** 2, 0.0, 1.0)
 
 
 def test_eigenfunction_boundary_values_and_rayleigh():
-    s = sl_spectrum(u_quadratic(), 1, 3, grid=1024)
-    assert s.phi[0, 0] == 0.0 and s.phi[0, -1] == 0.0
+    p = u_quadratic()
+    s = sl_spectrum(p, 1, 3)
     for m in (1, 2, 3):
-        assert s.rayleigh_residual(m) < 1e-8
+        phi, dphi = s.eigenfunction(m), s.eigenfunction(m).deriv()
+        assert abs(phi(0.0)) < 1e-14 and abs(phi(1.0)) < 1e-14
+        norm = weight_norm(p, phi)
+        assert norm == pytest.approx(1.0, abs=1e-10)
+        dirichlet = quad_real(lambda r: (dphi(r) ** 2 + s.n ** 2 * phi(r) ** 2) / r, 0.0, 1.0)
+        assert dirichlet / norm == pytest.approx(s.eigenvalues[m - 1] ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("u,n,values", SL_REFERENCES)
+def test_spectrum_matches_frobenius_references(u, n, values):
+    s = sl_spectrum(profile_poly(u), n, len(values))
+    np.testing.assert_allclose(s.eigenvalues, [float(v) for v in values], rtol=1e-11, atol=0)
+
+
+def test_constant_profile_spectrum_matches_bessel_zeros_to_1e_11():
+    for n in range(1, 11):
+        s = sl_spectrum(u_const(), n, 5)
+        np.testing.assert_allclose(s.eigenvalues, [exact_lambda(m, n) for m in range(1, 6)],
+                                   rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("profile_fn", [u_const, u_quadratic])
+@pytest.mark.parametrize("n", [1, 10])
+def test_forty_eigenvalues_converge(profile_fn, n):
+    s = sl_spectrum(profile_fn(), n, 40)
+    assert np.all(np.diff(s.eigenvalues) > 0) and np.all(s.error_estimates <= jacobi.TOL)
+    if profile_fn is u_const:
+        exact = np.sqrt(jn_zeros(1, 40) ** 2 + n * n) / 2.0
+        np.testing.assert_allclose(s.eigenvalues, exact, rtol=1e-8, atol=0)
+
+
+def test_hundred_eigenvalues_exceed_the_basis():
+    with pytest.raises(AccuracyError):
+        sl_spectrum(u_const(), 1, 100)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 20), st.integers(1, 4))
+def test_property_spectrum(a, b, n, m_max):
+    # u = 1 + a r + b r^2 with a, b >= 0 has u, u' >= 0, so u * omega > 0
+    p = profile_poly([1.0, a, b])
+    s = sl_spectrum(p, n, m_max)
+    assert np.all(np.diff(s.eigenvalues) > 0)
+    for m in range(1, m_max + 1):
+        assert sign_changes(s.eigenfunction(m)) == m - 1
+        assert weight_norm(p, s.eigenfunction(m)) == pytest.approx(1.0, abs=1e-10)
+        assert jacobi_residuals(p, assemble_jacobi(p, s, m)).max_residual() <= 1e-8
 
 
 def test_spectrum_validation():
@@ -120,8 +142,6 @@ def test_spectrum_validation():
         sl_spectrum(u_const(), 0, 1)
     with pytest.raises(ValidationError):
         sl_spectrum(u_const(), 1, 0)
-    with pytest.raises(ValidationError):
-        sl_spectrum(u_const(), 1, 1, grid=64)
 
 
 def test_hypothesis_violation_refused():
@@ -133,18 +153,18 @@ def test_hypothesis_violation_refused():
 
 
 def test_conjugate_times_values():
-    s = sl_spectrum(u_const(), 1, 1, grid=1024)
+    s = sl_spectrum(u_const(), 1, 1)
     (m, t_star), = conjugate_times(s)
     assert m == 1
     assert t_star == pytest.approx(2 * math.pi * exact_lambda(1, 1), abs=1e-7)
-    s2 = sl_spectrum(u_const(), 2, 1, grid=1024)
+    s2 = sl_spectrum(u_const(), 2, 1)
     (_, t2), = conjugate_times(s2)
     assert t2 == pytest.approx(math.pi * exact_lambda(1, 2), abs=1e-7)
     assert t2 < t_star  # higher wavenumbers conjugate earlier
 
 
 def test_lambda_over_n_limit_one_half():
-    pairs = lambda_over_n_study(u_const(), 1, [4, 8, 16, 32, 64], grid=1024)
+    pairs = lambda_over_n_study(u_const(), 1, [4, 8, 16, 32, 64])
     ratios = dict(pairs)
     assert abs(ratios[64] - 0.5) < 1e-3
     diffs = [abs(ratios[b] - ratios[a]) for a, b in ((4, 8), (8, 16), (16, 32), (32, 64))]
@@ -156,7 +176,7 @@ def test_lambda_over_n_limit_one_half():
 # ---------------------------------------------------------------------------
 
 def test_jacobi_field_vanishes_at_zero_and_t_star():
-    s = sl_spectrum(u_quadratic(), 2, 2, grid=1024)
+    s = sl_spectrum(u_quadratic(), 2, 2)
     sol = assemble_jacobi(u_quadratic(), s, 1)
     r = np.linspace(0.1, 0.95, 40)[:, None]
     z = np.linspace(0.0, 2 * np.pi, 9)[None, :]
@@ -167,7 +187,7 @@ def test_jacobi_field_vanishes_at_zero_and_t_star():
 
 
 def test_jacobi_f_amplitude_peaks_at_half_period():
-    s = sl_spectrum(u_const(), 1, 1, grid=1024)
+    s = sl_spectrum(u_const(), 1, 1)
     sol = assemble_jacobi(u_const(), s, 1)
     r = np.linspace(0.2, 0.9, 20)[:, None]
     z = np.array([[np.pi / 2]])
@@ -180,27 +200,26 @@ def test_jacobi_f_amplitude_peaks_at_half_period():
                                             (u_quadratic, 2, 1)])
 def test_residuals_small(profile_fn, n, m):
     p = profile_fn()
-    s = sl_spectrum(p, n, m, grid=4096)
+    s = sl_spectrum(p, n, m)
     sol = assemble_jacobi(p, s, m)
     rep = jacobi_residuals(p, sol)
     assert rep.max_residual() < 1e-6
 
 
-def test_residuals_decay_second_order():
+def test_residuals_fall_with_basis_size():
+    # spectral convergence: K = 8 -> 16 cuts the residual by far more than the
+    # factor 4 a second-order scheme gains per doubling
     p = u_quadratic()
     res = {}
-    for grid in (256, 512):
-        # tol disabled so the requested grid is what actually gets solved
-        s = sl_spectrum(p, 1, 1, grid=grid, tol=1e9)
-        sol = assemble_jacobi(p, s, 1)
-        rep = jacobi_residuals(p, sol)
-        res[grid] = max(rep.stream_transport, rep.second_order)
-    assert res[512] < res[256] / 2.5
+    for K in (8, 16):
+        rep = jacobi_residuals(p, assemble_jacobi(p, fixed_size_spectrum(p, 1, K), 1))
+        res[K] = max(rep.stream_transport, rep.second_order)
+    assert res[16] < res[8] / 100.0
 
 
 def test_residual_detects_wrong_eigenvalue():
     p = u_const()
-    s = sl_spectrum(p, 1, 1, grid=1024)
+    s = sl_spectrum(p, 1, 1)
     good = assemble_jacobi(p, s, 1)
     # a wrong eigenvalue in the closed forms, the eigenfunction left alone
     lam = float(s.eigenvalues[0]) * 1.01
@@ -213,7 +232,7 @@ def test_residual_detects_wrong_eigenvalue():
 
 def test_sine_branch_residuals_and_secular_term():
     p = u_quadratic()
-    s = sl_spectrum(p, 2, 1, grid=4096)
+    s = sl_spectrum(p, 2, 1)
     sol = assemble_jacobi(p, s, 1, phase="sin")
     rep = jacobi_residuals(p, sol)
     assert rep.max_residual() < 1e-6
@@ -245,7 +264,7 @@ def per_phase_closed_forms(sol, p, t, r, z):
 @pytest.mark.parametrize("phase", ["cos", "sin"])
 def test_fields_match_per_phase_closed_forms(phase):
     p = u_quadratic()
-    sol = assemble_jacobi(p, sl_spectrum(p, 2, 1, grid=1024), 1, phase=phase)
+    sol = assemble_jacobi(p, sl_spectrum(p, 2, 1), 1, phase=phase)
     r = np.linspace(0.1, 1.0, 37)[:, None]
     z = np.linspace(0.0, 2 * np.pi, 11)[None, :]
     for t in (0.0, 0.3 * sol.t_star, 0.5 * sol.t_star, sol.t_star, 1.7 * sol.t_star):
@@ -256,7 +275,7 @@ def test_fields_match_per_phase_closed_forms(phase):
 
 
 def test_assemble_jacobi_validation():
-    s = sl_spectrum(u_const(), 1, 1, grid=512)
+    s = sl_spectrum(u_const(), 1, 1)
     with pytest.raises(ValidationError):
         assemble_jacobi(u_const(), s, 2)
     with pytest.raises(ValidationError):
