@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .bessel import HomogeneousSolutions
@@ -31,6 +30,7 @@ from .errors import (DegenerateSectionError, InvalidModeError, RegularityError,
 from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy, swirl_energy
 from .profile import RadialProfile
 from .quadrature import converge, gauss_nodes, panel_edges, quad_real
+from .radial import CubicSpline
 
 __all__ = [
     "PressureSolution",
@@ -213,16 +213,15 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> Pr
     r1, q1 = solve(grid)
     r2, q2 = solve(2 * grid)
     q_extrap = (4.0 * q2[::2] - q1) / 3.0
-    spline_re = CubicSpline(r1, q_extrap.real, bc_type=((1, 0.0), (1, beta.real)))
-    spline_im = CubicSpline(r1, q_extrap.imag, bc_type=((1, 0.0), (1, beta.imag)))
+    # one real spline per column (real, imaginary part), clamped to q'(0) = 0, q'(1) = beta
+    spline = CubicSpline(r1, np.stack([q_extrap.real, q_extrap.imag], axis=-1),
+                         ((1, 0.0), (1, [beta.real, beta.imag])))
 
-    def q(r):
-        return _scalar_or_array(r, spline_re(r) + 1j * spline_im(r))
+    def q(r, nu=0):
+        parts = spline(r, nu)
+        return _scalar_or_array(r, parts[..., 0] + 1j * parts[..., 1])
 
-    def q_prime(r):
-        return _scalar_or_array(r, spline_re(r, 1) + 1j * spline_im(r, 1))
-
-    return PressureSolution(m.n, q, q_prime, p, m)
+    return PressureSolution(m.n, q, lambda r: q(r, 1), p, m)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import legder, legvander
 from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 
 from .errors import AccuracyError, HypothesisViolationError, InvalidModeError, ValidationError
-from .profile import RadialProfile, classify_criteria
+from .profile import RadialProfile
 from .quadrature import gauss_nodes
 
 __all__ = [
@@ -110,7 +110,7 @@ def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048) -> SLSpe
         raise InvalidModeError("spectrum requires n != 0")
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
-    report = classify_criteria(p)
+    report = p.criteria
     if not report.u_omega_positive:
         raise HypothesisViolationError(
             f"u * omega is not positive on [0,1]; witnesses: {report.witness_points}")

@@ -13,6 +13,7 @@ u*omega > 0 (hypothesis for the conjugate-point construction).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,11 @@ class RadialProfile:
 
     def __init__(self, u: RadialFunction):
         self.u = u
+
+    @functools.cached_property
+    def criteria(self) -> CriteriaReport:
+        """``classify_criteria`` at its default sampling, scanned once per profile."""
+        return classify_criteria(self)
 
     def omega(self, r):
         return 2.0 * self.u(r) + np.asarray(r, dtype=float) * self.u.derivative(r)

@@ -2,20 +2,22 @@
 
 Three interchangeable representations back every scalar radial function in
 the package: polynomial coefficients, a differentiable expression AST, or a
-sampled table interpolated by a natural cubic spline.  Complex-valued radial
-data (mode coefficients g_n, f_n) is stored as a real/imaginary pair.
+sampled table interpolated by a natural cubic spline (``CubicSpline``, which
+the pressure oracle also uses).  Complex-valued radial data (mode
+coefficients g_n, f_n) is stored as a real/imaginary pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from . import expr as expr_mod
 from .errors import DomainError
 
 __all__ = [
+    "CubicSpline",
     "RadialFunction",
     "PolynomialFunction",
     "ExpressionFunction",
@@ -33,6 +35,61 @@ def _check_domain(r):
         bad = arr[(arr < -_DOMAIN_SLACK) | (arr > 1.0 + _DOMAIN_SLACK)]
         raise DomainError(f"radius {float(np.ravel(bad)[0])} outside [0, 1]")
     return np.clip(arr, 0.0, 1.0) if arr.ndim else float(min(max(float(arr), 0.0), 1.0))
+
+
+class CubicSpline:
+    """C² piecewise cubic through (x, y) with an (order, value) condition at each
+    end: (1, s) clamps the slope to s, (2, 0.0) is a natural end.
+
+    The knot slopes solve one tridiagonal system (de Boor, *A Practical Guide
+    to Splines*, 1978, ch. IV), assembled and evaluated in the same operation
+    order as ``scipy.interpolate.CubicSpline``, so the two agree bit for bit.
+    ``y`` may carry trailing axes (an end value then has their shape); each
+    column is an independent spline.  Outside [x[0], x[-1]] the end pieces
+    are extrapolated.
+    """
+
+    def __init__(self, x, y, bc=((2, 0.0), (2, 0.0))):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.size < 2 or y.shape[:1] != x.shape:
+            raise ValueError("spline needs 1-d nodes, at least 2, one per value")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("spline nodes and values must be finite")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("spline nodes must be strictly increasing")
+        dxr = dx.reshape(dx.shape + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        ab, b = np.zeros((3, x.size)), np.empty_like(y)
+        ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        (start, v0), (end, v1) = bc
+        if start == 1:
+            ab[1, 0], b[0] = 1, v0
+        else:    # order 2: the second derivative at x[0] is v0
+            ab[1, 0], ab[0, 1] = 2 * dx[0], dx[0]
+            b[0] = -0.5 * v0 * dx[0] ** 2 + 3 * (y[1] - y[0])
+        if end == 1:
+            ab[1, -1], b[-1] = 1, v1
+        else:
+            ab[1, -1], ab[2, -2] = 2 * dx[-1], dx[-1]
+            b[-1] = 0.5 * v1 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
+        s = solve_banded((1, 1), ab, b.reshape(x.size, -1), overwrite_ab=True,
+                         overwrite_b=True, check_finite=False).reshape(y.shape)
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        self.x = x
+        self.c = np.stack([t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]])
+
+    def __call__(self, r, nu=0):
+        """Values (``nu`` = 0) or first derivatives (``nu`` = 1) at ``r``."""
+        r = np.asarray(r, dtype=float)
+        i = np.searchsorted(self.x[1:-1], r, side="right")   # piece x[i] <= r < x[i + 1]
+        d = (r - self.x.take(i)).reshape(r.shape + (1,) * (self.c.ndim - 2))
+        c0, c1, c2, c3 = self.c.take(i, axis=1)
+        d2 = d * d
+        if nu == 0:
+            return c3 + c2 * d + c1 * d2 + c0 * (d2 * d)
+        return c2 + 2 * c1 * d + c0 * d2 * 3
 
 
 class RadialFunction:
@@ -105,15 +162,14 @@ class TableFunction(RadialFunction):
             raise ValueError("table nodes must span [0, 1]")
         self.knots = r_nodes
         self.values = values
-        self._spline = CubicSpline(r_nodes, values, bc_type="natural")
-        self._d1 = self._spline.derivative(1)
+        self._spline = CubicSpline(r_nodes, values)
 
     def __call__(self, r):
         out = self._spline(_check_domain(r))
         return float(out) if np.ndim(r) == 0 else out
 
     def derivative(self, r):
-        out = self._d1(_check_domain(r))
+        out = self._spline(_check_domain(r), 1)
         return float(out) if np.ndim(r) == 0 else out
 
     def __repr__(self):

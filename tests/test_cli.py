@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from swirlcurv import profile
 from swirlcurv.cli import main
 
 GOOD_PROFILE = {"expr": "1 + r^2"}
@@ -135,6 +140,10 @@ ONE = {"poly": [1.0]}
 JACOBI = {"n": 1, "m": 1, "grid": 256, "eval_grid": 16, "snapshot_grid": 4}
 
 
+def table(r, values):
+    return {"table": {"r": r, "values": values}}
+
+
 @pytest.mark.parametrize("command,payload", [
     case("check-profile", {"profile": {"table": {"values": [1.0] * 9}}},  # table without "r"
          "payload0"),
@@ -163,6 +172,11 @@ JACOBI = {"n": 1, "m": 1, "grid": 256, "eval_grid": 16, "snapshot_grid": 4}
          "duplicate-n"),
     case("spectrum", {"profile": ONE, "params": {"n_list": [1, 1]}}, "repeated-n_list"),
     case("limit-study", {"profile": ONE, "params": {"n_list": [4, 4]}}, "repeated-limit-n"),
+    case("check-profile", {"profile": table([0, 0.5, 0.5, 1], [1, 1, 1, 1])}, "repeated-table-r"),
+    case("check-profile", {"profile": table([0, 0.75, 0.5, 1], [1, 1, 1, 1])},
+         "descending-table-r"),
+    case("check-profile", {"profile": table([0, 0.25, 0.5, 1], [1, math.nan, 1, 1])},
+         "nan-table-value"),
 ])
 def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
@@ -182,6 +196,26 @@ def test_spectrum_beyond_the_basis_exit_code(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "AccuracyError"
+
+
+def test_spectrum_checks_the_criteria_once(tmp_path, monkeypatch):
+    scans = []
+    scan = profile._scan
+    monkeypatch.setattr(profile, "_scan", lambda fn, grid: scans.append(fn) or scan(fn, grid))
+    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE,
+                               "params": {"m_max": 1, "n_list": list(range(1, 11))}})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(scans) == 2  # eta and u*omega, once for all ten wavenumbers
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    code = ("import sys, swirlcurv.cli; print(sorted(m for m in sys.modules if "
+            "m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'optimize'])))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_command_rejected(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import interpolate
 
 from swirlcurv import (ComplexRadialFunction, DomainError, ExpressionFunction,
                        PolynomialFunction, TableFunction, zero)
+from swirlcurv.radial import CubicSpline
 
 
 def test_polynomial_values_and_derivatives():
@@ -54,6 +56,55 @@ def test_table_function_validation():
         TableFunction([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])  # too few nodes
     with pytest.raises(ValueError):
         TableFunction([0.1, 0.4, 0.7, 0.9], [1.0] * 4)  # does not span [0,1]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("bc", [((2, 0.0), (2, 0.0)), ((1, 0.0), (1, -1.7)),
+                                ((1, 2.5), (2, 0.0))], ids=["natural", "clamped", "mixed"])
+def test_spline_matches_scipy(seed, bc):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.01, 1.0, rng.integers(2, 40)))  # non-uniform knots
+    y = rng.standard_normal(x.size)
+    t = np.concatenate([x, rng.uniform(x[0], x[-1], 500)])
+    ours, ref = CubicSpline(x, y, bc), interpolate.CubicSpline(x, y, bc_type=bc)
+    for nu in (0, 1):
+        expected = ref(t, nu)
+        assert np.max(np.abs(ours(t, nu) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_spline_columns_are_independent_splines():
+    x = np.linspace(0.0, 1.0, 9) ** 1.5
+    y = np.stack([np.sin(3 * x), x ** 2], axis=-1)
+    both = CubicSpline(x, y, ((1, 0.0), (1, [3 * np.cos(3.0), 2.0])))
+    t = np.linspace(0.0, 1.0, 31)
+    for column, end_slope in ((0, 3 * np.cos(3.0)), (1, 2.0)):
+        one = CubicSpline(x, y[:, column], ((1, 0.0), (1, end_slope)))
+        for nu in (0, 1):
+            np.testing.assert_array_equal(both(t, nu)[:, column], one(t, nu))
+    assert both(0.5).shape == (2,)
+
+
+def test_clamped_spline_reproduces_a_cubic():
+    cubic = PolynomialFunction([0.3, -1.2, 2.0, 0.7])
+    x = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 12))
+    x[[0, -1]] = 0.0, 1.0
+    s = CubicSpline(x, cubic(x), ((1, cubic.derivative(0.0)), (1, cubic.derivative(1.0))))
+    t = np.linspace(0.0, 1.0, 101)
+    np.testing.assert_allclose(s(t), cubic(t), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(s(t, 1), cubic.derivative(t), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("x,y", [
+    ([0.0, 0.5, 0.5, 1.0], [1.0] * 4),             # repeated node
+    ([0.0, 0.75, 0.5, 1.0], [1.0] * 4),            # descending
+    ([0.0, 0.5, np.inf, 1.0], [1.0] * 4),          # non-finite node
+    ([0.0, 0.5, 0.7, 1.0], [1.0, np.nan, 1.0, 1.0]),  # non-finite value
+    ([0.0], [1.0]),                                # fewer than 2 nodes
+    ([0.0, 0.5, 1.0], [1.0, 1.0]),                 # one value short
+])
+def test_spline_rejects_bad_nodes(x, y):
+    with pytest.raises(ValueError):
+        CubicSpline(x, y)
 
 
 def test_complex_pair_and_scaling():
