@@ -1,7 +1,7 @@
 """Modified Bessel functions and the homogeneous pressure-ODE solutions.
 
 Only orders 0 and 1, real nonnegative arguments, and only in exponentially
-scaled form (I * e^{-x}, K * e^{+x}, from scipy's i0e/i1e/k0e/k1e) so that
+scaled form (I * e^{-x}, K * e^{+x}, from ``special``'s i0e/i1e/k0e/k1e) so that
 downstream formulas can be written in ratio form and evaluated without
 overflow for mode numbers up to 10^4.
 
@@ -14,8 +14,8 @@ xi zeta' - zeta xi' = -1/r.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as sp
 
+from . import special as sp
 from .errors import InvalidModeError
 
 __all__ = ["HomogeneousSolutions"]
@@ -24,7 +24,7 @@ __all__ = ["HomogeneousSolutions"]
 class HomogeneousSolutions:
     """Scaled accessors for zeta_n and zeta_n', which carry a factor e^{+|n| r}.
 
-    The growing family xi_n = I0(|n| r) is scipy's i0e times e^{|n| r}; the
+    The growing family xi_n = I0(|n| r) is i0e times e^{|n| r}; the
     pressure formulas combine the two so that no intermediate exceeds O(1).
     """
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
-from scipy.linalg import solve_banded
 
+from . import special as sp
 from .bessel import HomogeneousSolutions
 from .errors import (DegenerateSectionError, InvalidModeError, RegularityError,
                      ValidationError)
+from .linalg import solve_banded
 from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy, swirl_energy
 from .profile import RadialProfile
 from .quadrature import converge, gauss_nodes, panel_edges, quad_real
@@ -91,19 +91,37 @@ def _knots(p: RadialProfile, m: FourierMode):
     return np.concatenate([p.u.knots, m.knots])
 
 
-def _carry(p, m, x, kernel, decay, reverse=False):
-    """y_k = decay_k y_{k-1} + int s^2 f u kernel_k(s) ds over gap k of the
-    ascending radii x, by one Gauss panel per gap; from 0 before the first gap
-    (before the last one with ``reverse``)."""
+# gaps per kernel evaluation: bounds the (gaps, NODES) temporaries of a sweep
+_CHUNK = 2048
+
+
+def _gap_integrals(p, m, x, kernel):
+    """int s^2 f u kernel(s, k) ds over each gap of the ascending radii x, by
+    one Gauss panel per gap; ``kernel`` sees the nodes of the gaps in slice k."""
     s, w = gauss_nodes(x)
-    increment = np.sum(w * s * s * m.f(s) * p.u(s) * kernel(s), axis=1).tolist()
-    decay = decay.tolist()
-    out = np.empty(len(increment), dtype=complex)
-    acc = 0j
-    for k in reversed(range(len(out))) if reverse else range(len(out)):
-        acc = decay[k] * acc + increment[k]
-        out[k] = acc
+    out = np.empty(len(s), dtype=complex)
+    for start in range(0, len(s), _CHUNK):
+        k = slice(start, start + _CHUNK)
+        sk = s[k]
+        out[k] = np.sum(w[k] * sk * sk * m.f(sk) * p.u(sk) * kernel(sk, k), axis=1)
     return out
+
+
+def _carry(decay, increment):
+    """y_k = decay_k y_{k-1} + increment_k from y = 0 before the first k.
+
+    A Hillis-Steele scan: after the pass with step s, entry k holds the map
+    y_{k-2s} -> y_k as the pair (product of its decays, its sum).  Each decay
+    lies in [0, 1], so the products can only underflow to 0, which is exact
+    for terms that far below the sum.
+    """
+    a, y = np.array(decay, dtype=float), np.array(increment, dtype=complex)
+    step = 1
+    while step < y.size:
+        y[step:] += a[step:] * y[:-step]
+        a[step:] *= a[:-step]
+        step *= 2
+    return y
 
 
 def _h_ratio(p: RadialProfile, m: FourierMode, r):
@@ -115,22 +133,24 @@ def _h_ratio(p: RadialProfile, m: FourierMode, r):
     times exp(-N * distance) <= 1, so n = 10^4 cannot overflow.
     """
     N = abs(m.n)
-    lo = np.concatenate([[0.0], r[:-1]])
+    x = np.concatenate([[0.0], r])
     i1 = sp.i1e(N * r)
-    return _carry(p, m, np.concatenate([[0.0], r]),
-                  lambda s: N * sp.i1e(N * s) / i1[:, None] * np.exp(-N * (r[:, None] - s)),
-                  sp.i1e(N * lo) / i1 * np.exp(-N * (r - lo)))
+    gaps = _gap_integrals(p, m, x, lambda s, k: sp.i1e(N * s) * np.exp(-N * (r[k, None] - s)))
+    # the gap-start values are i1 shifted by one, and I1(0) = 0
+    return _carry(np.concatenate([[0.0], i1[:-1]]) / i1 * np.exp(-N * np.diff(x)),
+                  N / i1 * gaps)
 
 
 def _xi_j(p: RadialProfile, m: FourierMode, hs: HomogeneousSolutions, r):
     """xi_n(r) J_n(r) at ascending radii r < 1, carried down from J_n(1) = 0,
     with J_n(r) = -int_r^1 s^2 f u zeta_n'(s) ds and I0 ratios as above."""
     N = hs.N
-    hi = np.append(r[1:], 1.0)
+    x = np.append(r, 1.0)
     i0 = sp.i0e(N * r)
-    return _carry(p, m, np.append(r, 1.0),
-                  lambda s: -hs.zeta_prime_scaled(s) * i0[:, None] * np.exp(-N * (s - r[:, None])),
-                  i0 / sp.i0e(N * hi) * np.exp(-N * (hi - r)), reverse=True)
+    gaps = _gap_integrals(p, m, x, lambda s, k: hs.zeta_prime_scaled(s)
+                          * np.exp(-N * (s - r[k, None])))
+    decay = i0 / sp.i0e(N * x[1:]) * np.exp(-N * np.diff(x))
+    return _carry(decay[::-1], (-i0 * gaps)[::-1])[::-1]
 
 
 def pressure_closed_form(p: RadialProfile, m: FourierMode) -> PressureSolution:
@@ -192,9 +212,9 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> Pr
         rhs = -(2 * f * u + r * (fp * u + f * up))
         n2 = m.n ** 2
 
-        ab = np.zeros((3, N + 1), dtype=complex)
+        ab = np.zeros((3, N + 1))
         upper, diag, lower = ab   # banded storage rows, as views
-        b = np.array(rhs, dtype=complex)
+        b = np.stack([rhs.real, rhs.imag], axis=-1)   # the matrix is real: one column per part
 
         # axis row: 4 (q1 - q0)/h^2 - n^2 q0 = rhs(0)  (from 2 q'' - n^2 q)
         diag[0] = -4.0 / h ** 2 - n2
@@ -207,15 +227,13 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> Pr
         # boundary row at r = 1 with ghost point and q'(1) = beta
         lower[N - 1] = 2.0 / h ** 2
         diag[N] = -2.0 / h ** 2 - n2
-        b[N] = rhs[N] - beta * (2.0 / h + 1.0)
+        b[N] -= (2.0 / h + 1.0) * np.array([beta.real, beta.imag])
         return r, solve_banded((1, 1), ab, b)
 
     r1, q1 = solve(grid)
     r2, q2 = solve(2 * grid)
-    q_extrap = (4.0 * q2[::2] - q1) / 3.0
     # one real spline per column (real, imaginary part), clamped to q'(0) = 0, q'(1) = beta
-    spline = CubicSpline(r1, np.stack([q_extrap.real, q_extrap.imag], axis=-1),
-                         ((1, 0.0), (1, [beta.real, beta.imag])))
+    spline = CubicSpline(r1, (4.0 * q2[::2] - q1) / 3.0, ((1, 0.0), (1, [beta.real, beta.imag])))
 
     def q(r, nu=0):
         parts = spline(r, nu)

@@ -22,13 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import Legendre
 from numpy.polynomial.legendre import legder, legvander
-# eigh_tridiagonal is not called here: the benchmark tracer (bench/tracing.py)
-# rebinds it by name until ROADMAP item 3 gives it a recorder to read
-from scipy.linalg import eigh, eigh_tridiagonal  # noqa: F401
 
 from .errors import AccuracyError, HypothesisViolationError, InvalidModeError, ValidationError
+from .linalg import eigh
 from .profile import RadialProfile
 from .quadrature import gauss_nodes
+
+# a name only: the benchmark tracer (bench/tracing.py) rebinds it, and nothing
+# calls it, until ROADMAP item 3 gives the tracer a recorder to read
+eigh_tridiagonal = None
 
 __all__ = [
     "SLSpectrum",

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import solve_banded
 
 from . import expr as expr_mod
 from .errors import DomainError
+from .linalg import solve_banded
 
 __all__ = [
     "CubicSpline",
@@ -30,11 +30,20 @@ _DOMAIN_SLACK = 1e-12
 
 
 def _check_domain(r):
+    """r as floats clipped to [0, 1]; DomainError past the slack (NaN passes)."""
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > 1.0 + _DOMAIN_SLACK):
+    if arr.ndim == 0:
+        x = float(arr)
+        if x < -_DOMAIN_SLACK or x > 1.0 + _DOMAIN_SLACK:
+            raise DomainError(f"radius {x} outside [0, 1]")
+        return min(max(x, 0.0), 1.0)
+    # fmin/fmax skip NaN: a NaN radius passes and never hides a bad one
+    lo = np.fmin.reduce(arr, axis=None, initial=0.0)
+    hi = np.fmax.reduce(arr, axis=None, initial=1.0)
+    if lo < -_DOMAIN_SLACK or hi > 1.0 + _DOMAIN_SLACK:
         bad = arr[(arr < -_DOMAIN_SLACK) | (arr > 1.0 + _DOMAIN_SLACK)]
-        raise DomainError(f"radius {float(np.ravel(bad)[0])} outside [0, 1]")
-    return np.clip(arr, 0.0, 1.0) if arr.ndim else float(min(max(float(arr), 0.0), 1.0))
+        raise DomainError(f"radius {float(bad[0])} outside [0, 1]")
+    return np.clip(arr, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else arr
 
 
 class CubicSpline:
@@ -43,7 +52,7 @@ class CubicSpline:
 
     The knot slopes solve one tridiagonal system (de Boor, *A Practical Guide
     to Splines*, 1978, ch. IV), assembled and evaluated in the same operation
-    order as ``scipy.interpolate.CubicSpline``, so the two agree bit for bit.
+    order as ``scipy.interpolate.CubicSpline``, so the two agree to round-off.
     ``y`` may carry trailing axes (an end value then has their shape); each
     column is an independent spline.  Outside [x[0], x[-1]] the end pieces
     are extrapolated.
@@ -74,8 +83,7 @@ class CubicSpline:
         else:
             ab[1, -1], ab[2, -2] = 2 * dx[-1], dx[-1]
             b[-1] = 0.5 * v1 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
-        s = solve_banded((1, 1), ab, b.reshape(x.size, -1), overwrite_ab=True,
-                         overwrite_b=True, check_finite=False).reshape(y.shape)
+        s = solve_banded((1, 1), ab, b)
         t = (s[:-1] + s[1:] - 2 * slope) / dxr
         self.x = x
         self.c = np.stack([t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]])

@@ -98,6 +98,15 @@ def int_r3_i1(terms: int = 40) -> float:
     return total
 
 
+def carry_recurrence(decay, increment) -> list[complex]:
+    """y_k = decay_k y_{k-1} + increment_k from y = 0, one term at a time."""
+    out, acc = [], 0j
+    for d, inc in zip(decay, increment):
+        acc = d * acc + inc
+        out.append(acc)
+    return out
+
+
 def central_diff(fn, x: float, h: float):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 

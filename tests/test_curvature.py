@@ -20,7 +20,7 @@ from swirlcurv.radial import ComplexRadialFunction
 
 from _helpers import (G_BASE, mode_poly, profile_poly, random_mode, standard_mode,
                       u_const, u_decreasing, u_quadratic)
-from _oracles import KBAR_REFERENCES, int_r3_i1
+from _oracles import KBAR_REFERENCES, carry_recurrence, int_r3_i1
 
 PI2 = math.pi ** 2
 
@@ -47,6 +47,29 @@ def test_h_at_one_matches_series_oracle():
     H = _h_closed_route(u_const(), m, 1.0)
     assert H.real == pytest.approx(int_r3_i1(), rel=1e-11)
     assert abs(H.imag) < 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 200, 10_000, 1_000_000])
+def test_carry_scan_matches_the_recurrence(n):
+    rng = np.random.default_rng(n)
+    # decays as the closed route forms them, exp(-N * gap) times an I1 ratio;
+    # long products of them underflow to 0
+    decay = np.exp(-rng.uniform(0.0, 40.0, n)) * rng.uniform(0.0, 1.0, n)
+    decay[::7] = 1.0
+    increment = rng.uniform(0.0, 1.0, n) + 1j * rng.uniform(0.0, 1.0, n)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = curvature._carry(decay, increment)
+    ref = np.array(carry_recurrence(decay.tolist(), increment.tolist()))
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+
+def test_gap_chunks_do_not_change_the_carry(monkeypatch):
+    p, m = u_quadratic(), standard_mode(3)
+    r = np.linspace(0.0, 1.0, 5001)[1:]
+    whole = curvature._h_ratio(p, m, r)
+    monkeypatch.setattr(curvature, "_CHUNK", 7)
+    np.testing.assert_array_equal(curvature._h_ratio(p, m, r), whole)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +119,19 @@ def test_pressure_routes_agree(n):
     for r in np.linspace(0.05, 1.0, 9):
         assert qb.q(r) == pytest.approx(qc.q(r), abs=1e-8)
         assert qb.q_prime(r) == pytest.approx(qc.q_prime(r), abs=5e-7)
+
+
+@pytest.mark.parametrize("u", [[1.0, 0.0, 1.0], [2.0, 0.0, -1.0], [1.0]])
+def test_oracle_matches_closed_route_to_2e11(u):
+    # the benchmark gates the two routes only at 1e-6; this pins the oracle's
+    # finite-difference solve at what it reaches (1.2e-11 worst, n = 200)
+    p = profile_poly(u)
+    knots = np.linspace(0.0, 1.0, 33)
+    f_table = ComplexRadialFunction(TableFunction(knots, knots * (1.0 - knots)))
+    for n in (1, 2, 3, 10, 200):
+        m = FourierMode(3, standard_mode(3).g, f_table) if n == 3 else standard_mode(n)
+        closed = curvature_mode_closed(p, m)
+        assert abs(curvature_mode_oracle(p, m, 4096) - closed) <= 2e-11 * abs(closed)
 
 
 def test_pressure_bvp_grid_validation():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import interpolate
@@ -39,6 +41,27 @@ def test_domain_enforced():
         p(np.array([0.5, 2.0]))
     # round-off slack just outside the interval is tolerated
     assert p(1.0 + 1e-13) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("r,bad", [(1.5, 1.5), (-0.1, -0.1), (np.float64(2.0), 2.0),
+                                   ([0.5, 2.0, -3.0], 2.0), ([[0.2, np.nan], [-3.0, 0.4]], -3.0),
+                                   ([np.nan, 1.0 + 1e-9], 1.0 + 1e-9)])
+def test_domain_error_names_the_first_bad_radius(r, bad):
+    for fn in (PolynomialFunction([1.0, 1.0]), ExpressionFunction("1 + r"),
+               TableFunction(np.linspace(0.0, 1.0, 5), np.linspace(1.0, 2.0, 5))):
+        with pytest.raises(DomainError, match=rf"^radius {re.escape(str(bad))} outside \[0, 1\]$"):
+            fn(r)
+
+
+def test_domain_check_keeps_nan_clips_slack_and_scalars():
+    p = PolynomialFunction([1.0, 1.0])
+    assert np.isnan(p(np.nan)) and isinstance(p(np.nan), float)
+    out = p(np.array([np.nan, 0.5, -1e-13, 1.0 + 1e-13]))
+    assert np.isnan(out[0]) and out[1:].tolist() == [1.5, 1.0, 2.0]
+    assert p(-1e-13) == 1.0 and isinstance(p(-1e-13), float)
+    assert p(np.array([])).shape == (0,)
+    r = np.linspace(0.0, 1.0, 9).reshape(3, 3)
+    np.testing.assert_array_equal(p(r), 1.0 + r)
 
 
 def test_table_function_interpolates():
