@@ -12,12 +12,11 @@ flat torus:
   fields and residual checks of the linearized flow/Euler equations.
 """
 
-from .bessel import HomogeneousSolutions
+from . import bessel  # noqa: F401  (bound for the benchmark tracer, ROADMAP item 3)
 from .config import RunConfig, parse_config, radial_from_spec
 from .curvature import (CurvatureResult, PressureSolution, curvature_mode_closed,
                         curvature_mode_oracle, curvature_normalized, curvature_report,
-                        curvature_total, oscillation_study, pressure_bvp_solve,
-                        pressure_closed_form)
+                        curvature_total, oscillation_study, pressure_bvp_solve)
 from .errors import (AccuracyError, DegenerateSectionError, DomainError,
                      HypothesisViolationError, InvalidModeError, ParseError,
                      RegularityError, SwirlcurvError, ValidationError)

@@ -64,18 +64,18 @@ def _param(cfg: RunConfig, key: str, default, kind=int, minimum=None):
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_check_profile(cfg: RunConfig, out: Path, grid):
+def _cmd_check_profile(cfg: RunConfig, out: Path):
     report = classify_criteria(cfg.profile, _param(cfg, "sample_count", 256))
     payload = asdict(report)
     _write_json(out / "criteria.json", payload)
     return ["criteria.json"]
 
 
-def _cmd_curvature(cfg: RunConfig, out: Path, grid):
-    oracle_grid = grid or _param(cfg, "grid", 2048)
+def _cmd_curvature(cfg: RunConfig, out: Path):
+    grid = _param(cfg, "grid", 2048)
     rows = []
     for m in sorted(cfg.modes, key=lambda mm: mm.n):
-        res = curvature_report(cfg.profile, m, oracle_grid)
+        res = curvature_report(cfg.profile, m, grid)
         rows.append((res.n, res.kbar_closed, res.kbar_oracle, res.discrepancy,
                      res.k_normalized))
     _write_csv(out / "curvature.csv",
@@ -83,7 +83,7 @@ def _cmd_curvature(cfg: RunConfig, out: Path, grid):
     return ["curvature.csv"]
 
 
-def _cmd_spectrum(cfg: RunConfig, out: Path, grid):
+def _cmd_spectrum(cfg: RunConfig, out: Path):
     m_max = _param(cfg, "m_max", 3)
     n_list = _param(cfg, "n_list", []) or [_param(cfg, "n", 1)]
     rows = []
@@ -97,7 +97,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, grid):
     return ["spectrum.csv"]
 
 
-def _cmd_jacobi(cfg: RunConfig, out: Path, grid):
+def _cmd_jacobi(cfg: RunConfig, out: Path):
     n = _param(cfg, "n", 1)
     m = _param(cfg, "m", 1)
     eval_grid = _param(cfg, "eval_grid", 256, minimum=1)
@@ -131,7 +131,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, grid):
     return artifacts
 
 
-def _cmd_oscillation(cfg: RunConfig, out: Path, grid):
+def _cmd_oscillation(cfg: RunConfig, out: Path):
     n = _param(cfg, "n", 1)
     k_max = _param(cfg, "k_max", 32)
     rows = oscillation_study(cfg.profile, n, range(1, k_max + 1))
@@ -139,7 +139,7 @@ def _cmd_oscillation(cfg: RunConfig, out: Path, grid):
     return ["oscillation.csv"]
 
 
-def _cmd_limit(cfg: RunConfig, out: Path, grid):
+def _cmd_limit(cfg: RunConfig, out: Path):
     m = _param(cfg, "m", 1)
     n_list = _param(cfg, "n_list", [4, 8, 16, 32, 64])
     pairs = lambda_over_n_study(cfg.profile, m, n_list)
@@ -160,12 +160,12 @@ _COMMANDS = {
 }
 
 
-def run_command(command: str, cfg: RunConfig, out_dir, grid=None, quiet=False) -> int:
+def run_command(command: str, cfg: RunConfig, out_dir, quiet=False) -> int:
     """Run one subcommand; returns the process exit status."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        artifacts = _COMMANDS[command](cfg, out, grid)
+        artifacts = _COMMANDS[command](cfg, out)
     except HypothesisViolationError as exc:
         print(json.dumps({"error": "hypothesis-violation", "message": str(exc)}),
               file=sys.stderr)
@@ -180,19 +180,23 @@ def run_command(command: str, cfg: RunConfig, out_dir, grid=None, quiet=False) -
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would print its usage text and exit 2, the hypothesis-violation code
+        raise ValidationError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swirlcurv",
         description="Curvature and conjugate points of axisymmetric swirl flows")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=".", help="output directory for artifacts")
-    parser.add_argument("--grid", type=int, default=None,
-                        help="override the curvature oracle's finite-difference grid")
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
     try:
-        cfg = parse_config(args.config)
+        args = parser.parse_args(argv)
+        cfg = parse_config(Path(args.config))
     except SwirlcurvError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
@@ -201,7 +205,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "config-error", "message": str(exc)}), file=sys.stderr)
         return 1
     try:
-        return run_command(args.command, cfg, args.out, args.grid, args.quiet)
+        return run_command(args.command, cfg, args.out, args.quiet)
     except Exception as exc:  # internal error: report, never traceback-spray
         print(json.dumps({"error": "internal", "message": f"{type(exc).__name__}: {exc}"}),
               file=sys.stderr)

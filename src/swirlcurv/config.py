@@ -85,13 +85,6 @@ class RunConfig:
         return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
 
 
-def _is_existing_path(source) -> bool:
-    try:
-        return Path(str(source)).exists()
-    except OSError:  # e.g. a JSON document too long to be a file name
-        return False
-
-
 def _require_finite(profile: RadialProfile, modes) -> None:
     """Reject a profile or mode with a non-finite value on the criteria grid."""
     r = chebyshev_grid(256)
@@ -104,14 +97,14 @@ def _require_finite(profile: RadialProfile, modes) -> None:
 
 
 def parse_config(source) -> RunConfig:
-    """Build a RunConfig from a dict, a JSON string, or a file path.
+    """Build a RunConfig from a dict, a JSON document (``str``) or a file (``Path``).
 
     Profile and modes must be finite on [0, 1], and modes must carry distinct
     integer wavenumbers and meet the axis and wall conditions; finite energy
     is not required (g'(0) != 0 is fine).
     """
-    if isinstance(source, (str, Path)) and _is_existing_path(source):
-        raw = json.loads(Path(source).read_text())
+    if isinstance(source, Path):
+        raw = json.loads(source.read_text())
     elif isinstance(source, str):
         raw = json.loads(source)
     elif isinstance(source, dict):
@@ -134,7 +127,7 @@ def parse_config(source) -> RunConfig:
     _require_finite(profile, modes)
     for m in modes:
         try:
-            m.validate(require_finite_energy=False)
+            m.validate()
         except RegularityError as exc:
             raise ValidationError(f"mode n = {m.n}: {exc}") from exc
     return RunConfig(raw=raw, profile=profile, modes=modes, params=params)

@@ -23,19 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special as sp
-from .bessel import HomogeneousSolutions
 from .errors import (DegenerateSectionError, InvalidModeError, RegularityError,
                      ValidationError)
 from .linalg import solve_banded
 from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy, swirl_energy
 from .profile import RadialProfile
-from .quadrature import converge, gauss_nodes, panel_edges, quad_real
+from .quadrature import gauss_nodes, quad_real
 from .radial import CubicSpline
 
 __all__ = [
     "PressureSolution",
     "CurvatureResult",
-    "pressure_closed_form",
     "pressure_bvp_solve",
     "curvature_mode_closed",
     "curvature_mode_oracle",
@@ -50,10 +48,6 @@ __all__ = [
 # Pressure solutions
 # ---------------------------------------------------------------------------
 
-def _scalar_or_array(r, values):
-    return complex(values) if np.ndim(r) == 0 else values
-
-
 @dataclass
 class PressureSolution:
     """The Fourier coefficient q_n of the pressure in the Leray projection."""
@@ -61,30 +55,6 @@ class PressureSolution:
     n: int
     q: object            # r (number or array) -> complex values
     q_prime: object      # r (number or array) -> complex values
-    profile: RadialProfile
-    mode: FourierMode
-
-    def ode_residual(self, grid: int = 512) -> float:
-        """Max residual of (1/r)(r q')' - n^2 q = -(1/r) d/dr(r^2 f u).
-
-        Derivatives of q are taken by 4th-order central differences with a
-        small step, so the residual measures the solution itself rather than
-        the differencing.  Normalized by the source-term scale.
-        """
-        h = 1e-3
-        r = np.linspace(2 * h + 1e-3, 1.0 - 2 * h - 1e-3, grid)
-        qm2, qm1, q, qp1, qp2 = self.q(r + h * np.arange(-2, 3)[:, None])
-        d1 = (qm2 - 8 * qm1 + 8 * qp1 - qp2) / (12 * h)
-        d2 = (-qm2 + 16 * qm1 - 30 * q + 16 * qp1 - qp2) / (12 * h * h)
-
-        p, m = self.profile, self.mode
-        u = p.u(r)
-        f = m.f(r)
-        # -(1/r) d/dr (r^2 f u) = -(2 f u + r (f' u + f u'))
-        rhs = -(2 * f * u + r * (m.f.derivative(r) * u + f * p.u.derivative(r)))
-        resid = d2 + d1 / r - self.n ** 2 * q - rhs
-        scale = max(float(np.max(np.abs(rhs))), 1e-300)
-        return float(np.max(np.abs(resid)) / scale)
 
 
 def _knots(p: RadialProfile, m: FourierMode):
@@ -93,18 +63,6 @@ def _knots(p: RadialProfile, m: FourierMode):
 
 # gaps per kernel evaluation: bounds the (gaps, NODES) temporaries of a sweep
 _CHUNK = 2048
-
-
-def _gap_integrals(p, m, x, kernel):
-    """int s^2 f u kernel(s, k) ds over each gap of the ascending radii x, by
-    one Gauss panel per gap; ``kernel`` sees the nodes of the gaps in slice k."""
-    s, w = gauss_nodes(x)
-    out = np.empty(len(s), dtype=complex)
-    for start in range(0, len(s), _CHUNK):
-        k = slice(start, start + _CHUNK)
-        sk = s[k]
-        out[k] = np.sum(w[k] * sk * sk * m.f(sk) * p.u(sk) * kernel(sk, k), axis=1)
-    return out
 
 
 def _carry(decay, increment):
@@ -135,57 +93,17 @@ def _h_ratio(p: RadialProfile, m: FourierMode, r):
     N = abs(m.n)
     x = np.concatenate([[0.0], r])
     i1 = sp.i1e(N * r)
-    gaps = _gap_integrals(p, m, x, lambda s, k: sp.i1e(N * s) * np.exp(-N * (r[k, None] - s)))
+    # one Gauss panel per gap, _CHUNK gaps at a time
+    s, w = gauss_nodes(x)
+    gaps = np.empty(len(s), dtype=complex)
+    for start in range(0, len(s), _CHUNK):
+        k = slice(start, start + _CHUNK)
+        sk = s[k]
+        gaps[k] = np.sum(w[k] * sk * sk * m.f(sk) * p.u(sk)
+                         * (sp.i1e(N * sk) * np.exp(-N * (r[k, None] - sk))), axis=1)
     # the gap-start values are i1 shifted by one, and I1(0) = 0
     return _carry(np.concatenate([[0.0], i1[:-1]]) / i1 * np.exp(-N * np.diff(x)),
                   N / i1 * gaps)
-
-
-def _xi_j(p: RadialProfile, m: FourierMode, hs: HomogeneousSolutions, r):
-    """xi_n(r) J_n(r) at ascending radii r < 1, carried down from J_n(1) = 0,
-    with J_n(r) = -int_r^1 s^2 f u zeta_n'(s) ds and I0 ratios as above."""
-    N = hs.N
-    x = np.append(r, 1.0)
-    i0 = sp.i0e(N * r)
-    gaps = _gap_integrals(p, m, x, lambda s, k: hs.zeta_prime_scaled(s)
-                          * np.exp(-N * (s - r[k, None])))
-    decay = i0 / sp.i0e(N * x[1:]) * np.exp(-N * np.diff(x))
-    return _carry(decay[::-1], (-i0 * gaps)[::-1])[::-1]
-
-
-def pressure_closed_form(p: RadialProfile, m: FourierMode) -> PressureSolution:
-    """q_n = -zeta_n H_n + xi_n J_n, assembled from scaled Bessel products.
-
-    H_n / I1 and xi_n J_n are carried up and down across the Gauss nodes of
-    the panel rule joined with the requested radii; the panels are doubled
-    until the values at those radii settle.
-    """
-    if m.n == 0:
-        raise InvalidModeError("closed-form pressure requires n != 0")
-    hs = HomogeneousSolutions(m.n)
-    N = hs.N
-
-    def carried(radii, edges):
-        x = np.union1d(gauss_nodes(edges)[0].ravel(), radii)
-        out = np.zeros((2, x.size), dtype=complex)
-        out[0, x > 0] = _h_ratio(p, m, x[x > 0])
-        out[1, x < 1] = _xi_j(p, m, hs, x[x < 1])
-        return out[:, np.searchsorted(x, radii)]
-
-    def solve(r, derivative):
-        x = np.asarray(r, dtype=float)
-        h, t = converge(lambda edges: carried(x.ravel(), edges),
-                        panel_edges(0.0, 1.0, _knots(p, m)))
-        h, t = h.reshape(x.shape), t.reshape(x.shape)
-        with np.errstate(invalid="ignore"):   # the scaled zeta is infinite at r = 0
-            if derivative:
-                zeta_h = hs.zeta_prime_scaled(x) * sp.i1e(N * x) * h
-                t = N * sp.i1e(N * x) / sp.i0e(N * x) * t - x * m.f(x) * p.u(x)
-            else:
-                zeta_h = hs.zeta_scaled(x) * sp.i1e(N * x) * h
-        return _scalar_or_array(r, np.where(x > 0, -zeta_h, 0.0) + t)
-
-    return PressureSolution(m.n, lambda r: solve(r, False), lambda r: solve(r, True), p, m)
 
 
 def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> PressureSolution:
@@ -198,8 +116,9 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> Pr
     """
     if m.n == 0:
         raise InvalidModeError("pressure BVP requires n != 0")
-    if grid < 64:
-        raise ValidationError("grid must be >= 64")
+    if not 64 <= grid <= 65536:
+        # past 4096 only round-off grows; 65536 already needs ~64 MB
+        raise ValidationError(f"grid must be in 64 ... 65536, got {grid}")
     beta = complex(-m.f(1.0) * float(p.u(1.0)))
 
     def solve(N):
@@ -237,9 +156,10 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> Pr
 
     def q(r, nu=0):
         parts = spline(r, nu)
-        return _scalar_or_array(r, parts[..., 0] + 1j * parts[..., 1])
+        values = parts[..., 0] + 1j * parts[..., 1]
+        return complex(values) if np.ndim(r) == 0 else values
 
-    return PressureSolution(m.n, q, lambda r: q(r, 1), p, m)
+    return PressureSolution(m.n, q, lambda r: q(r, 1))
 
 
 # ---------------------------------------------------------------------------

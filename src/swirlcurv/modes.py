@@ -43,9 +43,6 @@ class FourierMode:
     g: ComplexRadialFunction
     f: ComplexRadialFunction
 
-    def scaled(self, c: complex) -> "FourierMode":
-        return FourierMode(self.n, self.g.scaled(c), self.f.scaled(c))
-
     @property
     def knots(self):
         return np.concatenate([self.g.knots, self.f.knots])
@@ -55,8 +52,9 @@ class FourierMode:
         return float(max(np.max(np.abs(self.g(r))), np.max(np.abs(self.g.derivative(r))),
                          np.max(np.abs(self.f(r))), 1e-300))
 
-    def validate(self, require_finite_energy: bool = True) -> None:
-        """Check the axis/boundary invariants; raises on violation."""
+    def validate(self) -> None:
+        """Check g(0) = f(0) = 0 and, for n != 0, g(1) = 0; raises on violation.
+        Finite energy (g'(0) = 0) is checked by ``mode_energy``, which needs it."""
         tol = _AXIS_TOL * self.field_scale()
         if abs(self.g(0.0)) > tol:
             raise RegularityError(f"g(0) = {complex(self.g(0.0))} must vanish on the axis")
@@ -65,9 +63,6 @@ class FourierMode:
         if self.n != 0 and abs(self.g(1.0)) > tol:
             raise RegularityError(
                 f"g(1) = {complex(self.g(1.0))} must vanish for n = {self.n} != 0")
-        if require_finite_energy and abs(self.g.derivative(0.0)) > tol:
-            raise RegularityError(
-                f"g'(0) = {complex(self.g.derivative(0.0))} must vanish for finite energy")
 
 
 def swirl_energy(p: RadialProfile) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import AccuracyError
 
-__all__ = ["quad_real", "converge", "gauss_nodes", "panel_edges",
+__all__ = ["quad_real", "gauss_nodes", "panel_edges",
            "DEFAULT_EPSABS", "DEFAULT_EPSREL"]
 
 DEFAULT_EPSABS = 1e-12
@@ -38,23 +38,6 @@ def gauss_nodes(edges):
     return edges[:-1, None] + half * (_X + 1.0), half * _W
 
 
-def converge(evaluate, edges, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL):
-    """Repeat ``evaluate(edges)`` on bisected panels until two values agree."""
-    value = evaluate(edges)
-    while True:
-        edges = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
-        finer = evaluate(edges)
-        err = float(np.max(np.abs(finer - value)))
-        if err <= max(epsabs, epsrel * float(np.max(np.abs(finer)))):
-            return finer
-        if edges.size > MAX_PANELS:
-            raise AccuracyError(
-                f"quadrature error estimate {err:.3e} with {edges.size - 1} panels "
-                f"exceeds tolerance for value {np.max(np.abs(finer)):.6e}",
-                value=finer, error_estimate=err)
-        value = finer
-
-
 def quad_real(fn, a, b, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL, points=()):
     """Integral over [a, b] of ``fn``, which maps the 1-d ascending array of
     all nodes of a panel set to real or complex values."""
@@ -62,4 +45,17 @@ def quad_real(fn, a, b, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL, points=())
         x, w = gauss_nodes(edges)
         return np.sum(w.ravel() * fn(x.ravel()))
 
-    return converge(total, panel_edges(a, b, points), epsabs, epsrel).item()
+    edges = panel_edges(a, b, points)
+    value = total(edges)
+    while True:
+        edges = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
+        finer = total(edges)
+        err = float(abs(finer - value))
+        if err <= max(epsabs, epsrel * float(abs(finer))):
+            return finer.item()
+        if edges.size > MAX_PANELS:
+            raise AccuracyError(
+                f"quadrature error estimate {err:.3e} with {edges.size - 1} panels "
+                f"exceeds tolerance for value {abs(finer):.6e}",
+                value=finer, error_estimate=err)
+        value = finer

@@ -189,13 +189,11 @@ def zero() -> RadialFunction:
 
 
 class ComplexRadialFunction:
-    """Complex radial function factor * (real + i imag), stored as its parts."""
+    """Complex radial function real + i imag, stored as its parts."""
 
-    def __init__(self, real: RadialFunction, imag: RadialFunction | None = None,
-                 factor: complex = 1.0):
+    def __init__(self, real: RadialFunction, imag: RadialFunction | None = None):
         self.real = real
         self.imag = imag
-        self.factor = factor
 
     @property
     def knots(self):
@@ -204,17 +202,11 @@ class ComplexRadialFunction:
     def _evaluate(self, method: str, r):
         re = getattr(self.real, method)(r)
         if self.imag is None:
-            value = re + 0.0j if np.ndim(r) == 0 else re.astype(complex)
-        else:
-            value = re + 1j * getattr(self.imag, method)(r)
-        return value if self.factor == 1.0 else self.factor * value
+            return re + 0.0j if np.ndim(r) == 0 else re.astype(complex)
+        return re + 1j * getattr(self.imag, method)(r)
 
     def __call__(self, r):
         return self._evaluate("__call__", r)
 
     def derivative(self, r):
         return self._evaluate("derivative", r)
-
-    def scaled(self, c: complex) -> "ComplexRadialFunction":
-        """Return c * self, keeping the exact derivative (c complex scalar)."""
-        return ComplexRadialFunction(self.real, self.imag, self.factor * complex(c))

@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as npoly
 
 import swirlcurv.jacobi as jacobi
 from swirlcurv import (ComplexRadialFunction, FourierMode, PolynomialFunction,
-                       RadialProfile, SLSpectrum)
+                       RadialFunction, RadialProfile, SLSpectrum)
 
 
 def profile_poly(coeffs) -> RadialProfile:
@@ -41,6 +41,27 @@ def cplx(re_coeffs, im_coeffs=None) -> ComplexRadialFunction:
 
 def mode_poly(n, g_re, g_im=None, f_re=(0.0,), f_im=None) -> FourierMode:
     return FourierMode(int(n), cplx(list(g_re), g_im), cplx(list(f_re), f_im))
+
+
+class _ScaledPart(RadialFunction):
+    """The real or imaginary part of c * fn, fn a complex radial function."""
+
+    def __init__(self, fn, c, part):
+        self.fn, self.c, self.part = fn, complex(c), part
+        self.knots = fn.knots
+
+    def __call__(self, r):
+        return getattr(self.c * self.fn(r), self.part)
+
+    def derivative(self, r):
+        return getattr(self.c * self.fn.derivative(r), self.part)
+
+
+def scaled_mode(m: FourierMode, c) -> FourierMode:
+    """The mode c * Y_n for a complex number c, with exact derivatives."""
+    def scaled(fn):
+        return ComplexRadialFunction(_ScaledPart(fn, c, "real"), _ScaledPart(fn, c, "imag"))
+    return FourierMode(m.n, scaled(m.g), scaled(m.f))
 
 
 # g = r^2 (1 - r) as ascending coefficients, ditto f = r (1 - r)

@@ -121,6 +121,13 @@ def five_point_diff(fn, x: float, h: float):
 # the closed Bessel-ratio rule and the finite-difference oracle)
 # ---------------------------------------------------------------------------
 
+def _mp_poly(coeffs, x):
+    """sum c_k x^k in mpmath, c_k real or complex Python numbers."""
+    from mpmath import mp
+
+    return sum(mp.mpmathify(c) * x ** k for k, c in enumerate(coeffs))
+
+
 # (u, n, g, f, Kbar): u, g, f as ascending polynomial coefficients (g and f
 # complex), Kbar = 4 pi^2 int_0^1 (1/r) [n^2 |g|^2 eta + |H_n|^2 / I1(|n| r)^2] dr
 # from ``kbar_mpmath`` at 30 digits, confirmed to the digits shown at 40.
@@ -145,25 +152,115 @@ def kbar_mpmath(u, n, g, f, dps=30):
 
     mp.dps = dps
     N = abs(int(n))
-
-    def poly(coeffs, x):
-        return sum(mp.mpmathify(c) * x ** k for k, c in enumerate(coeffs))
-
     du = [k * c for k, c in enumerate(u)][1:]
 
     def eta(r):
-        return poly(u, r) ** 2 + 2 * r * poly(u, r) * poly(du, r)
+        return _mp_poly(u, r) ** 2 + 2 * r * _mp_poly(u, r) * _mp_poly(du, r)
 
     def h_ratio(r):
         i1r = mp.besseli(1, N * r)
         pts = [0] + [r - d / N for d in (40, 10, 2) if r - d / N > 0] + [r]
-        return mp.quad(lambda s: s * s * poly(f, s) * poly(u, s) * N * mp.besseli(1, N * s) / i1r,
-                       pts)
+        return mp.quad(lambda s: s * s * _mp_poly(f, s) * _mp_poly(u, s) * N
+                       * mp.besseli(1, N * s) / i1r, pts)
 
     outer = [0, mp.mpf(1) / N, mp.mpf(10) / N, 1] if N > 10 else [0, 1]
-    first = mp.quad(lambda r: N * N * abs(poly(g, r)) ** 2 * eta(r) / r, [0, 1])
+    first = mp.quad(lambda r: N * N * abs(_mp_poly(g, r)) ** 2 * eta(r) / r, [0, 1])
     second = mp.quad(lambda r: abs(h_ratio(r)) ** 2 / r, outer)
     return 4 * mp.pi ** 2 * (first + second)
+
+
+# ---------------------------------------------------------------------------
+# Pressure reference values from mpmath (independent of the finite-difference
+# oracle, which the tests pin to them)
+# ---------------------------------------------------------------------------
+
+# u and f as ascending polynomial coefficients (f complex), taken as the binary
+# doubles they name, so q_n'(1) = -f(1) u(1) reads 2 * 0.3 as a double; q_n
+# depends on the mode through f only
+PRESSURE_PROFILE = [1.0, 0.0, 1.0]
+PRESSURE_F = [0, 1 - 0.3j, -1]
+
+# n -> [(r, q_n(r), q_n'(r))], from ``pressure_mpmath`` at 30 digits,
+# confirmed to the digits shown at 40
+PRESSURE_REFERENCES = {
+    1: [
+        ("0.05", "0.06013965856525383345661855-0.05184503061482821336177243j",
+         "-8.77315896940014823721633e-4-5.440336541538460061764696e-4j"),
+        ("0.16875", "0.05914687850214358716483465-0.05170545760877218406331316j",
+         "-0.01930160875472240988910122+4.414341628357823048992511e-3j"),
+        ("0.2875", "0.05485666641282935065291047-0.05039932888695281647644552j",
+         "-0.05541267271446201758011437+0.01946119886842816154746929j"),
+        ("0.40625", "0.04552370160245710081442563-0.04657031907957360208973906j",
+         "-0.1031467367981709518265542+0.04752339854079872554491003j"),
+        ("0.525", "0.03021063004220112965593698-0.03842093955504370255477758j",
+         "-0.1544740135348426185472985+0.09311168633421932015045151j"),
+        ("0.64375", "9.195278469646446207087025e-3-0.02352140143073347683858273j",
+         "-0.1964651240188145662217408+0.16237532006485237790162j"),
+        ("0.7625", "-0.01527046063976761564535073+1.389180500997865919649342e-3j",
+         "-0.2082957001337846978024467+0.2631765726841890314880915j"),
+        ("0.88125", "-0.03784054197133984637733667+0.04061165624766349423576982j",
+         "-0.1581521117312760041265241+0.4051860470547121565491103j"),
+        ("1", "-0.04857947646266564785194511+0.09970832133088413759959391j",
+         "0.0+0.5999999999999999777955395j"),
+    ],
+    10: [
+        ("0.05", "3.618929923496590399506813e-3-1.690250130798330777258842e-3j",
+         "6.452641389954592294527797e-3-3.365034760578699904653323e-3j"),
+        ("0.16875", "4.762113855178081870825545e-3-2.413579661387609128879564e-3j",
+         "0.01100332041067828733223188-8.358456630422374769426193e-3j"),
+        ("0.2875", "5.952855433001764902738593e-3-3.61800236664930164454888e-3j",
+         "8.222448025652887035720087e-3-0.01180571874972575379285203j"),
+        ("0.40625", "6.543536937825956561459021e-3-5.190894723979848251993458e-3j",
+         "1.025321412036630723048442e-3-0.01451105386825352592273093j"),
+        ("0.525", "6.020747997438426368782899e-3-6.97475667211048256854859e-3j",
+         "-0.01061154794595164847539181-0.01481052466361633670507302j"),
+        ("0.64375", "3.840260127923047226999584e-3-8.368281861800156535787114e-3j",
+         "-0.02678853561055185306457775-6.106440653660559054180903e-3j"),
+        ("0.7625", "-4.204143463222612209639661e-4-7.28962914066100011572304e-3j",
+         "-0.04466294716668477992164902+0.03255186272577832090823159j"),
+        ("0.88125", "-6.349885607770353664043541e-3+2.978045616597777559169608e-3j",
+         "-0.05105771093606972954512759+0.1665122955799093169765939j"),
+        ("1", "-0.01038915466958390187113481+0.04362005459779784959108865j",
+         "0.0+0.5999999999999999777955395j"),
+    ],
+}
+
+
+def pressure_mpmath(u, n, f, radii, dps=30):
+    """q_n and q_n' at ``radii`` (decimal strings) by ``mpmath.quad`` at ``dps`` digits.
+
+    q_n solves (1/r)(r q')' - n^2 q = -(1/r) d/dr(r^2 f u), regular at the axis,
+    with q'(1) = -f(1) u(1).  With xi = I0(N r), zeta = (K1(N)/I1(N)) I0(N r)
+    + K0(N r) (so zeta'(1) = 0), H(r) = int_0^r s^2 f u xi' ds and
+    J(r) = -int_r^1 s^2 f u zeta' ds, q = -zeta H + xi J, and the Wronskian
+    xi zeta' - zeta xi' = -1/r gives q' = -zeta' H + xi' J - r f u.
+    Produced ``PRESSURE_REFERENCES``; the tests read the frozen values and do
+    not run this (seconds per radius).
+    """
+    from mpmath import mp
+
+    mp.dps = dps
+    N = abs(int(n))
+    c = mp.besselk(1, N) / mp.besseli(1, N)
+
+    def source(s):
+        return s * s * _mp_poly(f, s) * _mp_poly(u, s)
+
+    def xi(r, d):       # d-th derivative, d = 0 or 1
+        return N * mp.besseli(1, N * r) if d else mp.besseli(0, N * r)
+
+    def zeta(r, d):
+        if d:
+            return N * (c * mp.besseli(1, N * r) - mp.besselk(1, N * r))
+        return c * mp.besseli(0, N * r) + mp.besselk(0, N * r)
+
+    out = []
+    for r in map(mp.mpf, radii):
+        H = mp.quad(lambda s: source(s) * xi(s, 1), [0, r])
+        J = -mp.quad(lambda s: source(s) * zeta(s, 1), [r, 1])
+        out.append((-zeta(r, 0) * H + xi(r, 0) * J,
+                    -zeta(r, 1) * H + xi(r, 1) * J - source(r) / r))
+    return out
 
 
 # ---------------------------------------------------------------------------

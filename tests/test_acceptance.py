@@ -16,7 +16,7 @@ from swirlcurv import (FourierMode, PolynomialFunction, RadialProfile,
                        lambda_over_n_study, oscillation_study, sl_spectrum)
 from swirlcurv.radial import ComplexRadialFunction
 
-from _helpers import (fixed_size_spectrum, mode_poly, random_mode, u_const,
+from _helpers import (fixed_size_spectrum, mode_poly, random_mode, scaled_mode, u_const,
                       u_decreasing, u_quadratic)
 from _oracles import j1_zeros
 
@@ -207,7 +207,7 @@ def test_ac10_structural_properties():
 
     m = modes[1]
     k1 = curvature_mode_closed(p, m)
-    k3 = curvature_mode_closed(p, m.scaled(3.0))
+    k3 = curvature_mode_closed(p, scaled_mode(m, 3.0))
     scale_err = abs(k3 - 9.0 * k1) / (1.0 + abs(k3))
 
     ok = sum_err <= 1e-8 and k0 <= 1e-12 and scale_err <= 1e-10

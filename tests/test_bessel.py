@@ -1,17 +1,20 @@
+"""Identities of the package's scaled Bessel functions (``swirlcurv.special``):
+power series, the Wronskian, the modified Bessel equation and large arguments."""
+
 import math
 
 import numpy as np
 import pytest
-from scipy import special as sp
+from scipy import special as scipy_special
 
-from swirlcurv import HomogeneousSolutions, InvalidModeError
+from swirlcurv import special as sp
 
 from _oracles import (five_point_diff, i0_series, i1_series, k0_series,
                       k1_from_wronskian)
 
 
 def test_i_matches_power_series():
-    # xi = I0 and xi' / N = I1 enter as scipy's i0e, i1e times e^{x}
+    # xi = I0 and xi' / N = I1 enter as i0e, i1e times e^{x}
     for x in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0):
         assert float(sp.i0e(x)) * math.exp(x) == pytest.approx(i0_series(x), rel=1e-13)
         assert float(sp.i1e(x)) * math.exp(x) == \
@@ -26,16 +29,15 @@ def test_k_matches_series_oracles():
 
 
 def test_scaled_values_consistent():
-    # scaled values times e^{+-N r} against the unscaled scipy functions
+    # scaled values times e^{+-x} against scipy's unscaled functions
     n = 25
-    hs = HomogeneousSolutions(n)
-    c = float(sp.k1(n) / sp.i1(n))
     for r in (0.02, 0.12, 0.5, 1.0):
         x = n * r
-        assert float(sp.i0e(x)) * math.exp(x) == pytest.approx(sp.i0(x), rel=1e-12)
-        assert float(n * sp.i1e(x)) * math.exp(x) == pytest.approx(n * sp.i1(x), rel=1e-12)
-        assert float(hs.zeta_scaled(r)) * math.exp(-x) == \
-            pytest.approx(c * sp.i0(x) + sp.k0(x), rel=1e-12)
+        assert float(sp.i0e(x)) * math.exp(x) == pytest.approx(scipy_special.i0(x), rel=1e-12)
+        assert float(n * sp.i1e(x)) * math.exp(x) == \
+            pytest.approx(n * scipy_special.i1(x), rel=1e-12)
+        assert float(sp.k0e(x)) * math.exp(-x) == pytest.approx(scipy_special.k0(x), rel=1e-12)
+        assert float(sp.k1e(x)) * math.exp(-x) == pytest.approx(scipy_special.k1(x), rel=1e-12)
 
 
 def test_wronskian_identity_wide_range():
@@ -57,39 +59,32 @@ def test_ratio_derivative_identity():
 
 
 # ---------------------------------------------------------------------------
-# Homogeneous solutions of the pressure ODE
+# The solutions xi = I0(N r) and K0(N r) of (1/r)(r y')' - N^2 y = 0
 # ---------------------------------------------------------------------------
 
-def test_homogeneous_requires_nonzero_n():
-    with pytest.raises(InvalidModeError):
-        HomogeneousSolutions(0)
-
-
 def xi_scaled(n, r):
-    """xi_n(r) e^{-N r} and xi_n'(r) e^{-N r}, N = |n|, from scipy's scaled I0, I1."""
+    """xi_n(r) e^{-N r} and xi_n'(r) e^{-N r}, N = |n|, from the scaled I0, I1."""
     r = np.asarray(r, dtype=float)
     return sp.i0e(abs(n) * r), abs(n) * sp.i1e(abs(n) * r)
 
 
+def k0_scaled(n, r):
+    """K0(N r) e^{+N r} and its r-derivative times e^{+N r}, from the scaled K0, K1."""
+    r = np.asarray(r, dtype=float)
+    return sp.k0e(abs(n) * r), -abs(n) * sp.k1e(abs(n) * r)
+
+
 def wronskian(n, r):
-    """xi zeta' - zeta xi' in scaled space (the e^{+-N r} factors cancel)."""
-    hs = HomogeneousSolutions(n)
+    """xi K0' - K0 xi' in scaled space (the e^{+-N r} factors cancel)."""
     xi, xi_prime = xi_scaled(n, r)
-    return xi * hs.zeta_prime_scaled(r) - hs.zeta_scaled(r) * xi_prime
+    k, k_prime = k0_scaled(n, r)
+    return xi * k_prime - k * xi_prime
 
 
 def test_xi_is_i0():
     xi, xi_prime = xi_scaled(2, 0.5)
     assert float(xi) * math.e == pytest.approx(i0_series(1.0), rel=1e-13)
     assert float(xi_prime) * math.e == pytest.approx(2.0 * i1_series(1.0), rel=1e-13)
-
-
-def test_zeta_neumann_boundary_condition():
-    # zeta'(1) = 0 holds to round-off by construction
-    for n in (1, 3, 10, 100, 2000):
-        hs = HomogeneousSolutions(n)
-        scale = hs.N * float(sp.k1e(hs.N))
-        assert abs(float(hs.zeta_prime_scaled(1.0))) <= 1e-10 * scale
 
 
 def test_wronskian_is_minus_one_over_r():
@@ -105,17 +100,12 @@ def test_wronskian_spot_value():
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_both_solutions_satisfy_the_ode(n):
     # y'' + y'/r - n^2 y = 0 via high-order finite differences
-    hs = HomogeneousSolutions(n)
     h = 1e-3
     r = np.linspace(0.2, 0.9, 33)
-    plain = (lambda x: xi_scaled(n, x)[0] * math.exp(n * x),
-             lambda x: hs.zeta_scaled(x) * math.exp(-n * x))
+    plain = (lambda x: xi_scaled(n, x)[0] * np.exp(n * x),
+             lambda x: k0_scaled(n, x)[0] * np.exp(-n * x))
     for fn in plain:
-        y = np.array([float(fn(x)) for x in r])
-        ym2 = np.array([float(fn(x - 2 * h)) for x in r])
-        ym1 = np.array([float(fn(x - h)) for x in r])
-        yp1 = np.array([float(fn(x + h)) for x in r])
-        yp2 = np.array([float(fn(x + 2 * h)) for x in r])
+        ym2, ym1, y, yp1, yp2 = (fn(r + k * h) for k in range(-2, 3))
         d1 = (ym2 - 8 * ym1 + 8 * yp1 - yp2) / (12 * h)
         d2 = (-ym2 + 16 * ym1 - 30 * y + 16 * yp1 - yp2) / (12 * h * h)
         resid = d2 + d1 / r - n * n * y
@@ -123,8 +113,9 @@ def test_both_solutions_satisfy_the_ode(n):
 
 
 def test_no_overflow_for_large_mode_numbers():
-    hs = HomogeneousSolutions(10000)
+    n = 10000
     r = np.linspace(0.01, 1.0, 50)
-    xi, xi_prime = xi_scaled(10000, r)
-    for arr in (xi, hs.zeta_scaled(r), xi_prime / hs.N, hs.zeta_prime_scaled(r) / hs.N):
-        assert np.all(np.isfinite(arr))
+    xi, xi_prime = xi_scaled(n, r)
+    k, k_prime = k0_scaled(n, r)
+    for arr in (xi, k, xi_prime / n, k_prime / n):
+        assert np.all(np.isfinite(arr)) and np.all(arr != 0.0)

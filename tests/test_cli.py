@@ -177,6 +177,8 @@ def table(r, values):
          "descending-table-r"),
     case("check-profile", {"profile": table([0, 0.25, 0.5, 1], [1, math.nan, 1, 1])},
          "nan-table-value"),
+    case("curvature", {"profile": GOOD_PROFILE, "modes": MODES, "params": {"grid": 65537}},
+         "grid-above-65536"),
 ])
 def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
@@ -218,7 +220,34 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_unknown_command_rejected(tmp_path):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["curvature"], id="no-config"),
+    pytest.param(["curvature", "--config", "cfg.json", "--grid", "64"], id="grid-flag-removed"),
+])
+def test_usage_error_exit_code(capsys, argv):
+    # 2 is the hypothesis-violation code, so a usage error exits 1, as JSON
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValidationError"
+
+
+def test_unknown_command_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE})
-    with pytest.raises(SystemExit):
-        main(["frobnicate", "--config", cfg])
+    assert main(["frobnicate", "--config", cfg]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert "invalid choice: 'frobnicate'" in json.loads(lines[0])["message"]
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+
+
+def test_missing_config_file_is_named(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["check-profile", "--config", str(missing), "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "config-error"
+    assert "No such file" in payload["message"] and "missing.json" in payload["message"]

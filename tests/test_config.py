@@ -33,6 +33,11 @@ def test_parse_from_string_and_path(tmp_path):
     path.write_text(text)
     cfg2 = parse_config(path)
     assert cfg2.modes[0].f(1.0) == cfg.modes[0].f(1.0)
+    # a str is JSON text even when it names a file, and a Path is always a file
+    with pytest.raises(json.JSONDecodeError):
+        parse_config(str(path))
+    with pytest.raises(FileNotFoundError):
+        parse_config(tmp_path / "missing.json")
 
 
 def test_round_trip_is_byte_identical():

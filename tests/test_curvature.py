@@ -14,13 +14,13 @@ from swirlcurv import (DegenerateSectionError, FourierMode,
                        TableFunction, ValidationError, curvature_mode_closed,
                        curvature_mode_oracle, curvature_normalized,
                        curvature_report, curvature_total, mode_energy,
-                       oscillation_study, pressure_bvp_solve, pressure_closed_form,
-                       swirl_energy)
+                       oscillation_study, pressure_bvp_solve, swirl_energy)
 from swirlcurv.radial import ComplexRadialFunction
 
-from _helpers import (G_BASE, mode_poly, profile_poly, random_mode, standard_mode,
-                      u_const, u_decreasing, u_quadratic)
-from _oracles import KBAR_REFERENCES, carry_recurrence, int_r3_i1
+from _helpers import (G_BASE, mode_poly, profile_poly, random_mode, scaled_mode,
+                      standard_mode, u_const, u_decreasing, u_quadratic)
+from _oracles import (KBAR_REFERENCES, PRESSURE_F, PRESSURE_PROFILE, PRESSURE_REFERENCES,
+                      carry_recurrence, int_r3_i1)
 
 PI2 = math.pi ** 2
 
@@ -73,15 +73,13 @@ def test_gap_chunks_do_not_change_the_carry(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Pressure: closed form vs finite-difference oracle
+# Pressure: finite-difference oracle vs mpmath
 # ---------------------------------------------------------------------------
 
 def test_pressure_zero_for_zero_f():
     m = mode_poly(2, [0, 0, 1, -1])
-    qc = pressure_closed_form(u_const(), m)
     qb = pressure_bvp_solve(u_const(), m, grid=256)
     for r in (0.0, 0.3, 0.8, 1.0):
-        assert abs(qc.q(r)) < 1e-14
         assert abs(qb.q(r)) < 1e-10
 
 
@@ -90,35 +88,40 @@ def test_pressure_boundary_condition(n):
     p = u_quadratic()
     m = standard_mode(n)
     f1u1 = complex(m.f(1.0)) * float(p.u(1.0))
-    for builder in (pressure_closed_form, lambda pp, mm: pressure_bvp_solve(pp, mm, 1024)):
-        sol = builder(p, m)
-        assert sol.q_prime(1.0) == pytest.approx(-f1u1, abs=1e-9)
+    sol = pressure_bvp_solve(p, m, 1024)
+    assert sol.q_prime(1.0) == pytest.approx(-f1u1, abs=1e-9)
 
 
-def test_pressure_closed_form_satisfies_ode():
-    p = u_quadratic()
-    m = standard_mode(3)
-    sol = pressure_closed_form(p, m)
-    assert sol.ode_residual(grid=128) < 1e-8
+def ode_residual(sol, p, m, grid=128):
+    """Max residual of (1/r)(r q')' - n^2 q = -(1/r) d/dr(r^2 f u) over the
+    source scale, q' and q'' by 4th-order central differences of q."""
+    h = 1e-3
+    r = np.linspace(2 * h + 1e-3, 1.0 - 2 * h - 1e-3, grid)
+    qm2, qm1, q, qp1, qp2 = sol.q(r + h * np.arange(-2, 3)[:, None])
+    d1 = (qm2 - 8 * qm1 + 8 * qp1 - qp2) / (12 * h)
+    d2 = (-qm2 + 16 * qm1 - 30 * q + 16 * qp1 - qp2) / (12 * h * h)
+    u, f = p.u(r), m.f(r)
+    rhs = -(2 * f * u + r * (m.f.derivative(r) * u + f * p.u.derivative(r)))
+    return float(np.max(np.abs(d2 + d1 / r - sol.n ** 2 * q - rhs)) / np.max(np.abs(rhs)))
 
 
 def test_pressure_bvp_satisfies_ode():
     p = u_quadratic()
     m = standard_mode(3)
-    sol = pressure_bvp_solve(p, m, grid=2048)
-    assert sol.ode_residual(grid=128) < 1e-6
+    assert ode_residual(pressure_bvp_solve(p, m, grid=2048), p, m) < 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 10])
 def test_pressure_routes_agree(n):
-    p = u_quadratic()
-    m = mode_poly(n, [0, 0, 1, -1], g_im=[0, 0, 0, 0.5], f_re=[0, 1, -1],
-                  f_im=[0, -0.3, 0.0])
-    qc = pressure_closed_form(p, m)
+    # the oracle's q reaches 2.3e-12 and q' 1.7e-10 of the mpmath values here
+    p = profile_poly(PRESSURE_PROFILE)
+    f = [complex(c) for c in PRESSURE_F]
+    m = mode_poly(n, [0, 0, 1, -1], g_im=[0, 0, 0, 0.5], f_re=[c.real for c in f],
+                  f_im=[c.imag for c in f])
     qb = pressure_bvp_solve(p, m, grid=2048)
-    for r in np.linspace(0.05, 1.0, 9):
-        assert qb.q(r) == pytest.approx(qc.q(r), abs=1e-8)
-        assert qb.q_prime(r) == pytest.approx(qc.q_prime(r), abs=5e-7)
+    for r, q, q_prime in PRESSURE_REFERENCES[n]:
+        assert qb.q(float(r)) == pytest.approx(complex(q), abs=1e-10)
+        assert qb.q_prime(float(r)) == pytest.approx(complex(q_prime), abs=5e-9)
 
 
 @pytest.mark.parametrize("u", [[1.0, 0.0, 1.0], [2.0, 0.0, -1.0], [1.0]])
@@ -137,6 +140,8 @@ def test_oracle_matches_closed_route_to_2e11(u):
 def test_pressure_bvp_grid_validation():
     with pytest.raises(ValidationError):
         pressure_bvp_solve(u_const(), standard_mode(1), grid=32)
+    with pytest.raises(ValidationError):
+        pressure_bvp_solve(u_const(), standard_mode(1), grid=65537)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +184,9 @@ def test_curvature_quadratic_homogeneity():
     p = u_quadratic()
     m = standard_mode(2)
     k1 = curvature_mode_closed(p, m)
-    k3 = curvature_mode_closed(p, m.scaled(3.0))
+    k3 = curvature_mode_closed(p, scaled_mode(m, 3.0))
     assert k3 == pytest.approx(9.0 * k1, rel=1e-9)
-    kj = curvature_mode_closed(p, m.scaled(1j))
+    kj = curvature_mode_closed(p, scaled_mode(m, 1j))
     assert kj == pytest.approx(k1, rel=1e-9)
 
 
@@ -362,7 +367,7 @@ def test_property_quadratic_homogeneity(profile, m, rho, theta):
     p = profile()
     c = rho * complex(math.cos(theta), math.sin(theta))
     k = curvature_mode_closed(p, m)
-    assert curvature_mode_closed(p, m.scaled(c)) == pytest.approx(rho ** 2 * k, rel=1e-12)
+    assert curvature_mode_closed(p, scaled_mode(m, c)) == pytest.approx(rho ** 2 * k, rel=1e-12)
 
 
 @PROPERTY

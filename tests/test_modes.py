@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from swirlcurv import RegularityError, cross_inner_product, mode_energy, swirl_energy
 
-from _helpers import cplx, mode_poly, standard_mode, u_const, u_quadratic
+from _helpers import mode_poly, scaled_mode, standard_mode, u_const, u_quadratic
 
 PI2 = math.pi ** 2
 
@@ -18,8 +18,8 @@ def test_validate_flags_each_invariant():
         mode_poly(1, [0, 0, 1, -1], f_re=[1.0]).validate()  # f(0) != 0
     with pytest.raises(RegularityError):
         mode_poly(2, [0, 0, 1]).validate()             # g(1) != 0 with n != 0
-    with pytest.raises(RegularityError):
-        mode_poly(1, [0, 1, -1]).validate()            # g'(0) != 0
+    # g'(0) != 0 is left to mode_energy, the one computation it breaks
+    mode_poly(1, [0, 1, -1]).validate()
     # n = 0 may keep g(1) != 0
     mode_poly(0, [0, 0, 1]).validate()
 
@@ -50,7 +50,7 @@ def test_mode_energy_divergent_mode_refused():
 @given(st.floats(min_value=0.1, max_value=10.0))
 def test_mode_energy_quadratic_scaling(c):
     m = standard_mode(2)
-    assert mode_energy(m.scaled(c)) == pytest.approx(c * c * mode_energy(m), rel=1e-10)
+    assert mode_energy(scaled_mode(m, c)) == pytest.approx(c * c * mode_energy(m), rel=1e-10)
 
 
 def test_cross_inner_product_vanishes_unless_n_zero():
@@ -59,9 +59,3 @@ def test_cross_inner_product_vanishes_unless_n_zero():
     m0 = mode_poly(0, [0.0], f_re=[0.0, 1.0])  # f = r, n = 0
     # 4 pi^2 int r^4 (1 + r^2) dr = 4 pi^2 (1/5 + 1/7)
     assert cross_inner_product(p, m0) == pytest.approx(4 * PI2 * (1 / 5 + 1 / 7), rel=1e-12)
-
-
-def test_scaled_mode_keeps_wavenumber():
-    m = standard_mode(2).scaled(1j)
-    assert m.n == 2
-    assert m.g(0.5) == pytest.approx(1j * (0.25 - 0.125))

@@ -130,16 +130,11 @@ def test_spline_rejects_bad_nodes(x, y):
         CubicSpline(x, y)
 
 
-def test_complex_pair_and_scaling():
+def test_complex_pair():
     c = ComplexRadialFunction(PolynomialFunction([0.0, 1.0]),
                               PolynomialFunction([0.0, 0.0, 1.0]))
     assert c(0.5) == pytest.approx(0.5 + 0.25j)
     assert c.derivative(0.5) == pytest.approx(1.0 + 1.0j)
-    s = c.scaled(2.0j)
-    assert s(0.5) == pytest.approx(2.0j * (0.5 + 0.25j))
-    assert s.derivative(0.5) == pytest.approx(2.0j * (1.0 + 1.0j))
-    ss = s.scaled(0.5)
-    assert ss(0.5) == pytest.approx(1.0j * (0.5 + 0.25j))
 
 
 def test_real_only_complex_wrapper_returns_complex():
