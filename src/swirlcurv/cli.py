@@ -44,10 +44,10 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _param(cfg: RunConfig, key: str, default, kind=int, minimum=None):
+def _param(cfg: RunConfig, key: str, default, kind=int, minimum=None, maximum=None):
     """``cfg.params[key]``, or ``default`` when absent, each value checked by
-    ``check_number`` and against ``minimum``; a list default takes a list, and
-    an integer list may not repeat a value."""
+    ``check_number`` and against ``minimum`` and ``maximum``; a list default
+    takes a list, and an integer list may not repeat a value."""
     value = cfg.params.get(key, default)
     many = isinstance(default, list)
     if many and not isinstance(value, list):
@@ -55,6 +55,8 @@ def _param(cfg: RunConfig, key: str, default, kind=int, minimum=None):
     values = [check_number(v, kind, f"param {key!r}") for v in (value if many else [value])]
     if minimum is not None and any(v < minimum for v in values):
         raise ValidationError(f"param {key!r} must be >= {minimum}, got {value!r}")
+    if maximum is not None and any(v > maximum for v in values):
+        raise ValidationError(f"param {key!r} must be <= {maximum}, got {value!r}")
     if kind is int and len(set(values)) < len(values):
         raise ValidationError(f"param {key!r} repeats a value: {value!r}")
     return values if many else values[0]
@@ -72,7 +74,8 @@ def _cmd_check_profile(cfg: RunConfig, out: Path):
 
 
 def _cmd_curvature(cfg: RunConfig, out: Path):
-    grid = _param(cfg, "grid", 2048)
+    # the oracle's bound, checked before any mode runs (n = 0 modes never reach it)
+    grid = _param(cfg, "grid", 2048, minimum=64, maximum=65536)
     rows = []
     for m in sorted(cfg.modes, key=lambda mm: mm.n):
         res = curvature_report(cfg.profile, m, grid)

@@ -5,8 +5,11 @@ spanned by X = u(r) d/dtheta and a mode Y_n:
 
 * the closed Bessel-form
       Kbar = 4 pi^2 int_0^1 (1/r) [ n^2 |g|^2 eta(r) + |H_n(r)|^2 / I1(|n| r)^2 ] dr
-  with H_n(r) = int_0^r s^2 f u xi_n'(s) ds, evaluated entirely in scaled
-  ratio form so large |n| never overflows;
+  with H_n(r) = int_0^r s^2 f u xi_n'(s) ds.  The ratio y = H_n / I1(N r),
+  N = |n|, solves y' = N r^2 f u - (N I1'(N r) / I1(N r)) y with y(0) = 0;
+  it is collocated on the quadrature's own Gauss nodes (Hairer & Wanner,
+  *Solving ODEs II*, IV.5), from scaled Bessel ratios only, so large |n|
+  never overflows;
 
 * an oracle that solves the pressure Neumann problem by finite differences
   (no Bessel functions anywhere) and contracts the curvature tensor against
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from . import special as sp
 from .errors import (DegenerateSectionError, InvalidModeError, RegularityError,
@@ -28,7 +32,7 @@ from .errors import (DegenerateSectionError, InvalidModeError, RegularityError,
 from .linalg import solve_banded
 from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy, swirl_energy
 from .profile import RadialProfile
-from .quadrature import gauss_nodes, quad_real
+from .quadrature import NODES, quad_real
 from .radial import CubicSpline
 
 __all__ = [
@@ -61,8 +65,11 @@ def _knots(p: RadialProfile, m: FourierMode):
     return np.concatenate([p.u.knots, m.knots])
 
 
-# gaps per kernel evaluation: bounds the (gaps, NODES) temporaries of a sweep
-_CHUNK = 2048
+# Gauss nodes t and weights on [-1, 1], and S[j, k] = int_{-1}^{t_j} l_k for the
+# Lagrange basis l_k on t, from l_k = w_k sum_i (i + 1/2) P_i(t_k) P_i
+_T, _W = legendre.leggauss(NODES)
+_S = legendre.legvander(_T, NODES) @ legendre.legint(
+    (np.arange(NODES) + 0.5)[:, None] * legendre.legvander(_T, NODES - 1).T * _W, lbnd=-1)
 
 
 def _carry(decay, increment):
@@ -83,27 +90,25 @@ def _carry(decay, increment):
 
 
 def _h_ratio(p: RadialProfile, m: FourierMode, r):
-    """H_n(r) / I1(N r) at ascending radii r > 0, N = |n|.
+    """H_n(r) / I1(N r) at the nodes r of a ``quad_real`` panel set from 0.
 
-    H_n(r) = int_0^r s^2 f u N I1(N s) ds, so across the gap to r_k+1 the
-    ratio is multiplied by I1(N r_k) / I1(N r_k+1) and gains the gap integral
-    of s^2 f u N I1(N s) / I1(N r_k+1).  Both ratios are formed from i1e
-    times exp(-N * distance) <= 1, so n = 10^4 cannot overflow.
+    On each panel y' = q - rate y, q = N r^2 f u, rate = N I1'/I1 > 0, is
+    collocated at the Gauss nodes: y' there solves (I + half diag(rate) S) y'
+    = q - rate y_start, so each panel's end value is an affine map of its
+    start value, with a factor in [0, 1].  The maps are carried from the axis.
     """
     N = abs(m.n)
-    x = np.concatenate([[0.0], r])
-    i1 = sp.i1e(N * r)
-    # one Gauss panel per gap, _CHUNK gaps at a time
-    s, w = gauss_nodes(x)
-    gaps = np.empty(len(s), dtype=complex)
-    for start in range(0, len(s), _CHUNK):
-        k = slice(start, start + _CHUNK)
-        sk = s[k]
-        gaps[k] = np.sum(w[k] * sk * sk * m.f(sk) * p.u(sk)
-                         * (sp.i1e(N * sk) * np.exp(-N * (r[k, None] - sk))), axis=1)
-    # the gap-start values are i1 shifted by one, and I1(0) = 0
-    return _carry(np.concatenate([[0.0], i1[:-1]]) / i1 * np.exp(-N * np.diff(x)),
-                  N / i1 * gaps)
+    x = r.reshape(-1, NODES)
+    half = (x[:, -1] - x[:, 0]) / (_T[-1] - _T[0])
+    rate = N * sp.i0e(N * x) / sp.i1e(N * x) - 1.0 / x
+    q = N * x * x * m.f(x) * p.u(x)
+    v = np.linalg.solve(np.eye(NODES) + (half[:, None] * rate)[:, :, None] * _S,
+                        np.stack([q.real, q.imag, -rate], axis=-1))
+    vq, vp = v[..., 0] + 1j * v[..., 1], v[..., 2]
+    decay = 1.0 + half * (vp @ _W)
+    decay[0] = 0.0   # nothing is carried into the axis
+    start = np.concatenate([[0.0], _carry(decay, half * (vq @ _W))[:-1]])
+    return (start[:, None] + half[:, None] * ((vq + start[:, None] * vp) @ _S.T)).ravel()
 
 
 def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> PressureSolution:

@@ -127,8 +127,8 @@ def classify_criteria(p: RadialProfile, sample_count: int = 256) -> CriteriaRepo
             ("eta", report.eta_strictly_positive, eta_pts, eta_vals, eta_min_i),
             ("u_omega", report.u_omega_positive, uo_pts, uo_vals, uo_min_i)):
         if not ok:
-            # the minimum first, then every root found (they follow the grid values)
+            # the minimum first, then every other root found (they follow the grid values)
+            roots = [k for k in range(grid.size, pts.size) if pts[k] != pts[i]]
             report.witness_points += [{"criterion": name, "r": float(pts[k]),
-                                       "value": float(vals[k])}
-                                      for k in [i, *range(grid.size, pts.size)]]
+                                       "value": float(vals[k])} for k in [i, *roots]]
     return report

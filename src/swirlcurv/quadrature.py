@@ -40,7 +40,9 @@ def gauss_nodes(edges):
 
 def quad_real(fn, a, b, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL, points=()):
     """Integral over [a, b] of ``fn``, which maps the 1-d ascending array of
-    all nodes of a panel set to real or complex values."""
+    all nodes of a panel set to real or complex values.  The nodes come
+    panel-major from a to b: ``x.reshape(-1, NODES)[k]`` are the Gauss nodes
+    of panel k, on which the closed curvature route collocates."""
     def total(edges):
         x, w = gauss_nodes(edges)
         return np.sum(w.ravel() * fn(x.ravel()))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from swirlcurv import profile
+from swirlcurv import curvature, profile
 from swirlcurv.cli import main
 
 GOOD_PROFILE = {"expr": "1 + r^2"}
@@ -138,6 +138,7 @@ def case(command, payload, id):
 
 ONE = {"poly": [1.0]}
 JACOBI = {"n": 1, "m": 1, "grid": 256, "eval_grid": 16, "snapshot_grid": 4}
+N0_MODE = {"n": 0, "f": {"poly": [0, 1, -1]}}
 
 
 def table(r, values):
@@ -179,6 +180,9 @@ def table(r, values):
          "nan-table-value"),
     case("curvature", {"profile": GOOD_PROFILE, "modes": MODES, "params": {"grid": 65537}},
          "grid-above-65536"),
+    case("curvature", {"profile": ONE, "modes": [N0_MODE], "params": {"grid": 100_000_000}},
+         "n0-grid-1e8"),
+    case("curvature", {"profile": ONE, "modes": [N0_MODE], "params": {"grid": 3}}, "n0-grid-3"),
 ])
 def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
@@ -190,6 +194,15 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, paylo
     assert json.loads(lines[0])["error"] == "ValidationError"
     assert "np." not in lines[0]  # plain numbers, not numpy reprs
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]  # no artifact written
+
+
+def test_curvature_grid_is_checked_before_any_mode_runs(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(curvature, "curvature_mode_closed", lambda p, m: calls.append(m.n))
+    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "modes": MODES,
+                               "params": {"grid": 65537}})
+    assert main(["curvature", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert calls == []
 
 
 def test_spectrum_beyond_the_basis_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from swirlcurv import (DegenerateSectionError, FourierMode,
                        curvature_mode_oracle, curvature_normalized,
                        curvature_report, curvature_total, mode_energy,
                        oscillation_study, pressure_bvp_solve, swirl_energy)
+from swirlcurv import special
+from swirlcurv.quadrature import NODES, gauss_nodes
 from swirlcurv.radial import ComplexRadialFunction
 
 from _helpers import (G_BASE, mode_poly, profile_poly, random_mode, scaled_mode,
                       standard_mode, u_const, u_decreasing, u_quadratic)
-from _oracles import (KBAR_REFERENCES, PRESSURE_F, PRESSURE_PROFILE, PRESSURE_REFERENCES,
-                      carry_recurrence, int_r3_i1)
+from _oracles import (H_RATIO_F, H_RATIO_PROFILE, H_RATIO_REFERENCES, KBAR_REFERENCES,
+                      PRESSURE_F, PRESSURE_PROFILE, PRESSURE_REFERENCES, carry_recurrence,
+                      h_ratio_gaps, int_r3_i1)
 
 PI2 = math.pi ** 2
 
@@ -29,24 +33,59 @@ PI2 = math.pi ** 2
 # H_n / J_n
 # ---------------------------------------------------------------------------
 
-def _h_closed_route(p, m, r):
-    """H_n(r) as the closed route forms it: the ratio H_n/I1(|n| r), carried
-    across 256 gaps up to r, times I1."""
-    ratio = curvature._h_ratio(p, m, np.linspace(0.0, r, 257)[1:])
-    return ratio[-1] * sp.i1(abs(m.n) * r)
+def _nodes(panels, b=1.0):
+    """The Gauss nodes of ``panels`` uniform panels on [0, b], panel-major."""
+    return gauss_nodes(np.linspace(0.0, b, panels + 1))[0].ravel()
 
 
 def test_hj_vanish_for_zero_f():
     m = mode_poly(1, [0, 0, 1, -1])
-    assert _h_closed_route(u_const(), m, 0.5) == 0.0
+    assert not np.any(curvature._h_ratio(u_const(), m, _nodes(256)))
 
 
 def test_h_at_one_matches_series_oracle():
-    # u = 1, f = r, n = 1: H_1(1) = int_0^1 s^3 I1(s) ds
+    # u = 1, f = r, n = 1: H_1(1) = int_0^1 s^3 I1(s) ds; the panels end just
+    # past 1 so that their last node lies on it
+    t = np.polynomial.legendre.leggauss(NODES)[0][-1]
+    r = _nodes(256, 1.0 / (1.0 - (1.0 - t) / 512))
+    assert r[-1] == pytest.approx(1.0, abs=2e-16)
     m = mode_poly(1, [0.0], f_re=[0.0, 1.0])
-    H = _h_closed_route(u_const(), m, 1.0)
+    H = curvature._h_ratio(u_const(), m, r)[-1] * sp.i1(r[-1])
     assert H.real == pytest.approx(int_r3_i1(), rel=1e-11)
     assert abs(H.imag) < 1e-14
+
+
+@pytest.mark.parametrize("panels", [256, 512])
+@pytest.mark.parametrize("n", [1, 3, 200, 10_000])
+def test_h_ratio_matches_the_gap_rule(panels, n):
+    p, m = u_quadratic(), standard_mode(n)
+    r = _nodes(panels)
+    got = curvature._h_ratio(p, m, r)
+    ref = h_ratio_gaps(m.f, p.u, n, r)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, r, value", H_RATIO_REFERENCES)
+def test_h_ratio_matches_mpmath_at_large_n(n, r, value):
+    nodes = _nodes(512)
+    i = int(np.argmin(np.abs(nodes - 0.587)))
+    assert nodes[i] == float(r)
+    m = mode_poly(n, G_BASE, f_re=H_RATIO_F)
+    got = curvature._h_ratio(profile_poly(H_RATIO_PROFILE), m, nodes)[i]
+    assert got.real == pytest.approx(float(value), rel=1e-14)
+    assert got.imag == 0.0
+
+
+@pytest.mark.parametrize("panels", [256, 8192])
+@pytest.mark.parametrize("n", [1, 10, 100, 10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7])
+def test_carry_factors_lie_in_the_unit_interval(monkeypatch, panels, n):
+    carry, decays = curvature._carry, []
+    monkeypatch.setattr(curvature, "_carry",
+                        lambda decay, increment: decays.append(decay) or carry(decay, increment))
+    curvature._h_ratio(u_quadratic(), standard_mode(n), _nodes(panels))
+    (decay,) = decays
+    assert decay.size == panels and decay[0] == 0.0   # nothing is carried into the axis
+    assert np.all((decay >= 0.0) & (decay <= 1.0))
 
 
 @pytest.mark.filterwarnings("error")
@@ -62,14 +101,6 @@ def test_carry_scan_matches_the_recurrence(n):
         got = curvature._carry(decay, increment)
     ref = np.array(carry_recurrence(decay.tolist(), increment.tolist()))
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
-
-
-def test_gap_chunks_do_not_change_the_carry(monkeypatch):
-    p, m = u_quadratic(), standard_mode(3)
-    r = np.linspace(0.0, 1.0, 5001)[1:]
-    whole = curvature._h_ratio(p, m, r)
-    monkeypatch.setattr(curvature, "_CHUNK", 7)
-    np.testing.assert_array_equal(curvature._h_ratio(p, m, r), whole)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +340,22 @@ def test_report_runs_closed_route_once_per_mode(monkeypatch):
     reports = [curvature_report(p, m, grid=1024) for m in modes]
     assert calls == [1, 3]
     assert [rep.k_normalized for rep in reports] == expected
+
+
+def test_closed_route_evaluates_bessel_twice_per_node(monkeypatch):
+    points, nodes = [], []
+
+    def counting(fn, sizes):
+        return lambda x: sizes.append(np.size(x)) or fn(x)
+
+    quad = curvature.quad_real
+    monkeypatch.setattr(curvature, "sp", SimpleNamespace(i0e=counting(special.i0e, points),
+                                                         i1e=counting(special.i1e, points)))
+    monkeypatch.setattr(curvature, "quad_real",
+                        lambda fn, *args, **kw: quad(counting(fn, nodes), *args, **kw))
+    curvature_mode_closed(u_quadratic(), standard_mode(3))
+    assert sum(nodes) > 0
+    assert sum(points) == 2 * sum(nodes)
 
 
 # ---------------------------------------------------------------------------

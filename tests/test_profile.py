@@ -65,6 +65,16 @@ def test_rigid_rotation_boundary_case():
     assert any(abs(w["r"]) < 1e-12 for w in rep.witness_points)
 
 
+@pytest.mark.parametrize("coeffs", [[0.0, 1.0], [2.0, 0.0, -1.0]])
+def test_witnesses_list_each_point_once(coeffs):
+    # u = r: eta and u*omega have their minimum at an exact zero on the axis;
+    # u = 2 - r^2: u*omega has its minimum at an exact zero at r = 1
+    report = classify_criteria(profile_poly(coeffs))
+    points = [(w["criterion"], w["r"]) for w in report.witness_points]
+    assert len(points) == len(set(points))
+    assert ("u_omega", 0.0 if coeffs[0] == 0.0 else 1.0) in points
+
+
 def _scalar_scan(fn, grid):
     """Reference for profile._scan: one scalar call per grid point."""
     vals = np.array([float(fn(r)) for r in grid])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from swirlcurv import AccuracyError
-from swirlcurv.quadrature import MAX_PANELS, gauss_nodes, panel_edges, quad_real
+from swirlcurv.quadrature import MAX_PANELS, NODES, gauss_nodes, panel_edges, quad_real
 
 
 def test_polynomials_and_complex_values_are_exact():
@@ -19,6 +19,18 @@ def test_nodes_ascend_and_stay_inside_panels():
     x, w = gauss_nodes(edges)
     assert np.all(np.diff(x.ravel()) > 0.0) and x.min() > 0.0 and x.max() < 1.0
     assert np.sum(w) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_integrand_sees_the_nodes_panel_major():
+    # the closed curvature route reshapes the nodes to (panels, NODES)
+    seen = []
+    quad_real(lambda x: seen.append(x) or np.exp(x), 0.0, 1.0, points=[1.0 / 3.0])
+    edges = panel_edges(0.0, 1.0, points=[1.0 / 3.0])
+    assert len(seen) >= 2
+    for x in seen:
+        assert x.shape == ((edges.size - 1) * NODES,)
+        np.testing.assert_array_equal(x.reshape(-1, NODES), gauss_nodes(edges)[0])
+        edges = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
 
 
 def test_knot_breakpoints_resolve_a_kink():
