@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, check_number, parse_config
+from .config import RunConfig, check_integer, parse_config
 from .curvature import curvature_report, oscillation_study
 from .errors import HypothesisViolationError, SwirlcurvError, ValidationError
 from .jacobi import (assemble_jacobi, conjugate_times, jacobi_residuals,
                      lambda_over_n_study, sl_spectrum)
-from .profile import classify_criteria
 
 __all__ = ["main", "run_command"]
 
@@ -44,20 +43,15 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _param(cfg: RunConfig, key: str, default, kind=int, minimum=None, maximum=None):
+def _param(cfg: RunConfig, key: str, default):
     """``cfg.params[key]``, or ``default`` when absent, each value checked by
-    ``check_number`` and against ``minimum`` and ``maximum``; a list default
-    takes a list, and an integer list may not repeat a value."""
+    ``check_integer``; a list default takes a list, which may not repeat a value."""
     value = cfg.params.get(key, default)
     many = isinstance(default, list)
     if many and not isinstance(value, list):
         raise ValidationError(f"param {key!r} must be a list, got {value!r}")
-    values = [check_number(v, kind, f"param {key!r}") for v in (value if many else [value])]
-    if minimum is not None and any(v < minimum for v in values):
-        raise ValidationError(f"param {key!r} must be >= {minimum}, got {value!r}")
-    if maximum is not None and any(v > maximum for v in values):
-        raise ValidationError(f"param {key!r} must be <= {maximum}, got {value!r}")
-    if kind is int and len(set(values)) < len(values):
+    values = [check_integer(v, f"param {key!r}") for v in (value if many else [value])]
+    if len(set(values)) < len(values):
         raise ValidationError(f"param {key!r} repeats a value: {value!r}")
     return values if many else values[0]
 
@@ -67,18 +61,14 @@ def _param(cfg: RunConfig, key: str, default, kind=int, minimum=None, maximum=No
 # ---------------------------------------------------------------------------
 
 def _cmd_check_profile(cfg: RunConfig, out: Path):
-    report = classify_criteria(cfg.profile, _param(cfg, "sample_count", 256))
-    payload = asdict(report)
-    _write_json(out / "criteria.json", payload)
+    _write_json(out / "criteria.json", asdict(cfg.profile.criteria))
     return ["criteria.json"]
 
 
 def _cmd_curvature(cfg: RunConfig, out: Path):
-    # the oracle's bound, checked before any mode runs (n = 0 modes never reach it)
-    grid = _param(cfg, "grid", 2048, minimum=64, maximum=65536)
     rows = []
     for m in sorted(cfg.modes, key=lambda mm: mm.n):
-        res = curvature_report(cfg.profile, m, grid)
+        res = curvature_report(cfg.profile, m)
         rows.append((res.n, res.kbar_closed, res.kbar_oracle, res.discrepancy,
                      res.k_normalized))
     _write_csv(out / "curvature.csv",
@@ -103,28 +93,24 @@ def _cmd_spectrum(cfg: RunConfig, out: Path):
 def _cmd_jacobi(cfg: RunConfig, out: Path):
     n = _param(cfg, "n", 1)
     m = _param(cfg, "m", 1)
-    eval_grid = _param(cfg, "eval_grid", 256, minimum=1)
-    snap = _param(cfg, "snapshot_grid", 64, minimum=1)
     phase = cfg.params.get("phase", "cos")
     s = sl_spectrum(cfg.profile, n, m)
     sol = assemble_jacobi(cfg.profile, s, m, phase=phase)
-    times = _param(cfg, "times", [0.25 * sol.t_star, 0.5 * sol.t_star, 0.75 * sol.t_star],
-                   float)
-    report = jacobi_residuals(cfg.profile, sol, grid=eval_grid, times=times)
+    report = jacobi_residuals(cfg.profile, sol)
     _write_json(out / "jacobi_residuals.json", {
         "n": n, "m": m, "lambda": float(sol.lam), "t_star": sol.t_star, "phase": phase,
         "residual_swirl_transport": report.swirl_transport,
         "residual_stream_transport": report.stream_transport,
         "residual_second_order": report.second_order,
         "residual_flow_components": report.flow_components,
-        "times": times,
+        "times": sol.times,
     })
     artifacts = ["jacobi_residuals.json"]
 
-    r = np.linspace(1.0 / snap, 1.0, snap)
+    r = np.linspace(1.0 / 64, 1.0, 64)   # 64 x 16 snapshot points per field and time
     z = 2.0 * np.pi * np.arange(16) / 16
     rr, zz = np.meshgrid(r, z, indexing="ij")
-    for idx, t in enumerate(times):
+    for idx, t in enumerate(sol.times):
         for name in ("h", "j", "g", "f"):
             vals = getattr(sol, name)(t, rr[:, :1], zz[:1, :])
             table = np.stack([rr, zz, np.broadcast_to(vals, rr.shape)], axis=-1)
@@ -168,12 +154,14 @@ def run_command(command: str, cfg: RunConfig, out_dir, quiet=False) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        artifacts = _COMMANDS[command](cfg, out)
+        # overflow and NaN stop the command; underflow flushes to 0 (curvature._carry)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            artifacts = _COMMANDS[command](cfg, out)
     except HypothesisViolationError as exc:
         print(json.dumps({"error": "hypothesis-violation", "message": str(exc)}),
               file=sys.stderr)
         return 2
-    except SwirlcurvError as exc:
+    except (SwirlcurvError, FloatingPointError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -5,7 +5,7 @@ A config is one JSON document:
     {
       "profile": {"expr": "2 - r^2"},
       "modes":   [{"n": 1, "g": {"expr": "r^2*(1-r)"}, "f": {"poly": [0.0]}}],
-      "params":  {"grid": 2048, "m_max": 3}
+      "params":  {"m_max": 3, "n_list": [1, 2]}
     }
 
 Radial functions accept three spellings: {"expr": "..."} for the expression
@@ -27,21 +27,18 @@ import numpy as np
 
 from .errors import RegularityError, ValidationError
 from .modes import FourierMode
-from .profile import RadialProfile, chebyshev_grid
+from .profile import CRITERIA_GRID, RadialProfile
 from .radial import (ComplexRadialFunction, ExpressionFunction, PolynomialFunction,
                      RadialFunction, TableFunction, zero)
 
-__all__ = ["RunConfig", "check_number", "parse_config", "radial_from_spec"]
+__all__ = ["RunConfig", "check_integer", "parse_config", "radial_from_spec"]
 
 
-def check_number(value, kind, name: str):
-    """``value`` as ``kind``: a JSON integer for int, a finite JSON number for float,
-    within the float range either way (NaN and infinities fail the comparison)."""
-    if (isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
-            or not abs(value) <= sys.float_info.max):
-        noun = "integer" if kind is int else "number"
-        raise ValidationError(f"{name} must be a finite {noun}, got {value!r}")
-    return kind(value)
+def check_integer(value, name: str) -> int:
+    """``value``, which must be a JSON integer within the float range."""
+    if isinstance(value, bool) or not isinstance(value, int) or abs(value) > sys.float_info.max:
+        raise ValidationError(f"{name} must be a finite integer, got {value!r}")
+    return value
 
 
 def radial_from_spec(spec) -> RadialFunction:
@@ -69,7 +66,7 @@ def _complex_from_spec(cfg: dict, key: str) -> ComplexRadialFunction:
 def _mode_from_spec(cfg: dict) -> FourierMode:
     if "n" not in cfg:
         raise ValidationError("mode spec missing 'n'")
-    return FourierMode(check_number(cfg["n"], int, "mode 'n'"),
+    return FourierMode(check_integer(cfg["n"], "mode 'n'"),
                        _complex_from_spec(cfg, "g"), _complex_from_spec(cfg, "f"))
 
 
@@ -87,7 +84,7 @@ class RunConfig:
 
 def _require_finite(profile: RadialProfile, modes) -> None:
     """Reject a profile or mode with a non-finite value on the criteria grid."""
-    r = chebyshev_grid(256)
+    r = CRITERIA_GRID
     with np.errstate(all="ignore"):
         samples = [profile.u(r), profile.u.derivative(r), profile.eta(r)]
         for m in modes:

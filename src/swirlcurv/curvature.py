@@ -52,6 +52,9 @@ __all__ = [
 # Pressure solutions
 # ---------------------------------------------------------------------------
 
+GRID = 4096   # the oracle's finite-difference grid: past it only round-off grows
+
+
 @dataclass
 class PressureSolution:
     """The Fourier coefficient q_n of the pressure in the Leray projection."""
@@ -111,19 +114,16 @@ def _h_ratio(p: RadialProfile, m: FourierMode, r):
     return (start[:, None] + half[:, None] * ((vq + start[:, None] * vp) @ _S.T)).ravel()
 
 
-def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> PressureSolution:
+def pressure_bvp_solve(p: RadialProfile, m: FourierMode) -> PressureSolution:
     """Second-order finite-difference solution of the pressure Neumann problem.
 
     Regularity at the axis is imposed through the even extension (q'(0) = 0,
     with the q'/r term resolved by l'Hopital at r = 0); Richardson
-    extrapolation over grids N and 2N upgrades the interior accuracy to
-    fourth order.  Completely independent of the Bessel route.
+    extrapolation over grids ``GRID`` and 2 ``GRID`` upgrades the interior
+    accuracy to fourth order.  Completely independent of the Bessel route.
     """
     if m.n == 0:
         raise InvalidModeError("pressure BVP requires n != 0")
-    if not 64 <= grid <= 65536:
-        # past 4096 only round-off grows; 65536 already needs ~64 MB
-        raise ValidationError(f"grid must be in 64 ... 65536, got {grid}")
     beta = complex(-m.f(1.0) * float(p.u(1.0)))
 
     def solve(N):
@@ -154,8 +154,8 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode, grid: int = 2048) -> Pr
         b[N] -= (2.0 / h + 1.0) * np.array([beta.real, beta.imag])
         return r, solve_banded((1, 1), ab, b)
 
-    r1, q1 = solve(grid)
-    r2, q2 = solve(2 * grid)
+    r1, q1 = solve(GRID)
+    r2, q2 = solve(2 * GRID)
     # one real spline per column (real, imaginary part), clamped to q'(0) = 0, q'(1) = beta
     spline = CubicSpline(r1, (4.0 * q2[::2] - q1) / 3.0, ((1, 0.0), (1, [beta.real, beta.imag])))
 
@@ -188,7 +188,7 @@ def curvature_mode_closed(p: RadialProfile, m: FourierMode) -> float:
     return FOUR_PI_SQ * quad_real(integrand, 0.0, 1.0, points=_knots(p, m))
 
 
-def curvature_mode_oracle(p: RadialProfile, m: FourierMode, grid: int = 4096) -> float:
+def curvature_mode_oracle(p: RadialProfile, m: FourierMode) -> float:
     """Direct curvature-tensor contraction using the finite-difference pressure.
 
     Assembles W = R(Y_n, X) X before the outer Leray projection and returns
@@ -197,7 +197,7 @@ def curvature_mode_oracle(p: RadialProfile, m: FourierMode, grid: int = 4096) ->
     """
     if m.n == 0:
         return 0.0
-    q = pressure_bvp_solve(p, m, grid)
+    q = pressure_bvp_solve(p, m)
     n2 = m.n ** 2
 
     def integrand(r):
@@ -245,9 +245,9 @@ class CurvatureResult:
     k_normalized: float
 
 
-def curvature_report(p: RadialProfile, m: FourierMode, grid: int = 4096) -> CurvatureResult:
+def curvature_report(p: RadialProfile, m: FourierMode) -> CurvatureResult:
     kc = curvature_mode_closed(p, m)
-    ko = curvature_mode_oracle(p, m, grid)
+    ko = curvature_mode_oracle(p, m)
     try:
         kn = kc / _gram_determinant(p, m)
     except (RegularityError, DegenerateSectionError):

@@ -112,10 +112,10 @@ def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048) -> SLSpe
         raise InvalidModeError("spectrum requires n != 0")
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
-    report = p.criteria
-    if not report.u_omega_positive:
+    if not p.criteria.u_omega_positive:
+        witnesses = [w for w in p.criteria.witness_points if w["criterion"] == "u_omega"]
         raise HypothesisViolationError(
-            f"u * omega is not positive on [0,1]; witnesses: {report.witness_points}")
+            f"u * omega is not positive on [0,1]; witnesses: {witnesses}")
 
     n_abs = abs(int(n))
     K, lam, est = max(16, 2 * m_max), None, None
@@ -173,6 +173,11 @@ class JacobiSolution:
     phase: str
     profile: RadialProfile = field(repr=False, default=None)
     _phi: Legendre = field(repr=False, default=None)
+
+    @property
+    def times(self):
+        """t*/4, t*/2 and 3 t*/4: where the residuals and the snapshots are taken."""
+        return [0.25 * self.t_star, 0.5 * self.t_star, 0.75 * self.t_star]
 
     def _time(self, t):
         T, dT, G = _TIME_FACTORS[self.phase]
@@ -267,19 +272,16 @@ def _relative(defect, *terms) -> float:
     return float(np.max(np.abs(defect)) / max(*(np.max(np.abs(x)) for x in terms), 1e-300))
 
 
-def jacobi_residuals(p: RadialProfile, sol: JacobiSolution, grid: int = 256,
-                     times=None) -> ResidualReport:
+def jacobi_residuals(p: RadialProfile, sol: JacobiSolution) -> ResidualReport:
     """Evaluate the four linearized-equation residuals for a Jacobi solution.
 
     Time derivatives are analytic (the closed forms are trigonometric in t);
     z derivatives are spectral; r derivatives are those of the eigenfunction's
-    Legendre series.  The radial grid starts away from the axis, where the
-    1/r^2 factors would amplify round-off.
+    Legendre series.  The 256-point radial grid starts away from the axis, where
+    the 1/r^2 factors would amplify round-off; the times are ``sol.times``.
     """
-    if times is None:
-        times = [0.25 * sol.t_star, 0.5 * sol.t_star, 0.75 * sol.t_star]
     n = sol.n
-    r = np.linspace(0.1, 1.0, grid)[:, None]
+    r = np.linspace(0.1, 1.0, 256)[:, None]
     nz = max(16, 4 * abs(n))
     z = (2.0 * np.pi * np.arange(nz) / nz)[None, :]
 
@@ -292,7 +294,7 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution, grid: int = 256,
     lop = ddphi / r - dphi / r ** 2 - n * n * phi / r
 
     res_a = res_b = res_c = res_d = 0.0
-    for t in times:
+    for t in sol.times:
         cz = np.cos(n * z)
 
         h = sol.h(t, r, z)

@@ -18,17 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
 from .radial import RadialFunction
 
 __all__ = [
     "RadialProfile",
     "CriteriaReport",
-    "chebyshev_grid",
+    "CRITERIA_GRID",
     "classify_criteria",
 ]
 
 POSITIVITY_TOL_SCALE = 1e-12
+# the criteria's 256 Chebyshev points on [0, 1], both ends included
+CRITERIA_GRID = 0.5 * (1.0 - np.cos(np.pi * np.arange(256) / 255))
 
 
 class RadialProfile:
@@ -39,7 +40,7 @@ class RadialProfile:
 
     @functools.cached_property
     def criteria(self) -> CriteriaReport:
-        """``classify_criteria`` at its default sampling, scanned once per profile."""
+        """``classify_criteria`` of this profile, scanned once."""
         return classify_criteria(self)
 
     def omega(self, r):
@@ -59,14 +60,9 @@ class CriteriaReport:
     u_omega_min: float
     tolerance: float
     witness_points: list = field(default_factory=list)
-    """Each witness is a dict {criterion, r, value} recording a failing point."""
-
-
-def chebyshev_grid(count: int) -> np.ndarray:
-    # Chebyshev points mapped to [0,1], endpoints included
-    k = np.arange(count)
-    pts = 0.5 * (1.0 - np.cos(np.pi * k / (count - 1)))
-    return np.union1d(pts, [0.0, 1.0])
+    """Dicts {criterion, r, value}: for each failing criterion its minimum, then
+    every root found, a grid zero or a sign change bisected to 1e-12 in r (so its
+    value is near 0, though for a steep criterion not always within ``tolerance``)."""
 
 
 def _bisect_root(fn, a, b, fa, fb, tol=1e-12):
@@ -95,19 +91,15 @@ def _scan(fn, grid):
             np.concatenate([vals, [float(fn(r)) for r in roots]]))
 
 
-def classify_criteria(p: RadialProfile, sample_count: int = 256) -> CriteriaReport:
-    """Evaluate the positivity criteria on a Chebyshev grid plus detected roots.
+def classify_criteria(p: RadialProfile) -> CriteriaReport:
+    """Evaluate the positivity criteria on ``CRITERIA_GRID`` plus detected roots.
 
     "Strictly positive" means min > tol with
     tol = POSITIVITY_TOL_SCALE * (1 + max |eta|) on the grid.
     """
-    if sample_count < 2:
-        raise ValidationError("sample_count must be >= 2")
-    grid = chebyshev_grid(sample_count)
-
     uo_fn = lambda r: p.u(r) * p.omega(r)
-    eta_pts, eta_vals = _scan(p.eta, grid)
-    uo_pts, uo_vals = _scan(uo_fn, grid)
+    eta_pts, eta_vals = _scan(p.eta, CRITERIA_GRID)
+    uo_pts, uo_vals = _scan(uo_fn, CRITERIA_GRID)
 
     tol = POSITIVITY_TOL_SCALE * (1.0 + float(np.max(np.abs(eta_vals))))
     eta_min_i = int(np.argmin(eta_vals))
@@ -128,7 +120,7 @@ def classify_criteria(p: RadialProfile, sample_count: int = 256) -> CriteriaRepo
             ("u_omega", report.u_omega_positive, uo_pts, uo_vals, uo_min_i)):
         if not ok:
             # the minimum first, then every other root found (they follow the grid values)
-            roots = [k for k in range(grid.size, pts.size) if pts[k] != pts[i]]
+            roots = [k for k in range(CRITERIA_GRID.size, pts.size) if pts[k] != pts[i]]
             report.witness_points += [{"criterion": name, "r": float(pts[k]),
                                        "value": float(vals[k])} for k in [i, *roots]]
     return report

@@ -3,8 +3,9 @@
 ``PANELS`` uniform panels on [a, b], split at spline knots, carry ``NODES``
 Gauss-Legendre nodes each; the integrand sees every node at once, ascending,
 and may be complex.  Panels are bisected until the P- and 2P-panel values
-agree, or ``AccuracyError`` is raised past ``MAX_PANELS``.  Gauss nodes never
-touch a panel end, so a removable 1/r at the axis needs no special case."""
+agree; ``AccuracyError`` is raised past ``MAX_PANELS`` or on a non-finite sum.
+Gauss nodes never touch a panel end, so a removable 1/r at the axis needs no
+special case."""
 
 from __future__ import annotations
 
@@ -45,7 +46,10 @@ def quad_real(fn, a, b, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL, points=())
     of panel k, on which the closed curvature route collocates."""
     def total(edges):
         x, w = gauss_nodes(edges)
-        return np.sum(w.ravel() * fn(x.ravel()))
+        out = np.sum(w.ravel() * fn(x.ravel()))
+        if not np.isfinite(out):   # refining cannot mend it
+            raise AccuracyError(f"quadrature sum {out} on {edges.size - 1} panels")
+        return out
 
     edges = panel_edges(a, b, points)
     value = total(edges)

@@ -1,13 +1,15 @@
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from swirlcurv import curvature, profile
+from swirlcurv import profile
 from swirlcurv.cli import main
 
 GOOD_PROFILE = {"expr": "1 + r^2"}
@@ -41,8 +43,7 @@ def test_check_profile_reports_witnesses(tmp_path):
 
 
 def test_curvature_command_deterministic(tmp_path):
-    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "modes": MODES,
-                               "params": {"grid": 1024}})
+    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "modes": MODES})
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     assert main(["curvature", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
@@ -61,7 +62,7 @@ def test_curvature_command_deterministic(tmp_path):
 
 def test_spectrum_command(tmp_path):
     cfg = write_cfg(tmp_path, {"profile": {"poly": [1.0]},
-                               "params": {"m_max": 2, "n_list": [1, 2], "grid": 512}})
+                               "params": {"m_max": 2, "n_list": [1, 2]}})
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
     lines = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
     assert lines[0] == "n,m,lambda,t_star,error_estimate"
@@ -78,12 +79,13 @@ def test_spectrum_hypothesis_violation_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     payload = json.loads(err)  # single-line JSON diagnostic
     assert payload["error"] == "hypothesis-violation"
+    # u = 2 - r^2 also fails eta, but only u * omega witnesses back this refusal
+    assert "'u_omega'" in payload["message"] and "'eta'" not in payload["message"]
 
 
 def test_jacobi_command(tmp_path):
     cfg = write_cfg(tmp_path, {"profile": {"poly": [1.0]},
-                               "params": {"n": 1, "m": 1, "grid": 512,
-                                          "eval_grid": 128}})
+                               "params": {"n": 1, "m": 1}})
     assert main(["jacobi", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
     report = json.loads((tmp_path / "jacobi_residuals.json").read_text())
     for key in ("residual_swirl_transport", "residual_stream_transport",
@@ -106,7 +108,7 @@ def test_oscillation_command(tmp_path):
 
 def test_limit_command(tmp_path):
     cfg = write_cfg(tmp_path, {"profile": {"poly": [1.0]},
-                               "params": {"m": 1, "n_list": [4, 8, 16], "grid": 1024}})
+                               "params": {"m": 1, "n_list": [4, 8, 16]}})
     assert main(["limit-study", "--config", cfg, "--out", str(tmp_path),
                  "--quiet"]) == 0
     lines = (tmp_path / "limit.csv").read_text().strip().splitlines()
@@ -137,8 +139,6 @@ def case(command, payload, id):
 
 
 ONE = {"poly": [1.0]}
-JACOBI = {"n": 1, "m": 1, "grid": 256, "eval_grid": 16, "snapshot_grid": 4}
-N0_MODE = {"n": 0, "f": {"poly": [0, 1, -1]}}
 
 
 def table(r, values):
@@ -157,16 +157,10 @@ def table(r, values):
     case("check-profile", {"profile": {"expr": "log(r)"}}, "payload6"),  # -inf at the axis
     case("check-profile", {"profile": GOOD_PROFILE,                      # g(1) != 0
                            "modes": [{"n": 1, "g": {"poly": [0, 0, 1]}}]}, "payload7"),
-    case("check-profile", {"profile": GOOD_PROFILE, "params": {"sample_count": 1}},
-         "payload8"),                                                    # too few samples
     case("check-profile", {"profile": {"expr": 5}}, "expr-not-text"),
-    case("jacobi", {"profile": ONE, "params": dict(JACOBI, times=[math.nan])}, "nan-time"),
     case("spectrum", {"profile": ONE, "params": {"m_max": "x"}}, "text-m_max"),
     case("spectrum", {"profile": ONE, "params": {"n_list": 5}}, "n_list-not-list"),
-    case("curvature", {"profile": GOOD_PROFILE, "modes": MODES,
-                       "params": {"grid": 1e400}}, "infinite-grid"),  # 1e400 reads as inf
-    case("jacobi", {"profile": ONE, "params": dict(JACOBI, snapshot_grid=0)}, "snapshot_grid-0"),
-    case("jacobi", {"profile": ONE, "params": dict(JACOBI, eval_grid=0)}, "eval_grid-0"),
+    case("spectrum", {"profile": ONE, "params": {"m_max": 1e400}}, "infinite-m_max"),  # inf
     case("curvature", {"profile": GOOD_PROFILE, "modes": [dict(MODES[0], n=1.5)]},
          "fractional-n"),
     case("curvature", {"profile": GOOD_PROFILE, "modes": [MODES[0], MODES[0]]},
@@ -178,11 +172,6 @@ def table(r, values):
          "descending-table-r"),
     case("check-profile", {"profile": table([0, 0.25, 0.5, 1], [1, math.nan, 1, 1])},
          "nan-table-value"),
-    case("curvature", {"profile": GOOD_PROFILE, "modes": MODES, "params": {"grid": 65537}},
-         "grid-above-65536"),
-    case("curvature", {"profile": ONE, "modes": [N0_MODE], "params": {"grid": 100_000_000}},
-         "n0-grid-1e8"),
-    case("curvature", {"profile": ONE, "modes": [N0_MODE], "params": {"grid": 3}}, "n0-grid-3"),
 ])
 def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
@@ -194,15 +183,6 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, paylo
     assert json.loads(lines[0])["error"] == "ValidationError"
     assert "np." not in lines[0]  # plain numbers, not numpy reprs
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]  # no artifact written
-
-
-def test_curvature_grid_is_checked_before_any_mode_runs(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(curvature, "curvature_mode_closed", lambda p, m: calls.append(m.n))
-    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "modes": MODES,
-                               "params": {"grid": 65537}})
-    assert main(["curvature", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert calls == []
 
 
 def test_spectrum_beyond_the_basis_exit_code(tmp_path, capsys):
@@ -264,3 +244,67 @@ def test_missing_config_file_is_named(tmp_path, capsys):
     payload = json.loads(lines[0])
     assert payload["error"] == "config-error"
     assert "No such file" in payload["message"] and "missing.json" in payload["message"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_is_one_json_line(tmp_path, capsys):
+    # |g|^2 overflows for coefficients of 1e200: no warnings, no refinement on NaN
+    big = {"n": 1, "g": {"poly": [0, 0, 1e200, -1e200]}, "f": {"poly": [0, 1, -1]}}
+    cfg = write_cfg(tmp_path, {"profile": ONE, "modes": [big]})
+    assert main(["curvature", "--config", cfg, "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "FloatingPointError"
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_removed_sampling_keys_are_ignored(tmp_path):
+    # the program fixes its own resolution; a config that still sets it runs as without
+    for command, payload, removed in [
+            ("curvature", {"profile": GOOD_PROFILE, "modes": MODES}, {"grid": 65537}),
+            ("check-profile", {"profile": GOOD_PROFILE}, {"sample_count": 1}),
+            ("jacobi", {"profile": ONE, "params": {"n": 1, "m": 1}},
+             {"eval_grid": 0, "snapshot_grid": 0, "times": [math.nan]})]:
+        params = payload.get("params", {})
+        outputs = []
+        for index, extra in enumerate([{}, removed]):
+            cfg = write_cfg(tmp_path, dict(payload, params=dict(params, **extra)))
+            out = tmp_path / f"{command}-{index}"
+            assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert outputs[0] == outputs[1]
+
+
+def _params_read_by_each_command():
+    """(command, key) for every key a ``_cmd_*`` function of cli.py reads,
+    through ``_param(cfg, key, ...)`` or ``cfg.params.get(key, ...)``."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src/swirlcurv/cli.py").read_text())
+    table, = (node.value for node in tree.body
+              if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "_COMMANDS")
+    names = {v.id: k.value for k, v in zip(table.keys, table.values)}
+    key_at = {"_param": 1, "cfg.params.get": 0}   # the key's argument position
+    return {(names[fn.name], call.args[key_at[ast.unparse(call.func)]].value)
+            for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in names
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and ast.unparse(call.func) in key_at}
+
+
+def _params_in_readme():
+    """(command, param) rows of the README's params table; a parenthesis
+    qualifies the param before it and names none."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| command | param | default |") + 2
+    pairs = set()
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, params = line.split("|")[1:3]
+        for key in re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", params)):
+            pairs.add((command.strip().strip("`"), key))
+    return pairs
+
+
+def test_readme_params_table_matches_the_cli():
+    read = _params_read_by_each_command()
+    assert ("jacobi", "phase") in read and ("spectrum", "n") in read
+    assert _params_in_readme() == read

@@ -12,7 +12,7 @@ BASIC = {
         {"n": 2, "g": {"expr": "r^2*(1-r)"}, "g_imag": {"poly": [0, 0, 1, -1]},
          "f": {"poly": [0.0]}},
     ],
-    "params": {"grid": 512, "m_max": 2},
+    "params": {"m_max": 2},
 }
 
 
@@ -22,7 +22,7 @@ def test_parse_from_dict():
     assert len(cfg.modes) == 2
     assert cfg.modes[0].n == 1
     assert cfg.modes[1].g(0.5) == pytest.approx(0.125 + 0.125j)
-    assert cfg.params["grid"] == 512
+    assert cfg.params["m_max"] == 2
 
 
 def test_parse_from_string_and_path(tmp_path):

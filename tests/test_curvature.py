@@ -109,7 +109,7 @@ def test_carry_scan_matches_the_recurrence(n):
 
 def test_pressure_zero_for_zero_f():
     m = mode_poly(2, [0, 0, 1, -1])
-    qb = pressure_bvp_solve(u_const(), m, grid=256)
+    qb = pressure_bvp_solve(u_const(), m)
     for r in (0.0, 0.3, 0.8, 1.0):
         assert abs(qb.q(r)) < 1e-10
 
@@ -119,7 +119,7 @@ def test_pressure_boundary_condition(n):
     p = u_quadratic()
     m = standard_mode(n)
     f1u1 = complex(m.f(1.0)) * float(p.u(1.0))
-    sol = pressure_bvp_solve(p, m, 1024)
+    sol = pressure_bvp_solve(p, m)
     assert sol.q_prime(1.0) == pytest.approx(-f1u1, abs=1e-9)
 
 
@@ -139,7 +139,7 @@ def ode_residual(sol, p, m, grid=128):
 def test_pressure_bvp_satisfies_ode():
     p = u_quadratic()
     m = standard_mode(3)
-    assert ode_residual(pressure_bvp_solve(p, m, grid=2048), p, m) < 1e-6
+    assert ode_residual(pressure_bvp_solve(p, m), p, m) < 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 10])
@@ -149,7 +149,7 @@ def test_pressure_routes_agree(n):
     f = [complex(c) for c in PRESSURE_F]
     m = mode_poly(n, [0, 0, 1, -1], g_im=[0, 0, 0, 0.5], f_re=[c.real for c in f],
                   f_im=[c.imag for c in f])
-    qb = pressure_bvp_solve(p, m, grid=2048)
+    qb = pressure_bvp_solve(p, m)
     for r, q, q_prime in PRESSURE_REFERENCES[n]:
         assert qb.q(float(r)) == pytest.approx(complex(q), abs=1e-10)
         assert qb.q_prime(float(r)) == pytest.approx(complex(q_prime), abs=5e-9)
@@ -165,14 +165,7 @@ def test_oracle_matches_closed_route_to_2e11(u):
     for n in (1, 2, 3, 10, 200):
         m = FourierMode(3, standard_mode(3).g, f_table) if n == 3 else standard_mode(n)
         closed = curvature_mode_closed(p, m)
-        assert abs(curvature_mode_oracle(p, m, 4096) - closed) <= 2e-11 * abs(closed)
-
-
-def test_pressure_bvp_grid_validation():
-    with pytest.raises(ValidationError):
-        pressure_bvp_solve(u_const(), standard_mode(1), grid=32)
-    with pytest.raises(ValidationError):
-        pressure_bvp_solve(u_const(), standard_mode(1), grid=65537)
+        assert abs(curvature_mode_oracle(p, m) - closed) <= 2e-11 * abs(closed)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +184,7 @@ def test_curvature_pure_swirl_mode_second_term():
     m = mode_poly(2, [0.0], f_re=[0, 1, -1])
     k = curvature_mode_closed(u_const(), m)
     assert k > 0
-    ko = curvature_mode_oracle(u_const(), m, grid=2048)
+    ko = curvature_mode_oracle(u_const(), m)
     assert ko == pytest.approx(k, rel=1e-8)
 
 
@@ -207,7 +200,7 @@ def test_closed_matches_oracle_complex_mode(n):
     rng = np.random.default_rng(17 + n)
     m = random_mode(rng, n=n)
     kc = curvature_mode_closed(p, m)
-    ko = curvature_mode_oracle(p, m, grid=4096)
+    ko = curvature_mode_oracle(p, m)
     assert abs(kc - ko) <= 1e-8 * (1.0 + abs(kc))
 
 
@@ -244,7 +237,7 @@ def test_negative_curvature_when_eta_negative():
     p, m = bump_profile_mode()
     kc = curvature_mode_closed(p, m)
     assert kc < 0.0
-    ko = curvature_mode_oracle(p, m, grid=4096)
+    ko = curvature_mode_oracle(p, m)
     assert abs(kc - ko) <= 1e-6 * (1.0 + abs(kc))
 
 
@@ -279,7 +272,7 @@ def test_combined_field_oracle_cross_terms_cancel():
     y_r = np.zeros_like(w_r)
     y_th = np.zeros_like(w_r)
     for m in modes:
-        q = pressure_bvp_solve(p, m, grid=2048)
+        q = pressure_bvp_solve(p, m)
         qp = np.array([q.q_prime(x) for x in r])
         g = np.asarray(m.g(r))
         f = np.asarray(m.f(r))
@@ -294,7 +287,7 @@ def test_combined_field_oracle_cross_terms_cancel():
     dens *= r[:, None]
     combined = 2 * np.pi * simpson(dens.mean(axis=1) * 2 * np.pi, x=r)
 
-    separate = sum(curvature_mode_oracle(p, m, grid=2048) for m in modes)
+    separate = sum(curvature_mode_oracle(p, m) for m in modes)
     assert combined == pytest.approx(separate, abs=1e-6 * (1 + abs(separate)))
 
 
@@ -310,7 +303,7 @@ def test_normalized_curvature_and_degenerate_section():
 
 def test_curvature_report_fields():
     p = u_const()
-    rep = curvature_report(p, standard_mode(2), grid=1024)
+    rep = curvature_report(p, standard_mode(2))
     assert rep.n == 2
     assert rep.discrepancy <= 1e-8
     assert rep.kbar_closed > 0 and np.isfinite(rep.k_normalized)
@@ -320,7 +313,7 @@ def test_report_nan_normalization_for_divergent_mode():
     # g'(0) != 0: Kbar is still finite but the kinetic-energy normalization is not
     p = u_const()
     m = mode_poly(1, [0.0, 1.0, -1.0])
-    rep = curvature_report(p, m, grid=1024)
+    rep = curvature_report(p, m)
     assert np.isfinite(rep.kbar_closed)
     assert math.isnan(rep.k_normalized)
 
@@ -337,7 +330,7 @@ def test_report_runs_closed_route_once_per_mode(monkeypatch):
         return closed(pp, mm)
 
     monkeypatch.setattr(curvature, "curvature_mode_closed", counting)
-    reports = [curvature_report(p, m, grid=1024) for m in modes]
+    reports = [curvature_report(p, m) for m in modes]
     assert calls == [1, 3]
     assert [rep.k_normalized for rep in reports] == expected
 
@@ -404,7 +397,7 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=12, database=N
 def test_property_closed_matches_oracle(profile, m):
     p = profile()
     kc = curvature_mode_closed(p, m)
-    ko = curvature_mode_oracle(p, m, grid=4096)
+    ko = curvature_mode_oracle(p, m)
     assert abs(kc - ko) / (1.0 + abs(kc)) <= 1e-6
 
 

@@ -52,3 +52,17 @@ def test_unresolved_integrand_raises_with_estimate():
     assert info.value.value == pytest.approx(2.0, rel=1e-2)
     assert 0.0 < info.value.error_estimate < 1e-1
     assert calls[-1] == 10 * MAX_PANELS
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sum_stops_at_once(bad):
+    # refining a NaN or infinite sum cannot converge, so the first one raises
+    calls = []
+
+    def broken(x):
+        calls.append(x.size)
+        return np.where(x > 0.5, bad, x)
+
+    with pytest.raises(AccuracyError):
+        quad_real(broken, 0.0, 1.0)
+    assert len(calls) <= 2

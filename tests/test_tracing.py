@@ -24,8 +24,7 @@ print(json.dumps({"code": code, "metrics": tracer.metrics()}))
 def test_tracer_installs_and_traces_one_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"profile": {"poly": [1.0]},
-                               "params": {"n": 1, "m": 1, "grid": 256, "eval_grid": 16,
-                                          "snapshot_grid": 4}}))
+                               "params": {"n": 1, "m": 1}}))
     path = [str(ROOT / "src"), str(ROOT / "bench"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, "jacobi", "--config", str(cfg),
