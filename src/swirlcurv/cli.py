@@ -123,6 +123,8 @@ def _cmd_jacobi(cfg: RunConfig, out: Path):
 def _cmd_oscillation(cfg: RunConfig, out: Path):
     n = _param(cfg, "n", 1)
     k_max = _param(cfg, "k_max", 32)
+    if k_max < 1:
+        raise ValidationError(f"param 'k_max' must be >= 1, got {k_max}")
     rows = oscillation_study(cfg.profile, n, range(1, k_max + 1))
     _write_csv(out / "oscillation.csv", ["k", "k_normalized"], rows)
     return ["oscillation.csv"]
@@ -131,6 +133,8 @@ def _cmd_oscillation(cfg: RunConfig, out: Path):
 def _cmd_limit(cfg: RunConfig, out: Path):
     m = _param(cfg, "m", 1)
     n_list = _param(cfg, "n_list", [4, 8, 16, 32, 64])
+    if not n_list:
+        raise ValidationError("param 'n_list' must not be empty")
     pairs = lambda_over_n_study(cfg.profile, m, n_list)
     ratios = [ratio for _, ratio in pairs]
     diffs = [float("nan")] + [b - a for a, b in zip(ratios, ratios[1:])]

@@ -30,7 +30,7 @@ from . import special as sp
 from .errors import (DegenerateSectionError, InvalidModeError, RegularityError,
                      ValidationError)
 from .linalg import solve_banded
-from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy, swirl_energy
+from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy
 from .profile import RadialProfile
 from .quadrature import NODES, quad_real
 from .radial import CubicSpline
@@ -222,7 +222,7 @@ def curvature_total(p: RadialProfile, modes) -> float:
 
 
 def _gram_determinant(p: RadialProfile, m: FourierMode) -> float:
-    xx = swirl_energy(p)
+    xx = p.energy
     yy = mode_energy(m)
     xy = cross_inner_product(p, m)
     denom = xx * yy - xy * xy
@@ -275,7 +275,7 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
     """
     if n == 0:
         raise InvalidModeError("oscillation study requires n != 0")
-    xx = swirl_energy(p)
+    xx = p.energy
     out = []
     for k in k_values:
         w = k * np.pi

@@ -43,6 +43,12 @@ class RadialProfile:
         """``classify_criteria`` of this profile, scanned once."""
         return classify_criteria(self)
 
+    @functools.cached_property
+    def energy(self) -> float:
+        """<<X, X>> by ``modes.swirl_energy`` (which imports this module), once."""
+        from .modes import swirl_energy
+        return swirl_energy(self)
+
     def omega(self, r):
         return 2.0 * self.u(r) + np.asarray(r, dtype=float) * self.u.derivative(r)
 

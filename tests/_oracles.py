@@ -199,11 +199,18 @@ def kbar_mpmath(u, n, g, f, dps=30):
 
 
 # H_n(r) / I1(N r) for u = 1 + r^2, f = r (1 - r) at the node r (its exact
-# double) of the 512-panel Gauss set nearest 0.587: (n, r, value) from
-# ``h_ratio_mpmath`` at 30 digits, confirmed to the digits shown at 40
+# double) nearest 0.587 of the 32-, 64- or 512-panel Gauss set: (n, r, value)
+# from ``h_ratio_mpmath`` at 30 digits, confirmed to the digits shown at 40
 H_RATIO_PROFILE = [1.0, 0.0, 1.0]
 H_RATIO_F = [0.0, 1.0, -1.0]
+H_RATIO_PANELS = (32, 64, 512)
 H_RATIO_REFERENCES = [
+    (200, "0.5887407745046722", "0.1114778089088611321041915"),
+    (10_000, "0.5887407745046722", "0.1129834516028135097888124"),
+    (1_000_000, "0.5887407745046722", "0.1130135463750530012503263"),
+    (200, "0.587100580773294", "0.1108195197272142892992974"),
+    (10_000, "0.587100580773294", "0.1123273005122684774248937"),
+    (1_000_000, "0.587100580773294", "0.1123574466557621375782135"),
     (10_000, "0.5870594475966617", "0.1123108407019114875381092"),
     (100_000, "0.5870594475966617", "0.1123382479814128222142404"),
     (1_000_000, "0.5870594475966617", "0.1123409880960220503071009"),

@@ -167,6 +167,9 @@ def table(r, values):
          "duplicate-n"),
     case("spectrum", {"profile": ONE, "params": {"n_list": [1, 1]}}, "repeated-n_list"),
     case("limit-study", {"profile": ONE, "params": {"n_list": [4, 4]}}, "repeated-limit-n"),
+    case("limit-study", {"profile": ONE, "params": {"n_list": []}}, "empty-limit-n_list"),
+    case("oscillation-study", {"profile": ONE, "params": {"k_max": 0}}, "k_max-0"),
+    case("oscillation-study", {"profile": ONE, "params": {"k_max": -5}}, "negative-k_max"),
     case("check-profile", {"profile": table([0, 0.5, 0.5, 1], [1, 1, 1, 1])}, "repeated-table-r"),
     case("check-profile", {"profile": table([0, 0.75, 0.5, 1], [1, 1, 1, 1])},
          "descending-table-r"),

@@ -1,8 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from swirlcurv import AccuracyError
-from swirlcurv.quadrature import MAX_PANELS, NODES, gauss_nodes, panel_edges, quad_real
+from swirlcurv import AccuracyError, curvature
+from swirlcurv.quadrature import MAX_PANELS, NODES, PANELS, gauss_nodes, panel_edges, quad_real
+
+from _helpers import standard_mode, u_quadratic
 
 
 def test_polynomials_and_complex_values_are_exact():
@@ -66,3 +71,41 @@ def test_non_finite_sum_stops_at_once(bad):
     with pytest.raises(AccuracyError):
         quad_real(broken, 0.0, 1.0)
     assert len(calls) <= 2
+
+
+def _node_counts(monkeypatch):
+    """The node count of every integrand call made through ``curvature.quad_real``."""
+    counts = []
+    monkeypatch.setattr(curvature, "quad_real", lambda fn, *args, **kwargs: quad_real(
+        lambda x: counts.append(x.size) or fn(x), *args, **kwargs))
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 200, 10_000])
+@pytest.mark.parametrize("route", ["curvature_mode_closed", "curvature_mode_oracle"])
+def test_curvature_routes_converge_at_the_first_check(monkeypatch, route, n):
+    counts = _node_counts(monkeypatch)
+    getattr(curvature, route)(u_quadratic(), standard_mode(n))
+    assert counts == [320, 640]
+
+
+def test_oscillation_study_converges_at_the_first_check(monkeypatch):
+    counts = _node_counts(monkeypatch)
+    curvature.oscillation_study(u_quadratic(), 1, [1])
+    assert counts == [320, 640] * 2   # numerator, then denominator
+
+
+def test_resolution_floor_gaussian():
+    # a feature this narrow is still sampled by the first check; one a few
+    # times narrower can be missed by both levels (README, Numerical method)
+    c, sigma = 0.5 + 1.0 / 777, 3e-4
+    value = quad_real(lambda x: np.exp(-0.5 * ((x - c) / sigma) ** 2), 0.0, 1.0)
+    assert value == pytest.approx(sigma * np.sqrt(2.0 * np.pi), rel=1e-14)
+
+
+def test_readme_states_the_rule_constants():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = " ".join(text.split("## Numerical method")[1].split("\n## ")[0].split())
+    assert re.findall(r"(\d+) nodes on each of (\d+) uniform panels", section) == \
+        [(str(NODES), str(PANELS))]
+    assert re.findall(r"after (\d+) panels", section) == [str(MAX_PANELS)]
