@@ -6,7 +6,7 @@ flat torus:
 * positivity of the sectional curvature in every section containing the
   swirl field (criterion: d/dr (r u^2) > 0), with per-mode curvature values
   from a closed Bessel formula cross-checked against an independent
-  finite-difference pressure solver;
+  Galerkin pressure solver on B-splines;
 * the Bessel-type Sturm-Liouville spectrum whose eigenvalues set the
   monoconjugate times 2 pi lambda / n, together with the explicit Jacobi
   fields and residual checks of the linearized flow/Euler equations.

@@ -4,8 +4,8 @@ Every command reads one JSON config (see :mod:`swirlcurv.config`) and writes
 deterministic artifacts into the output directory: CSV numbers use fixed
 17-significant-digit scientific notation and rows are ordered by (n, m).
 Exit status: 0 success, 2 when a theorem hypothesis is violated by the
-input, 1 for anything else; errors are reported as single-line JSON on
-stderr.
+input, 1 for anything else (a config nested too deeply to read is a
+``config-error``); errors are reported as single-line JSON on stderr.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: JSON, an expression or its derivative nested past Python's stack
         print(json.dumps({"error": "config-error", "message": str(exc)}), file=sys.stderr)
         return 1
     try:

@@ -11,9 +11,9 @@ spanned by X = u(r) d/dtheta and a mode Y_n:
   *Solving ODEs II*, IV.5), from scaled Bessel ratios only, so large |n|
   never overflows;
 
-* an oracle that solves the pressure Neumann problem by finite differences
-  (no Bessel functions anywhere) and contracts the curvature tensor against
-  the conjugate mode from first principles.
+* an oracle that solves the pressure Neumann problem by a Galerkin method on
+  B-splines (no Bessel functions anywhere) and contracts the curvature
+  tensor against the conjugate mode from first principles.
 
 n = 0 modes contribute zero: both covariant-derivative terms in the tensor
 are gradients (projected away) and [X, Y_0] = 0.
@@ -32,8 +32,8 @@ from .errors import (DegenerateSectionError, InvalidModeError, RegularityError,
 from .linalg import solve_banded
 from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy
 from .profile import RadialProfile
-from .quadrature import NODES, quad_real
-from .radial import CubicSpline
+from .quadrature import NODES, PANELS, gauss_nodes, panel_edges, quad_real
+from .radial import bspline_basis
 
 __all__ = [
     "PressureSolution",
@@ -52,7 +52,14 @@ __all__ = [
 # Pressure solutions
 # ---------------------------------------------------------------------------
 
-GRID = 4096   # the oracle's finite-difference grid: past it only round-off grows
+# B-spline degree of the pressure basis, 9: the largest whose mass integrand
+# r B_i B_j, of degree 2 DEG + 1, the NODES-point Gauss rule integrates exactly
+DEG = NODES - 1
+# a wall layer of width 1/|n| thinner than the uniform panels gets panel ends
+# x_k / |n| from the wall, e^(-x_k / 10) = 1 - k / WALL for 0 < k < WALL: the
+# first panel is 0.51 / |n| wide, and they widen as the layer fades, out to
+# x = 10 ln WALL = 30, where it is down to e^-30
+WALL = 20
 
 
 @dataclass
@@ -115,53 +122,48 @@ def _h_ratio(p: RadialProfile, m: FourierMode, r):
 
 
 def pressure_bvp_solve(p: RadialProfile, m: FourierMode) -> PressureSolution:
-    """Second-order finite-difference solution of the pressure Neumann problem.
+    """Galerkin solution of the pressure Neumann problem on B-splines.
 
-    Regularity at the axis is imposed through the even extension (q'(0) = 0,
-    with the q'/r term resolved by l'Hopital at r = 0); Richardson
-    extrapolation over grids ``GRID`` and 2 ``GRID`` upgrades the interior
-    accuracy to fourth order.  Completely independent of the Bessel route.
+    q solves (1/r)(r q')' - n^2 q = -(1/r)(r^2 f u)', regular at the axis, with
+    q'(1) = -f(1) u(1).  Multiplied by r v and integrated by parts, the Neumann
+    value cancels the boundary term:
+        int_0^1 (r q' v' + n^2 r q v) dr = -int_0^1 r^2 f u v' dr
+    for every basis function v; the r weight carries the axis regularity.
+    The basis is the B-splines of degree ``DEG`` on the uniform panels, on the
+    ``WALL`` grading of a thin wall layer, and on the spline knots of u and f
+    with multiplicity DEG - 3, since q is only C^3 there.  Each panel's
+    element matrix goes straight into band storage.  No Bessel functions.
     """
     if m.n == 0:
         raise InvalidModeError("pressure BVP requires n != 0")
-    beta = complex(-m.f(1.0) * float(p.u(1.0)))
+    data = np.concatenate([p.u.knots, m.f.knots])
+    wall = (1.0 + 10.0 * np.log(1.0 - np.arange(1, WALL) / WALL) / abs(m.n)
+            if abs(m.n) > PANELS else [])
+    edges = panel_edges(0.0, 1.0, np.concatenate([wall, data]))
+    mult = np.where(np.isin(edges, data), DEG - 3, 1)
+    mult[[0, -1]] = DEG + 1
+    t = np.repeat(edges, mult)
+    nb = t.size - DEG - 1
 
-    def solve(N):
-        h = 1.0 / N
-        r = np.linspace(0.0, 1.0, N + 1)
-        u = np.asarray(p.u(r), dtype=float)
-        up = np.asarray(p.u.derivative(r), dtype=float)
-        f = np.asarray(m.f(r), dtype=complex)
-        fp = np.asarray(m.f.derivative(r), dtype=complex)
-        rhs = -(2 * f * u + r * (fp * u + f * up))
-        n2 = m.n ** 2
-
-        ab = np.zeros((3, N + 1))
-        upper, diag, lower = ab   # banded storage rows, as views
-        b = np.stack([rhs.real, rhs.imag], axis=-1)   # the matrix is real: one column per part
-
-        # axis row: 4 (q1 - q0)/h^2 - n^2 q0 = rhs(0)  (from 2 q'' - n^2 q)
-        diag[0] = -4.0 / h ** 2 - n2
-        upper[1] = 4.0 / h ** 2
-        # interior rows
-        ri = r[1:N]
-        lower[0:N - 1] = 1.0 / h ** 2 - 1.0 / (2 * h * ri)
-        diag[1:N] = -2.0 / h ** 2 - n2
-        upper[2:N + 1] = 1.0 / h ** 2 + 1.0 / (2 * h * ri)
-        # boundary row at r = 1 with ghost point and q'(1) = beta
-        lower[N - 1] = 2.0 / h ** 2
-        diag[N] = -2.0 / h ** 2 - n2
-        b[N] -= (2.0 / h + 1.0) * np.array([beta.real, beta.imag])
-        return r, solve_banded((1, 1), ab, b)
-
-    r1, q1 = solve(GRID)
-    r2, q2 = solve(2 * GRID)
-    # one real spline per column (real, imaginary part), clamped to q'(0) = 0, q'(1) = beta
-    spline = CubicSpline(r1, (4.0 * q2[::2] - q1) / 3.0, ((1, 0.0), (1, [beta.real, beta.imag])))
+    x, w = gauss_nodes(edges)
+    # b, db: (spline, panel, node); a panel lies in one span, so its nodes share first
+    (first, b), (_, db) = (bspline_basis(t, DEG, x, nu) for nu in (0, 1))
+    wr = w * x
+    element = (np.swapaxes(db * wr, 0, 1) @ db.transpose(1, 2, 0)
+               + m.n ** 2 * (np.swapaxes(b * wr, 0, 1) @ b.transpose(1, 2, 0)))
+    source = -np.sum(wr * x * m.f(x) * p.u(x) * db, axis=-1).T
+    # A[i, j] goes to ab[DEG + i - j, j]; neighbouring panels add into shared entries
+    i = first[:, :1] + np.arange(DEG + 1)
+    flat = (DEG + i[:, :, None] - i[:, None, :]) * nb + i[:, None, :]
+    ab = np.bincount(flat.ravel(), element.ravel(), (2 * DEG + 1) * nb).reshape(-1, nb)
+    rhs = np.stack([np.bincount(i.ravel(), part.ravel(), nb)
+                    for part in (source.real, source.imag)], axis=-1)
+    coef = solve_banded((DEG, DEG), ab, rhs)   # the matrix is real: one column per part
+    coef = coef[:, 0] + 1j * coef[:, 1]
 
     def q(r, nu=0):
-        parts = spline(r, nu)
-        values = parts[..., 0] + 1j * parts[..., 1]
+        start, basis = bspline_basis(t, DEG, r, nu)
+        values = sum(basis[j] * coef[start + j] for j in range(DEG + 1))
         return complex(values) if np.ndim(r) == 0 else values
 
     return PressureSolution(m.n, q, lambda r: q(r, 1))
@@ -189,7 +191,7 @@ def curvature_mode_closed(p: RadialProfile, m: FourierMode) -> float:
 
 
 def curvature_mode_oracle(p: RadialProfile, m: FourierMode) -> float:
-    """Direct curvature-tensor contraction using the finite-difference pressure.
+    """Direct curvature-tensor contraction using the Galerkin pressure.
 
     Assembles W = R(Y_n, X) X before the outer Leray projection and returns
     Re <<W, conj(Y_n)>>; the omitted gradient part of the projection is

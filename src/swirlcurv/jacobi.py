@@ -258,10 +258,10 @@ class ResidualReport:
                    self.second_order, self.flow_components)
 
 
-def _fft_dz(field: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral d/dz along the last axis (z uniform on [0, 2pi))."""
+def _fft_dz(field: np.ndarray, n: int, order: int = 1) -> np.ndarray:
+    """Spectral d/dz along the last axis (z uniform on one period [0, 2pi/|n|))."""
     nz = field.shape[-1]
-    k = np.fft.fftfreq(nz, d=1.0 / nz)
+    k = abs(n) * np.fft.fftfreq(nz, d=1.0 / nz)
     return np.real(np.fft.ifft((1j * k) ** order * np.fft.fft(field, axis=-1), axis=-1))
 
 
@@ -279,11 +279,12 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution) -> ResidualReport:
     z derivatives are spectral; r derivatives are those of the eigenfunction's
     Legendre series.  The 256-point radial grid starts away from the axis, where
     the 1/r^2 factors would amplify round-off; the times are ``sol.times``.
+    Every field is one harmonic of nz, so z takes 16 points on one period
+    2pi/|n|, whatever n.
     """
     n = sol.n
     r = np.linspace(0.1, 1.0, 256)[:, None]
-    nz = max(16, 4 * abs(n))
-    z = (2.0 * np.pi * np.arange(nz) / nz)[None, :]
+    z = (2.0 * np.pi / abs(n) * np.arange(16) / 16)[None, :]
 
     u = np.asarray(p.u(r), dtype=float)
     om = np.asarray(p.omega(r), dtype=float)
@@ -302,7 +303,7 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution) -> ResidualReport:
 
         # (a) swirl transport
         lhs = sol.dj_dt(t, r, z)
-        rhs = (om / r ** 2) * _fft_dz(h)
+        rhs = (om / r ** 2) * _fft_dz(h, n)
         res_a = max(res_a, _relative(lhs - rhs, rhs, lhs))
 
         # time factor multiplying D(h): d/dt and d2/dt2 of the t-dependence T of h
@@ -314,17 +315,17 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution) -> ResidualReport:
         dtt_Dh = tf2 * lop * cz
 
         # (b) stream transport: dt[D h] + 2 r u dj/dz = 0
-        term = 2.0 * r * u * _fft_dz(j)
+        term = 2.0 * r * u * _fft_dz(j, n)
         res_b = max(res_b, _relative(dt_Dh + term, term, dt_Dh))
 
         # (c) second-order equation: dtt[D h] + (2 u om / r) dzz h = 0
-        term_c = (2.0 * u * om / r) * _fft_dz(h, order=2)
+        term_c = (2.0 * u * om / r) * _fft_dz(h, n, order=2)
         res_c = max(res_c, _relative(dtt_Dh + term_c, term_c, dtt_Dh))
 
         # (d) flow components: dg/dt = h  and  df/dt + (u'/r) dg/dz = j
         dg = sol.dg_dt(t, r, z)
         df = sol.df_dt(t, r, z)
-        drift = (np.asarray(p.u.derivative(r), dtype=float) / r) * _fft_dz(sol.g(t, r, z))
+        drift = (np.asarray(p.u.derivative(r), dtype=float) / r) * _fft_dz(sol.g(t, r, z), n)
         res_d = max(res_d, _relative(dg - h, h, dg), _relative(df + drift - j, j, df, drift))
 
     return ResidualReport(res_a, res_b, res_c, res_d)

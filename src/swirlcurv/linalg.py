@@ -1,10 +1,10 @@
-"""The two dense linear-algebra kernels the package needs, on numpy alone.
+"""The two linear-algebra kernels the package needs, on numpy alone.
 
-``solve_banded`` solves a tridiagonal system by odd-even cyclic reduction
-(Hockney, J. ACM 12, 1965; Golub & Van Loan, *Matrix Computations*, 4th ed.,
-sec. 4.5.3), whose O(log n) levels are whole-array operations; ``eigh``
-reduces a symmetric-definite pencil to a standard eigenproblem by Cholesky
-(Golub & Van Loan, sec. 8.7.2).  Both keep the calling conventions of their
+``solve_banded`` solves a banded system by block Gaussian elimination
+without pivoting (Golub & Van Loan, *Matrix Computations*, 4th ed., sec.
+4.5.1), one small dense solve per block of rows; ``eigh`` reduces a
+symmetric-definite pencil to a standard eigenproblem by Cholesky (Golub &
+Van Loan, sec. 8.7.2).  Both keep the calling conventions of their
 ``scipy.linalg`` namesakes for the arguments used here.
 """
 
@@ -15,78 +15,53 @@ import numpy as np
 __all__ = ["solve_banded", "eigh"]
 
 
-# rows of the last reduced system, which is inverted densely: below this size
-# a level costs more in call overhead than in arithmetic
-_DENSE = 65
-
-
-def _reduce(lower, d, upper):
-    """Cyclic-reduction levels of the (2^l + 1)-row tridiagonal system with
-    sub-, main and super-diagonals ``lower``, ``d``, ``upper``.  Each level
-    eliminates the odd rows from the even ones and keeps, as multipliers of
-    -1/d of the odd rows, what ``_substitute`` needs; the last system, of at
-    most ``_DENSE`` rows, is returned inverted."""
-    levels = []
-    while d.size > _DENSE:
-        ninv = -1.0 / d[1::2]
-        alpha, gamma = lower[1::2] * ninv, upper[::2] * ninv
-        d_even = d[::2].copy()
-        d_even[1:] += alpha * upper[1::2]
-        d_even[:-1] += gamma * lower[::2]
-        levels.append((alpha, gamma, ninv, lower[::2] * ninv, upper[1::2] * ninv))
-        lower, d, upper = alpha * lower[::2], d_even, gamma * upper[1::2]
-    return levels, np.linalg.inv(np.diag(d) + np.diag(lower, -1) + np.diag(upper, 1))
-
-
-def _substitute(levels, last, b):
-    """Overwrite ``b``, right-hand sides along its last axis, with the solution:
-    reduce down the levels in place (the rows a level eliminates stay as they
-    are), solve the last system, then fill the eliminated rows back in."""
-    s = 1
-    for alpha, gamma, *_ in levels:
-        odd, even = b[:, s::2 * s], b[:, ::2 * s]
-        even[:, 1:] += alpha * odd
-        even[:, :-1] += gamma * odd
-        s *= 2
-    # a product and sum rather than BLAS, so each column comes out the same alone or not
-    b[:, ::s] = np.sum(last * b[:, None, ::s], axis=-1)
-    for _, _, ninv, ra, rc in reversed(levels):
-        s //= 2
-        even, odd = b[:, ::2 * s], b[:, s::2 * s]
-        odd *= ninv
-        np.subtract(ra * even[:, :-1] + rc * even[:, 1:], odd, out=odd)
-    return b
+# rows per block: below this a block step costs more in call overhead than in arithmetic
+_BLOCK = 16
 
 
 def solve_banded(l_and_u, ab, b):
-    """x with A x = b for tridiagonal A in LAPACK banded storage, as
-    ``scipy.linalg.solve_banded((1, 1), ab, b)``: ab[0, 1:] is the
-    super-diagonal, ab[1] the diagonal and ab[2, :-1] the sub-diagonal.
+    """x with A x = b for A with l sub- and u super-diagonals in LAPACK banded
+    storage, as ``scipy.linalg.solve_banded((l, u), ab, b)``: A[i, j] is
+    ab[u + i - j, j].  ``b`` may carry trailing axes, one system per column.
 
-    ``b`` may carry trailing axes, one system per column.  The system is
-    padded with identity rows to 2^l + 1 rows and reduced once; one step of
-    iterative refinement then removes most of the error that the reduction's
-    growing multipliers leave.  No pivoting: A should be diagonally dominant,
-    as the spline and pressure matrices are.
+    Rows are cut into blocks of s = max(``_BLOCK``, l, u), completed with
+    identity rows, so A is block tridiagonal with blocks L_k, D_k, U_k.
+    Forward, D_k <- D_k - L_k D_{k-1}^-1 U_{k-1} (and b_k likewise); backward,
+    x_k = D_k^-1 (b_k - U_k x_{k+1}).  No pivoting across blocks: A should be
+    diagonally dominant or symmetric positive definite, as the spline and
+    Galerkin matrices are.
     """
-    if tuple(l_and_u) != (1, 1):
-        raise ValueError("solve_banded handles tridiagonal (1, 1) systems only")
+    l, u = l_and_u
     ab, b = np.asarray(ab), np.asarray(b)
     n = ab.shape[1]
-    if ab.shape[0] != 3 or b.shape[:1] != (n,):
-        raise ValueError("ab must have shape (3, n) and b a leading axis of n")
-    m = (1 << max(n - 2, 0).bit_length()) + 1
-    d, lower, upper = np.ones(m, ab.dtype), np.zeros(m - 1, ab.dtype), np.zeros(m - 1, ab.dtype)
-    d[:n], lower[:n - 1], upper[:n - 1] = ab[1], ab[2, :-1], ab[0, 1:]
-    rhs = np.zeros((b[0].size, m), dtype=np.result_type(ab, b))
-    rhs[:, :n] = b.reshape(n, -1).T
-    levels, last = _reduce(lower, d, upper)
-    x = _substitute(levels, last, rhs.copy())
-    rhs -= d * x
-    rhs[:, 1:] -= lower * x[:, :-1]
-    rhs[:, :-1] -= upper * x[:, 1:]
-    x += _substitute(levels, last, rhs)
-    return x[:, :n].T.reshape(b.shape)
+    if min(l, u) < 0 or ab.shape[0] != l + u + 1 or b.shape[:1] != (n,):
+        raise ValueError("ab must have shape (l + u + 1, n) and b a leading axis of n")
+    s = max(_BLOCK, l, u)
+    k = -(-n // s)
+    # band column s + j holds A's column j, padded with zero columns and the
+    # identity rows; row i of block K meets the columns of blocks K - 1 .. K + 1
+    # as A[K s + i, (K - 1) s + c] = band[u + s + i - c, K s + c], 0 off the band
+    band = np.zeros((l + u + 1, (k + 2) * s), ab.dtype)
+    band[:, s:s + n], band[u, s + n:(k + 1) * s] = ab, 1.0
+    i, c = np.arange(s)[:, None], np.arange(3 * s)
+    row = u + s + i - c
+    blocks = band[row.clip(0, l + u), s * np.arange(k)[:, None, None] + c]
+    blocks[:, (row < 0) | (row > l + u)] = 0
+    lower, diag, upper = blocks[:, :, :s], blocks[:, :, s:2 * s], blocks[:, :, 2 * s:]
+    rhs = np.zeros((k * s, b[0].size), np.result_type(ab, b))
+    rhs[:n] = b.reshape(n, -1)
+    rhs = rhs.reshape(k, s, -1)
+
+    d, r, steps = diag[0], rhs[0], []
+    for K in range(1, k):
+        x = np.linalg.solve(d, np.concatenate([upper[K - 1], r], axis=1))
+        steps.append(x)
+        lx = lower[K] @ x
+        d, r = diag[K] - lx[:, :s], rhs[K] - lx[:, s:]
+    x = [np.linalg.solve(d, r)]
+    for step in reversed(steps):
+        x.append(step[:, s:] - step[:, :s] @ x[-1])
+    return np.concatenate(x[::-1])[:n].reshape(b.shape)
 
 
 def eigh(a, b, subset_by_index):

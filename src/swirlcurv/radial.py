@@ -2,9 +2,10 @@
 
 Three interchangeable representations back every scalar radial function in
 the package: polynomial coefficients, a differentiable expression AST, or a
-sampled table interpolated by a natural cubic spline (``CubicSpline``, which
-the pressure oracle also uses).  Complex-valued radial data (mode
-coefficients g_n, f_n) is stored as a real/imaginary pair.
+sampled table interpolated by a natural cubic spline (``CubicSpline``).
+Complex-valued radial data (mode coefficients g_n, f_n) is stored as a
+real/imaginary pair.  ``bspline_basis`` evaluates the B-splines of the
+pressure oracle's Galerkin basis.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .linalg import solve_banded
 
 __all__ = [
     "CubicSpline",
+    "bspline_basis",
     "RadialFunction",
     "PolynomialFunction",
     "ExpressionFunction",
@@ -47,57 +49,75 @@ def _check_domain(r):
 
 
 class CubicSpline:
-    """C² piecewise cubic through (x, y) with an (order, value) condition at each
-    end: (1, s) clamps the slope to s, (2, 0.0) is a natural end.
+    """C² piecewise cubic through (x, y) with natural ends (zero second
+    derivative at x[0] and x[-1]).
 
     The knot slopes solve one tridiagonal system (de Boor, *A Practical Guide
     to Splines*, 1978, ch. IV), assembled and evaluated in the same operation
     order as ``scipy.interpolate.CubicSpline``, so the two agree to round-off.
-    ``y`` may carry trailing axes (an end value then has their shape); each
-    column is an independent spline.  Outside [x[0], x[-1]] the end pieces
-    are extrapolated.
+    Outside [x[0], x[-1]] the end pieces are extrapolated.
     """
 
-    def __init__(self, x, y, bc=((2, 0.0), (2, 0.0))):
+    def __init__(self, x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        if x.ndim != 1 or x.size < 2 or y.shape[:1] != x.shape:
+        if x.ndim != 1 or x.size < 2 or y.shape != x.shape:
             raise ValueError("spline needs 1-d nodes, at least 2, one per value")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("spline nodes and values must be finite")
         dx = np.diff(x)
         if np.any(dx <= 0):
             raise ValueError("spline nodes must be strictly increasing")
-        dxr = dx.reshape(dx.shape + (1,) * (y.ndim - 1))
-        slope = np.diff(y, axis=0) / dxr
+        slope = np.diff(y) / dx
         ab, b = np.zeros((3, x.size)), np.empty_like(y)
         ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
-        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        (start, v0), (end, v1) = bc
-        if start == 1:
-            ab[1, 0], b[0] = 1, v0
-        else:    # order 2: the second derivative at x[0] is v0
-            ab[1, 0], ab[0, 1] = 2 * dx[0], dx[0]
-            b[0] = -0.5 * v0 * dx[0] ** 2 + 3 * (y[1] - y[0])
-        if end == 1:
-            ab[1, -1], b[-1] = 1, v1
-        else:
-            ab[1, -1], ab[2, -2] = 2 * dx[-1], dx[-1]
-            b[-1] = 0.5 * v1 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
+        ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = 2 * dx[0], dx[0], 2 * dx[-1], dx[-1]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[0], b[-1] = 3 * (y[1] - y[0]), 3 * (y[-1] - y[-2])
         s = solve_banded((1, 1), ab, b)
-        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
-        self.c = np.stack([t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]])
+        self.c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
 
     def __call__(self, r, nu=0):
         """Values (``nu`` = 0) or first derivatives (``nu`` = 1) at ``r``."""
         r = np.asarray(r, dtype=float)
         i = np.searchsorted(self.x[1:-1], r, side="right")   # piece x[i] <= r < x[i + 1]
-        d = (r - self.x.take(i)).reshape(r.shape + (1,) * (self.c.ndim - 2))
+        d = r - self.x.take(i)
         c0, c1, c2, c3 = self.c.take(i, axis=1)
         d2 = d * d
         if nu == 0:
             return c3 + c2 * d + c1 * d2 + c0 * (d2 * d)
         return c2 + 2 * c1 * d + c0 * d2 * 3
+
+
+def bspline_basis(t, degree, x, nu=0):
+    """The ``degree`` + 1 B-splines on the knots ``t`` that can be nonzero at
+    each x, or their first derivatives (``nu`` = 1): (first, values) with
+    values[j] = B_{first + j}(x), values of shape (degree + 1,) + x.shape.
+
+    The span t[i] <= x < t[i + 1] (the last nonempty one at the right end) is
+    found once, and the knots around it are gathered once; the Cox-de Boor
+    recursion (de Boor 1978, ch. X) then raises the degree by row slices.
+    The last step of a derivative uses B'_j = degree (B_j / (t_{j+p} - t_j)
+    - B_{j+1} / (t_{j+p+1} - t_{j+1})) on degree - 1.  Each denominator spans
+    the span around x, so it is never 0.
+    """
+    x = np.asarray(x, dtype=float)
+    i = np.asarray(np.searchsorted(t, x, side="right") - 1).clip(degree, t.size - degree - 2)
+    steps = np.arange(1, degree + 1).reshape((-1,) + (1,) * x.ndim)
+    right = t[i + steps] - x                  # t[i + 1 .. i + p] - x
+    left = x - t[i + 1 - steps[::-1]]         # x - t[i - p + 1 .. i]
+    b = np.zeros((degree + 1,) + x.shape)
+    b[0] = 1.0
+    for d in range(1, degree + 1):
+        w = b[:d] / (right[:d] + left[degree - d:])
+        if d + nu > degree:
+            b[:d] = -degree * w
+            b[1:d + 1] += degree * w
+        else:
+            b[:d] = right[:d] * w
+            b[1:d + 1] += left[degree - d:] * w
+    return i - degree, b
 
 
 class RadialFunction:

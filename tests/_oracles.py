@@ -147,7 +147,7 @@ def five_point_diff(fn, x: float, h: float):
 
 # ---------------------------------------------------------------------------
 # Curvature reference values from mpmath (a third route, independent of both
-# the closed Bessel-ratio rule and the finite-difference oracle)
+# the closed Bessel-ratio rule and the Galerkin oracle)
 # ---------------------------------------------------------------------------
 
 def _mp_poly(coeffs, x):
@@ -238,8 +238,8 @@ def h_ratio_mpmath(u, f, n, r, dps=30):
 
 
 # ---------------------------------------------------------------------------
-# Pressure reference values from mpmath (independent of the finite-difference
-# oracle, which the tests pin to them)
+# Pressure reference values from mpmath (independent of the Galerkin oracle,
+# which the tests pin to them)
 # ---------------------------------------------------------------------------
 
 # u and f as ascending polynomial coefficients (f complex), taken as the binary

@@ -249,6 +249,22 @@ def test_missing_config_file_is_named(tmp_path, capsys):
     assert "No such file" in payload["message"] and "missing.json" in payload["message"]
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param('{"profile": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested-arrays"),
+    pytest.param(json.dumps({"profile": {"expr": "(" * 3000 + "r" + ")" * 3000}}),
+                 id="nested-parentheses"),
+    pytest.param(json.dumps({"profile": {"expr": "+".join(["r"] * 1500)}}),
+                 id="deep-derivative"),   # parses, but its derivative recurses 1500 deep
+])
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["check-profile", "--config", str(path), "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config-error"
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflow_is_one_json_line(tmp_path, capsys):
     # |g|^2 overflows for coefficients of 1e200: no warnings, no refinement on NaN

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from swirlcurv import (DegenerateSectionError, FourierMode,
                        curvature_report, curvature_total, mode_energy,
                        oscillation_study, pressure_bvp_solve, swirl_energy)
 from swirlcurv import special
-from swirlcurv.quadrature import NODES, gauss_nodes
+from swirlcurv.quadrature import NODES, gauss_nodes, quad_real
 from swirlcurv.radial import ComplexRadialFunction
 
 from _helpers import (G_BASE, mode_poly, profile_poly, random_mode, scaled_mode,
@@ -111,7 +112,7 @@ def test_carry_scan_matches_the_recurrence(n):
 
 
 # ---------------------------------------------------------------------------
-# Pressure: finite-difference oracle vs mpmath
+# Pressure: Galerkin oracle vs mpmath
 # ---------------------------------------------------------------------------
 
 def test_pressure_zero_for_zero_f():
@@ -128,6 +129,18 @@ def test_pressure_boundary_condition(n):
     f1u1 = complex(m.f(1.0)) * float(p.u(1.0))
     sol = pressure_bvp_solve(p, m)
     assert sol.q_prime(1.0) == pytest.approx(-f1u1, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [200, 10 ** 4, 10 ** 6])
+def test_pressure_resolves_the_wall_layer(n):
+    # f(1) != 0: q' falls from -f(1) u(1) in a wall layer of width 1/n, which the
+    # Galerkin weak form meets only as well as its basis resolves the layer
+    # (2.6e-10 worst; a geometric grading of widths 0.3^k / 32 left 3e-2)
+    f = [complex(c) for c in PRESSURE_F]
+    p = profile_poly(PRESSURE_PROFILE)
+    m = mode_poly(n, G_BASE, f_re=[c.real for c in f], f_im=[c.imag for c in f])
+    beta = -complex(m.f(1.0)) * float(p.u(1.0))
+    assert abs(pressure_bvp_solve(p, m).q_prime(1.0) - beta) <= 1e-9 * abs(beta)
 
 
 def ode_residual(sol, p, m, grid=128):
@@ -151,28 +164,84 @@ def test_pressure_bvp_satisfies_ode():
 
 @pytest.mark.parametrize("n", [1, 10])
 def test_pressure_routes_agree(n):
-    # the oracle's q reaches 2.3e-12 and q' 1.7e-10 of the mpmath values here
+    # the Galerkin q reaches 8e-15 and q' 4.1e-13 of the mpmath values here
     p = profile_poly(PRESSURE_PROFILE)
     f = [complex(c) for c in PRESSURE_F]
     m = mode_poly(n, [0, 0, 1, -1], g_im=[0, 0, 0, 0.5], f_re=[c.real for c in f],
                   f_im=[c.imag for c in f])
     qb = pressure_bvp_solve(p, m)
     for r, q, q_prime in PRESSURE_REFERENCES[n]:
-        assert qb.q(float(r)) == pytest.approx(complex(q), abs=1e-10)
-        assert qb.q_prime(float(r)) == pytest.approx(complex(q_prime), abs=5e-9)
+        assert qb.q(float(r)) == pytest.approx(complex(q), abs=1e-13)
+        assert qb.q_prime(float(r)) == pytest.approx(complex(q_prime), abs=2e-12)
 
 
 @pytest.mark.parametrize("u", [[1.0, 0.0, 1.0], [2.0, 0.0, -1.0], [1.0]])
 def test_oracle_matches_closed_route_to_2e11(u):
     # the benchmark gates the two routes only at 1e-6; this pins the oracle's
-    # finite-difference solve at what it reaches (1.2e-11 worst, n = 200)
+    # Galerkin solve near what it reaches (6e-15 worst, u = 2 - r^2)
     p = profile_poly(u)
     knots = np.linspace(0.0, 1.0, 33)
     f_table = ComplexRadialFunction(TableFunction(knots, knots * (1.0 - knots)))
     for n in (1, 2, 3, 10, 200):
         m = FourierMode(3, standard_mode(3).g, f_table) if n == 3 else standard_mode(n)
         closed = curvature_mode_closed(p, m)
-        assert abs(curvature_mode_oracle(p, m) - closed) <= 2e-11 * abs(closed)
+        assert abs(curvature_mode_oracle(p, m) - closed) <= 2e-12 * abs(closed)
+
+
+def _pressure_terms(p, m):
+    """The one term the two routes do not share, each integrated alone:
+    4 pi^2 int Re(conj f (q' + r f u)) u r^2 dr from the Galerkin pressure and
+    4 pi^2 int |H / I1|^2 / r dr from the closed route's collocation."""
+    q = pressure_bvp_solve(p, m)
+
+    def oracle(r):
+        f, u = m.f(r), p.u(r)
+        return (np.conj(f) * (q.q_prime(r) + r * f * u)).real * u * r * r
+
+    def closed(r):
+        return np.abs(curvature._h_ratio(p, m, r)) ** 2 / r
+
+    return tuple(modes.FOUR_PI_SQ * quad_real(fn, 0.0, 1.0, epsrel=1e-13)
+                 for fn in (oracle, closed))
+
+
+@pytest.mark.parametrize("u", [[1.0], [1.0, 0.0, 1.0], [2.0, 0.0, -1.0]])
+def test_pressure_terms_of_the_two_routes_agree(u):
+    # worst 6.0e-13 (n = 200, f = PRESSURE_F).  f(1) != 0 stops at n = 10^4: at
+    # 10^6 the quadrature's uniform panels, 1.2e-4 wide at most, do not resolve
+    # q's 1e-6 wall layer, and the two integrals part by 6e-6
+    p = profile_poly(u)
+    f = [complex(c) for c in PRESSURE_F]
+    cases = [(n, [0, 1, -1], None) for n in (1, 3, 10, 200, 10 ** 4, 10 ** 6)]
+    cases += [(n, [c.real for c in f], [c.imag for c in f]) for n in (1, 3, 10, 200, 10 ** 4)]
+    for n, f_re, f_im in cases:
+        oracle, closed = _pressure_terms(p, mode_poly(n, G_BASE, f_re=f_re, f_im=f_im))
+        assert abs(oracle - closed) <= 1e-12 * abs(closed)
+
+
+def test_closed_pressure_term_nears_its_large_n_limit():
+    # 4 pi^2 int r^3 |f|^2 u^2 dr = 4 pi^2 361/27720 for u = 1 + r^2, f = r(1 - r),
+    # which the closed route reaches as O(n^-2): 1.25e-11 below it at n = 10^6
+    _, closed = _pressure_terms(u_quadratic(), mode_poly(10 ** 6, G_BASE, f_re=[0, 1, -1]))
+    assert abs(closed - modes.FOUR_PI_SQ * 361 / 27720) <= 2e-11
+
+
+def test_oracle_memory_is_linear_in_the_table_size():
+    # a 2001-knot spline f: about 12 000 basis functions, so a dense matrix
+    # would take 1.1 GB; the banded assembly and solve peak near 20 MB
+    knots = np.linspace(0.0, 1.0, 2001)
+    m = FourierMode(3, standard_mode(3).g,
+                    ComplexRadialFunction(TableFunction(knots, knots * (1.0 - knots))))
+    p = u_quadratic()
+    closed = curvature_mode_closed(p, m)
+    tracemalloc.start()
+    try:
+        oracle = curvature_mode_oracle(p, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(oracle - closed) <= 1e-12 * abs(closed)
+    assert peak <= 64e6
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +314,7 @@ def test_negative_curvature_when_eta_negative():
     kc = curvature_mode_closed(p, m)
     assert kc < 0.0
     ko = curvature_mode_oracle(p, m)
-    assert abs(kc - ko) <= 1e-6 * (1.0 + abs(kc))
+    assert abs(kc - ko) <= 1e-12 * (1.0 + abs(kc))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +349,7 @@ def test_combined_field_oracle_cross_terms_cancel():
     y_th = np.zeros_like(w_r)
     for m in modes:
         q = pressure_bvp_solve(p, m)
-        qp = np.array([q.q_prime(x) for x in r])
+        qp = q.q_prime(r)
         g = np.asarray(m.g(r))
         f = np.asarray(m.f(r))
         phase = np.exp(1j * m.n * z)[None, :]

@@ -206,6 +206,19 @@ def test_residuals_small(profile_fn, n, m):
     assert rep.max_residual() < 1e-6
 
 
+def test_residuals_sample_one_period_in_z(monkeypatch):
+    # every field is one harmonic cos/sin(n z): 16 points on one period serve any n
+    sizes = []
+    fft_dz = jacobi._fft_dz
+    monkeypatch.setattr(jacobi, "_fft_dz",
+                        lambda field, *args, **kw: sizes.append(field.shape[-1])
+                        or fft_dz(field, *args, **kw))
+    p = u_const()
+    rep = jacobi_residuals(p, assemble_jacobi(p, sl_spectrum(p, 500, 1), 1))
+    assert sizes and set(sizes) == {16}
+    assert rep.max_residual() < 1e-10
+
+
 def test_residuals_fall_with_basis_size():
     # spectral convergence: K = 8 -> 16 cuts the residual by far more than the
     # factor 4 a second-order scheme gains per doubling

@@ -1,6 +1,6 @@
-"""The package's tridiagonal and generalized-eigen kernels against scipy.linalg,
-on random systems and on the spline, pressure-BVP and Galerkin systems the
-package builds."""
+"""The package's banded and generalized-eigen kernels against scipy.linalg, on
+random systems and on the spline, pressure-Galerkin and spectrum-Galerkin
+systems the package builds."""
 
 import numpy as np
 import pytest
@@ -27,17 +27,17 @@ def _captured(monkeypatch, module, name, run):
     return calls
 
 
-def _random_system(rng, n, trailing=(), dtype=float):
-    ab = rng.uniform(-1.0, 1.0, (3, n)).astype(dtype)
+def _random_system(rng, n, trailing=(), dtype=float, bands=1):
+    ab = rng.uniform(-1.0, 1.0, (2 * bands + 1, n)).astype(dtype)
     if dtype is complex:
-        ab += 0.3j * rng.uniform(-1.0, 1.0, (3, n))
-    ab[1] = 2.5 + rng.uniform(0.0, 1.0, n)
+        ab += 0.3j * rng.uniform(-1.0, 1.0, (2 * bands + 1, n))
+    ab[bands] = 2 * bands + 0.5 + rng.uniform(0.0, 1.0, n)
     return ab, rng.normal(size=(n,) + trailing).astype(dtype)
 
 
-def _assert_solves_like_scipy(ab, b, rtol):
-    got = linalg.solve_banded((1, 1), ab, b)
-    ref = scipy.linalg.solve_banded((1, 1), ab, b.reshape(len(b), -1)).reshape(b.shape)
+def _assert_solves_like_scipy(ab, b, rtol, l_and_u=(1, 1)):
+    got = linalg.solve_banded(l_and_u, ab, b)
+    ref = scipy.linalg.solve_banded(l_and_u, ab, b.reshape(len(b), -1)).reshape(b.shape)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
 
@@ -52,35 +52,49 @@ def test_solve_banded_random_systems(n, trailing, dtype):
     _assert_solves_like_scipy(ab, b, 1e-14)
 
 
-@pytest.mark.parametrize("bc", [((2, 0.0), (2, 0.0)), ((1, 0.3), (1, [-1.0, 2.0])),
-                                ((1, 0.0), (2, 0.0))])
+@pytest.mark.parametrize("n", [1, 9, 16, 17, 50, 161, 1000])
+@pytest.mark.parametrize("l_and_u", [(9, 9), (2, 5), (0, 3), (17, 1)])
+def test_solve_banded_wider_bands(n, l_and_u):
+    rng = np.random.default_rng(n)
+    l, u = l_and_u
+    ab, b = _random_system(rng, n, (2,), bands=max(l, u))
+    ab = ab[max(l, u) - u:max(l, u) + l + 1]
+    for d in range(1, u + 1):   # storage corners that the matrix does not use
+        ab[u - d, :d] = 7.0
+    for d in range(1, l + 1):
+        ab[u + d, n - d:] = 7.0
+    _assert_solves_like_scipy(ab, b, 1e-14, l_and_u)
+
+
 @pytest.mark.parametrize("size", [4, 33, 200, 4097])
-def test_solve_banded_spline_systems(monkeypatch, bc, size):
+def test_solve_banded_spline_systems(monkeypatch, size):
     rng = np.random.default_rng(size)
     x = np.sort(rng.uniform(0.0, 1.0, size))
-    y = rng.normal(size=(size, 2))
-    calls = _captured(monkeypatch, radial, "solve_banded", lambda: CubicSpline(x, y, bc))
+    y = rng.normal(size=size)
+    calls = _captured(monkeypatch, radial, "solve_banded", lambda: CubicSpline(x, y))
     assert len(calls) == 1
     _assert_solves_like_scipy(*calls[0][1:], 1e-14)
 
 
-@pytest.mark.parametrize("n", [1, 3, 200])
-@pytest.mark.parametrize("grid", [curvature.GRID])
-def test_solve_banded_pressure_systems(monkeypatch, n, grid):
+@pytest.mark.parametrize("n", [1, 3, 200, 10 ** 6])
+def test_solve_banded_galerkin_systems(monkeypatch, n):
     calls = _captured(monkeypatch, curvature, "solve_banded",
                       lambda: curvature.pressure_bvp_solve(u_quadratic(), standard_mode(n)))
-    assert [len(b) for _, _, b in calls] == [grid + 1, 2 * grid + 1]
-    for _, ab, b in calls:
-        # the discrete Laplacian's condition number grows as grid^2
-        _assert_solves_like_scipy(ab, b, 1e-15 * grid ** 2)
+    (l_and_u, ab, b), = calls
+    assert l_and_u == (curvature.DEG, curvature.DEG) and b.shape == (ab.shape[1], 2)
+    # condition numbers reach 1.9e5 (n = 200), so the two solves, both with
+    # residuals of 1e-16 relative, differ by up to 7.9e-13
+    _assert_solves_like_scipy(ab, b, 5e-12, l_and_u)
 
 
 def test_solve_banded_rejects_other_bands_and_shapes():
     ab, b = _random_system(np.random.default_rng(0), 5)
     with pytest.raises(ValueError):
-        linalg.solve_banded((2, 1), np.vstack([ab, ab[:1]]), b)
+        linalg.solve_banded((2, 1), ab, b)
     with pytest.raises(ValueError):
         linalg.solve_banded((1, 1), ab, b[:4])
+    with pytest.raises(ValueError):
+        linalg.solve_banded((-1, 3), ab, b)
 
 
 @pytest.mark.parametrize("profile,n", [(u_const, 1), (u_quadratic, 1), (u_quadratic, 10)])
