@@ -27,6 +27,9 @@ from .jacobi import (assemble_jacobi, conjugate_times, jacobi_residuals,
 __all__ = ["main", "run_command"]
 
 _FMT = "%.16e"  # 17 significant digits, reproducible diffs
+# overflow and NaN stop a command, and the reading of its config; underflow
+# flushes to 0 (curvature._carry)
+_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
 def _write_csv(path: Path, header, rows):
@@ -158,8 +161,7 @@ def run_command(command: str, cfg: RunConfig, out_dir, quiet=False) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        # overflow and NaN stop the command; underflow flushes to 0 (curvature._carry)
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with np.errstate(**_RAISE):
             artifacts = _COMMANDS[command](cfg, out)
     except HypothesisViolationError as exc:
         print(json.dumps({"error": "hypothesis-violation", "message": str(exc)}),
@@ -191,8 +193,9 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true")
     try:
         args = parser.parse_args(argv)
-        cfg = parse_config(Path(args.config))
-    except SwirlcurvError as exc:
+        with np.errstate(**_RAISE):
+            cfg = parse_config(Path(args.config))
+    except (SwirlcurvError, FloatingPointError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

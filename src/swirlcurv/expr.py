@@ -6,14 +6,19 @@ Expressions are functions of the single variable ``r`` built from constants,
 derivative (``Node.diff``), so profiles written as expressions get exact
 derivatives.
 
-Precedence (tightest first): power, unary minus, ``* /``, ``+ -``; binary
-operators associate to the left.
+Precedence (tightest first): power, unary minus, ``* /``, ``+ -``; power
+associates to the right and binary operators to the left.  These are
+Python's rules, and Python's parser reads the text, with ``^`` as ``**``; a
+walker over its tree accepts only the subset above.
 """
 
 from __future__ import annotations
 
+import ast
+import itertools
 import math
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +51,7 @@ class Const(Node):
 
     def eval(self, r):
         return np.broadcast_to(np.float64(self.value), np.shape(r)).copy() \
-            if np.ndim(r) else float(self.value)
+            if np.ndim(r) else np.float64(self.value)
 
     def diff(self):
         return Const(0.0)
@@ -55,7 +60,7 @@ class Const(Node):
 @dataclass(frozen=True)
 class Var(Node):
     def eval(self, r):
-        return np.asarray(r, dtype=float) if np.ndim(r) else float(r)
+        return np.asarray(r, dtype=float) if np.ndim(r) else np.float64(r)
 
     def diff(self):
         return Const(1.0)
@@ -197,146 +202,79 @@ def _neg(a):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / parser
+# Parser: Python's own, on a whitelist of its syntax
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # skip over whitespace-only tail
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
-
-    # grammar: expr > term > unary > power > atom
-    def parse(self) -> Node:
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = BinOp(val, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = BinOp(val, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> Node:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return _neg(self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            _, _, expos = self.peek()
-            exponent = self.unary()
-            if not _foldable(exponent):
-                raise ParseError("exponent must be a constant", expos)
-            return Pow(base, _fold(exponent))
-        return base
-
-    def atom(self) -> Node:
-        kind, val, pos = self.advance()
-        if kind == "num":
-            return Const(val)
-        if kind == "name":
-            if val == "r":
-                return Var()
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Func(val, arg)
-            if val == "pi":
-                return Const(math.pi)
-            raise ParseError(f"unknown identifier {val!r}", pos)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected token {val!r}", pos)
-
-
-def _foldable(node: Node) -> bool:
-    if isinstance(node, Const):
-        return True
-    if isinstance(node, Var):
-        return False
-    if isinstance(node, BinOp):
-        return _foldable(node.left) and _foldable(node.right)
-    if isinstance(node, (Neg, Func)):
-        return _foldable(node.arg)
-    if isinstance(node, Pow):
-        return _foldable(node.base)
-    return False
-
-
-def _fold(node: Node) -> float:
-    return float(node.eval(0.0))
+# a character outside the language, or the second star of Python's power ``**``
+_OUTSIDE = re.compile(r"[^\w \t\n\r\f\v.+\-*/^()]|(?<=\*)\*", re.ASCII)
+_BLANKS = str.maketrans("\t\n\r\f\v", "     ")
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
 def parse_expression(text: str) -> Node:
     """Parse ``text`` into an AST; raises :class:`ParseError` with an offset."""
-    return _Parser(text).parse()
+    bad = _OUTSIDE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    depth = [0, *itertools.accumulate((c == "(") - (c == ")") for c in text)]
+    if -1 in depth:   # that ")" would close the parenthesis put around the text
+        raise ParseError("unmatched ')'", depth.index(-1) - 1)
+    if depth[-1]:
+        raise ParseError("expected ')'", len(text))
+    # one line in parentheses: blanks and line breaks are free, and a missing
+    # last operand is an error at the closing one
+    src = "(" + text.translate(_BLANKS).replace("^", "**") + ")"
+
+    def offset(col):
+        """The offset in ``text`` of column ``col`` of ``src``."""
+        return min(max(col - 1 - src.count("**", 0, col), 0), len(text))
+
+    try:
+        # the error filter makes a SyntaxWarning (``1if`` on 3.11) a SyntaxError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = ast.parse(src, mode="eval").body
+    except SyntaxError as exc:
+        raise ParseError(f"expected an expression: {exc.msg}", offset((exc.offset or 1) - 1)) \
+            from None
+    except MemoryError:   # CPython's parser reports its stack overflowing so
+        raise RecursionError("expression nested too deeply") from None
+
+    def walk(node) -> Node:
+        pos = offset(node.col_offset)
+        source = src[node.col_offset:node.end_col_offset]
+        if isinstance(node, ast.Constant) and _NUMBER.fullmatch(source):
+            return Const(float(source))
+        if isinstance(node, ast.Name):
+            if node.id == "r":
+                return Var()
+            if node.id == "pi":
+                return Const(math.pi)
+            raise ParseError(f"unknown identifier {node.id!r}", pos)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return _neg(walk(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return BinOp(_BINOPS[type(node.op)], walk(node.left), walk(node.right))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base, exponent = walk(node.left), walk(node.right)
+            expos = offset(node.right.col_offset)
+            if any(isinstance(n, ast.Name) and n.id == "r" for n in ast.walk(node.right)):
+                raise ParseError("exponent must be a constant", expos)
+            try:
+                # underflow flushes to 0, a finite exponent
+                with np.errstate(all="raise", under="ignore"):
+                    value = float(exponent.eval(0.0))
+            except FloatingPointError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError("exponent must be finite", expos)
+            return Pow(base, value)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and len(node.args) == 1):
+            return Func(node.func.id, walk(node.args[0]))
+        # an empty tuple is what ``()`` wraps around blank text
+        raise ParseError("expected an expression" if isinstance(node, ast.Tuple)
+                         else f"unexpected {source!r}", pos)
+
+    return walk(tree)

@@ -1,17 +1,13 @@
 """Exponentially scaled modified Bessel functions of orders 0 and 1.
 
-``i0e(x) = I0(x) e^{-x}``, ``i1e(x) = I1(x) e^{-x}``, ``k0e(x) = K0(x) e^{x}``
-and ``k1e(x) = K1(x) e^{x}`` for real x >= 0, to within about 1e-15
-relative.  Each is a Chebyshev series summed by Clenshaw's recurrence on one
-of two ranges, as in Cephes (Moshier, *Methods and Programs for
-Mathematical Functions*, 1989):
+``i0e(x) = I0(x) e^{-x}`` and ``i1e(x) = I1(x) e^{-x}`` for real x >= 0, to
+within about 1e-15 relative.  Each is a Chebyshev series summed by
+Clenshaw's recurrence on one of two ranges, as in Cephes (Moshier, *Methods
+and Programs for Mathematical Functions*, 1989):
 
-* I for x <= 8: e^{-x} I0(x) and e^{-x/2} I1(x) / x in t = x/4 - 1 (the
-  half exponent keeps the I1 sum free of cancellation at both ends);
-* I for x > 8: sqrt(x) e^{-x} I(x) in t = 16/x - 1;
-* K for x <= 2: K0 + log(x/2) I0 and x (K1 - log(x/2) I1), smooth in x^2,
-  in t = x^2/2 - 1;
-* K for x > 2: sqrt(x) e^{x} K(x) in t = 4/x - 1.
+* x <= 8: e^{-x} I0(x) and e^{-x/2} I1(x) / x in t = x/4 - 1 (the half
+  exponent keeps the I1 sum free of cancellation at both ends);
+* x > 8: sqrt(x) e^{-x} I(x) in t = 16/x - 1.
 
 The coefficients are the Chebyshev projections of those functions, computed
 with mpmath at 40 digits on 64 Chebyshev nodes and rounded to double;
@@ -22,7 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["i0e", "i1e", "k0e", "k1e"]
+__all__ = ["i0e", "i1e"]
+
+# names only: the benchmark tracer (bench/tracing.py) rebinds them, and nothing
+# calls them, until ROADMAP item 3 gives the tracer a recorder to read
+k0e = k1e = None
 
 # Chebyshev coefficients c_0, c_1, ... of each series on t in [-1, 1]
 _I0_SMALL = (
@@ -70,40 +70,6 @@ _I1_LARGE = (
     -3.209525921993424e-17, -4.6503053684893586e-17, 4.414348323071708e-18,
     7.517296310842105e-18, -9.314178867326884e-19,
 )
-_K0_SMALL = (
-    -0.2676636966169514, 0.3442898999246285, 0.0359799365153615,
-    0.001264615411446926, 2.286212103119452e-05, 2.5347910790261494e-07,
-    1.904516377220209e-09, 1.0349695257633625e-11, 4.2598161427910826e-14,
-    1.3744654358807508e-16, 3.5708965285083736e-19,
-)
-_K1_SMALL = (
-    0.7626501136694739, -0.3531559607765449, -0.12261118082265715,
-    -0.006975723859639864, -0.0001730288957513052, -2.4334061415659684e-06,
-    -2.213387630734726e-08, -1.4114883926335278e-10, -6.666901694199329e-13,
-    -2.427449850519366e-15, -7.023863479386288e-18,
-)
-_K0_LARGE = (
-    1.2201515410329777, -0.0314481013119645, 0.0015698838857300533,
-    -0.00012849549581627802, 1.39498137188765e-05, -1.8317555227191195e-06,
-    2.766813639445015e-07, -4.660489897687948e-08, 8.574034017414225e-09,
-    -1.6975345093890614e-09, 3.5773972814003283e-10, -7.957489244477396e-11,
-    1.8559491149549264e-11, -4.514597883374519e-12, 1.1403405882073441e-12,
-    -2.9800969231481784e-13, 8.032890775068375e-14, -2.2275133267462965e-14,
-    6.340076476276646e-15, -1.848593377920907e-15, 5.5120559994043335e-16,
-    -1.6782311257549006e-16, 5.2103917776435543e-17, -1.6475805939842632e-17,
-    5.3004337711773354e-18,
-)
-_K1_LARGE = (
-    1.3603130952422213, 0.10392373657681724, -0.002857816859622779,
-    0.00019521551847135162, -1.936197974166083e-05, 2.406484947837217e-06,
-    -3.5019606030878126e-07, 5.7410841254500495e-08, -1.0345762465678097e-08,
-    2.0150497551970347e-09, -4.1903547593419254e-10, 9.218315187605315e-11,
-    -2.129967838427791e-11, 5.139639673482343e-12, -1.2891739609498229e-12,
-    3.348419666052243e-13, -8.976705182010146e-14, 2.4771544242195988e-14,
-    -7.0198370892147685e-15, 2.038703166239861e-15, -6.057047270643018e-16,
-    1.8380935752430455e-16, -5.689462849193648e-17, 1.7940510478863572e-17,
-    -5.7567444820733025e-18,
-)
 
 
 def _cheb(t, c):
@@ -121,10 +87,10 @@ def _cheb(t, c):
     return out
 
 
-def _split(x, edge, small, large):
-    """``small(x)`` where x <= edge and ``large(x)`` elsewhere (NaN included)."""
+def _split(x, small, large):
+    """``small(x)`` where x <= 8 and ``large(x)`` elsewhere (NaN included)."""
     x = np.asarray(x, dtype=float)
-    below = x <= edge
+    below = x <= 8.0
     if below.all():
         out = small(x)
     elif not below.any():
@@ -139,10 +105,6 @@ def _i_large(c):
     return lambda x: _cheb(16.0 / x - 1.0, c) / np.sqrt(x)
 
 
-def _k_large(c):
-    return lambda x: _cheb(4.0 / x - 1.0, c) / np.sqrt(x)
-
-
 def _i0e_small(x):
     return _cheb(0.25 * x - 1.0, _I0_SMALL)
 
@@ -151,36 +113,11 @@ def _i1e_small(x):
     return x * np.exp(-0.5 * x) * _cheb(0.25 * x - 1.0, _I1_SMALL)
 
 
-def _k0e_small(x):
-    with np.errstate(divide="ignore"):    # K0(0) = inf
-        log = np.log(0.5 * x)
-    ex = np.exp(x)
-    return (_cheb(0.5 * x * x - 1.0, _K0_SMALL) - log * _i0e_small(x) * ex) * ex
-
-
-def _k1e_small(x):
-    with np.errstate(divide="ignore", invalid="ignore"):    # K1(0) = inf
-        log = np.log(0.5 * x)
-        ex = np.exp(x)
-        out = (log * _i1e_small(x) * ex + _cheb(0.5 * x * x - 1.0, _K1_SMALL) / x) * ex
-    return np.where(x == 0.0, np.inf, out)
-
-
 def i0e(x):
     """I0(x) e^{-x} for x >= 0."""
-    return _split(x, 8.0, _i0e_small, _i_large(_I0_LARGE))
+    return _split(x, _i0e_small, _i_large(_I0_LARGE))
 
 
 def i1e(x):
     """I1(x) e^{-x} for x >= 0."""
-    return _split(x, 8.0, _i1e_small, _i_large(_I1_LARGE))
-
-
-def k0e(x):
-    """K0(x) e^{x} for x >= 0 (infinite at 0)."""
-    return _split(x, 2.0, _k0e_small, _k_large(_K0_LARGE))
-
-
-def k1e(x):
-    """K1(x) e^{x} for x >= 0 (infinite at 0)."""
-    return _split(x, 2.0, _k1e_small, _k_large(_K1_LARGE))
+    return _split(x, _i1e_small, _i_large(_I1_LARGE))

@@ -6,10 +6,6 @@ finite differences) and shares no code with the package under test.
 
 from __future__ import annotations
 
-import math
-
-EULER_GAMMA = 0.5772156649015328606
-
 
 def i0_series(x: float, terms: int = 40) -> float:
     """I0 by its defining power series sum (x/2)^{2k} / (k!)^2."""
@@ -31,24 +27,6 @@ def i1_series(x: float, terms: int = 40) -> float:
         term *= (half * half) / (k * (k + 1))
         total += term
     return total
-
-
-def k0_series(x: float, terms: int = 40) -> float:
-    """K0 for small x: -(log(x/2) + gamma) I0(x) + correction series."""
-    half = x / 2.0
-    total = -(math.log(half) + EULER_GAMMA) * i0_series(x, terms)
-    term = 1.0
-    harmonic = 0.0
-    for k in range(1, terms):
-        term *= (half * half) / (k * k)
-        harmonic += 1.0 / k
-        total += term * harmonic
-    return total
-
-
-def k1_from_wronskian(x: float) -> float:
-    """K1 via I0 K1 + I1 K0 = 1/x with independently computed I0, I1, K0."""
-    return (1.0 / x - i1_series(x) * k0_series(x)) / i0_series(x)
 
 
 def j1_series(x: float, terms: int = 60) -> float:

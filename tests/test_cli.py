@@ -1,13 +1,17 @@
 import ast
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swirlcurv import profile
 from swirlcurv.cli import main
@@ -249,20 +253,78 @@ def test_missing_config_file_is_named(tmp_path, capsys):
     assert "No such file" in payload["message"] and "missing.json" in payload["message"]
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param('{"profile": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested-arrays"),
+@pytest.mark.parametrize("text,error", [
+    pytest.param('{"profile": ' + "[" * 100_000 + "]" * 100_000 + "}", "config-error",
+                 id="nested-arrays"),
+    # Python's parser refuses more than 200 nested parentheses
     pytest.param(json.dumps({"profile": {"expr": "(" * 3000 + "r" + ")" * 3000}}),
-                 id="nested-parentheses"),
-    pytest.param(json.dumps({"profile": {"expr": "+".join(["r"] * 1500)}}),
-                 id="deep-derivative"),   # parses, but its derivative recurses 1500 deep
+                 "ParseError", id="nested-parentheses"),
+    pytest.param(json.dumps({"profile": {"expr": "+".join(["r"] * 1500)}}), "config-error",
+                 id="deep-derivative"),   # a sum 1500 deep
 ])
-def test_deeply_nested_config_is_a_config_error(tmp_path, capsys, text):
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys, text, error):
     path = tmp_path / "cfg.json"
     path.write_text(text)
     assert main(["check-profile", "--config", str(path), "--out", str(tmp_path)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "config-error"
+    assert json.loads(lines[0])["error"] == error
+
+
+def _one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("text", ["r^(1/0)", "r^(0^-1)", "r^(10^400)", "r^(sqrt(-1))"])
+def test_exponent_that_is_not_finite_is_a_parse_error(tmp_path, capsys, text):
+    cfg = write_cfg(tmp_path, {"profile": {"expr": "1 + " + text}})
+    assert main(["check-profile", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert _one_error_line(capsys.readouterr().err) == "ParseError"
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param("r^2*(1-r)/(r-0.5)", id="pole-on-the-scale-grid"),
+    pytest.param("(1/0)^0*r^2*(1-r)", id="division-by-zero-at-the-axis"),
+])
+def test_floating_point_error_while_reading_the_config(tmp_path, capsys, g):
+    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "modes": [{"n": 1, "g": {"expr": g}}]})
+    assert main(["curvature", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert _one_error_line(capsys.readouterr().err) == "FloatingPointError"
+
+
+SEED_EXPRESSIONS = ["1 + r^2", "2 - r^2", "exp(-r^2)*sin(3*r) + 2", "sqrt(1 + r)/(2 - r)",
+                    "r^(1/2)*cos(pi*r) + 1.5"]
+PIECES = ["r", "pi", "0", "1", ".5", "1e400", "(1/0)", "0^-1", "10^400", "sqrt(-1)", "^",
+          "^-", "-", "+", "*", "/", "(", ")", "sin(", "log(", " ", "\n", "@", "**", "1if", "_"]
+
+
+@st.composite
+def mutated_expressions(draw):
+    text = draw(st.sampled_from(SEED_EXPRESSIONS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + draw(st.sampled_from(PIECES)) + text[i:]
+        else:
+            text = text[:i] + text[i + draw(st.integers(1, 3)):]
+    return text
+
+
+@settings(max_examples=150)
+@example("1 + r^(1/0)")
+@given(mutated_expressions())
+def test_expression_boundary_gives_an_exit_code_and_one_json_line(text):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg = write_cfg(Path(tmp), {"profile": {"expr": text}})
+        code = main(["check-profile", "--config", cfg, "--out", tmp, "--quiet"])
+    assert code in (0, 1, 2)
+    if code:
+        _one_error_line(err.getvalue())
+    else:
+        assert err.getvalue() == ""
 
 
 @pytest.mark.filterwarnings("error")

@@ -476,7 +476,7 @@ admissible_modes = st.builds(
     st.lists(_COEF, min_size=3, max_size=3), st.lists(_COEF, min_size=4, max_size=4),
     st.lists(_COEF, min_size=3, max_size=3), st.lists(_COEF, min_size=3, max_size=3))
 profiles = st.sampled_from([u_const, u_quadratic, u_decreasing])
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=12, database=None)
+PROPERTY = settings(max_examples=12)
 
 
 @PROPERTY

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from swirlcurv import ParseError, parse_expression
 
@@ -97,3 +97,100 @@ def test_unknown_identifier_and_empty():
         parse_expression("theta")
     with pytest.raises(ParseError):
         parse_expression("")
+
+
+# ---------------------------------------------------------------------------
+# The grammar: precedence and associativity, pinned by rendering random trees
+# ---------------------------------------------------------------------------
+
+# binding strength of each node kind, loosest first
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+NUMBERS = st.sampled_from(["0", "3", "0.5", "2.", ".25", "1e-3", "2.5E+2"])
+LEAVES = NUMBERS | st.sampled_from(["r", "pi"])
+
+
+def _kind(tree):
+    return "atom" if isinstance(tree, str) or tree[0] == "call" else tree[0]
+
+
+def _render(tree, minimal):
+    """Source text of ``tree``: every compound operand in parentheses, or
+    only those that the documented precedence needs."""
+    def sub(child, needs):
+        text = _render(child, minimal)
+        compound = not isinstance(child, str) and child[0] != "call"
+        return f"({text})" if compound and (needs or not minimal) else text
+
+    if isinstance(tree, str):
+        return tree
+    kind = tree[0]
+    if kind == "call":
+        return f"{tree[1]}({_render(tree[2], minimal)})"
+    if kind == "neg":
+        return "-" + sub(tree[1], _PREC[_kind(tree[1])] < _PREC["neg"])
+    left, right = tree[1], tree[2]
+    if kind == "^":   # right-associative; the exponent is read as a unary expression
+        return (sub(left, _PREC[_kind(left)] <= _PREC["^"]) + "^"
+                + sub(right, _PREC[_kind(right)] < _PREC["neg"]))
+    # binary operators associate to the left
+    return (sub(left, _PREC[_kind(left)] < _PREC[kind]) + f" {kind} "
+            + sub(right, _PREC[_kind(right)] <= _PREC[kind]))
+
+
+def _value(tree):
+    """The value of a tree without ``r``, or None if it or a power inside it
+    is not a finite real number."""
+    if isinstance(tree, str):
+        return math.pi if tree == "pi" else float(tree)
+    kind, *args = tree
+    values = [_value(a) for a in args]
+    if None in values:
+        return None
+    if kind == "neg":
+        return -values[0]
+    a, b = values
+    if kind != "^":
+        return {"+": a + b, "-": a - b, "*": a * b}[kind]
+    try:
+        v = a ** b
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return v if isinstance(v, float) and math.isfinite(v) else None
+
+
+# constant exponents over small positive numbers, kept where every power in them is finite
+EXPONENTS = st.recursive(
+    st.sampled_from(["1", "2", "3", "0.5", "pi"]),
+    lambda inner: st.tuples(st.just("neg"), inner)
+    | st.tuples(st.sampled_from(["+", "-", "*", "^"]), inner, inner),
+    max_leaves=3).filter(lambda t: _value(t) is not None)
+
+TREES = st.recursive(
+    LEAVES,
+    lambda inner: st.tuples(st.just("neg"), inner)
+    | st.tuples(st.sampled_from(["+", "-", "*", "/"]), inner, inner)
+    | st.tuples(st.just("^"), inner, EXPONENTS)
+    | st.tuples(st.just("call"), st.sampled_from(["sin", "cos", "exp", "log", "sqrt"]), inner),
+    max_leaves=12)
+
+
+@settings(max_examples=300)
+@given(TREES)
+def test_minimal_and_full_parentheses_parse_alike(tree):
+    assert parse_expression(_render(tree, True)) == parse_expression(_render(tree, False))
+
+
+def test_rendering_follows_the_documented_precedence():
+    assert _render(("-", "1", ("-", "2", "3")), True) == "1 - (2 - 3)"
+    assert _render(("neg", ("^", "r", "2")), True) == "-r^2"
+    assert _render(("^", ("neg", "r"), ("neg", "2")), True) == "(-r)^-2"
+    assert _render(("^", "2", ("^", "3", "2")), True) == "2^3^2"
+    assert _render(("*", ("neg", "r"), ("+", "r", "1")), False) == "(-r) * (r + 1)"
+
+
+@pytest.mark.parametrize("text", [
+    "r**2", "+r", "r if r else 1", "r.real", "0x1F", "1_0", "1j", "r # c",
+    "sin(r, r)", "sin()", "[r]", "r < 1", "lambda: r"])
+def test_python_only_syntax_is_refused(text):
+    with pytest.raises(ParseError):
+        parse_expression(text)

@@ -124,7 +124,7 @@ def test_hundred_eigenvalues_exceed_the_basis():
         sl_spectrum(u_const(), 1, 100)
 
 
-@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@settings(max_examples=12)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 20), st.integers(1, 4))
 def test_property_spectrum(a, b, n, m_max):
     # u = 1 + a r + b r^2 with a, b >= 0 has u, u' >= 0, so u * omega > 0
