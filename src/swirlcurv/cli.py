@@ -11,6 +11,7 @@ input, 1 for anything else (a config nested too deeply to read is a
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -112,13 +113,15 @@ def _cmd_jacobi(cfg: RunConfig, out: Path):
 
     r = np.linspace(1.0 / 64, 1.0, 64)   # 64 x 16 snapshot points per field and time
     z = 2.0 * np.pi * np.arange(16) / 16
-    rr, zz = np.meshgrid(r, z, indexing="ij")
+    # the rows of every snapshot, as _write_csv writes them: r and z formatted
+    # once, and a slot for the field's value
+    rows = "".join(f"{_FMT % a},{_FMT % b},{_FMT}\n"
+                   for a, b in itertools.product(r.tolist(), z.tolist()))
     for idx, t in enumerate(sol.times):
         for name in ("h", "j", "g", "f"):
-            vals = getattr(sol, name)(t, rr[:, :1], zz[:1, :])
-            table = np.stack([rr, zz, np.broadcast_to(vals, rr.shape)], axis=-1)
+            vals = getattr(sol, name)(t, r[:, None], z[None, :])
             fname = f"jacobi_{name}_t{idx}.csv"
-            _write_csv(out / fname, ["r", "z", name], table.reshape(-1, 3))
+            (out / fname).write_text(f"r,z,{name}\n" + rows % tuple(vals.ravel().tolist()))
             artifacts.append(fname)
     return artifacts
 

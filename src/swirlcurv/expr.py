@@ -236,8 +236,8 @@ def parse_expression(text: str) -> Node:
             warnings.simplefilter("error")
             tree = ast.parse(src, mode="eval").body
     except SyntaxError as exc:
-        raise ParseError(f"expected an expression: {exc.msg}", offset((exc.offset or 1) - 1)) \
-            from None
+        # Python's message may advise Python syntax ("Perhaps you forgot a comma?")
+        raise ParseError("invalid syntax", offset((exc.offset or 1) - 1)) from None
     except MemoryError:   # CPython's parser reports its stack overflowing so
         raise RecursionError("expression nested too deeply") from None
 

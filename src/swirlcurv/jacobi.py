@@ -12,11 +12,14 @@ the phi = r psi form of the Bessel-type eigenproblem.  The weight
 refused.  The discretization is a Legendre-Galerkin method (Shen, SIAM J.
 Sci. Comput. 15, 1994) on the basis phi_k = r^2 (1 - r) P_k(2r - 1), which
 carries phi ~ r^2 at the axis and phi(1) = 0; each eigenfunction is a
-``numpy.polynomial.Legendre`` series, differentiated exactly.
+``numpy.polynomial.Legendre`` series, differentiated exactly.  The pencil is
+assembled once per profile and basis size K: n enters only as A + n^2 B, so
+a spectrum over many wavenumbers solves many pencils from one assembly.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +59,8 @@ __all__ = [
 # K = 192, a spurious eigenvalue at K = 256).
 TOL, K_MAX = 1e-8, 192
 _BUBBLE = -Legendre.fromroots([0.0, 0.0, 1.0], domain=[0.0, 1.0])  # r^2 (1 - r)
+# profile -> {K: _pencil(profile, K)}
+_PENCILS = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -76,22 +81,33 @@ class SLSpectrum:
         return Legendre(self.coef[m - 1], domain=[0.0, 1.0]) * _BUBBLE
 
 
+def _pencil(p: RadialProfile, K: int):
+    """The Galerkin matrices on phi_0 ... phi_{K-1} that do not depend on n:
+    stiffness A = int phi' psi' / r, B = int phi psi / r, mass
+    M = int (2 u omega / r) phi psi, and the basis values at the nodes.
+    Assembled once per (profile, K); the cache entry dies with the profile."""
+    cache = _PENCILS.setdefault(p, {})
+    if K not in cache:
+        x, w = gauss_nodes(np.union1d(np.linspace(0.0, 1.0, K + 1), p.u.knots))
+        r, w = x.ravel(), w.ravel()
+        weight = 2.0 * p.u(r) * p.omega(r) / r
+        if np.any(weight <= 0.0):
+            raise HypothesisViolationError("u * omega must be positive on (0, 1)")
+        P = legvander(2.0 * r - 1.0, K - 1)
+        dP = legvander(2.0 * r - 1.0, K - 2) @ legder(np.eye(K), scl=2.0)
+        b, db = _BUBBLE(r)[:, None], _BUBBLE.deriv()(r)[:, None]
+        phi, dphi = b * P, db * P + b * dP
+        cache[K] = ((dphi.T * (w / r)) @ dphi, (phi.T * (w / r)) @ phi,
+                    (phi.T * (w * weight)) @ phi, phi)
+    return cache[K]
+
+
 def _galerkin(p: RadialProfile, n: int, m_max: int, K: int):
     """The ``m_max`` smallest lambda of the Galerkin pencil on phi_0 ... phi_{K-1},
     int (phi' psi' + n^2 phi psi) / r = lambda^2 int (2 u omega / r) phi psi,
     and the basis coefficients of their eigenfunctions, one row each."""
-    x, w = gauss_nodes(np.union1d(np.linspace(0.0, 1.0, K + 1), p.u.knots))
-    r, w = x.ravel(), w.ravel()
-    weight = 2.0 * p.u(r) * p.omega(r) / r
-    if np.any(weight <= 0.0):
-        raise HypothesisViolationError("u * omega must be positive on (0, 1)")
-    P = legvander(2.0 * r - 1.0, K - 1)
-    dP = legvander(2.0 * r - 1.0, K - 2) @ legder(np.eye(K), scl=2.0)
-    b, db = _BUBBLE(r)[:, None], _BUBBLE.deriv()(r)[:, None]
-    phi, dphi = b * P, db * P + b * dP
-    stiff = (dphi.T * (w / r)) @ dphi + n * n * ((phi.T * (w / r)) @ phi)
-    mass = (phi.T * (w * weight)) @ phi
-    lam2, vecs = eigh(stiff, mass, subset_by_index=[0, m_max - 1])
+    A, B, M, phi = _pencil(p, K)
+    lam2, vecs = eigh(A + n * n * B, M, subset_by_index=[0, m_max - 1])
     # mass-orthonormal vectors give each phi weight-norm one; make its dominant lobe positive
     vals = phi @ vecs
     vecs *= np.sign(vals[np.argmax(np.abs(vals), axis=0), np.arange(m_max)])
@@ -173,6 +189,8 @@ class JacobiSolution:
     phase: str
     profile: RadialProfile = field(repr=False, default=None)
     _phi: Legendre = field(repr=False, default=None)
+    # (r, phi(r)) of the last radial grid: every field and time reads the same r
+    _phi_at: tuple = field(repr=False, compare=False, default=(None, None))
 
     @property
     def times(self):
@@ -186,7 +204,9 @@ class JacobiSolution:
 
     def _space(self, r, z):
         r, nz = np.asarray(r, dtype=float), self.n * np.asarray(z)
-        return r, self._phi(r), np.cos(nz), np.sin(nz)
+        if not np.array_equal(self._phi_at[0], r):
+            self._phi_at = (r.copy(), self._phi(r))
+        return r, self._phi_at[1], np.cos(nz), np.sin(nz)
 
     def h(self, t, r, z):
         T, _, _ = self._time(t)

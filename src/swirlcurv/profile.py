@@ -67,31 +67,32 @@ class CriteriaReport:
     tolerance: float
     witness_points: list = field(default_factory=list)
     """Dicts {criterion, r, value}: for each failing criterion its minimum, then
-    every root found, a grid zero or a sign change bisected to 1e-12 in r (so its
-    value is near 0, though for a steep criterion not always within ``tolerance``)."""
+    every root found, a grid zero or a sign change bisected to 1e-12 in r and on
+    until |value| <= ``tolerance`` (or the bracket is two adjacent floats)."""
 
 
-def _bisect_root(fn, a, b, fa, fb, tol=1e-12):
-    # plain bisection; fa*fb < 0 guaranteed by the caller
-    for _ in range(200):
+def _bisect_root(fn, a, b, fa, value_tol, tol=1e-12):
+    """A root of ``fn`` in [a, b], fa * fn(b) < 0: bisected to ``tol`` in r and
+    on until |fn| <= ``value_tol`` or the bracket is two adjacent floats."""
+    while True:
         mid = 0.5 * (a + b)
         fm = fn(mid)
-        if b - a < tol:
+        if (b - a < tol and abs(fm) <= value_tol) or mid in (a, b):
             return mid
         if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
+            b = mid
         else:
             a, fa = mid, fm
-    return 0.5 * (a + b)
 
 
-def _scan(fn, grid):
+def _scan(fn, grid, tol):
     """Values of ``fn`` on ``grid`` (one array call) followed by its roots there:
-    exact zeros at grid points and a bisected root in every sign change."""
+    exact zeros at grid points and a root bisected to |value| <= ``tol`` in
+    every sign change."""
     vals = np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape)
     hits = np.flatnonzero((vals == 0.0) | np.append(vals[:-1] * vals[1:] < 0.0, False))
     roots = [grid[i] if vals[i] == 0.0
-             else _bisect_root(fn, grid[i], grid[i + 1], vals[i], vals[i + 1])
+             else _bisect_root(fn, grid[i], grid[i + 1], vals[i], tol)
              for i in hits]
     return (np.concatenate([grid, roots]),
             np.concatenate([vals, [float(fn(r)) for r in roots]]))
@@ -104,10 +105,10 @@ def classify_criteria(p: RadialProfile) -> CriteriaReport:
     tol = POSITIVITY_TOL_SCALE * (1 + max |eta|) on the grid.
     """
     uo_fn = lambda r: p.u(r) * p.omega(r)
-    eta_pts, eta_vals = _scan(p.eta, CRITERIA_GRID)
-    uo_pts, uo_vals = _scan(uo_fn, CRITERIA_GRID)
+    tol = POSITIVITY_TOL_SCALE * (1.0 + float(np.max(np.abs(p.eta(CRITERIA_GRID)))))
+    eta_pts, eta_vals = _scan(p.eta, CRITERIA_GRID, tol)
+    uo_pts, uo_vals = _scan(uo_fn, CRITERIA_GRID, tol)
 
-    tol = POSITIVITY_TOL_SCALE * (1.0 + float(np.max(np.abs(eta_vals))))
     eta_min_i = int(np.argmin(eta_vals))
     uo_min_i = int(np.argmin(uo_vals))
     eta_min = float(eta_vals[eta_min_i])

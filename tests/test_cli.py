@@ -10,11 +10,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swirlcurv import profile
-from swirlcurv.cli import main
+from swirlcurv import assemble_jacobi, profile, sl_spectrum
+from swirlcurv.cli import _write_csv, main
+from swirlcurv.config import parse_config
 
 GOOD_PROFILE = {"expr": "1 + r^2"}
 MODES = [{"n": 1, "g": {"poly": [0, 0, 1, -1]}, "f": {"poly": [0, 1, -1]}},
@@ -97,6 +99,25 @@ def test_jacobi_command(tmp_path):
         assert report[key] < 1e-4
     assert (tmp_path / "jacobi_h_t0.csv").exists()
     assert (tmp_path / "jacobi_f_t2.csv").exists()
+
+
+@pytest.mark.parametrize("phase", ["cos", "sin"])
+@pytest.mark.parametrize("n", [2, -3])
+def test_jacobi_snapshots_match_write_csv(tmp_path, phase, n):
+    # the snapshot rows are formatted from one template; _write_csv is the reference
+    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE,
+                               "params": {"n": n, "m": 2, "phase": phase}})
+    assert main(["jacobi", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    p = parse_config(Path(cfg)).profile
+    sol = assemble_jacobi(p, sl_spectrum(p, n, 2), 2, phase=phase)
+    rr, zz = np.meshgrid(np.linspace(1.0 / 64, 1.0, 64), 2.0 * np.pi * np.arange(16) / 16,
+                         indexing="ij")
+    for idx, t in enumerate(sol.times):
+        for name in ("h", "j", "g", "f"):
+            table = np.stack([rr, zz, getattr(sol, name)(t, rr, zz)], axis=-1)
+            _write_csv(tmp_path / "reference.csv", ["r", "z", name], table.reshape(-1, 3))
+            assert ((tmp_path / f"jacobi_{name}_t{idx}.csv").read_bytes()
+                    == (tmp_path / "reference.csv").read_bytes())
 
 
 def test_oscillation_command(tmp_path):
@@ -203,7 +224,7 @@ def test_spectrum_beyond_the_basis_exit_code(tmp_path, capsys):
 def test_spectrum_checks_the_criteria_once(tmp_path, monkeypatch):
     scans = []
     scan = profile._scan
-    monkeypatch.setattr(profile, "_scan", lambda fn, grid: scans.append(fn) or scan(fn, grid))
+    monkeypatch.setattr(profile, "_scan", lambda fn, grid, tol: scans.append(fn) or scan(fn, grid, tol))
     cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE,
                                "params": {"m_max": 1, "n_list": list(range(1, 11))}})
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0

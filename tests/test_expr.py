@@ -92,6 +92,15 @@ def test_parse_error_positions():
         parse_expression("1 2")
 
 
+@pytest.mark.parametrize("text", ["1 2", "r^02"])
+def test_syntax_error_gives_no_python_advice(text):
+    # Python's parser advises a comma for "1 2" and an 0o prefix for "02"
+    with pytest.raises(ParseError) as exc:
+        parse_expression(text)
+    assert str(exc.value).startswith("invalid syntax (at offset ")
+    assert "Perhaps" not in str(exc.value) and "0o" not in str(exc.value)
+
+
 def test_unknown_identifier_and_empty():
     with pytest.raises(ParseError):
         parse_expression("theta")

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -53,6 +54,36 @@ def test_each_grid_level_solved_once(monkeypatch):
     assert np.array_equal(s.eigenvalues, lam160)
     assert np.array_equal(s.coef, coef160)
     assert np.array_equal(s.error_estimates, np.abs(lam160 - lam80) / lam160)
+
+
+def test_spectrum_assembles_each_basis_size_once_per_profile(monkeypatch):
+    # n enters the pencil only as A + n^2 B: u = 1, n = 1 ... 10 solves at
+    # K = 16 and 32, and each assembly evaluates two Legendre Vandermondes
+    p, vander, degrees = u_const(), jacobi.legvander, []
+
+    def counting(x, deg):
+        degrees.append(deg)
+        return vander(x, deg)
+
+    monkeypatch.setattr(jacobi, "legvander", counting)
+    spectra = [sl_spectrum(p, n, 3) for n in range(1, 11)]
+    assert sorted(degrees) == [14, 15, 30, 31]
+    monkeypatch.undo()
+    for n, s in enumerate(spectra, start=1):
+        fresh = sl_spectrum(u_const(), n, 3)
+        assert np.array_equal(s.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(s.coef, fresh.coef)
+
+
+def test_pencil_cache_dies_with_its_profile():
+    gc.collect()
+    before = len(jacobi._PENCILS)
+    p = u_quadratic()
+    lambda_over_n_study(p, 1, [4, 8, 16])
+    assert len(jacobi._PENCILS) == before + 1
+    del p
+    gc.collect()
+    assert len(jacobi._PENCILS) == before
 
 
 def test_spectrum_other_wavenumbers():
@@ -285,6 +316,24 @@ def test_fields_match_per_phase_closed_forms(phase):
             scale = np.max(np.abs(getattr(sol, name)(0.3 * sol.t_star, r, z)))
             np.testing.assert_allclose(getattr(sol, name)(t, r, z), expected,
                                        rtol=1e-14, atol=1e-14 * scale, err_msg=name)
+
+
+def test_fields_evaluate_phi_once_per_radial_grid():
+    p = u_quadratic()
+    sol = assemble_jacobi(p, sl_spectrum(p, 2, 1), 1)
+    phi, grids = sol._phi, []
+    sol._phi = lambda r: grids.append(r) or phi(r)
+    r, z = np.linspace(0.1, 1.0, 7)[:, None], np.linspace(0.0, np.pi, 5)[None, :]
+    first = {name: getattr(sol, name)(sol.times[0], r, z) for name in ("h", "j", "g", "f")}
+    for t in sol.times:
+        for name in ("h", "j", "g", "f", "dj_dt", "dg_dt", "df_dt"):
+            getattr(sol, name)(t, r.copy(), z)
+    assert len(grids) == 1
+    sol.h(0.0, r[::2], z)
+    assert len(grids) == 2
+    for name, values in first.items():
+        assert np.array_equal(getattr(sol, name)(sol.times[0], r, z), values)
+    assert len(grids) == 3
 
 
 def test_assemble_jacobi_validation():

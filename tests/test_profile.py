@@ -51,6 +51,9 @@ def test_classify_decreasing_profile_fails_with_witness():
     assert eta_witnesses
     root = math.sqrt(2.0 / 5.0)
     assert any(abs(w["r"] - root) < 1e-6 for w in eta_witnesses)
+    # within the tolerance once bisected to 1e-12 in r, so bisected no further
+    assert eta_witnesses[1] == {"criterion": "eta", "r": 0.6324555320333713,
+                                "value": 3.0815350271495845e-12}
     # u*omega = (2 - r^2)(4 - 4 r^2) stays positive on [0, 1)
     # but vanishes at r = 1, so strict positivity fails there too
     assert not rep.u_omega_positive
@@ -65,6 +68,16 @@ def test_rigid_rotation_boundary_case():
     assert any(abs(w["r"]) < 1e-12 for w in rep.witness_points)
 
 
+@pytest.mark.parametrize("text", ["cos(30*r) + 0.5", "sin(20*r)"])
+def test_bisected_roots_are_within_the_tolerance(text):
+    # steep criteria: bisected to 1e-12 in r only, their roots kept values of
+    # up to 12 times the tolerance
+    report = classify_criteria(RadialProfile(ExpressionFunction(text)))
+    for name in ("eta", "u_omega"):
+        roots = [w for w in report.witness_points if w["criterion"] == name][1:]
+        assert roots and all(abs(w["value"]) <= report.tolerance for w in roots)
+
+
 @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [2.0, 0.0, -1.0]])
 def test_witnesses_list_each_point_once(coeffs):
     # u = r: eta and u*omega have their minimum at an exact zero on the axis;
@@ -75,7 +88,7 @@ def test_witnesses_list_each_point_once(coeffs):
     assert ("u_omega", 0.0 if coeffs[0] == 0.0 else 1.0) in points
 
 
-def _scalar_scan(fn, grid):
+def _scalar_scan(fn, grid, tol):
     """Reference for profile._scan: one scalar call per grid point."""
     vals = np.array([float(fn(r)) for r in grid])
     roots = []
@@ -83,7 +96,7 @@ def _scalar_scan(fn, grid):
         if vals[i] == 0.0:
             roots.append(grid[i])
         elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(profile._bisect_root(fn, grid[i], grid[i + 1], vals[i], vals[i + 1]))
+            roots.append(profile._bisect_root(fn, grid[i], grid[i + 1], vals[i], tol))
     if vals[-1] == 0.0:
         roots.append(grid[-1])
     return (np.concatenate([grid, roots]),
