@@ -24,6 +24,7 @@ from .curvature import curvature_report, oscillation_study
 from .errors import HypothesisViolationError, SwirlcurvError, ValidationError
 from .jacobi import (assemble_jacobi, conjugate_times, jacobi_residuals,
                      lambda_over_n_study, sl_spectrum)
+from .quadrature import MAX_PANELS
 
 __all__ = ["main", "run_command"]
 
@@ -129,8 +130,10 @@ def _cmd_jacobi(cfg: RunConfig, out: Path):
 def _cmd_oscillation(cfg: RunConfig, out: Path):
     n = _param(cfg, "n", 1)
     k_max = _param(cfg, "k_max", 32)
-    if k_max < 1:
-        raise ValidationError(f"param 'k_max' must be >= 1, got {k_max}")
+    # past k ~ 7850 sin^2(k pi r) needs more than MAX_PANELS panels, so a larger
+    # k_max would compute every lower k before its AccuracyError
+    if not 1 <= k_max <= MAX_PANELS:
+        raise ValidationError(f"param 'k_max' must be in 1 ... {MAX_PANELS}, got {k_max}")
     rows = oscillation_study(cfg.profile, n, range(1, k_max + 1))
     _write_csv(out / "oscillation.csv", ["k", "k_normalized"], rows)
     return ["oscillation.csv"]

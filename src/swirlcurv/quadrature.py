@@ -2,8 +2,11 @@
 
 ``PANELS`` uniform panels on [a, b], split at spline knots, carry ``NODES``
 Gauss-Legendre nodes each; the integrand sees every node at once, ascending,
-and may be complex.  Panels are bisected until the P- and 2P-panel values
-agree; ``AccuracyError`` is raised past ``MAX_PANELS`` or on a non-finite sum.
+and may be complex.  It may also return an (m, nodes) array, m integrals
+over one panel set.  Panels are bisected until the P- and 2P-panel values
+agree; a row of an (m, nodes) integrand keeps its value from the first level
+at which it agrees, as it would alone, and the panels are bisected until every
+row has.  ``AccuracyError`` is raised past ``MAX_PANELS`` or on a non-finite sum.
 Gauss nodes never touch a panel end, so a removable 1/r at the axis needs no
 special case.  Why 32 panels: the first check's 640 nodes lie closer (1.6e-3
 at mid-radius) than the 256-point grid on which the criteria judge u (6e-3);
@@ -43,27 +46,35 @@ def gauss_nodes(edges):
 
 def quad_real(fn, a, b, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL, points=()):
     """Integral over [a, b] of ``fn``, which maps the 1-d ascending array of
-    all nodes of a panel set to real or complex values.  The nodes come
-    panel-major from a to b: ``x.reshape(-1, NODES)[k]`` are the Gauss nodes
-    of panel k, on which the closed curvature route collocates."""
+    all nodes of a panel set to real or complex values: a scalar for 1-d
+    values, an (m,) array for (m, nodes) values, each row equal to a 1-d call
+    on its own values.  The nodes come panel-major from a to b:
+    ``x.reshape(-1, NODES)[k]`` are the Gauss nodes of panel k, on which the
+    closed curvature route collocates."""
     def total(edges):
         x, w = gauss_nodes(edges)
-        out = np.sum(w.ravel() * fn(x.ravel()))
-        if not np.isfinite(out):   # refining cannot mend it
+        out = np.sum(w.ravel() * fn(x.ravel()), axis=-1)
+        if not np.all(np.isfinite(out)):   # refining cannot mend it
             raise AccuracyError(f"quadrature sum {out} on {edges.size - 1} panels")
         return out
 
     edges = panel_edges(a, b, points)
     value = total(edges)
+    result, done = value, np.zeros(value.shape, dtype=bool)
     while True:
         edges = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
         finer = total(edges)
-        err = float(abs(finer - value))
-        if err <= max(epsabs, epsrel * float(abs(finer))):
-            return finer.item()
+        err = np.abs(finer - value)
+        result = np.where(done, result, finer)
+        done |= err <= np.maximum(epsabs, epsrel * np.abs(finer))
+        if done.all():
+            return result if result.ndim else result.item()
         if edges.size > MAX_PANELS:
+            row = np.flatnonzero(~done)[0]
+            where = f" in row {row}" if finer.ndim else ""
+            err, finer = err.ravel()[row], finer.ravel()[row]
             raise AccuracyError(
-                f"quadrature error estimate {err:.3e} with {edges.size - 1} panels "
+                f"quadrature error estimate {err:.3e}{where} with {edges.size - 1} panels "
                 f"exceeds tolerance for value {abs(finer):.6e}",
-                value=finer, error_estimate=err)
+                value=finer, error_estimate=float(err))
         value = finer

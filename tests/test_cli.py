@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import swirlcurv.curvature as curvature
+import swirlcurv.modes as modes
 from swirlcurv import assemble_jacobi, profile, sl_spectrum
 from swirlcurv.cli import _write_csv, main
 from swirlcurv.config import parse_config
+from swirlcurv.quadrature import MAX_PANELS
 
 GOOD_PROFILE = {"expr": "1 + r^2"}
 MODES = [{"n": 1, "g": {"poly": [0, 0, 1, -1]}, "f": {"poly": [0, 1, -1]}},
@@ -129,6 +132,36 @@ def test_oscillation_command(tmp_path):
     vals = [float(line.split(",")[1]) for line in lines[1:]]
     assert len(vals) == 6
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_k_max_past_the_panel_budget_is_refused_before_any_quadrature(
+        tmp_path, capsys, monkeypatch):
+    # sin^2(k pi r) needs more than MAX_PANELS panels from k ~ 7850 on
+    calls = []
+    for module in (curvature, modes):
+        monkeypatch.setattr(module, "quad_real", lambda *args, **kw: calls.append(args))
+    cfg = write_cfg(tmp_path, {"profile": ONE, "params": {"k_max": MAX_PANELS + 1}})
+    assert main(["oscillation-study", "--config", cfg, "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValidationError"
+    assert calls == []
+
+
+def test_nan_tokens_are_the_documented_ones(tmp_path):
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    assert "`limit-study` writes `nan` as the first row's `diff`" in readme
+    assert "`curvature` writes `nan` as `k_normalized`" in readme
+    cfg = write_cfg(tmp_path, {"profile": ONE, "params": {"n_list": [4, 8]}})
+    assert main(["limit-study", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    header, first, second = (tmp_path / "limit.csv").read_text().splitlines()
+    assert first.split(",")[2] == "nan" and "nan" not in second
+    # g = r(1 - r): g'(0) = 1, so the mode's energy diverges at the axis
+    cfg = write_cfg(tmp_path, {"profile": ONE, "modes": [{"n": 1, "g": {"poly": [0, 1, -1]}}]})
+    assert main(["curvature", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    header, row = (tmp_path / "curvature.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["k_normalized"] == "nan"
+    assert row.split(",").count("nan") == 1
 
 
 def test_limit_command(tmp_path):

@@ -451,6 +451,39 @@ def test_oscillation_study_decreases():
         oscillation_study(u_const(), 0, range(1, 3))
 
 
+def _oscillation_row(p, n, k):
+    """One k of the oscillation study, by two scalar quadrature calls."""
+    w = k * np.pi
+    numerator = quad_real(lambda r: n * n * np.sin(w * r) ** 2 * p.eta(r) / r, 0.0, 1.0,
+                          points=p.u.knots)
+    denominator = quad_real(
+        lambda r: n * n * np.sin(w * r) ** 2 / r + (w * np.cos(w * r)) ** 2, 0.0, 1.0)
+    return numerator / (p.energy * denominator)
+
+
+@pytest.mark.parametrize("p, n", [
+    (u_quadratic(), 3),
+    (RadialProfile(TableFunction(np.linspace(0.0, 1.0, 33),
+                                 1.0 + np.linspace(0.0, 1.0, 33) ** 2)), 1),
+], ids=["1+r^2", "table"])
+def test_blocked_oscillation_study_equals_one_k_at_a_time(p, n):
+    # k = 1 ... 40 crosses the block ends at 16/17 and 32/33
+    assert curvature.BLOCK == 16
+    rows = oscillation_study(p, n, range(1, 41))
+    assert rows == [(k, _oscillation_row(p, n, k)) for k in range(1, 41)]
+
+
+def test_oscillation_study_memory_is_bounded_by_the_block():
+    # one call over all 256 wavenumbers peaks at about 31 MB, blocks of 16 at 2 MB
+    tracemalloc.start()
+    try:
+        oscillation_study(u_const(), 1, range(1, 257))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
 # ---------------------------------------------------------------------------
 # Third reference (mpmath) and properties over random admissible modes
 # ---------------------------------------------------------------------------

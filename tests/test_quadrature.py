@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swirlcurv import AccuracyError, curvature
 from swirlcurv.quadrature import MAX_PANELS, NODES, PANELS, gauss_nodes, panel_edges, quad_real
@@ -59,18 +60,59 @@ def test_unresolved_integrand_raises_with_estimate():
     assert calls[-1] == 10 * MAX_PANELS
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_sum_stops_at_once(bad):
+@pytest.mark.parametrize("bad, rows", [
+    pytest.param(np.nan, False, id="nan"), pytest.param(np.inf, False, id="inf"),
+    pytest.param(np.nan, True, id="nan-rows"), pytest.param(np.inf, True, id="inf-rows"),
+])
+def test_non_finite_sum_stops_at_once(bad, rows):
     # refining a NaN or infinite sum cannot converge, so the first one raises
     calls = []
 
     def broken(x):
         calls.append(x.size)
-        return np.where(x > 0.5, bad, x)
+        values = np.where(x > 0.5, bad, x)
+        return np.stack([x, values]) if rows else values
 
     with pytest.raises(AccuracyError):
         quad_real(broken, 0.0, 1.0)
     assert len(calls) <= 2
+
+
+# integrands that stop at different levels: e^x sin^2(k pi x) for k = 1, 150
+# and 300 stops on 64, 128 and 256 panels (plain sin^2(k pi x) stopped on 64
+# for each of k = 1, 61 and 300); one row is complex
+ROWS = {
+    "sin2_1": lambda x: np.exp(x) * np.sin(np.pi * x) ** 2,
+    "sin2_150": lambda x: np.exp(x) * np.sin(150 * np.pi * x) ** 2,
+    "sin2_300": lambda x: np.exp(x) * np.sin(300 * np.pi * x) ** 2,
+    "kink": lambda x: np.abs(x - 1.0 / 3.0),
+    "x19": lambda x: x ** 19,
+    "exp_ix": lambda x: np.exp(1j * 7.0 * x),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(sorted(ROWS)), min_size=1, max_size=6))
+def test_each_row_equals_its_own_call(names):
+    def rows(x):
+        return np.stack([ROWS[name](x) for name in names])
+
+    values = quad_real(rows, 0.0, 1.0, points=[1.0 / 3.0])
+    assert values.shape == (len(names),)
+    for i in range(len(names)):
+        # the row's values as the array holds them: a real row of a complex
+        # array is summed in complex arithmetic, which may differ in the last bit
+        assert values[i] == quad_real(lambda x: rows(x)[i], 0.0, 1.0, points=[1.0 / 3.0])
+
+
+def test_unresolved_row_is_named_while_the_others_converge():
+    with pytest.raises(AccuracyError) as alone:
+        quad_real(lambda x: x ** -0.5, 0.0, 1.0)
+    with pytest.raises(AccuracyError) as info:
+        quad_real(lambda x: np.stack([x ** 2, x ** -0.5, x ** -0.6]), 0.0, 1.0)
+    assert " in row 1 " in str(info.value)
+    assert info.value.value == alone.value.value
+    assert info.value.error_estimate == alone.value.error_estimate
 
 
 def _node_counts(monkeypatch):
