@@ -206,7 +206,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: JSON, an expression or its derivative nested past Python's stack
+        # RecursionError: JSON or an expression nested past Python's recursion limit
         print(json.dumps({"error": "config-error", "message": str(exc)}), file=sys.stderr)
         return 1
     try:

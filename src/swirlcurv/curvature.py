@@ -32,7 +32,7 @@ from .errors import (DegenerateSectionError, InvalidModeError, RegularityError,
 from .linalg import solve_banded
 from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy
 from .profile import RadialProfile
-from .quadrature import NODES, PANELS, gauss_nodes, panel_edges, quad_real
+from .quadrature import _W, _X, NODES, PANELS, gauss_nodes, panel_edges, quad_real
 from .radial import bspline_basis
 
 __all__ = [
@@ -75,11 +75,10 @@ def _knots(p: RadialProfile, m: FourierMode):
     return np.concatenate([p.u.knots, m.knots])
 
 
-# Gauss nodes t and weights on [-1, 1], and S[j, k] = int_{-1}^{t_j} l_k for the
-# Lagrange basis l_k on t, from l_k = w_k sum_i (i + 1/2) P_i(t_k) P_i
-_T, _W = legendre.leggauss(NODES)
-_S = legendre.legvander(_T, NODES) @ legendre.legint(
-    (np.arange(NODES) + 0.5)[:, None] * legendre.legvander(_T, NODES - 1).T * _W, lbnd=-1)
+# S[j, k] = int_{-1}^{t_j} l_k for the quadrature's Gauss nodes t = _X (weights w = _W)
+# and the Lagrange basis l_k on t, from l_k = w_k sum_i (i + 1/2) P_i(t_k) P_i
+_S = legendre.legvander(_X, NODES) @ legendre.legint(
+    (np.arange(NODES) + 0.5)[:, None] * legendre.legvander(_X, NODES - 1).T * _W, lbnd=-1)
 
 
 def _carry(decay, increment):
@@ -109,7 +108,7 @@ def _h_ratio(p: RadialProfile, m: FourierMode, r):
     """
     N = abs(m.n)
     x = r.reshape(-1, NODES)
-    half = (x[:, -1] - x[:, 0]) / (_T[-1] - _T[0])
+    half = (x[:, -1] - x[:, 0]) / (_X[-1] - _X[0])
     rate = N * sp.i0e(N * x) / sp.i1e(N * x) - 1.0 / x
     q = N * x * x * m.f(x) * p.u(x)
     v = np.linalg.solve(np.eye(NODES) + (half[:, None] * rate)[:, :, None] * _S,

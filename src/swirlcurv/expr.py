@@ -2,9 +2,10 @@
 
 Expressions are functions of the single variable ``r`` built from constants,
 ``+ - * /``, powers with constant exponents, and the unary functions
-``sin cos exp log sqrt``.  Every AST node knows its exact symbolic
-derivative (``Node.diff``), so profiles written as expressions get exact
-derivatives.
+``sin cos exp log sqrt``.  Every AST node evaluates its value (``Node.eval``)
+and its value with its exact first derivative (``Node.jet``, forward-mode
+differentiation: Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+2008), so profiles written as expressions get exact derivatives.
 
 Precedence (tightest first): power, unary minus, ``* /``, ``+ -``; power
 associates to the right and binary operators to the left.  These are
@@ -27,8 +28,6 @@ from .errors import ParseError
 
 __all__ = ["Node", "parse_expression"]
 
-_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
-
 
 # ---------------------------------------------------------------------------
 # AST
@@ -40,8 +39,11 @@ class Node:
     def eval(self, r):
         raise NotImplementedError
 
-    def diff(self) -> "Node":
-        """Exact symbolic derivative with light constant folding."""
+    def jet(self, r):
+        """(value, exact first derivative) at ``r`` by forward-mode evaluation:
+        the chain rule applied node by node, with no derivative tree.  Slopes
+        start as the numbers 0 and 1 at constants and at ``r``, so a slope that
+        never meets an array stays a number."""
         raise NotImplementedError
 
 
@@ -53,8 +55,8 @@ class Const(Node):
         return np.broadcast_to(np.float64(self.value), np.shape(r)).copy() \
             if np.ndim(r) else np.float64(self.value)
 
-    def diff(self):
-        return Const(0.0)
+    def jet(self, r):
+        return self.eval(r), 0.0
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ class Var(Node):
     def eval(self, r):
         return np.asarray(r, dtype=float) if np.ndim(r) else np.float64(r)
 
-    def diff(self):
-        return Const(1.0)
+    def jet(self, r):
+        return self.eval(r), 1.0
 
 
 @dataclass(frozen=True)
@@ -83,16 +85,15 @@ class BinOp(Node):
             return a * b
         return a / b
 
-    def diff(self):
-        la, rb = self.left, self.right
-        da, db = la.diff(), rb.diff()
-        if self.op in "+-":
-            return _add(da, db) if self.op == "+" else _sub(da, db)
+    def jet(self, r):
+        (a, da), (b, db) = self.left.jet(r), self.right.jet(r)
+        if self.op == "+":
+            return a + b, da + db
+        if self.op == "-":
+            return a - b, da - db
         if self.op == "*":
-            return _add(_mul(da, rb), _mul(la, db))
-        # quotient rule
-        num = _sub(_mul(da, rb), _mul(la, db))
-        return BinOp("/", num, _mul(rb, rb))
+            return a * b, da * b + a * db
+        return a / b, (da * b - a * db) / (b * b)
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,9 @@ class Neg(Node):
     def eval(self, r):
         return -self.arg.eval(r)
 
-    def diff(self):
-        return _neg(self.arg.diff())
+    def jet(self, r):
+        a, da = self.arg.jet(r)
+        return -a, -da
 
 
 @dataclass(frozen=True)
@@ -118,11 +120,16 @@ class Pow(Node):
         # the last bit, and a value must not depend on being evaluated in an array
         return np.power(self.base.eval(r), self.exponent)
 
-    def diff(self):
+    def jet(self, r):
+        a, da = self.base.jet(r)
         p = self.exponent
-        if p == 0:
-            return Const(0.0)
-        return _mul(_mul(Const(p), Pow(self.base, p - 1)), self.base.diff())
+        # a^0 is 1 whatever a is: its slope is 0 even where a's slope is not finite
+        return np.power(a, p), (p * np.power(a, p - 1) * da if p else 0.0)
+
+
+# the slope of each function, as a function of its argument
+_SLOPES = {"sin": np.cos, "cos": lambda a: -np.sin(a), "exp": np.exp,
+           "log": lambda a: 1.0 / a, "sqrt": lambda a: 0.5 / np.sqrt(a)}
 
 
 @dataclass(frozen=True)
@@ -135,70 +142,9 @@ class Func(Node):
         fn = getattr(np, self.name)
         return fn(x)
 
-    def diff(self):
-        da = self.arg.diff()
-        a = self.arg
-        if self.name == "sin":
-            outer = Func("cos", a)
-        elif self.name == "cos":
-            outer = _neg(Func("sin", a))
-        elif self.name == "exp":
-            outer = Func("exp", a)
-        elif self.name == "log":
-            outer = BinOp("/", Const(1.0), a)
-        else:  # sqrt
-            outer = BinOp("/", Const(0.5), Func("sqrt", a))
-        return _mul(outer, da)
-
-
-# -- tiny constant-folding constructors so derivative trees stay small -------
-
-def _const_of(node):
-    return node.value if isinstance(node, Const) else None
-
-
-def _add(a, b):
-    ca, cb = _const_of(a), _const_of(b)
-    if ca is not None and cb is not None:
-        return Const(ca + cb)
-    if ca == 0.0:
-        return b
-    if cb == 0.0:
-        return a
-    return BinOp("+", a, b)
-
-
-def _sub(a, b):
-    ca, cb = _const_of(a), _const_of(b)
-    if ca is not None and cb is not None:
-        return Const(ca - cb)
-    if cb == 0.0:
-        return a
-    if ca == 0.0:
-        return _neg(b)
-    return BinOp("-", a, b)
-
-
-def _mul(a, b):
-    ca, cb = _const_of(a), _const_of(b)
-    if ca is not None and cb is not None:
-        return Const(ca * cb)
-    if ca == 0.0 or cb == 0.0:
-        return Const(0.0)
-    if ca == 1.0:
-        return b
-    if cb == 1.0:
-        return a
-    return BinOp("*", a, b)
-
-
-def _neg(a):
-    ca = _const_of(a)
-    if ca is not None:
-        return Const(-ca)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
+    def jet(self, r):
+        a, da = self.arg.jet(r)
+        return getattr(np, self.name)(a), _SLOPES[self.name](a) * da
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +199,7 @@ def parse_expression(text: str) -> Node:
                 return Const(math.pi)
             raise ParseError(f"unknown identifier {node.id!r}", pos)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return _neg(walk(node.operand))
+            return Neg(walk(node.operand))
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
             return BinOp(_BINOPS[type(node.op)], walk(node.left), walk(node.right))
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
@@ -271,7 +217,7 @@ def parse_expression(text: str) -> Node:
                 raise ParseError("exponent must be finite", expos)
             return Pow(base, value)
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in _FUNCTIONS and len(node.args) == 1):
+                and node.func.id in _SLOPES and len(node.args) == 1):
             return Func(node.func.id, walk(node.args[0]))
         # an empty tuple is what ``()`` wraps around blank text
         raise ParseError("expected an expression" if isinstance(node, ast.Tuple)

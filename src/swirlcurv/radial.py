@@ -158,18 +158,22 @@ class PolynomialFunction(RadialFunction):
 
 
 class ExpressionFunction(RadialFunction):
-    """Radial function given by an expression string; the derivative is symbolic."""
+    """Radial function given by an expression string; the derivative is exact,
+    the slope of the expression's forward-mode ``jet``."""
 
     def __init__(self, source: str):
         self.text = source
         self.ast = expr_mod.parse_expression(source)
-        self._d1 = self.ast.diff()
 
     def __call__(self, r):
         return self.ast.eval(_check_domain(r))
 
     def derivative(self, r):
-        return self._d1.eval(_check_domain(r))
+        value, slope = self.ast.jet(_check_domain(r))
+        if np.ndim(value) == 0:
+            return np.float64(slope)
+        # a constant slope stays a number on the way up: give it the value's shape
+        return slope if np.ndim(slope) else np.full(np.shape(value), slope)
 
     def __repr__(self):
         return f"ExpressionFunction({self.text!r})"

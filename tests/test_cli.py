@@ -354,9 +354,14 @@ PIECES = ["r", "pi", "0", "1", ".5", "1e400", "(1/0)", "0^-1", "10^400", "sqrt(-
           "^-", "-", "+", "*", "/", "(", ")", "sin(", "log(", " ", "\n", "@", "**", "1if", "_"]
 
 
+# admissible mode data: g(0) = g'(0) = g(1) = 0 and f(0) = 0
+MODE_SEED_EXPRESSIONS = ["r^2*(1-r)", "r^2*(1-r)*exp(r)", "r^2*(1-r)*cos(r)", "r*sin(pi*r)",
+                         "r*exp(-r)", "r*(1-r)", "sqrt(r)^5*(1-r)"]
+
+
 @st.composite
-def mutated_expressions(draw):
-    text = draw(st.sampled_from(SEED_EXPRESSIONS))
+def mutated_expressions(draw, seeds=SEED_EXPRESSIONS):
+    text = draw(st.sampled_from(seeds))
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(text)))
         if draw(st.booleans()):
@@ -366,14 +371,50 @@ def mutated_expressions(draw):
     return text
 
 
+OPERANDS = ["r", "pi", "0", "1", ".5", "1e-300", "1e400", "(1/0)", "0^-1", "sqrt(-1)",
+            "(r-0.5)", "log(r)", "sqrt(r)"]
+
+
+@st.composite
+def composed_expressions(draw, seeds):
+    """Well-formed expressions around a seed, so that most get past the parser."""
+    text = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(1, 3))):
+        b = draw(st.sampled_from(OPERANDS))
+        text = draw(st.sampled_from([f"({text}) {op} {b}" for op in "+-*/"]
+                                    + [f"{fn}({text})" for fn in ("sin", "exp", "log", "sqrt")]
+                                    + [f"({text})^{p}" for p in ("-1", "0", "0.5", "3", "1e3")]))
+    return text
+
+
 @settings(max_examples=150)
 @example("1 + r^(1/0)")
-@given(mutated_expressions())
+@given(mutated_expressions() | composed_expressions(SEED_EXPRESSIONS))
 def test_expression_boundary_gives_an_exit_code_and_one_json_line(text):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         cfg = write_cfg(Path(tmp), {"profile": {"expr": text}})
         code = main(["check-profile", "--config", cfg, "--out", tmp, "--quiet"])
+    assert code in (0, 1, 2)
+    if code:
+        _one_error_line(err.getvalue())
+    else:
+        assert err.getvalue() == ""
+
+
+@settings(max_examples=150)
+@example("g", "r^2*(1-r)/(r-0.5)")
+@example("f_imag", "sqrt(r)")
+@given(st.sampled_from(["g", "f", "g_imag", "f_imag"]),
+       mutated_expressions(MODE_SEED_EXPRESSIONS) | composed_expressions(MODE_SEED_EXPRESSIONS))
+def test_mode_expression_boundary_gives_an_exit_code_and_one_json_line(field, text):
+    # the mode's g' and f' are read at the boundary: finiteness, the axis
+    # conditions and the energy
+    mode = {"n": 2, "g": {"expr": "r^2*(1-r)"}, "f": {"expr": "r*(1-r)"}, field: {"expr": text}}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg = write_cfg(Path(tmp), {"profile": GOOD_PROFILE, "modes": [mode]})
+        code = main(["curvature", "--config", cfg, "--out", tmp, "--quiet"])
     assert code in (0, 1, 2)
     if code:
         _one_error_line(err.getvalue())

@@ -1,10 +1,22 @@
+import json
 import math
+import re
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from swirlcurv import ParseError, parse_expression
+
+from test_cli import SEED_EXPRESSIONS
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
 
 
 def ev(text, r):
@@ -12,7 +24,7 @@ def ev(text, r):
 
 
 def dv(text, r):
-    return parse_expression(text).diff().eval(r)
+    return parse_expression(text).jet(r)[1]
 
 
 def test_basic_arithmetic():
@@ -63,19 +75,13 @@ def test_symbolic_derivatives_simple():
     assert dv("r / (1 + r)", 0.5) == pytest.approx(1.0 / 1.5 ** 2)
 
 
-def test_second_derivative():
-    d2 = parse_expression("cos(2*r)").diff().diff()
-    assert d2.eval(0.3) == pytest.approx(-4.0 * math.cos(0.6), rel=1e-14)
-
-
 @given(st.floats(min_value=0.05, max_value=0.95))
 def test_derivative_matches_finite_difference(r):
     text = "exp(-r^2) * sin(3*r) + r / (2 + cos(r))"
     node = parse_expression(text)
-    d = node.diff()
     h = 1e-6
     fd = (node.eval(r + h) - node.eval(r - h)) / (2 * h)
-    assert d.eval(r) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+    assert node.jet(r)[1] == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
 def test_parse_error_positions():
@@ -203,3 +209,47 @@ def test_rendering_follows_the_documented_precedence():
 def test_python_only_syntax_is_refused(text):
     with pytest.raises(ParseError):
         parse_expression(text)
+
+
+# ---------------------------------------------------------------------------
+# Forward-mode derivatives
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300)
+@given(TREES, st.floats(min_value=0.0, max_value=1.0))
+def test_jet_value_is_eval_and_slope_does_not_depend_on_the_shape(tree, r):
+    node = parse_expression(_render(tree, True))
+    radii = np.array([0.0, r, 0.5, 1.0])
+    with np.errstate(all="ignore"):
+        for x in (r, radii):
+            assert np.array_equal(node.jet(x)[0], node.eval(x), equal_nan=True)
+        slopes = np.broadcast_to(node.jet(radii)[1], radii.shape)
+        assert np.array_equal([node.jet(x)[1] for x in radii], slopes, equal_nan=True)
+
+
+def _expressions(config):
+    """Every ``{"expr": ...}`` text in a JSON config."""
+    if isinstance(config, dict):
+        return [config["expr"]] if "expr" in config else \
+            [t for v in config.values() for t in _expressions(v)]
+    return [t for v in config for t in _expressions(v)] if isinstance(config, list) else []
+
+
+README_CONFIG = json.loads(
+    re.search(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1))
+# the fuzz seeds, the benchmark's workloads and the README's example config
+EXPRESSIONS = sorted(set(SEED_EXPRESSIONS + _expressions(README_CONFIG)).union(
+    *(_expressions(config) for w in workloads.WORKLOADS
+      for *_, config in workloads.invocations(w, workloads.DEFAULT_SEED))))
+MP_NAMES = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp, "log": mpmath.log,
+            "sqrt": mpmath.sqrt, "pi": mpmath.pi}
+
+
+@pytest.mark.parametrize("text", EXPRESSIONS)
+def test_jet_slope_matches_mpmath(text):
+    node = parse_expression(text)
+    source = text.replace("^", "**")
+    with mpmath.workdps(30):
+        for r in np.linspace(0.0, 1.0, 21)[1:-1]:
+            d = float(mpmath.diff(lambda x: eval(source, dict(MP_NAMES, r=x)), mpmath.mpf(r)))
+            assert abs(node.jet(r)[1] - d) <= 1e-14 * max(abs(d), 1.0), (text, r)
