@@ -48,6 +48,12 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _report(error: str, message: str, status: int = 1) -> int:
+    """Write the single JSON error line on stderr; returns the exit status."""
+    print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+    return status
+
+
 def _param(cfg: RunConfig, key: str, default):
     """``cfg.params[key]``, or ``default`` when absent, each value checked by
     ``check_integer``; a list default takes a list, which may not repeat a value."""
@@ -119,8 +125,9 @@ def _cmd_jacobi(cfg: RunConfig, out: Path):
     rows = "".join(f"{_FMT % a},{_FMT % b},{_FMT}\n"
                    for a, b in itertools.product(r.tolist(), z.tolist()))
     for idx, t in enumerate(sol.times):
+        fields = sol.fields(t, r[:, None], z[None, :])
         for name in ("h", "j", "g", "f"):
-            vals = getattr(sol, name)(t, r[:, None], z[None, :])
+            vals = fields[name]
             fname = f"jacobi_{name}_t{idx}.csv"
             (out / fname).write_text(f"r,z,{name}\n" + rows % tuple(vals.ravel().tolist()))
             artifacts.append(fname)
@@ -170,13 +177,9 @@ def run_command(command: str, cfg: RunConfig, out_dir, quiet=False) -> int:
         with np.errstate(**_RAISE):
             artifacts = _COMMANDS[command](cfg, out)
     except HypothesisViolationError as exc:
-        print(json.dumps({"error": "hypothesis-violation", "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return _report("hypothesis-violation", str(exc), 2)
     except (SwirlcurvError, FloatingPointError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
+        return _report(type(exc).__name__, str(exc))
     if not quiet:
         for name in artifacts:
             print(out / name)
@@ -202,19 +205,14 @@ def main(argv=None) -> int:
         with np.errstate(**_RAISE):
             cfg = parse_config(Path(args.config))
     except (SwirlcurvError, FloatingPointError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
+        return _report(type(exc).__name__, str(exc))
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: JSON or an expression nested past Python's recursion limit
-        print(json.dumps({"error": "config-error", "message": str(exc)}), file=sys.stderr)
-        return 1
+        return _report("config-error", str(exc))
     try:
         return run_command(args.command, cfg, args.out, args.quiet)
     except Exception as exc:  # internal error: report, never traceback-spray
-        print(json.dumps({"error": "internal", "message": f"{type(exc).__name__}: {exc}"}),
-              file=sys.stderr)
-        return 1
+        return _report("internal", f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -162,8 +162,7 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode) -> PressureSolution:
 
     def q(r, nu=0):
         start, basis = bspline_basis(t, DEG, r, nu)
-        values = sum(basis[j] * coef[start + j] for j in range(DEG + 1))
-        return complex(values) if np.ndim(r) == 0 else values
+        return sum(basis[j] * coef[start + j] for j in range(DEG + 1))
 
     return PressureSolution(m.n, q, lambda r: q(r, 1))
 

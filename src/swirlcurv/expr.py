@@ -5,7 +5,8 @@ Expressions are functions of the single variable ``r`` built from constants,
 ``sin cos exp log sqrt``.  Every AST node evaluates its value (``Node.eval``)
 and its value with its exact first derivative (``Node.jet``, forward-mode
 differentiation: Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-2008), so profiles written as expressions get exact derivatives.
+2008), so profiles written as expressions get exact derivatives.  Both take
+r of any shape; a scalar is a 0-d array, and its value a numpy scalar.
 
 Precedence (tightest first): power, unary minus, ``* /``, ``+ -``; power
 associates to the right and binary operators to the left.  These are
@@ -16,6 +17,7 @@ walker over its tree accepts only the subset above.
 from __future__ import annotations
 
 import ast
+import contextlib
 import itertools
 import math
 import re
@@ -52,8 +54,7 @@ class Const(Node):
     value: float
 
     def eval(self, r):
-        return np.broadcast_to(np.float64(self.value), np.shape(r)).copy() \
-            if np.ndim(r) else np.float64(self.value)
+        return np.full(np.shape(r), self.value)[()]
 
     def jet(self, r):
         return self.eval(r), 0.0
@@ -62,7 +63,7 @@ class Const(Node):
 @dataclass(frozen=True)
 class Var(Node):
     def eval(self, r):
-        return np.asarray(r, dtype=float) if np.ndim(r) else np.float64(r)
+        return np.asarray(r, dtype=float)[()]
 
     def jet(self, r):
         return self.eval(r), 1.0
@@ -116,8 +117,9 @@ class Pow(Node):
     exponent: float
 
     def eval(self, r):
-        # np.power for scalars too: Python's float ** can differ from numpy's in
-        # the last bit, and a value must not depend on being evaluated in an array
+        # np.power, not **: a numpy scalar's ** is C's pow, which can differ from
+        # the ufunc in the last bit, and a value must not depend on r's shape or
+        # on being folded at parse time
         return np.power(self.base.eval(r), self.exponent)
 
     def jet(self, r):
@@ -156,6 +158,19 @@ _OUTSIDE = re.compile(r"[^\w \t\n\r\f\v.+\-*/^()]|(?<=\*)\*", re.ASCII)
 _BLANKS = str.maketrans("\t\n\r\f\v", "     ")
 _NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+
+
+def _fold(node: Node) -> Node:
+    """``node`` as a ``Const`` when it has operands, all constants, and its value
+    is finite and computes without a floating-point error (underflow flushes to
+    0); otherwise ``node``."""
+    operands = [v for v in vars(node).values() if isinstance(v, Node)]
+    if operands and all(isinstance(a, Const) for a in operands):
+        with contextlib.suppress(FloatingPointError), np.errstate(all="raise", under="ignore"):
+            value = float(node.eval(0.0))
+            if math.isfinite(value):
+                return Const(value)
+    return node
 
 
 def parse_expression(text: str) -> Node:
@@ -199,26 +214,19 @@ def parse_expression(text: str) -> Node:
                 return Const(math.pi)
             raise ParseError(f"unknown identifier {node.id!r}", pos)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return Neg(walk(node.operand))
+            return _fold(Neg(walk(node.operand)))
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            return BinOp(_BINOPS[type(node.op)], walk(node.left), walk(node.right))
+            return _fold(BinOp(_BINOPS[type(node.op)], walk(node.left), walk(node.right)))
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             base, exponent = walk(node.left), walk(node.right)
-            expos = offset(node.right.col_offset)
-            if any(isinstance(n, ast.Name) and n.id == "r" for n in ast.walk(node.right)):
-                raise ParseError("exponent must be a constant", expos)
-            try:
-                # underflow flushes to 0, a finite exponent
-                with np.errstate(all="raise", under="ignore"):
-                    value = float(exponent.eval(0.0))
-            except FloatingPointError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ParseError("exponent must be finite", expos)
-            return Pow(base, value)
+            if not (isinstance(exponent, Const) and math.isfinite(exponent.value)):
+                has_r = any(isinstance(n, ast.Name) and n.id == "r" for n in ast.walk(node.right))
+                raise ParseError("exponent must be a constant" if has_r
+                                 else "exponent must be finite", offset(node.right.col_offset))
+            return _fold(Pow(base, exponent.value))
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in _SLOPES and len(node.args) == 1):
-            return Func(node.func.id, walk(node.args[0]))
+            return _fold(Func(node.func.id, walk(node.args[0])))
         # an empty tuple is what ``()`` wraps around blank text
         raise ParseError("expected an expression" if isinstance(node, ast.Tuple)
                          else f"unexpected {source!r}", pos)

@@ -176,10 +176,11 @@ _TIME_FACTORS = {"cos": (np.cos, lambda x: -np.sin(x), np.sin),
 class JacobiSolution:
     """Closed-form Jacobi field built from one eigenpair.
 
-    ``h`` and ``j`` are the stream/swirl components of the linearized Euler
-    solution; ``g`` and ``f`` the components of the Jacobi field itself.  They
-    and their time derivatives are callables (t, r, z) -> array broadcast over
-    (r, z), written for both phases through T, T' and G at theta = n t / lambda.
+    ``fields(t, r, z)`` gives, broadcast over (r, z), the stream/swirl components
+    ``h`` and ``j`` of the linearized Euler solution, the components ``g`` and
+    ``f`` of the Jacobi field itself and the time derivatives ``dj_dt``, ``dg_dt``
+    and ``df_dt``: all seven for both phases through T, T' and G at
+    theta = n t / lambda, from one evaluation of phi, u, u' and omega.
     """
 
     m: int
@@ -189,8 +190,6 @@ class JacobiSolution:
     phase: str
     profile: RadialProfile = field(repr=False, default=None)
     _phi: Legendre = field(repr=False, default=None)
-    # (r, phi(r)) of the last radial grid: every field and time reads the same r
-    _phi_at: tuple = field(repr=False, compare=False, default=(None, None))
 
     @property
     def times(self):
@@ -202,49 +201,23 @@ class JacobiSolution:
         theta = self.n * t / self.lam
         return T(theta), dT(theta), G(theta)
 
-    def _space(self, r, z):
+    def fields(self, t, r, z) -> dict:
+        """{h, j, g, f, dj_dt, dg_dt, df_dt} at time t on the grid (r, z)."""
+        (T, dT, G), (T0, secular, _) = self._time(t), self._time(0.0)
         r, nz = np.asarray(r, dtype=float), self.n * np.asarray(z)
-        if not np.array_equal(self._phi_at[0], r):
-            self._phi_at = (r.copy(), self._phi(r))
-        return r, self._phi_at[1], np.cos(nz), np.sin(nz)
-
-    def h(self, t, r, z):
-        T, _, _ = self._time(t)
-        _, phi, cz, _ = self._space(r, z)
-        return T * phi * cz
-
-    def j(self, t, r, z):
-        _, dT, _ = self._time(t)
-        r, phi, _, sz = self._space(r, z)
-        return (self.lam * self.profile.omega(r) / r ** 2) * phi * sz * dT
-
-    def g(self, t, r, z):
-        _, _, G = self._time(t)
-        _, phi, cz, _ = self._space(r, z)
-        return (self.lam / self.n) * cz * G * phi
-
-    def f(self, t, r, z):
+        phi, cz, sz = self._phi(r), np.cos(nz), np.sin(nz)
+        u, up, om = self.profile.u(r), self.profile.u.derivative(r), self.profile.omega(r)
+        lam, n, r2 = self.lam, self.n, r ** 2
+        h = T * phi * cz
         # f = int_0^t (j - (u'/r) dg/dz) dt, and omega / r^2 = 2 u / r^2 + u' / r; with
         # the sine phase the secular u'(r) t term keeps f from re-vanishing at t*
-        (T, _, _), (T0, secular, _) = self._time(t), self._time(0.0)
-        r, phi, _, sz = self._space(r, z)
-        u, up = self.profile.u(r), self.profile.u.derivative(r)
-        return sz * phi * self.lam * (
-            (2.0 * u / r ** 2) * (self.lam / self.n) * (T - T0) + secular * (up / r) * t)
-
-    def dj_dt(self, t, r, z):
-        T, _, _ = self._time(t)
-        r, phi, _, sz = self._space(r, z)
-        return -(self.n * self.profile.omega(r) / r ** 2) * phi * sz * T
-
-    def dg_dt(self, t, r, z):
-        return self.h(t, r, z)
-
-    def df_dt(self, t, r, z):
-        (_, dT, _), (_, secular, _) = self._time(t), self._time(0.0)
-        r, phi, _, sz = self._space(r, z)
-        u, up = self.profile.u(r), self.profile.u.derivative(r)
-        return sz * phi * self.lam * ((2.0 * u / r ** 2) * dT + secular * up / r)
+        return {"h": h, "dg_dt": h,
+                "j": (lam * om / r2) * phi * sz * dT,
+                "g": (lam / n) * cz * G * phi,
+                "f": sz * phi * lam * ((2.0 * u / r2) * (lam / n) * (T - T0)
+                                       + secular * (up / r) * t),
+                "dj_dt": -(n * om / r2) * phi * sz * T,
+                "df_dt": sz * phi * lam * ((2.0 * u / r2) * dT + secular * up / r)}
 
 
 def assemble_jacobi(p: RadialProfile, s: SLSpectrum, m: int, *,
@@ -306,8 +279,8 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution) -> ResidualReport:
     r = np.linspace(0.1, 1.0, 256)[:, None]
     z = (2.0 * np.pi / abs(n) * np.arange(16) / 16)[None, :]
 
-    u = np.asarray(p.u(r), dtype=float)
-    om = np.asarray(p.omega(r), dtype=float)
+    u, up, om = p.u(r), p.u.derivative(r), p.omega(r)
+    cz = np.cos(n * z)
     phi = sol._phi(r)
     dphi = sol._phi.deriv()(r)
     ddphi = sol._phi.deriv(2)(r)
@@ -316,13 +289,11 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution) -> ResidualReport:
 
     res_a = res_b = res_c = res_d = 0.0
     for t in sol.times:
-        cz = np.cos(n * z)
-
-        h = sol.h(t, r, z)
-        j = sol.j(t, r, z)
+        fields = sol.fields(t, r, z)
+        h, j = fields["h"], fields["j"]
 
         # (a) swirl transport
-        lhs = sol.dj_dt(t, r, z)
+        lhs = fields["dj_dt"]
         rhs = (om / r ** 2) * _fft_dz(h, n)
         res_a = max(res_a, _relative(lhs - rhs, rhs, lhs))
 
@@ -343,9 +314,8 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution) -> ResidualReport:
         res_c = max(res_c, _relative(dtt_Dh + term_c, term_c, dtt_Dh))
 
         # (d) flow components: dg/dt = h  and  df/dt + (u'/r) dg/dz = j
-        dg = sol.dg_dt(t, r, z)
-        df = sol.df_dt(t, r, z)
-        drift = (np.asarray(p.u.derivative(r), dtype=float) / r) * _fft_dz(sol.g(t, r, z), n)
+        dg, df = fields["dg_dt"], fields["df_dt"]
+        drift = (up / r) * _fft_dz(fields["g"], n)
         res_d = max(res_d, _relative(dg - h, h, dg), _relative(df + drift - j, j, df, drift))
 
     return ResidualReport(res_a, res_b, res_c, res_d)

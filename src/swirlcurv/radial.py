@@ -5,7 +5,8 @@ the package: polynomial coefficients, a differentiable expression AST, or a
 sampled table interpolated by a natural cubic spline (``CubicSpline``).
 Complex-valued radial data (mode coefficients g_n, f_n) is stored as a
 real/imaginary pair.  ``bspline_basis`` evaluates the B-splines of the
-pressure oracle's Galerkin basis.
+pressure oracle's Galerkin basis.  Every evaluation takes one array path: a
+scalar radius is a 0-d array, and its value a numpy scalar.
 """
 
 from __future__ import annotations
@@ -32,13 +33,8 @@ _DOMAIN_SLACK = 1e-12
 
 
 def _check_domain(r):
-    """r as floats clipped to [0, 1]; DomainError past the slack (NaN passes)."""
+    """r as a float array clipped to [0, 1]; DomainError past the slack (NaN passes)."""
     arr = np.asarray(r, dtype=float)
-    if arr.ndim == 0:
-        x = float(arr)
-        if x < -_DOMAIN_SLACK or x > 1.0 + _DOMAIN_SLACK:
-            raise DomainError(f"radius {x} outside [0, 1]")
-        return min(max(x, 0.0), 1.0)
     # fmin/fmax skip NaN: a NaN radius passes and never hides a bad one
     lo = np.fmin.reduce(arr, axis=None, initial=0.0)
     hi = np.fmax.reduce(arr, axis=None, initial=1.0)
@@ -170,10 +166,8 @@ class ExpressionFunction(RadialFunction):
 
     def derivative(self, r):
         value, slope = self.ast.jet(_check_domain(r))
-        if np.ndim(value) == 0:
-            return np.float64(slope)
         # a constant slope stays a number on the way up: give it the value's shape
-        return slope if np.ndim(slope) else np.full(np.shape(value), slope)
+        return slope if np.ndim(slope) else np.full(np.shape(value), slope)[()]
 
     def __repr__(self):
         return f"ExpressionFunction({self.text!r})"
@@ -197,12 +191,10 @@ class TableFunction(RadialFunction):
         self._spline = CubicSpline(r_nodes, values)
 
     def __call__(self, r):
-        out = self._spline(_check_domain(r))
-        return float(out) if np.ndim(r) == 0 else out
+        return self._spline(_check_domain(r))
 
     def derivative(self, r):
-        out = self._spline(_check_domain(r), 1)
-        return float(out) if np.ndim(r) == 0 else out
+        return self._spline(_check_domain(r), 1)
 
     def __repr__(self):
         return f"TableFunction(<{self.knots.size} nodes>)"
@@ -226,7 +218,7 @@ class ComplexRadialFunction:
     def _evaluate(self, method: str, r):
         re = getattr(self.real, method)(r)
         if self.imag is None:
-            return re + 0.0j if np.ndim(r) == 0 else re.astype(complex)
+            return re.astype(complex)
         return re + 1j * getattr(self.imag, method)(r)
 
     def __call__(self, r):

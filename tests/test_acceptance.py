@@ -114,10 +114,9 @@ def test_ac6_conjugate_vanishing_and_residuals(ac5_spectra):
     worst_resid = 0.0
     for p, s, m in pairs:
         sol = assemble_jacobi(p, s, m)
-        scale = max(np.max(np.abs(sol.g(0.25 * sol.t_star, r, z))),
-                    np.max(np.abs(sol.f(0.5 * sol.t_star, r, z))))
-        end = max(np.max(np.abs(sol.g(sol.t_star, r, z))),
-                  np.max(np.abs(sol.f(sol.t_star, r, z))))
+        scale = max(np.max(np.abs(sol.fields(0.25 * sol.t_star, r, z)["g"])),
+                    np.max(np.abs(sol.fields(0.5 * sol.t_star, r, z)["f"])))
+        end = max(np.max(np.abs(sol.fields(sol.t_star, r, z)[name])) for name in ("g", "f"))
         worst_vanish = max(worst_vanish, end / scale)
         worst_resid = max(worst_resid, jacobi_residuals(p, sol).max_residual())
 

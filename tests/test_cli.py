@@ -117,7 +117,7 @@ def test_jacobi_snapshots_match_write_csv(tmp_path, phase, n):
                          indexing="ij")
     for idx, t in enumerate(sol.times):
         for name in ("h", "j", "g", "f"):
-            table = np.stack([rr, zz, getattr(sol, name)(t, rr, zz)], axis=-1)
+            table = np.stack([rr, zz, sol.fields(t, rr, zz)[name]], axis=-1)
             _write_csv(tmp_path / "reference.csv", ["r", "z", name], table.reshape(-1, 3))
             assert ((tmp_path / f"jacobi_{name}_t{idx}.csv").read_bytes()
                     == (tmp_path / "reference.csv").read_bytes())
@@ -336,6 +336,15 @@ def test_exponent_that_is_not_finite_is_a_parse_error(tmp_path, capsys, text):
     cfg = write_cfg(tmp_path, {"profile": {"expr": "1 + " + text}})
     assert main(["check-profile", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert _one_error_line(capsys.readouterr().err) == "ParseError"
+
+
+@pytest.mark.parametrize("text", ["1 + r^2 + sqrt(0)*r", "1 + r^2 + 0^0.5*r",
+                                  "1 + r^2 + sqrt(0/2)*r", "0^0.5*r"])
+def test_constant_at_a_singular_point_of_its_slope_rule_is_read(tmp_path, capsys, text):
+    # sqrt(0) and 0^0.5 fold to 0 when parsed: no slope rule meets them at 0
+    cfg = write_cfg(tmp_path, {"profile": {"expr": text}})
+    assert main(["check-profile", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("g", [

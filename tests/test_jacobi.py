@@ -1,6 +1,9 @@
+import ast
 import dataclasses
 import gc
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,10 +214,11 @@ def test_jacobi_field_vanishes_at_zero_and_t_star():
     sol = assemble_jacobi(u_quadratic(), s, 1)
     r = np.linspace(0.1, 0.95, 40)[:, None]
     z = np.linspace(0.0, 2 * np.pi, 9)[None, :]
-    scale = np.max(np.abs(sol.g(0.25 * sol.t_star, r, z)))
+    scale = np.max(np.abs(sol.fields(0.25 * sol.t_star, r, z)["g"]))
     for t in (0.0, sol.t_star):
-        assert np.max(np.abs(sol.g(t, r, z))) < 1e-10 * scale
-        assert np.max(np.abs(sol.f(t, r, z))) < 1e-10 * scale
+        fields = sol.fields(t, r, z)
+        assert np.max(np.abs(fields["g"])) < 1e-10 * scale
+        assert np.max(np.abs(fields["f"])) < 1e-10 * scale
 
 
 def test_jacobi_f_amplitude_peaks_at_half_period():
@@ -222,8 +226,8 @@ def test_jacobi_f_amplitude_peaks_at_half_period():
     sol = assemble_jacobi(u_const(), s, 1)
     r = np.linspace(0.2, 0.9, 20)[:, None]
     z = np.array([[np.pi / 2]])
-    f_half = np.max(np.abs(sol.f(0.5 * sol.t_star, r, z)))
-    f_quarter = np.max(np.abs(sol.f(0.25 * sol.t_star, r, z)))
+    f_half = np.max(np.abs(sol.fields(0.5 * sol.t_star, r, z)["f"]))
+    f_quarter = np.max(np.abs(sol.fields(0.25 * sol.t_star, r, z)["f"]))
     assert f_half == pytest.approx(2.0 * f_quarter, rel=1e-9)
 
 
@@ -283,8 +287,8 @@ def test_sine_branch_residuals_and_secular_term():
     # the secular u'(r) t term keeps f from re-vanishing at t*
     r = np.linspace(0.2, 0.9, 20)[:, None]
     z = np.array([[np.pi / 4]])
-    scale = np.max(np.abs(sol.f(0.25 * sol.t_star, r, z)))
-    assert np.max(np.abs(sol.f(sol.t_star, r, z))) > 0.1 * scale
+    scale = np.max(np.abs(sol.fields(0.25 * sol.t_star, r, z)["f"]))
+    assert np.max(np.abs(sol.fields(sol.t_star, r, z)["f"])) > 0.1 * scale
 
 
 def per_phase_closed_forms(sol, p, t, r, z):
@@ -311,29 +315,30 @@ def test_fields_match_per_phase_closed_forms(phase):
     sol = assemble_jacobi(p, sl_spectrum(p, 2, 1), 1, phase=phase)
     r = np.linspace(0.1, 1.0, 37)[:, None]
     z = np.linspace(0.0, 2 * np.pi, 11)[None, :]
+    scales = sol.fields(0.3 * sol.t_star, r, z)
     for t in (0.0, 0.3 * sol.t_star, 0.5 * sol.t_star, sol.t_star, 1.7 * sol.t_star):
-        for name, expected in per_phase_closed_forms(sol, p, t, r, z).items():
-            scale = np.max(np.abs(getattr(sol, name)(0.3 * sol.t_star, r, z)))
-            np.testing.assert_allclose(getattr(sol, name)(t, r, z), expected,
-                                       rtol=1e-14, atol=1e-14 * scale, err_msg=name)
+        fields = sol.fields(t, r, z)
+        expected = per_phase_closed_forms(sol, p, t, r, z)
+        assert fields.keys() == expected.keys()
+        for name in expected:
+            np.testing.assert_allclose(fields[name], expected[name], rtol=1e-14,
+                                       atol=1e-14 * np.max(np.abs(scales[name])), err_msg=name)
 
 
-def test_fields_evaluate_phi_once_per_radial_grid():
+def test_fields_sum_phi_once_per_call():
     p = u_quadratic()
     sol = assemble_jacobi(p, sl_spectrum(p, 2, 1), 1)
     phi, grids = sol._phi, []
     sol._phi = lambda r: grids.append(r) or phi(r)
     r, z = np.linspace(0.1, 1.0, 7)[:, None], np.linspace(0.0, np.pi, 5)[None, :]
-    first = {name: getattr(sol, name)(sol.times[0], r, z) for name in ("h", "j", "g", "f")}
-    for t in sol.times:
-        for name in ("h", "j", "g", "f", "dj_dt", "dg_dt", "df_dt"):
-            getattr(sol, name)(t, r.copy(), z)
-    assert len(grids) == 1
-    sol.h(0.0, r[::2], z)
-    assert len(grids) == 2
-    for name, values in first.items():
-        assert np.array_equal(getattr(sol, name)(sol.times[0], r, z), values)
-    assert len(grids) == 3
+    for calls, t in enumerate(sol.times, 1):
+        sol.fields(t, r, z)
+        assert len(grids) == calls
+    # a second call on the same grid sums phi again, and gives the same bits
+    first = sol.fields(sol.times[0], r, z)
+    again = sol.fields(sol.times[0], r, z)
+    assert len(grids) == len(sol.times) + 2
+    assert all(np.array_equal(first[name], again[name]) for name in first)
 
 
 def test_assemble_jacobi_validation():
@@ -342,3 +347,26 @@ def test_assemble_jacobi_validation():
         assemble_jacobi(u_const(), s, 2)
     with pytest.raises(ValidationError):
         assemble_jacobi(u_const(), s, 1, phase="tan")
+
+
+def test_readme_library_sketch_gives_its_commented_values():
+    # each expression line of the sketch is evaluated and checked against its comment
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library sketch\n\n```python\n(.*?)```", text, re.S).group(1)
+    namespace, values = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values[stmt.lineno] = eval(compile(ast.Expression(stmt.value), "README", "eval"),
+                                       namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    comments = {i: line.partition("#")[2].strip()
+                for i, line in enumerate(block.splitlines(), 1) if "#" in line}
+    got = {comments[i]: value for i, value in values.items() if i in comments}
+    assert got["pi^2 / 15"] == pytest.approx(math.pi ** 2 / 15, rel=1e-12)
+    assert got["same, via the Galerkin pressure"] == pytest.approx(math.pi ** 2 / 15, rel=1e-9)
+    (m, t_star), *_ = got["[(1, 12.44085...), ...]"]
+    assert m == 1 and math.floor(t_star * 1e5) == 1244085
+    assert abs(got["0 to round-off: conjugate at t*"]) < 1e-12
+    # and the last line, the residual of the Jacobi equations
+    assert len(values) == 5 and values[max(values)] < 1e-6

@@ -1,12 +1,17 @@
+import functools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import interpolate
 
 from swirlcurv import (ComplexRadialFunction, DomainError, ExpressionFunction,
-                       PolynomialFunction, TableFunction, zero)
+                       PolynomialFunction, TableFunction, pressure_bvp_solve, zero)
 from swirlcurv.radial import CubicSpline, bspline_basis
+
+from _helpers import standard_mode, u_quadratic
 
 
 def test_polynomial_values_and_derivatives():
@@ -139,3 +144,35 @@ def test_real_only_complex_wrapper_returns_complex():
     assert c(0.25) == 0.25 + 0.0j
     vals = c(np.array([0.1, 0.2]))
     assert vals.dtype == complex
+
+
+# one kind of radial data each: its value and its derivative (or q and q')
+ONE_PATH_KINDS = {
+    "poly": lambda: PolynomialFunction([2.0, -0.3, 0.7, -1.1]),
+    "poly-constant": lambda: PolynomialFunction([3.0]),
+    "expr": lambda: ExpressionFunction("exp(-r^2)*sin(3*r) + sqrt(1 + r)/(2 - r) + r^3"),
+    "expr-constant": lambda: ExpressionFunction("2.5 + sqrt(0)"),
+    "expr-r": lambda: ExpressionFunction("r"),
+    "table": lambda: TableFunction(np.linspace(0.0, 1.0, 9),
+                                   np.cos(3.0 * np.linspace(0.0, 1.0, 9))),
+    "complex": lambda: ComplexRadialFunction(PolynomialFunction([1.0, 2.0]),
+                                             ExpressionFunction("sin(r)")),
+    "complex-real": lambda: ComplexRadialFunction(ExpressionFunction("1 + r^2")),
+    "pressure": lambda: pressure_bvp_solve(u_quadratic(), standard_mode(3)),
+}
+
+
+@functools.cache
+def _value_and_slope(kind):
+    fn = ONE_PATH_KINDS[kind]()
+    return (fn.q, fn.q_prime) if kind == "pressure" else (fn, fn.derivative)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(ONE_PATH_KINDS)), st.floats(0.0, 1.0))
+def test_a_scalar_radius_takes_the_array_path(kind, r):
+    # a scalar is a 0-d array: its value and slope are the bits of a one-point array's
+    for fn in _value_and_slope(kind):
+        scalar, array = fn(r), fn(np.array([r]))
+        assert isinstance(scalar, np.generic) and array.shape == (1,)
+        assert scalar.dtype == array.dtype and scalar.tobytes() == array.tobytes()
