@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, check_integer, parse_config
+from .config import MAX_INT, RunConfig, check_integer, parse_config
 from .curvature import curvature_report, oscillation_study
 from .errors import HypothesisViolationError, SwirlcurvError, ValidationError
 from .jacobi import (assemble_jacobi, conjugate_times, jacobi_residuals,
@@ -54,14 +54,14 @@ def _report(error: str, message: str, status: int = 1) -> int:
     return status
 
 
-def _param(cfg: RunConfig, key: str, default):
+def _param(cfg: RunConfig, key: str, default, least: int = -MAX_INT):
     """``cfg.params[key]``, or ``default`` when absent, each value checked by
-    ``check_integer``; a list default takes a list, which may not repeat a value."""
+    ``check_integer`` from ``least`` on; a list default takes a list without repeats."""
     value = cfg.params.get(key, default)
     many = isinstance(default, list)
     if many and not isinstance(value, list):
         raise ValidationError(f"param {key!r} must be a list, got {value!r}")
-    values = [check_integer(v, f"param {key!r}") for v in (value if many else [value])]
+    values = [check_integer(v, f"param {key!r}", least) for v in (value if many else [value])]
     if len(set(values)) < len(values):
         raise ValidationError(f"param {key!r} repeats a value: {value!r}")
     return values if many else values[0]
@@ -88,7 +88,7 @@ def _cmd_curvature(cfg: RunConfig, out: Path):
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path):
-    m_max = _param(cfg, "m_max", 3)
+    m_max = _param(cfg, "m_max", 3, least=1)
     n_list = _param(cfg, "n_list", []) or [_param(cfg, "n", 1)]
     rows = []
     for n in sorted(n_list):
@@ -103,7 +103,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path):
 
 def _cmd_jacobi(cfg: RunConfig, out: Path):
     n = _param(cfg, "n", 1)
-    m = _param(cfg, "m", 1)
+    m = _param(cfg, "m", 1, least=1)
     phase = cfg.params.get("phase", "cos")
     s = sl_spectrum(cfg.profile, n, m)
     sol = assemble_jacobi(cfg.profile, s, m, phase=phase)
@@ -147,7 +147,7 @@ def _cmd_oscillation(cfg: RunConfig, out: Path):
 
 
 def _cmd_limit(cfg: RunConfig, out: Path):
-    m = _param(cfg, "m", 1)
+    m = _param(cfg, "m", 1, least=1)
     n_list = _param(cfg, "n_list", [4, 8, 16, 32, 64])
     if not n_list:
         raise ValidationError("param 'n_list' must not be empty")
@@ -206,8 +206,8 @@ def main(argv=None) -> int:
             cfg = parse_config(Path(args.config))
     except (SwirlcurvError, FloatingPointError) as exc:
         return _report(type(exc).__name__, str(exc))
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: JSON or an expression nested past Python's recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
+        # malformed JSON, an integer past 4300 digits, or nesting past the recursion limit
         return _report("config-error", str(exc))
     try:
         return run_command(args.command, cfg, args.out, args.quiet)

@@ -19,7 +19,6 @@ indent) that round-trips byte-identically through ``parse_config``.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,13 +30,16 @@ from .profile import CRITERIA_GRID, RadialProfile
 from .radial import (ComplexRadialFunction, ExpressionFunction, PolynomialFunction,
                      RadialFunction, TableFunction, zero)
 
-__all__ = ["RunConfig", "check_integer", "parse_config", "radial_from_spec"]
+__all__ = ["MAX_INT", "RunConfig", "check_integer", "parse_config", "radial_from_spec"]
+
+MAX_INT = 10 ** 12
 
 
-def check_integer(value, name: str) -> int:
-    """``value``, which must be a JSON integer within the float range."""
-    if isinstance(value, bool) or not isinstance(value, int) or abs(value) > sys.float_info.max:
-        raise ValidationError(f"{name} must be a finite integer, got {value!r}")
+def check_integer(value, name: str, least: int = -MAX_INT) -> int:
+    """``value``, which must be a JSON integer in ``least`` ... ``MAX_INT``: past
+    |n| ~ 1e12 the pressure's wall grading falls under the panels' round-off sliver."""
+    if isinstance(value, bool) or not isinstance(value, int) or not least <= value <= MAX_INT:
+        raise ValidationError(f"{name} is {value!r}, not an integer in {least:g} ... {MAX_INT:g}")
     return value
 
 

@@ -13,7 +13,8 @@ spanned by X = u(r) d/dtheta and a mode Y_n:
 
 * an oracle that solves the pressure Neumann problem by a Galerkin method on
   B-splines (no Bessel functions anywhere) and contracts the curvature
-  tensor against the conjugate mode from first principles.
+  tensor against the conjugate mode from first principles, the pressure term
+  read off the solve's own linear system.
 
 n = 0 modes contribute zero: both covariant-derivative terms in the tensor
 are gradients (projected away) and [X, Y_0] = 0.
@@ -69,6 +70,7 @@ class PressureSolution:
     n: int
     q: object            # r (number or array) -> complex values
     q_prime: object      # r (number or array) -> complex values
+    energy: float        # int_0^1 r (|q'|^2 + n^2 |q|^2) dr = c^H A c >= 0
 
 
 def _knots(p: RadialProfile, m: FourierMode):
@@ -159,12 +161,13 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode) -> PressureSolution:
                     for part in (source.real, source.imag)], axis=-1)
     coef = solve_banded((DEG, DEG), ab, rhs)   # the matrix is real: one column per part
     coef = coef[:, 0] + 1j * coef[:, 1]
+    energy = np.vdot(rhs[:, 0] + 1j * rhs[:, 1], coef).real   # Re(s^H c) = c^H A c: s = A c
 
     def q(r, nu=0):
         start, basis = bspline_basis(t, DEG, r, nu)
         return sum(basis[j] * coef[start + j] for j in range(DEG + 1))
 
-    return PressureSolution(m.n, q, lambda r: q(r, 1))
+    return PressureSolution(m.n, q, lambda r: q(r, 1), float(energy))
 
 
 # ---------------------------------------------------------------------------
@@ -191,26 +194,21 @@ def curvature_mode_closed(p: RadialProfile, m: FourierMode) -> float:
 def curvature_mode_oracle(p: RadialProfile, m: FourierMode) -> float:
     """Direct curvature-tensor contraction using the Galerkin pressure.
 
-    Assembles W = R(Y_n, X) X before the outer Leray projection and returns
-    Re <<W, conj(Y_n)>>; the omitted gradient part of the projection is
-    orthogonal to the divergence-free conj(Y_n), so it integrates to zero.
+    Re <<W, conj(Y_n)>> for W = R(Y_n, X) X before the outer Leray projection,
+    whose gradient part is orthogonal to the divergence-free conj(Y_n).  Over
+    r dr, W contracts to n^2 |g|^2 eta / r^2 + r^2 Re(conj(f) (q' + r f u)) u / r.
+    As q = sum_j c_j B_j solves A c = s, s_j = -int r^2 f u B_j' dr, on the same
+    panels Re int r^2 u conj(f) q' dr = -sum_j c_j conj(s_j) = -c^H A c.
     """
     if m.n == 0:
         return 0.0
-    q = pressure_bvp_solve(p, m)
-    n2 = m.n ** 2
 
     def integrand(r):
-        f = m.f(r)
-        u = p.u(r)
-        # w_theta = (q' + r f u) u / r; the radial part contracts to
-        # n^2 |g|^2 eta / r^2, the theta part carries r^2; volume element r dr
-        w_theta = (q.q_prime(r) + r * f * u) * u / r
-        return (n2 * np.abs(m.g(r)) ** 2 * p.eta(r) / r
-                + (np.conj(f) * w_theta).real * r ** 3)
+        return (m.n ** 2 * np.abs(m.g(r)) ** 2 * p.eta(r) / r
+                + r ** 3 * np.abs(m.f(r) * p.u(r)) ** 2)
 
-    return FOUR_PI_SQ * quad_real(integrand, 0.0, 1.0, epsabs=1e-11, epsrel=1e-9,
-                                  points=_knots(p, m))
+    return FOUR_PI_SQ * (quad_real(integrand, 0.0, 1.0, points=_knots(p, m))
+                         - pressure_bvp_solve(p, m).energy)
 
 
 def curvature_total(p: RadialProfile, modes) -> float:

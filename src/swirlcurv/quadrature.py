@@ -2,15 +2,16 @@
 
 ``PANELS`` uniform panels on [a, b], split at spline knots, carry ``NODES``
 Gauss-Legendre nodes each; the integrand sees every node at once, ascending,
-and may be complex.  It may also return an (m, nodes) array, m integrals
-over one panel set.  Panels are bisected until the P- and 2P-panel values
-agree; a row of an (m, nodes) integrand keeps its value from the first level
-at which it agrees, as it would alone, and the panels are bisected until every
-row has.  ``AccuracyError`` is raised past ``MAX_PANELS`` or on a non-finite sum.
-Gauss nodes never touch a panel end, so a removable 1/r at the axis needs no
-special case.  Why 32 panels: the first check's 640 nodes lie closer (1.6e-3
-at mid-radius) than the 256-point grid on which the criteria judge u (6e-3);
-a narrower feature can be missed by both levels (README, Numerical method)."""
+and may be complex.  It may also return an (m, nodes) array, m integrals over
+one panel set.  Panels are bisected until the P- and 2P-panel values agree to
+``EPSABS`` or ``EPSREL``, one tolerance for every integral; a row keeps its
+value from the first level at which it agrees, as it would alone, and the
+panels are bisected until every row has.  ``AccuracyError`` is raised past
+``MAX_PANELS`` or on a non-finite sum.  Gauss nodes never touch a panel end, so
+a removable 1/r at the axis needs no special case.  Why 32 panels: the first
+check's 640 nodes lie closer (1.6e-3 at mid-radius) than the 256-point grid on
+which the criteria judge u (6e-3); a narrower feature can be missed by both
+levels (README, Numerical method)."""
 
 from __future__ import annotations
 
@@ -18,11 +19,9 @@ import numpy as np
 
 from .errors import AccuracyError
 
-__all__ = ["quad_real", "gauss_nodes", "panel_edges",
-           "DEFAULT_EPSABS", "DEFAULT_EPSREL"]
+__all__ = ["quad_real", "gauss_nodes", "panel_edges"]
 
-DEFAULT_EPSABS = 1e-12
-DEFAULT_EPSREL = 1e-10
+EPSABS, EPSREL = 1e-12, 1e-10
 NODES, PANELS, MAX_PANELS = 10, 32, 8192
 _X, _W = np.polynomial.legendre.leggauss(NODES)
 
@@ -44,7 +43,7 @@ def gauss_nodes(edges):
     return edges[:-1, None] + half * (_X + 1.0), half * _W
 
 
-def quad_real(fn, a, b, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL, points=()):
+def quad_real(fn, a, b, points=()):
     """Integral over [a, b] of ``fn``, which maps the 1-d ascending array of
     all nodes of a panel set to real or complex values: a scalar for 1-d
     values, an (m,) array for (m, nodes) values, each row equal to a 1-d call
@@ -66,7 +65,7 @@ def quad_real(fn, a, b, epsabs=DEFAULT_EPSABS, epsrel=DEFAULT_EPSREL, points=())
         finer = total(edges)
         err = np.abs(finer - value)
         result = np.where(done, result, finer)
-        done |= err <= np.maximum(epsabs, epsrel * np.abs(finer))
+        done |= err <= np.maximum(EPSABS, EPSREL * np.abs(finer))
         if done.all():
             return result if result.ndim else result.item()
         if edges.size > MAX_PANELS:

@@ -272,6 +272,21 @@ PRESSURE_REFERENCES = {
 }
 
 
+# (f, n, Kbar) for u = ``PRESSURE_PROFILE`` and g = 0, so that Kbar is the
+# pressure term 4 pi^2 int_0^1 |H_n|^2 / (r I1(|n| r)^2) dr alone, the one term
+# the two routes do not share: f(1) = 0 and f(1) != 0, from
+# ``kbar_mpmath(PRESSURE_PROFILE, n, [0], f)`` at 30 digits, confirmed to the
+# digits shown at 40 (38-74 s a value at 30 digits on a 2-core machine)
+PRESSURE_TERM_REFERENCES = [
+    ([0, 1, -1], 100, "0.5128835527818842029123977"),
+    ([0, 1, -1], 10_000, "0.5141307819888866342972201"),
+    ([0, 1, -1], 1_000_000, "0.5141309074612261727311624"),
+    (PRESSURE_F, 100, "2.213226993198416518512273"),
+    (PRESSURE_F, 10_000, "2.348456674584229331956300"),
+    (PRESSURE_F, 1_000_000, "2.349863113903237665231231"),
+]
+
+
 def pressure_mpmath(u, n, f, radii, dps=30):
     """q_n and q_n' at ``radii`` (decimal strings) by ``mpmath.quad`` at ``dps`` digits.
 

@@ -233,6 +233,14 @@ def table(r, values):
          "descending-table-r"),
     case("check-profile", {"profile": table([0, 0.25, 0.5, 1], [1, math.nan, 1, 1])},
          "nan-table-value"),
+    # |n| > 1e12, up to wavenumbers whose square is no float, names its key
+    case("curvature", {"profile": GOOD_PROFILE, "modes": [dict(MODES[0], n=10 ** 200)]},
+         "huge-mode-n"),
+    case("spectrum", {"profile": ONE, "params": {"n_list": [1, -10 ** 200]}}, "huge-n_list"),
+    case("jacobi", {"profile": ONE, "params": {"n": 10 ** 200}}, "huge-jacobi-n"),
+    case("oscillation-study", {"profile": ONE, "params": {"n": 10 ** 200}}, "huge-n"),
+    case("curvature", {"profile": GOOD_PROFILE, "modes": [dict(MODES[0], n=10 ** 12 + 1)]},
+         "mode-n-past-bound"),
 ])
 def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
@@ -244,6 +252,23 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, paylo
     assert json.loads(lines[0])["error"] == "ValidationError"
     assert "np." not in lines[0]  # plain numbers, not numpy reprs
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]  # no artifact written
+
+
+@pytest.mark.parametrize("command, key", [("jacobi", "m"), ("limit-study", "m"),
+                                          ("spectrum", "m_max")])
+def test_mode_count_below_one_names_its_param(tmp_path, capsys, command, key):
+    cfg = write_cfg(tmp_path, {"profile": ONE, "params": {key: 0}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["message"] == f"param {key!r} is 0, not an integer in 1 ... 1e+12"
+
+
+@pytest.mark.parametrize("n", [10 ** 12, -10 ** 12])
+def test_curvature_at_the_wavenumber_bound(tmp_path, n):
+    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "modes": [dict(MODES[0], n=n)]})
+    assert main(["curvature", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    header, row = (tmp_path / "curvature.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["discrepancy"] == "0.0000000000000000e+00"
 
 
 def test_spectrum_beyond_the_basis_exit_code(tmp_path, capsys):
@@ -315,6 +340,9 @@ def test_missing_config_file_is_named(tmp_path, capsys):
                  "ParseError", id="nested-parentheses"),
     pytest.param(json.dumps({"profile": {"expr": "+".join(["r"] * 1500)}}), "config-error",
                  id="deep-derivative"),   # a sum 1500 deep
+    # Python's json refuses an integer of more than 4300 digits with a ValueError
+    pytest.param('{"profile": {"poly": [' + "1" * 5000 + "]}}", "config-error",
+                 id="integer-past-4300-digits"),
 ])
 def test_deeply_nested_config_is_a_config_error(tmp_path, capsys, text, error):
     path = tmp_path / "cfg.json"

@@ -26,7 +26,7 @@ from _helpers import (G_BASE, mode_poly, profile_poly, random_mode, scaled_mode,
                       standard_mode, u_const, u_decreasing, u_quadratic)
 from _oracles import (H_RATIO_F, H_RATIO_PANELS, H_RATIO_PROFILE, H_RATIO_REFERENCES,
                       KBAR_REFERENCES, PRESSURE_F, PRESSURE_PROFILE, PRESSURE_REFERENCES,
-                      carry_recurrence, h_ratio_gaps, int_r3_i1)
+                      PRESSURE_TERM_REFERENCES, carry_recurrence, h_ratio_gaps, int_r3_i1)
 
 PI2 = math.pi ** 2
 
@@ -188,42 +188,49 @@ def test_oracle_matches_closed_route_to_2e11(u):
         assert abs(curvature_mode_oracle(p, m) - closed) <= 2e-12 * abs(closed)
 
 
-def _pressure_terms(p, m):
-    """The one term the two routes do not share, each integrated alone:
-    4 pi^2 int Re(conj f (q' + r f u)) u r^2 dr from the Galerkin pressure and
-    4 pi^2 int |H / I1|^2 / r dr from the closed route's collocation."""
-    q = pressure_bvp_solve(p, m)
-
-    def oracle(r):
-        f, u = m.f(r), p.u(r)
-        return (np.conj(f) * (q.q_prime(r) + r * f * u)).real * u * r * r
-
-    def closed(r):
-        return np.abs(curvature._h_ratio(p, m, r)) ** 2 / r
-
-    return tuple(modes.FOUR_PI_SQ * quad_real(fn, 0.0, 1.0, epsrel=1e-13)
-                 for fn in (oracle, closed))
+def _pressure_terms(p, n, f_re, f_im=None):
+    """The one term the two routes do not share, as each route computes it: with
+    g = 0, Kbar is 4 pi^2 (int r^3 |f u|^2 dr - c^H A c) from the Galerkin solve
+    and 4 pi^2 int |H / I1|^2 / r dr from the closed route's collocation."""
+    m = mode_poly(n, [0.0], f_re=f_re, f_im=f_im)
+    return curvature_mode_oracle(p, m), curvature_mode_closed(p, m)
 
 
 @pytest.mark.parametrize("u", [[1.0], [1.0, 0.0, 1.0], [2.0, 0.0, -1.0]])
 def test_pressure_terms_of_the_two_routes_agree(u):
-    # worst 6.0e-13 (n = 200, f = PRESSURE_F).  f(1) != 0 stops at n = 10^4: at
-    # 10^6 the quadrature's uniform panels, 1.2e-4 wide at most, do not resolve
-    # q's 1e-6 wall layer, and the two integrals part by 6e-6
+    # worst 2.1e-13 (n = 1).  f(1) != 0 at n = 10^6 puts a 1e-6 wall layer in q',
+    # which the solve's panels resolve and the quadrature's miss (6e-6 off there)
     p = profile_poly(u)
     f = [complex(c) for c in PRESSURE_F]
-    cases = [(n, [0, 1, -1], None) for n in (1, 3, 10, 200, 10 ** 4, 10 ** 6)]
-    cases += [(n, [c.real for c in f], [c.imag for c in f]) for n in (1, 3, 10, 200, 10 ** 4)]
-    for n, f_re, f_im in cases:
-        oracle, closed = _pressure_terms(p, mode_poly(n, G_BASE, f_re=f_re, f_im=f_im))
-        assert abs(oracle - closed) <= 1e-12 * abs(closed)
+    for n in (1, 3, 10, 200, 10 ** 4, 10 ** 6):
+        for f_re, f_im in (([0, 1, -1], None), ([c.real for c in f], [c.imag for c in f])):
+            oracle, closed = _pressure_terms(p, n, f_re, f_im)
+            assert abs(oracle - closed) <= 1e-12 * abs(closed)
+
+
+@pytest.mark.parametrize("f, n, value", PRESSURE_TERM_REFERENCES)
+def test_pressure_terms_match_mpmath(f, n, value):
+    terms = _pressure_terms(profile_poly(PRESSURE_PROFILE), n, [complex(c).real for c in f],
+                            [complex(c).imag for c in f])
+    for route in terms:
+        assert route == pytest.approx(float(value), rel=1e-12)
 
 
 def test_closed_pressure_term_nears_its_large_n_limit():
     # 4 pi^2 int r^3 |f|^2 u^2 dr = 4 pi^2 361/27720 for u = 1 + r^2, f = r(1 - r),
     # which the closed route reaches as O(n^-2): 1.25e-11 below it at n = 10^6
-    _, closed = _pressure_terms(u_quadratic(), mode_poly(10 ** 6, G_BASE, f_re=[0, 1, -1]))
+    _, closed = _pressure_terms(u_quadratic(), 10 ** 6, [0, 1, -1])
     assert abs(closed - modes.FOUR_PI_SQ * 361 / 27720) <= 2e-11
+
+
+def test_oracle_evaluates_no_pressure_at_the_quadrature_nodes(monkeypatch):
+    # the assembly's two calls (B and B'), and none for q' at the quadrature's nodes
+    calls = []
+    basis = curvature.bspline_basis
+    monkeypatch.setattr(curvature, "bspline_basis",
+                        lambda *args: calls.append(args[-1]) or basis(*args))
+    curvature_mode_oracle(u_quadratic(), standard_mode(3))
+    assert calls == [0, 1]
 
 
 def test_oracle_memory_is_linear_in_the_table_size():
