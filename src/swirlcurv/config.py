@@ -19,6 +19,7 @@ indent) that round-trips byte-identically through ``parse_config``.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,9 +54,17 @@ def radial_from_spec(spec) -> RadialFunction:
     if "expr" in spec:
         return ExpressionFunction(spec["expr"])
     if "poly" in spec:
-        return PolynomialFunction(spec["poly"])
+        return PolynomialFunction(_numbers(spec["poly"], "poly"))
     tab = spec["table"]
-    return TableFunction(tab["r"], tab["values"])
+    return TableFunction(_numbers(tab["r"], "table 'r'"), _numbers(tab["values"], "table 'values'"))
+
+
+def _numbers(values, name: str):
+    """``values``, each a JSON number (a bool is not one) with a finite float value."""
+    for v in values:
+        if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+            raise ValidationError(f"{name} entry {v!r} is not a finite number")
+    return values
 
 
 def _complex_from_spec(cfg: dict, key: str) -> ComplexRadialFunction:

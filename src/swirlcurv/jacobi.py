@@ -88,7 +88,8 @@ def _pencil(p: RadialProfile, K: int):
     Assembled once per (profile, K); the cache entry dies with the profile."""
     cache = _PENCILS.setdefault(p, {})
     if K not in cache:
-        x, w = gauss_nodes(np.union1d(np.linspace(0.0, 1.0, K + 1), p.u.knots))
+        # table nodes past [0, 1] split no panel: clipped, they fall on 0 and 1
+        x, w = gauss_nodes(np.union1d(np.linspace(0.0, 1.0, K + 1), np.clip(p.u.knots, 0.0, 1.0)))
         r, w = x.ravel(), w.ravel()
         weight = 2.0 * p.u(r) * p.omega(r) / r
         if np.any(weight <= 0.0):

@@ -254,6 +254,33 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, paylo
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]  # no artifact written
 
 
+@pytest.mark.parametrize("spec, field", [
+    pytest.param({"poly": ["1", 0, "1e0"]}, "poly", id="text-poly"),
+    pytest.param({"poly": [True, 0, 1]}, "poly", id="bool-poly"),
+    pytest.param(table(["0", ".3", ".6", "1"], [1, 1, 1, 1]), "table 'r'", id="text-table-r"),
+    pytest.param(table([0, .3, .6, 1], [1, None, 1, 1]), "table 'values'", id="null-table-value"),
+    pytest.param({"poly": [10 ** 400, 0, 1]}, "poly", id="integer-past-the-float-range"),
+    pytest.param({"poly": [1, 0, math.inf]}, "poly", id="infinite-poly"),
+])
+def test_radial_data_must_be_json_numbers(tmp_path, capsys, spec, field):
+    cfg = write_cfg(tmp_path, {"profile": spec})
+    assert main(["check-profile", "--config", cfg, "--out", str(tmp_path)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValidationError"
+    assert error["message"].startswith(f"{field} entry ")
+
+
+@pytest.mark.parametrize("r", [[-1e-13, 0.3, 0.6, 1.0], [-0.5, 0.3, 0.6, 1.5]],
+                         ids=["sliver-past-the-axis", "nodes-past-both-ends"])
+@pytest.mark.parametrize("command", ["spectrum", "jacobi", "limit-study"])
+def test_table_nodes_outside_the_unit_interval_split_no_panel(tmp_path, capsys, command, r):
+    # the spectrum's Gauss nodes stay in (0, 1), where u * omega is checked
+    profile = table(r, [1 + x * x for x in r])
+    cfg = write_cfg(tmp_path, {"profile": profile, "params": {"n_list": [1, 2]}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command, key", [("jacobi", "m"), ("limit-study", "m"),
                                           ("spectrum", "m_max")])
 def test_mode_count_below_one_names_its_param(tmp_path, capsys, command, key):
@@ -367,9 +394,10 @@ def test_exponent_that_is_not_finite_is_a_parse_error(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("text", ["1 + r^2 + sqrt(0)*r", "1 + r^2 + 0^0.5*r",
-                                  "1 + r^2 + sqrt(0/2)*r", "0^0.5*r"])
+                                  "1 + r^2 + sqrt(0/2)*r", "0^0.5*r", "1 + (.25*1e400)^-1*r"])
 def test_constant_at_a_singular_point_of_its_slope_rule_is_read(tmp_path, capsys, text):
-    # sqrt(0) and 0^0.5 fold to 0 when parsed: no slope rule meets them at 0
+    # sqrt(0), 0^0.5 and (.25*1e400)^-1 are constants, which carry no slope: no
+    # slope rule meets them at 0 or at inf
     cfg = write_cfg(tmp_path, {"profile": {"expr": text}})
     assert main(["check-profile", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
@@ -457,6 +485,78 @@ def test_mode_expression_boundary_gives_an_exit_code_and_one_json_line(field, te
         _one_error_line(err.getvalue())
     else:
         assert err.getvalue() == ""
+
+
+def _table_of(fn):
+    r = np.linspace(0.0, 1.0, 9)
+    return table(r.tolist(), fn(r).tolist())
+
+
+# admissible poly and table specs of the profile (u = 1 + r^2) and of a mode's g and f
+RADIAL_SEEDS = {"profile": [{"poly": [1, 0, 1]}, _table_of(lambda r: 1 + r * r)],
+                "g": [{"poly": [0, 0, 1, -1]}, _table_of(lambda r: r * r * (1 - r))],
+                "f": [{"poly": [0, 1, -1]}, _table_of(lambda r: r * (1 - r))]}
+ENTRIES = (st.sampled_from(["1", True, None, [1.0], {}, math.nan, math.inf, -math.inf,
+                            1e300, 10 ** 400, -0.5, 1.5, -1e-13, 1 + 1e-13])
+           | st.floats(-2.0, 2.0) | st.integers(-3, 3))
+COMMANDS = ["check-profile", "curvature", "spectrum", "jacobi", "oscillation-study",
+            "limit-study"]
+
+
+@st.composite
+def mutated_radial_data(draw):
+    """(field, spec): a poly or table spec of the profile or of a mode's g or f,
+    with entries replaced, dropped or swapped, cut short, or of the wrong type."""
+    field = draw(st.sampled_from(["profile", "g", "f", "g_imag", "f_imag"]))
+    seed = draw(st.sampled_from(RADIAL_SEEDS[field.split("_")[0]]))
+    spec = json.loads(json.dumps(seed))   # a copy
+    parts = spec.get("table", spec)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(parts)))
+        values = parts[key]
+        i = draw(st.integers(0, max(len(values) - 1, 0)))
+        action = draw(st.sampled_from(["set", "drop", "swap", "cut", "type"]))
+        if action == "set" and values:
+            values[i] = draw(ENTRIES)
+        elif action == "drop" and values:
+            del values[i]
+        elif action == "swap" and values:
+            values[i], values[-1] = values[-1], values[i]
+        elif action == "cut":
+            del values[draw(st.integers(0, 3)):]
+        elif action == "type":
+            parts[key] = draw(st.sampled_from([5, "1, 2", None, {}, values[:1]]))
+            break
+    return field, spec
+
+
+@settings(max_examples=120, deadline=None)
+@example(("profile", table([-1e-13, 0.3, 0.6, 1.0], [1.0, 1.09, 1.36, 2.0])), "spectrum")
+@example(("profile", table([-0.5, 0.3, 0.6, 1.5], [1.25, 1.09, 1.36, 3.25])), "limit-study")
+@example(("profile", {"poly": ["1", 0, "1e0"]}), "check-profile")
+@example(("g", {"poly": [True, 0, 1, -1]}), "curvature")
+@example(("f", table(["0", ".3", ".6", "1"], [0, 0.21, 0.24, 0])), "jacobi")
+@example(("profile", {"poly": [10 ** 400, 0, 1]}), "oscillation-study")
+@given(mutated_radial_data(), st.sampled_from(COMMANDS))
+def test_radial_data_boundary_gives_an_exit_code_and_one_json_line(case, command):
+    field, spec = case
+    config = {"profile": RADIAL_SEEDS["profile"][0],
+              "modes": [{"n": 2, "g": RADIAL_SEEDS["g"][0], "f": RADIAL_SEEDS["f"][0]}],
+              "params": {"n_list": [1, 2], "k_max": 4}}
+    if field == "profile":
+        config["profile"] = spec
+    else:
+        config["modes"][0][field] = spec
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = main([command, "--config", write_cfg(Path(tmp), config), "--out", tmp, "--quiet"])
+        artifacts = [f.read_text() for f in Path(tmp).glob("*.json") if f.name != "cfg.json"]
+    assert code in (0, 1, 2)
+    if code:
+        assert _one_error_line(err.getvalue()) != "internal"
+    else:
+        assert err.getvalue() == ""
+    assert not any("NaN" in text or "Infinity" in text for text in artifacts)
 
 
 @pytest.mark.filterwarnings("error")

@@ -75,6 +75,13 @@ def test_symbolic_derivatives_simple():
     assert dv("r / (1 + r)", 0.5) == pytest.approx(1.0 / 1.5 ** 2)
 
 
+def test_power_with_exponent_zero_has_slope_zero():
+    # the power rule would give 0 * a^-1 * a', nan where a = 0 or a' is infinite
+    with np.errstate(divide="ignore", invalid="raise"):
+        for text, r in [("r^0", 0.0), ("sqrt(r)^0", 0.0), ("(r - 0.5)^0", 0.5)]:
+            assert parse_expression(text).jet(r) == (1.0, 0.0)
+
+
 @given(st.floats(min_value=0.05, max_value=0.95))
 def test_derivative_matches_finite_difference(r):
     text = "exp(-r^2) * sin(3*r) + r / (2 + cos(r))"
@@ -121,7 +128,7 @@ def test_unknown_identifier_and_empty():
 # binding strength of each node kind, loosest first
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 NUMBERS = st.sampled_from(["0", "3", "0.5", "2.", ".25", "1e-3", "2.5E+2"])
-LEAVES = NUMBERS | st.sampled_from(["r", "pi"])
+LEAVES = NUMBERS | st.sampled_from(["r", "pi", "1e400"])
 
 
 def _kind(tree):
