@@ -14,13 +14,13 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
 
 from .config import MAX_INT, RunConfig, check_integer, parse_config
-from .curvature import curvature_report, oscillation_study
+from .curvature import curvature_table, oscillation_study
 from .errors import HypothesisViolationError, SwirlcurvError, ValidationError
 from .jacobi import (assemble_jacobi, conjugate_times, jacobi_residuals,
                      lambda_over_n_study, sl_spectrum)
@@ -77,11 +77,7 @@ def _cmd_check_profile(cfg: RunConfig, out: Path):
 
 
 def _cmd_curvature(cfg: RunConfig, out: Path):
-    rows = []
-    for m in sorted(cfg.modes, key=lambda mm: mm.n):
-        res = curvature_report(cfg.profile, m)
-        rows.append((res.n, res.kbar_closed, res.kbar_oracle, res.discrepancy,
-                     res.k_normalized))
+    rows = [astuple(res) for res in curvature_table(cfg.profile, cfg.modes)]
     _write_csv(out / "curvature.csv",
                ["n", "kbar_closed", "kbar_oracle", "discrepancy", "k_normalized"], rows)
     return ["curvature.csv"]

@@ -94,7 +94,8 @@ class RunConfig:
 
 
 def _require_finite(profile: RadialProfile, modes) -> None:
-    """Reject a profile or mode with a non-finite value on the criteria grid."""
+    """Reject a profile or mode with a non-finite value on the criteria grid,
+    and a profile u that is 0 at every point of it."""
     r = CRITERIA_GRID
     with np.errstate(all="ignore"):
         samples = [profile.u(r), profile.u.derivative(r), profile.eta(r)]
@@ -102,14 +103,16 @@ def _require_finite(profile: RadialProfile, modes) -> None:
             samples += [m.g(r), m.g.derivative(r), m.f(r), m.f.derivative(r)]
     if not all(np.all(np.isfinite(v)) for v in samples):
         raise ValidationError("u, u', eta, g, g', f or f' is not finite on [0, 1]")
+    if not np.any(samples[0]):
+        raise ValidationError("u is 0 on [0, 1]: the swirl field X = 0 spans no section")
 
 
 def parse_config(source) -> RunConfig:
     """Build a RunConfig from a dict, a JSON document (``str``) or a file (``Path``).
 
-    Profile and modes must be finite on [0, 1], and modes must carry distinct
-    integer wavenumbers and meet the axis and wall conditions; finite energy
-    is not required (g'(0) != 0 is fine).
+    Profile and modes must be finite on [0, 1], u not 0 everywhere, and modes
+    must carry distinct integer wavenumbers and meet the axis and wall
+    conditions; finite energy is not required (g'(0) != 0 is fine).
     """
     if isinstance(source, Path):
         raw = json.loads(source.read_text())

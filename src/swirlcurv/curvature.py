@@ -18,17 +18,22 @@ spanned by X = u(r) d/dtheta and a mode Y_n:
 
 n = 0 modes contribute zero: both covariant-derivative terms in the tensor
 are gradients (projected away) and [X, Y_0] = 0.
+
+``curvature_table``, behind the ``curvature`` command, ``curvature_report`` and
+``curvature_total``, computes both routes and the normalized curvature of a list
+of modes in one pass: one ``quad_real`` call per panel set per ``BLOCK`` modes.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
 
 from . import special as sp
-from .errors import (DegenerateSectionError, InvalidModeError, RegularityError,
+from .errors import (AccuracyError, DegenerateSectionError, InvalidModeError,
                      ValidationError)
 from .linalg import solve_banded
 from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy
@@ -45,6 +50,7 @@ __all__ = [
     "curvature_total",
     "curvature_normalized",
     "curvature_report",
+    "curvature_table",
     "oscillation_study",
 ]
 
@@ -73,10 +79,6 @@ class PressureSolution:
     energy: float        # int_0^1 r (|q'|^2 + n^2 |q|^2) dr = c^H A c >= 0
 
 
-def _knots(p: RadialProfile, m: FourierMode):
-    return np.concatenate([p.u.knots, m.knots])
-
-
 # S[j, k] = int_{-1}^{t_j} l_k for the quadrature's Gauss nodes t = _X (weights w = _W)
 # and the Lagrange basis l_k on t, from l_k = w_k sum_i (i + 1/2) P_i(t_k) P_i
 _S = legendre.legvander(_X, NODES) @ legendre.legint(
@@ -84,7 +86,8 @@ _S = legendre.legvander(_X, NODES) @ legendre.legint(
 
 
 def _carry(decay, increment):
-    """y_k = decay_k y_{k-1} + increment_k from y = 0 before the first k.
+    """y_k = decay_k y_{k-1} + increment_k along the last axis, from y = 0 before
+    the first k.
 
     A Hillis-Steele scan: after the pass with step s, entry k holds the map
     y_{k-2s} -> y_k as the pair (product of its decays, its sum).  Each decay
@@ -93,33 +96,75 @@ def _carry(decay, increment):
     """
     a, y = np.array(decay, dtype=float), np.array(increment, dtype=complex)
     step = 1
-    while step < y.size:
-        y[step:] += a[step:] * y[:-step]
-        a[step:] *= a[:-step]
+    while step < y.shape[-1]:
+        y[..., step:] += a[..., step:] * y[..., :-step]
+        a[..., step:] *= a[..., :-step]
         step *= 2
     return y
 
 
-def _h_ratio(p: RadialProfile, m: FourierMode, r):
-    """H_n(r) / I1(N r) at the nodes r of a ``quad_real`` panel set from 0.
+def _h_ratio(modes, r, f, u):
+    """H_n(r) / I1(N r), one row per mode, at the nodes r of a ``quad_real`` panel
+    set from 0, from the values of u and of each mode's f there.
 
     On each panel y' = q - rate y, q = N r^2 f u, rate = N I1'/I1 > 0, is
     collocated at the Gauss nodes: y' there solves (I + half diag(rate) S) y'
     = q - rate y_start, so each panel's end value is an affine map of its
-    start value, with a factor in [0, 1].  The maps are carried from the axis.
+    start value, with a factor in [0, 1].  The maps are carried from the axis,
+    in (modes, panels, nodes) arrays: each step is one numpy call for all modes.
     """
-    N = abs(m.n)
+    N = np.array([abs(m.n) for m in modes], dtype=float)[:, None, None]
     x = r.reshape(-1, NODES)
     half = (x[:, -1] - x[:, 0]) / (_X[-1] - _X[0])
-    rate = N * sp.i0e(N * x) / sp.i1e(N * x) - 1.0 / x
-    q = N * x * x * m.f(x) * p.u(x)
-    v = np.linalg.solve(np.eye(NODES) + (half[:, None] * rate)[:, :, None] * _S,
+    Nx = N * x
+    rate = N * sp.i0e(Nx) / sp.i1e(Nx) - 1.0 / x
+    q = N * x * x * f.reshape(N.size, -1, NODES) * np.broadcast_to(u, r.shape).reshape(x.shape)
+    v = np.linalg.solve(np.eye(NODES) + (half[:, None] * rate)[..., None] * _S,
                         np.stack([q.real, q.imag, -rate], axis=-1))
     vq, vp = v[..., 0] + 1j * v[..., 1], v[..., 2]
     decay = 1.0 + half * (vp @ _W)
-    decay[0] = 0.0   # nothing is carried into the axis
-    start = np.concatenate([[0.0], _carry(decay, half * (vq @ _W))[:-1]])
-    return (start[:, None] + half[:, None] * ((vq + start[:, None] * vp) @ _S.T)).ravel()
+    decay[:, 0] = 0.0   # nothing is carried into the axis
+    start = np.pad(_carry(decay, half * (vq @ _W))[:, :-1], ((0, 0), (1, 0)))[..., None]
+    return (start + half[:, None] * ((vq + start * vp) @ _S.T)).reshape(N.size, -1)
+
+
+def _pressure(p: RadialProfile, m: FourierMode, bases: dict) -> PressureSolution:
+    """``pressure_bvp_solve``, with what does not depend on the mode (nodes, u,
+    B-splines, band positions, stiffness and mass) kept in ``bases`` by knot vector."""
+    data = np.concatenate([p.u.knots, m.f.knots])
+    wall = (1.0 + 10.0 * np.log(1.0 - np.arange(1, WALL) / WALL) / abs(m.n)
+            if abs(m.n) > PANELS else [])
+    edges = panel_edges(0.0, 1.0, np.concatenate([wall, data]))
+    mult = np.where(np.isin(edges, data), DEG - 3, 1)
+    mult[[0, -1]] = DEG + 1
+    t = np.repeat(edges, mult)
+    nb = t.size - DEG - 1
+    if t.tobytes() not in bases:
+        x, w = gauss_nodes(edges)
+        # b, db: (spline, panel, node); a panel lies in one span, so its nodes share first
+        (first, b), (_, db) = (bspline_basis(t, DEG, x, nu) for nu in (0, 1))
+        wr = w * x
+        # A[i, j] goes to ab[DEG + i - j, j]; neighbouring panels add into shared entries
+        i = first[:, :1] + np.arange(DEG + 1)
+        bases[t.tobytes()] = (x, wr * x, p.u(x), db, i,
+                              (DEG + i[:, :, None] - i[:, None, :]) * nb + i[:, None, :],
+                              np.swapaxes(db * wr, 0, 1) @ db.transpose(1, 2, 0),
+                              np.swapaxes(b * wr, 0, 1) @ b.transpose(1, 2, 0))
+    x, wr2, u, db, i, flat, stiffness, mass = bases[t.tobytes()]
+    element = stiffness + m.n ** 2 * mass
+    source = -np.sum(wr2 * m.f(x) * u * db, axis=-1).T
+    ab = np.bincount(flat.ravel(), element.ravel(), (2 * DEG + 1) * nb).reshape(-1, nb)
+    rhs = np.stack([np.bincount(i.ravel(), part.ravel(), nb)
+                    for part in (source.real, source.imag)], axis=-1)
+    coef = solve_banded((DEG, DEG), ab, rhs)   # the matrix is real: one column per part
+    coef = coef[:, 0] + 1j * coef[:, 1]
+    energy = np.vdot(rhs[:, 0] + 1j * rhs[:, 1], coef).real   # Re(s^H c) = c^H A c: s = A c
+
+    def q(r, nu=0):
+        start, basis = bspline_basis(t, DEG, r, nu)
+        return sum(basis[j] * coef[start + j] for j in range(DEG + 1))
+
+    return PressureSolution(m.n, q, lambda r: q(r, 1), float(energy))
 
 
 def pressure_bvp_solve(p: RadialProfile, m: FourierMode) -> PressureSolution:
@@ -137,42 +182,76 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode) -> PressureSolution:
     """
     if m.n == 0:
         raise InvalidModeError("pressure BVP requires n != 0")
-    data = np.concatenate([p.u.knots, m.f.knots])
-    wall = (1.0 + 10.0 * np.log(1.0 - np.arange(1, WALL) / WALL) / abs(m.n)
-            if abs(m.n) > PANELS else [])
-    edges = panel_edges(0.0, 1.0, np.concatenate([wall, data]))
-    mult = np.where(np.isin(edges, data), DEG - 3, 1)
-    mult[[0, -1]] = DEG + 1
-    t = np.repeat(edges, mult)
-    nb = t.size - DEG - 1
-
-    x, w = gauss_nodes(edges)
-    # b, db: (spline, panel, node); a panel lies in one span, so its nodes share first
-    (first, b), (_, db) = (bspline_basis(t, DEG, x, nu) for nu in (0, 1))
-    wr = w * x
-    element = (np.swapaxes(db * wr, 0, 1) @ db.transpose(1, 2, 0)
-               + m.n ** 2 * (np.swapaxes(b * wr, 0, 1) @ b.transpose(1, 2, 0)))
-    source = -np.sum(wr * x * m.f(x) * p.u(x) * db, axis=-1).T
-    # A[i, j] goes to ab[DEG + i - j, j]; neighbouring panels add into shared entries
-    i = first[:, :1] + np.arange(DEG + 1)
-    flat = (DEG + i[:, :, None] - i[:, None, :]) * nb + i[:, None, :]
-    ab = np.bincount(flat.ravel(), element.ravel(), (2 * DEG + 1) * nb).reshape(-1, nb)
-    rhs = np.stack([np.bincount(i.ravel(), part.ravel(), nb)
-                    for part in (source.real, source.imag)], axis=-1)
-    coef = solve_banded((DEG, DEG), ab, rhs)   # the matrix is real: one column per part
-    coef = coef[:, 0] + 1j * coef[:, 1]
-    energy = np.vdot(rhs[:, 0] + 1j * rhs[:, 1], coef).real   # Re(s^H c) = c^H A c: s = A c
-
-    def q(r, nu=0):
-        start, basis = bspline_basis(t, DEG, r, nu)
-        return sum(basis[j] * coef[start + j] for j in range(DEG + 1))
-
-    return PressureSolution(m.n, q, lambda r: q(r, 1), float(energy))
+    return _pressure(p, m, {})
 
 
 # ---------------------------------------------------------------------------
-# Curvature per mode
+# Curvature per mode, and of a table of modes
 # ---------------------------------------------------------------------------
+
+# modes of a curvature table, or wavenumbers of the oscillation study, per vector
+# quadrature call: a row that has converged is still evaluated on the finer
+# panels its block's slowest row needs, so one call over every k is slower than
+# one k at a time from k_max ~ 256 on (4.0 s against 1.6 s at 1024); a block bounds
+# the arrays by BLOCK * MAX_PANELS * NODES values (times NODES for the collocation)
+BLOCK = 16
+KINDS = ("closed", "oracle", "energy")   # the integrals of a mode, rows in this order
+
+
+def _integrand(p: RadialProfile, rows):
+    """The integrand of ``rows``, (kind, mode) pairs on one panel set in the order
+    "closed" (n^2 |g|^2 eta + |H_n / I1|^2) / r, "oracle" n^2 |g|^2 eta / r + r^3 |f u|^2
+    (less its pressure term), "energy" (n^2 |g|^2 + |g'|^2) / r + r^3 |f|^2.  u, eta and
+    each mode's g and f are evaluated once per call, each row in its one-mode order."""
+    modes = list({m.n: m for _, m in rows}.values())
+    slot = {m.n: k for k, m in enumerate(modes)}
+    c, o, e = ([slot[m.n] for kk, m in rows if kk == kind] for kind in KINDS)
+    n2 = np.array([m.n ** 2 for m in modes], dtype=float)[:, None]
+
+    def fn(r):
+        g = np.array([np.broadcast_to(m.g(r), r.shape) for m in modes])
+        f = np.array([np.broadcast_to(m.f(r), r.shape) for m in modes])
+        r3, s, parts = r ** 3, n2 * np.abs(g) ** 2, []
+        if c or o:
+            u, s_eta = p.u(r), s * p.eta(r)
+        if c:
+            h = _h_ratio([modes[k] for k in c], r, f[c], u)
+            parts.append((s_eta[c] + np.abs(h) ** 2) / r)
+        if o:
+            parts.append(s_eta[o] / r + r3 * np.abs(f[o] * u) ** 2)
+        if e:
+            dg = np.array([np.broadcast_to(modes[k].g.derivative(r), r.shape) for k in e])
+            parts.append((s[e] + np.abs(dg) ** 2) / r + r3 * np.abs(f[e]) ** 2)
+        return np.concatenate(parts)
+
+    return fn
+
+
+def _radial_integrals(p: RadialProfile, rows) -> dict:
+    """{(kind, n): integral over [0, 1], without 4 pi^2} of ``_integrand``'s ``rows``:
+    one vector ``quad_real`` call per panel set, split at the knots of the mode
+    (and of u, but for an energy).  An ``AccuracyError`` names mode and integral."""
+    groups = {}
+    for kind, m in sorted(rows, key=lambda row: KINDS.index(row[0])):   # _integrand's order
+        points = m.knots if kind == "energy" else np.concatenate([p.u.knots, m.knots])
+        key = panel_edges(0.0, 1.0, points).tobytes()
+        groups.setdefault(key, (points, []))[1].append((kind, m))
+    out = {}
+    for points, part in groups.values():
+        fn = _integrand(p, part)
+        try:
+            values = quad_real(fn, 0.0, 1.0, points=points).tolist()
+        except AccuracyError:
+            for kind, m in part:   # each row alone: the first that fails raises, named
+                try:
+                    quad_real(lambda r: _integrand(p, [(kind, m)])(r)[0], 0.0, 1.0, points=points)
+                except AccuracyError as exc:
+                    raise AccuracyError(f"n = {m.n}, {kind} integral: {exc}",
+                                        exc.value, exc.error_estimate) from exc
+            raise
+        out.update(zip([(kind, m.n) for kind, m in part], values))
+    return out
+
 
 def curvature_mode_closed(p: RadialProfile, m: FourierMode) -> float:
     """Non-normalized curvature of span(X, Y_n) via the closed Bessel formula.
@@ -182,13 +261,7 @@ def curvature_mode_closed(p: RadialProfile, m: FourierMode) -> float:
     """
     if m.n == 0:
         return 0.0
-    n2 = m.n ** 2
-
-    def integrand(r):
-        h = _h_ratio(p, m, r)
-        return (n2 * np.abs(m.g(r)) ** 2 * p.eta(r) + np.abs(h) ** 2) / r
-
-    return FOUR_PI_SQ * quad_real(integrand, 0.0, 1.0, points=_knots(p, m))
+    return FOUR_PI_SQ * _radial_integrals(p, [("closed", m)])["closed", m.n]
 
 
 def curvature_mode_oracle(p: RadialProfile, m: FourierMode) -> float:
@@ -202,28 +275,14 @@ def curvature_mode_oracle(p: RadialProfile, m: FourierMode) -> float:
     """
     if m.n == 0:
         return 0.0
-
-    def integrand(r):
-        return (m.n ** 2 * np.abs(m.g(r)) ** 2 * p.eta(r) / r
-                + r ** 3 * np.abs(m.f(r) * p.u(r)) ** 2)
-
-    return FOUR_PI_SQ * (quad_real(integrand, 0.0, 1.0, points=_knots(p, m))
+    return FOUR_PI_SQ * (_radial_integrals(p, [("oracle", m)])["oracle", m.n]
                          - pressure_bvp_solve(p, m).energy)
 
 
-def curvature_total(p: RadialProfile, modes) -> float:
-    """Sum of per-mode curvatures; modes must carry distinct wavenumbers."""
-    ns = [m.n for m in modes]
-    if len(set(ns)) != len(ns):
-        raise ValidationError(f"duplicate mode numbers in {ns}")
-    return sum(curvature_mode_closed(p, m) for m in sorted(modes, key=lambda mm: mm.n))
-
-
-def _gram_determinant(p: RadialProfile, m: FourierMode) -> float:
-    xx = p.energy
-    yy = mode_energy(m)
+def _gram_determinant(p: RadialProfile, m: FourierMode, yy: float) -> float:
+    """<<X, X>> <<Y, Y>> - <<X, Y>>^2 for the mode energy yy = <<Y, Y>>."""
     xy = cross_inner_product(p, m)
-    denom = xx * yy - xy * xy
+    denom = p.energy * yy - xy * xy
     if denom <= 1e-300:
         raise DegenerateSectionError("section degenerate: Gram determinant vanishes")
     return denom
@@ -231,7 +290,7 @@ def _gram_determinant(p: RadialProfile, m: FourierMode) -> float:
 
 def curvature_normalized(p: RadialProfile, m: FourierMode) -> float:
     """Kbar divided by the Gram determinant of (X, Y_n)."""
-    return curvature_mode_closed(p, m) / _gram_determinant(p, m)
+    return curvature_mode_closed(p, m) / _gram_determinant(p, m, mode_energy(m))
 
 
 @dataclass
@@ -243,33 +302,48 @@ class CurvatureResult:
     k_normalized: float
 
 
+def curvature_table(p: RadialProfile, modes) -> list:
+    """The ``CurvatureResult`` of every mode (distinct n), ascending in n, each
+    value bit for bit as by ``curvature_mode_closed``, ``curvature_mode_oracle``
+    and ``mode_energy``, ``BLOCK`` modes at a time.  k_normalized is nan for a
+    mode with g'(0) != 0 or a degenerate section; n = 0 has Kbar = 0."""
+    modes = sorted(modes, key=lambda m: m.n)
+    ns = [m.n for m in modes]
+    if len(set(ns)) != len(ns):
+        raise ValidationError(f"duplicate mode numbers in {ns}")
+    out = []
+    for start in range(0, len(modes), BLOCK):
+        block = modes[start:start + BLOCK]
+        route = [m for m in block if m.n != 0]
+        rows = ([(kind, m) for kind in KINDS[:2] for m in route]
+                + [("energy", m) for m in block if m.finite_energy])
+        value = _radial_integrals(p, rows)
+        bases = {}   # one pressure basis per knot vector, for this block
+        pressure = {m.n: _pressure(p, m, bases).energy for m in route}
+        for m in block:   # n = 0 has no closed, oracle or pressure value: Kbar = 0
+            kc = FOUR_PI_SQ * value.get(("closed", m.n), 0.0)
+            ko = FOUR_PI_SQ * (value.get(("oracle", m.n), 0.0) - pressure.get(m.n, 0.0))
+            kn = float("nan")   # without an energy row (g'(0) != 0) or a section
+            with contextlib.suppress(DegenerateSectionError):
+                if ("energy", m.n) in value:
+                    kn = kc / _gram_determinant(p, m, FOUR_PI_SQ * value["energy", m.n])
+            out.append(CurvatureResult(m.n, kc, ko, abs(kc - ko) / (1.0 + abs(kc)), kn))
+    return out
+
+
 def curvature_report(p: RadialProfile, m: FourierMode) -> CurvatureResult:
-    kc = curvature_mode_closed(p, m)
-    ko = curvature_mode_oracle(p, m)
-    try:
-        kn = kc / _gram_determinant(p, m)
-    except (RegularityError, DegenerateSectionError):
-        kn = float("nan")
-    return CurvatureResult(
-        n=m.n,
-        kbar_closed=kc,
-        kbar_oracle=ko,
-        discrepancy=abs(kc - ko) / (1.0 + abs(kc)),
-        k_normalized=kn,
-    )
+    """The ``curvature_table`` row of one mode."""
+    return curvature_table(p, [m])[0]
+
+
+def curvature_total(p: RadialProfile, modes) -> float:
+    """Sum of per-mode closed curvatures; modes must carry distinct wavenumbers."""
+    return sum(row.kbar_closed for row in curvature_table(p, modes))
 
 
 # ---------------------------------------------------------------------------
 # Oscillation study (normalized curvature of g = sin(k pi r), f = 0)
 # ---------------------------------------------------------------------------
-
-# wavenumbers per pair of quadrature calls: a row that has converged is still
-# evaluated on the finer panels its block's largest k needs, so one call over
-# every k is slower than one k at a time from k_max ~ 256 on (4.0 s against
-# 1.6 s at 1024); a block also bounds the integrand arrays by
-# BLOCK * MAX_PANELS * NODES values, whatever k_max is
-BLOCK = 16
-
 
 def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
     """Normalized curvature of g = sin(k pi r) modes for increasing k.

@@ -130,9 +130,11 @@ def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048) -> SLSpe
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
     if not p.criteria.u_omega_positive:
-        witnesses = [w for w in p.criteria.witness_points if w["criterion"] == "u_omega"]
+        # a few roots: u = 0 on an interval has one at each grid point (criteria.json)
+        minimum, *roots = [w for w in p.criteria.witness_points if w["criterion"] == "u_omega"]
         raise HypothesisViolationError(
-            f"u * omega is not positive on [0,1]; witnesses: {witnesses}")
+            f"u * omega is not positive on [0,1]; minimum: {minimum}; "
+            f"{len(roots)} roots, the first ones: {roots[:3]}")
 
     n_abs = abs(int(n))
     K, lam, est = max(16, 2 * m_max), None, None

@@ -52,9 +52,14 @@ class FourierMode:
         return float(max(np.max(np.abs(self.g(r))), np.max(np.abs(self.g.derivative(r))),
                          np.max(np.abs(self.f(r))), 1e-300))
 
+    @property
+    def finite_energy(self) -> bool:
+        """g'(0) = 0, without which the kinetic energy diverges at the axis."""
+        return not abs(self.g.derivative(0.0)) > _AXIS_TOL * self.field_scale()
+
     def validate(self) -> None:
         """Check g(0) = f(0) = 0 and, for n != 0, g(1) = 0; raises on violation.
-        Finite energy (g'(0) = 0) is checked by ``mode_energy``, which needs it."""
+        Finite energy is checked where it is needed (``finite_energy``)."""
         tol = _AXIS_TOL * self.field_scale()
         if abs(self.g(0.0)) > tol:
             raise RegularityError(f"g(0) = {complex(self.g(0.0))} must vanish on the axis")
@@ -72,7 +77,7 @@ def swirl_energy(p: RadialProfile) -> float:
 
 def mode_energy(m: FourierMode) -> float:
     """<<Y_n, conj(Y_n)>> = 4 pi^2 * int [ (n^2 |g|^2 + |g'|^2)/r + r^3 |f|^2 ] dr."""
-    if abs(m.g.derivative(0.0)) > _AXIS_TOL * m.field_scale():
+    if not m.finite_energy:
         raise RegularityError("mode energy diverges: g'(0) != 0")
 
     def integrand(r):

@@ -298,6 +298,22 @@ def test_curvature_at_the_wavenumber_bound(tmp_path, n):
     assert dict(zip(header.split(","), row.split(",")))["discrepancy"] == "0.0000000000000000e+00"
 
 
+def test_curvature_table_call_counts(tmp_path, monkeypatch):
+    # polynomial data: one quadrature call for the whole table and one for the swirl
+    # energy; n = 1 and 2 share a pressure knot vector, as do 200 and -200
+    calls, quad, basis = [], curvature.quad_real, curvature.bspline_basis
+    counted = lambda fn, *args, **kw: calls.append("quad") or quad(fn, *args, **kw)
+    monkeypatch.setattr(curvature, "quad_real", counted)
+    monkeypatch.setattr(modes, "quad_real", counted)
+    monkeypatch.setattr(curvature, "bspline_basis",
+                        lambda *args: calls.append("basis") or basis(*args))
+    specs = [dict(MODES[0], n=n) for n in (1, 2, 40, 200, -200)]
+    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "modes": specs})
+    assert main(["curvature", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    assert calls.count("quad") == 1 + 1
+    assert calls.count("basis") == 2 * 3
+
+
 def test_spectrum_beyond_the_basis_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"profile": ONE, "params": {"m_max": 100}})
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -394,7 +410,7 @@ def test_exponent_that_is_not_finite_is_a_parse_error(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("text", ["1 + r^2 + sqrt(0)*r", "1 + r^2 + 0^0.5*r",
-                                  "1 + r^2 + sqrt(0/2)*r", "0^0.5*r", "1 + (.25*1e400)^-1*r"])
+                                  "1 + r^2 + sqrt(0/2)*r", "1 + (.25*1e400)^-1*r"])
 def test_constant_at_a_singular_point_of_its_slope_rule_is_read(tmp_path, capsys, text):
     # sqrt(0), 0^0.5 and (.25*1e400)^-1 are constants, which carry no slope: no
     # slope rule meets them at 0 or at inf
@@ -557,6 +573,37 @@ def test_radial_data_boundary_gives_an_exit_code_and_one_json_line(case, command
     else:
         assert err.getvalue() == ""
     assert not any("NaN" in text or "Infinity" in text for text in artifacts)
+
+
+@pytest.mark.parametrize("spec", [{"poly": [0]}, {"expr": "0^0.5*r"},
+                                  table([0, .3, .6, 1], [0] * 4)], ids=["poly", "expr", "table"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_zero_swirl_is_refused(tmp_path, capsys, command, spec):
+    # X = 0 spans no section: no curvature, spectrum or criterion is about it.
+    # 0^0.5 is a constant, which carries no slope: u' is finite, and u = 0 is what
+    # the message names
+    cfg = write_cfg(tmp_path, {"profile": spec, "modes": MODES})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {
+        "error": "ValidationError",
+        "message": "u is 0 on [0, 1]: the swirl field X = 0 spans no section"}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "jacobi", "limit-study"])
+def test_u_omega_refusal_quotes_a_few_witnesses(tmp_path, capsys, command):
+    # u = 0 on [1/2, 1]: u * omega has a root at each of the grid's points there,
+    # which check-profile lists in full and the refusal only counts
+    cfg = write_cfg(tmp_path, {"profile": {"expr": "sqrt((r-0.5)^2) - (r - 0.5)"}})
+    assert main(["check-profile", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    witnesses = json.loads((tmp_path / "criteria.json").read_text())["witness_points"]
+    roots = sum(w["criterion"] == "u_omega" for w in witnesses) - 1
+    assert roots > 100
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    message = json.loads(line)["message"]
+    assert len(line) < 1024 and f"; {roots} roots, " in message
+    assert "'u_omega'" in message and "'eta'" not in message
 
 
 @pytest.mark.filterwarnings("error")

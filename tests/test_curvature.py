@@ -1,10 +1,11 @@
 import math
+import struct
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy import special as sp
@@ -12,13 +13,14 @@ from scipy.integrate import simpson
 
 import swirlcurv.curvature as curvature
 import swirlcurv.modes as modes
-from swirlcurv import (DegenerateSectionError, FourierMode,
+from swirlcurv import (AccuracyError, DegenerateSectionError, ExpressionFunction, FourierMode,
                        InvalidModeError, PolynomialFunction, RadialProfile,
-                       TableFunction, ValidationError, curvature_mode_closed,
+                       RegularityError, TableFunction, ValidationError, curvature_mode_closed,
                        curvature_mode_oracle, curvature_normalized,
                        curvature_report, curvature_total, mode_energy,
                        oscillation_study, pressure_bvp_solve, swirl_energy)
 from swirlcurv import special
+from swirlcurv.config import parse_config
 from swirlcurv.quadrature import NODES, gauss_nodes, quad_real
 from swirlcurv.radial import ComplexRadialFunction
 
@@ -40,9 +42,14 @@ def _nodes(panels, b=1.0):
     return gauss_nodes(np.linspace(0.0, b, panels + 1))[0].ravel()
 
 
+def _h_ratio(p, m, r):
+    """H_n / I1 of one mode at the nodes r, by the closed route's call on a list of modes."""
+    return curvature._h_ratio([m], r, m.f(r)[None], p.u(r))[0]
+
+
 def test_hj_vanish_for_zero_f():
     m = mode_poly(1, [0, 0, 1, -1])
-    assert not np.any(curvature._h_ratio(u_const(), m, _nodes(256)))
+    assert not np.any(_h_ratio(u_const(), m, _nodes(256)))
 
 
 def test_h_at_one_matches_series_oracle():
@@ -52,7 +59,7 @@ def test_h_at_one_matches_series_oracle():
     r = _nodes(256, 1.0 / (1.0 - (1.0 - t) / 512))
     assert r[-1] == pytest.approx(1.0, abs=2e-16)
     m = mode_poly(1, [0.0], f_re=[0.0, 1.0])
-    H = curvature._h_ratio(u_const(), m, r)[-1] * sp.i1(r[-1])
+    H = _h_ratio(u_const(), m, r)[-1] * sp.i1(r[-1])
     assert H.real == pytest.approx(int_r3_i1(), rel=1e-11)
     assert abs(H.imag) < 1e-14
 
@@ -66,7 +73,7 @@ def test_h_ratio_matches_the_gap_rule(panels, n):
     matches mpmath to 5e-16 on those nodes (``H_RATIO_REFERENCES``)."""
     p, m = u_quadratic(), standard_mode(n)
     r = _nodes(panels)
-    got = curvature._h_ratio(p, m, r)
+    got = _h_ratio(p, m, r)
     ref = h_ratio_gaps(m.f, p.u, n, r)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -79,7 +86,7 @@ def test_h_ratio_matches_mpmath_at_large_n(n, r, value):
     i = int(np.argmin(np.abs(nodes - 0.587)))
     assert nodes[i] == float(r)
     m = mode_poly(n, G_BASE, f_re=H_RATIO_F)
-    got = curvature._h_ratio(profile_poly(H_RATIO_PROFILE), m, nodes)[i]
+    got = _h_ratio(profile_poly(H_RATIO_PROFILE), m, nodes)[i]
     assert got.real == pytest.approx(float(value), rel=1e-14)
     assert got.imag == 0.0
 
@@ -90,9 +97,9 @@ def test_carry_factors_lie_in_the_unit_interval(monkeypatch, panels, n):
     carry, decays = curvature._carry, []
     monkeypatch.setattr(curvature, "_carry",
                         lambda decay, increment: decays.append(decay) or carry(decay, increment))
-    curvature._h_ratio(u_quadratic(), standard_mode(n), _nodes(panels))
+    _h_ratio(u_quadratic(), standard_mode(n), _nodes(panels))
     (decay,) = decays
-    assert decay.size == panels and decay[0] == 0.0   # nothing is carried into the axis
+    assert decay.shape == (1, panels) and decay[0, 0] == 0.0   # nothing is carried into the axis
     assert np.all((decay >= 0.0) & (decay <= 1.0))
 
 
@@ -402,20 +409,115 @@ def test_report_nan_normalization_for_divergent_mode():
 
 
 def test_report_runs_closed_route_once_per_mode(monkeypatch):
+    # counted as closed-route integrand evaluations: a report evaluates its
+    # mode's closed integrand exactly as often as the closed route alone does
     p = u_quadratic()
     modes = [standard_mode(1), standard_mode(3)]
     expected = [curvature_normalized(p, m) for m in modes]
-    closed = curvature.curvature_mode_closed
-    calls = []
-
-    def counting(pp, mm):
-        calls.append(mm.n)
-        return closed(pp, mm)
-
-    monkeypatch.setattr(curvature, "curvature_mode_closed", counting)
+    h_ratio, calls = curvature._h_ratio, []
+    monkeypatch.setattr(curvature, "_h_ratio",
+                        lambda ms, *args: calls.append([m.n for m in ms]) or h_ratio(ms, *args))
+    for m in modes:
+        curvature_mode_closed(p, m)
+    alone, calls[:] = calls[:], []
     reports = [curvature_report(p, m) for m in modes]
-    assert calls == [1, 3]
+    assert calls == alone == [[1], [1], [3], [3]]
     assert [rep.k_normalized for rep in reports] == expected
+
+
+# radial data as poly, expr or table specs; the 33 table knots are the
+# quadrature's uniform panel edges, the 12 are off them (but for 0 and 1)
+ON_EDGES, OFF_EDGES = np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 12)
+WAVENUMBERS = [0, 200, 10 ** 4] + [s * k for k in range(1, 41) for s in (1, -1)]
+TABLE_PROFILES = [{"poly": [1.0, 0.0, 1.0]}, {"expr": "2 - r^2"},
+                  {"table": {"r": OFF_EDGES.tolist(), "values": (1 + OFF_EDGES ** 2).tolist()}},
+                  {"table": {"r": ON_EDGES.tolist(), "values": (2 - ON_EDGES ** 2).tolist()}}]
+
+
+def _spec(form, coeffs):
+    """The polynomial with ascending ``coeffs`` as a poly, expr or table spec."""
+    coeffs = [float(c) for c in coeffs]
+    if form == "poly":
+        return {"poly": coeffs}
+    if form == "expr":
+        return {"expr": " + ".join(f"({c!r})*r^{j}" for j, c in enumerate(coeffs))}
+    knots = ON_EDGES if form == "table-on" else OFF_EDGES
+    return {"table": {"r": knots.tolist(), "values": npoly.polyval(knots, coeffs).tolist()}}
+
+
+FORMS = st.sampled_from(["poly", "expr", "table-on", "table-off"])
+
+
+@st.composite
+def table_modes(draw):
+    """Config specs of modes with distinct n: g = r^2 (1 - r)(a + b r), or
+    a r (1 - r) with g'(0) != 0 (a spline g has g'(0) != 0 too), f = r (1 - r)(c + d r)."""
+    specs = []
+    for n in draw(st.lists(st.sampled_from(WAVENUMBERS), min_size=1, max_size=20, unique=True)):
+        a, b, c, d = (draw(st.floats(-1.0, 1.0)) for _ in range(4))
+        g = (npoly.polymul([0.0, 1.0, -1.0], [a]) if draw(st.booleans())
+             else npoly.polymul([0.0, 0.0, 1.0, -1.0], [a, b]))
+        spec = {"n": n, "g": _spec(draw(FORMS), g),
+                "f": _spec(draw(FORMS), npoly.polymul([0.0, 1.0, -1.0], [c, d]))}
+        if draw(st.booleans()):
+            spec["g_imag"] = _spec(draw(FORMS), npoly.polymul([0.0, 0.0, 1.0, -1.0], [b]))
+        specs.append(spec)
+    return specs
+
+
+def _same(a, b):
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@settings(max_examples=12, deadline=None)
+# n = -9 refines to 2048 panels, and the 15 other modes of its block keep their bits
+@example(TABLE_PROFILES[2], [
+    {"n": n, "g": _spec("poly", npoly.polymul(G_BASE, [1.0, 0.5 * n / 40])),
+     "f": _spec("table-off" if n % 3 else "expr", [0.0, 1.0, -1.0])}
+    for n in range(-8, 9) if n] + [
+    {"n": -9, "g": {"expr": "r^2*(1-r)*sin(2000*pi*r)"}, "f": {"poly": [0, 1, -1]}},
+    {"n": 0, "g": {"poly": [0.0]}, "f": {"poly": [0, 1, -1]}}])
+@given(st.sampled_from(TABLE_PROFILES), table_modes())
+def test_table_equals_one_mode_calls(profile, specs):
+    cfg = parse_config({"profile": profile, "modes": specs})
+    p, ordered = cfg.profile, sorted(cfg.modes, key=lambda m: m.n)
+    rows = curvature.curvature_table(p, cfg.modes)
+    assert [row.n for row in rows] == [m.n for m in ordered]
+    for row, m in zip(rows, ordered):
+        closed, oracle = curvature_mode_closed(p, m), curvature_mode_oracle(p, m)
+        try:   # Kbar / (<<X, X>> mode_energy - <<X, Y>>^2), by p.energy and mode_energy
+            normalized = curvature_normalized(p, m)
+        except (RegularityError, DegenerateSectionError):
+            normalized = math.nan
+        expected = (closed, oracle, abs(closed - oracle) / (1.0 + abs(closed)), normalized)
+        got = (row.kbar_closed, row.kbar_oracle, row.discrepancy, row.k_normalized)
+        assert all(map(_same, got, expected)), (m.n, got, expected)
+
+
+class _RoughSlope(PolynomialFunction):
+    """g = r^2 (1 - r) with r |r - 0.3|^-1/4 added to its slope: only |g'|^2 sees it."""
+
+    def __init__(self):
+        super().__init__(G_BASE)
+
+    def derivative(self, r):
+        return super().derivative(r) + r * np.abs(r - 0.3) ** -0.25
+
+
+@pytest.mark.parametrize("g, kind", [
+    (ExpressionFunction("r^2*(1-r)*sqrt((r-0.3)^2)^-0.25"), "closed"),
+    (_RoughSlope(), "energy"),
+], ids=["closed", "energy"])
+def test_accuracy_error_names_the_mode_and_the_integral(g, kind):
+    # an integrable |r - 0.3|^-1/2 in |g|^2 / r or |g'|^2 / r, which no panel count resolves
+    bad = FourierMode(9, ComplexRadialFunction(g), standard_mode(9).f)
+    with pytest.raises(AccuracyError) as info:
+        curvature.curvature_table(u_quadratic(), [standard_mode(1), bad, standard_mode(10)])
+    assert str(info.value).startswith(f"n = 9, {kind} integral: quadrature error estimate ")
+    with pytest.raises(AccuracyError) as alone:
+        curvature_mode_closed(u_quadratic(), bad) if kind == "closed" else mode_energy(bad)
+    assert info.value.value == alone.value.value
+    assert info.value.error_estimate == alone.value.error_estimate
 
 
 def test_swirl_energy_is_integrated_once_per_profile(monkeypatch):

@@ -365,8 +365,11 @@ def test_readme_library_sketch_gives_its_commented_values():
     got = {comments[i]: value for i, value in values.items() if i in comments}
     assert got["pi^2 / 15"] == pytest.approx(math.pi ** 2 / 15, rel=1e-12)
     assert got["same, via the Galerkin pressure"] == pytest.approx(math.pi ** 2 / 15, rel=1e-9)
+    (row,) = got["both values again, for every mode in one pass"]
+    assert (row.kbar_closed, row.kbar_oracle) == (got["pi^2 / 15"],
+                                                  got["same, via the Galerkin pressure"])
     (m, t_star), *_ = got["[(1, 12.44085...), ...]"]
     assert m == 1 and math.floor(t_star * 1e5) == 1244085
     assert abs(got["0 to round-off: conjugate at t*"]) < 1e-12
     # and the last line, the residual of the Jacobi equations
-    assert len(values) == 5 and values[max(values)] < 1e-6
+    assert len(values) == 6 and values[max(values)] < 1e-6
