@@ -15,9 +15,8 @@ flat torus:
 from . import bessel  # noqa: F401  (bound for the benchmark tracer, ROADMAP item 3)
 from .config import RunConfig, parse_config, radial_from_spec
 from .curvature import (CurvatureResult, PressureSolution, curvature_mode_closed,
-                        curvature_mode_oracle, curvature_normalized, curvature_report,
-                        curvature_table, curvature_total, oscillation_study,
-                        pressure_bvp_solve)
+                        curvature_mode_oracle, curvature_normalized, curvature_table,
+                        oscillation_study, pressure_bvp_solve)
 from .errors import (AccuracyError, DegenerateSectionError, DomainError,
                      HypothesisViolationError, InvalidModeError, ParseError,
                      RegularityError, SwirlcurvError, ValidationError)

@@ -19,9 +19,9 @@ spanned by X = u(r) d/dtheta and a mode Y_n:
 n = 0 modes contribute zero: both covariant-derivative terms in the tensor
 are gradients (projected away) and [X, Y_0] = 0.
 
-``curvature_table``, behind the ``curvature`` command, ``curvature_report`` and
-``curvature_total``, computes both routes and the normalized curvature of a list
-of modes in one pass: one ``quad_real`` call per panel set per ``BLOCK`` modes.
+``curvature_table``, behind the ``curvature`` command, computes both routes and
+the normalized curvature of a list of modes in one pass: one ``quad_real`` call
+per panel set per ``BLOCK`` modes.
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ __all__ = [
     "pressure_bvp_solve",
     "curvature_mode_closed",
     "curvature_mode_oracle",
-    "curvature_total",
     "curvature_normalized",
-    "curvature_report",
     "curvature_table",
     "oscillation_study",
 ]
@@ -241,14 +239,10 @@ def _radial_integrals(p: RadialProfile, rows) -> dict:
         fn = _integrand(p, part)
         try:
             values = quad_real(fn, 0.0, 1.0, points=points).tolist()
-        except AccuracyError:
-            for kind, m in part:   # each row alone: the first that fails raises, named
-                try:
-                    quad_real(lambda r: _integrand(p, [(kind, m)])(r)[0], 0.0, 1.0, points=points)
-                except AccuracyError as exc:
-                    raise AccuracyError(f"n = {m.n}, {kind} integral: {exc}",
-                                        exc.value, exc.error_estimate) from exc
-            raise
+        except AccuracyError as exc:
+            kind, m = part[exc.row]
+            raise AccuracyError(f"n = {m.n}, {kind} integral: {exc}",
+                                exc.value, exc.error_estimate) from exc
         out.update(zip([(kind, m.n) for kind, m in part], values))
     return out
 
@@ -331,16 +325,6 @@ def curvature_table(p: RadialProfile, modes) -> list:
     return out
 
 
-def curvature_report(p: RadialProfile, m: FourierMode) -> CurvatureResult:
-    """The ``curvature_table`` row of one mode."""
-    return curvature_table(p, [m])[0]
-
-
-def curvature_total(p: RadialProfile, modes) -> float:
-    """Sum of per-mode closed curvatures; modes must carry distinct wavenumbers."""
-    return sum(row.kbar_closed for row in curvature_table(p, modes))
-
-
 # ---------------------------------------------------------------------------
 # Oscillation study (normalized curvature of g = sin(k pi r), f = 0)
 # ---------------------------------------------------------------------------
@@ -353,7 +337,7 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
     the energy form without the 1/r weight on |g'|^2 (finite, and the k -> 0
     trend is the same either way).  Each block of ``BLOCK`` wavenumbers is
     one vector ``quad_real`` call for the numerators and one for the
-    denominators.
+    denominators; an ``AccuracyError`` names its k.
     """
     if n == 0:
         raise InvalidModeError("oscillation study requires n != 0")
@@ -363,9 +347,13 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
     for start in range(0, len(k_values), BLOCK):
         block = k_values[start:start + BLOCK]
         w = np.array(block)[:, None] * np.pi
-        numerator = quad_real(lambda r: n * n * np.sin(w * r) ** 2 * p.eta(r) / r, 0.0, 1.0,
-                              points=p.u.knots)
-        denominator = quad_real(
-            lambda r: n * n * np.sin(w * r) ** 2 / r + (w * np.cos(w * r)) ** 2, 0.0, 1.0)
+        try:
+            numerator = quad_real(lambda r: n * n * np.sin(w * r) ** 2 * p.eta(r) / r, 0.0, 1.0,
+                                  points=p.u.knots)
+            denominator = quad_real(
+                lambda r: n * n * np.sin(w * r) ** 2 / r + (w * np.cos(w * r)) ** 2, 0.0, 1.0)
+        except AccuracyError as exc:
+            raise AccuracyError(f"k = {block[exc.row]}: {exc}",
+                                exc.value, exc.error_estimate) from exc
         out.extend(zip(map(int, block), (numerator / (xx * denominator)).tolist()))
     return out

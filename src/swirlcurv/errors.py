@@ -22,13 +22,15 @@ class InvalidModeError(SwirlcurvError):
 class AccuracyError(SwirlcurvError):
     """A quadrature or solver did not reach the requested accuracy.
 
-    Carries the best available estimate so callers can decide what to do.
+    Carries the best available estimate so callers can decide what to do,
+    and from ``quad_real`` the ``row`` of its integrand that stopped it.
     """
 
-    def __init__(self, message: str, value=None, error_estimate=None):
+    def __init__(self, message: str, value=None, error_estimate=None, row=None):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+        self.row = row
 
 
 class HypothesisViolationError(SwirlcurvError):

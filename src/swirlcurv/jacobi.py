@@ -146,7 +146,8 @@ def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048) -> SLSpe
                 return SLSpectrum(n=int(n), eigenvalues=fine, error_estimates=est,
                                   grid=grid, coef=coef)
         lam, K = fine, min(2 * K, K_MAX) if K < K_MAX else K + 1  # K_MAX is the last size
-    raise AccuracyError(f"{m_max} eigenvalues did not settle to {TOL:g} by basis size {K_MAX}",
+    raise AccuracyError(f"n = {n}: {m_max} eigenvalues did not settle to {TOL:g} by basis "
+                        f"size {K_MAX}",
                         error_estimate=None if est is None else float(np.max(est)))
 
 

@@ -90,7 +90,8 @@ def _scan(fn, grid, tol):
     exact zeros at grid points and a root bisected to |value| <= ``tol`` in
     every sign change."""
     vals = np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape)
-    hits = np.flatnonzero((vals == 0.0) | np.append(vals[:-1] * vals[1:] < 0.0, False))
+    change = np.sign(vals[:-1]) == -np.sign(vals[1:])   # by sign: a product can overflow
+    hits = np.flatnonzero((vals == 0.0) | np.append(change, False))
     roots = [grid[i] if vals[i] == 0.0
              else _bisect_root(fn, grid[i], grid[i + 1], vals[i], tol)
              for i in hits]
@@ -102,10 +103,11 @@ def classify_criteria(p: RadialProfile) -> CriteriaReport:
     """Evaluate the positivity criteria on ``CRITERIA_GRID`` plus detected roots.
 
     "Strictly positive" means min > tol with
-    tol = POSITIVITY_TOL_SCALE * (1 + max |eta|) on the grid.
+    tol = POSITIVITY_TOL_SCALE * max |eta| on the grid, without an absolute
+    floor: a * u has the flags of u for every a != 0.
     """
     uo_fn = lambda r: p.u(r) * p.omega(r)
-    tol = POSITIVITY_TOL_SCALE * (1.0 + float(np.max(np.abs(p.eta(CRITERIA_GRID)))))
+    tol = POSITIVITY_TOL_SCALE * float(np.max(np.abs(p.eta(CRITERIA_GRID))))
     eta_pts, eta_vals = _scan(p.eta, CRITERIA_GRID, tol)
     uo_pts, uo_vals = _scan(uo_fn, CRITERIA_GRID, tol)
 

@@ -7,11 +7,12 @@ one panel set.  Panels are bisected until the P- and 2P-panel values agree to
 ``EPSABS`` or ``EPSREL``, one tolerance for every integral; a row keeps its
 value from the first level at which it agrees, as it would alone, and the
 panels are bisected until every row has.  ``AccuracyError`` is raised past
-``MAX_PANELS`` or on a non-finite sum.  Gauss nodes never touch a panel end, so
-a removable 1/r at the axis needs no special case.  Why 32 panels: the first
-check's 640 nodes lie closer (1.6e-3 at mid-radius) than the 256-point grid on
-which the criteria judge u (6e-3); a narrower feature can be missed by both
-levels (README, Numerical method)."""
+``MAX_PANELS`` or on a non-finite sum, its ``row`` the first row still open or
+the first non-finite one (0 for a scalar integrand).  Gauss nodes never touch a
+panel end, so a removable 1/r at the axis needs no special case.  Why 32
+panels: the first check's 640 nodes lie closer (1.6e-3 at mid-radius) than the
+256-point grid on which the criteria judge u (6e-3); a narrower feature can be
+missed by both levels (README, Numerical method)."""
 
 from __future__ import annotations
 
@@ -53,8 +54,10 @@ def quad_real(fn, a, b, points=()):
     def total(edges):
         x, w = gauss_nodes(edges)
         out = np.sum(w.ravel() * fn(x.ravel()), axis=-1)
-        if not np.all(np.isfinite(out)):   # refining cannot mend it
-            raise AccuracyError(f"quadrature sum {out} on {edges.size - 1} panels")
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:   # refining cannot mend it
+            raise AccuracyError(f"quadrature sum {out.ravel()[bad[0]]} on {edges.size - 1} "
+                                "panels", row=int(bad[0]))
         return out
 
     edges = panel_edges(a, b, points)
@@ -69,11 +72,10 @@ def quad_real(fn, a, b, points=()):
         if done.all():
             return result if result.ndim else result.item()
         if edges.size > MAX_PANELS:
-            row = np.flatnonzero(~done)[0]
-            where = f" in row {row}" if finer.ndim else ""
+            row = int(np.flatnonzero(~done)[0])
             err, finer = err.ravel()[row], finer.ravel()[row]
             raise AccuracyError(
-                f"quadrature error estimate {err:.3e}{where} with {edges.size - 1} panels "
+                f"quadrature error estimate {err:.3e} with {edges.size - 1} panels "
                 f"exceeds tolerance for value {abs(finer):.6e}",
-                value=finer, error_estimate=float(err))
+                value=finer, error_estimate=float(err), row=row)
         value = finer

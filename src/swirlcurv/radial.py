@@ -88,15 +88,15 @@ class CubicSpline:
 
 def bspline_basis(t, degree, x, nu=0):
     """The ``degree`` + 1 B-splines on the knots ``t`` that can be nonzero at
-    each x, or their first derivatives (``nu`` = 1): (first, values) with
+    each x, or their ``nu``-th derivatives: (first, values) with
     values[j] = B_{first + j}(x), values of shape (degree + 1,) + x.shape.
 
     The span t[i] <= x < t[i + 1] (the last nonempty one at the right end) is
     found once, and the knots around it are gathered once; the Cox-de Boor
     recursion (de Boor 1978, ch. X) then raises the degree by row slices.
-    The last step of a derivative uses B'_j = degree (B_j / (t_{j+p} - t_j)
-    - B_{j+1} / (t_{j+p+1} - t_{j+1})) on degree - 1.  Each denominator spans
-    the span around x, so it is never 0.
+    The last ``nu`` steps, each to a degree d, differentiate instead:
+    B'_j = d (B_j / (t_{j+d} - t_j) - B_{j+1} / (t_{j+d+1} - t_{j+1})) on
+    degree d - 1.  Each denominator spans the span around x, so it is never 0.
     """
     x = np.asarray(x, dtype=float)
     i = np.asarray(np.searchsorted(t, x, side="right") - 1).clip(degree, t.size - degree - 2)
@@ -108,8 +108,8 @@ def bspline_basis(t, degree, x, nu=0):
     for d in range(1, degree + 1):
         w = b[:d] / (right[:d] + left[degree - d:])
         if d + nu > degree:
-            b[:d] = -degree * w
-            b[1:d + 1] += degree * w
+            b[:d] = -d * w
+            b[1:d + 1] += d * w
         else:
             b[:d] = right[:d] * w
             b[1:d + 1] += left[degree - d:] * w

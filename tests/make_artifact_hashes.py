@@ -8,7 +8,7 @@ seeds 1409 and 2718 through ``swirlcurv.cli.main`` in this process and writes
 invocation, artifact), and the numpy version the table was made under.
 ``test_artifact_hashes.py`` runs the same invocations and compares, so a
 change that moves any byte of an artifact must regenerate the table and say
-why.  The bytes depend on numpy and on the platform's floating point too: a
+why; the script prints every key whose hash moved, appeared or vanished.  The bytes depend on numpy and on the platform's floating point too: a
 mismatch under another numpy version may be the environment, not the code.
 """
 
@@ -51,8 +51,19 @@ def artifact_hashes() -> dict:
     return hashes
 
 
+def changes(old: dict, new: dict) -> dict:
+    """The keys whose hash moved, appeared or vanished from ``old`` to ``new``."""
+    return {"moved": sorted(k for k in old.keys() & new.keys() if old[k] != new[k]),
+            "appeared": sorted(new.keys() - old.keys()),
+            "vanished": sorted(old.keys() - new.keys())}
+
+
 if __name__ == "__main__":
+    old = json.loads(TABLE.read_text())["sha256"] if TABLE.exists() else {}
+    new = artifact_hashes()
     TABLE.parent.mkdir(exist_ok=True)
-    TABLE.write_text(json.dumps({"numpy": np.__version__, "sha256": artifact_hashes()},
+    TABLE.write_text(json.dumps({"numpy": np.__version__, "sha256": new},
                                 indent=1, sort_keys=True) + "\n")
+    for change, keys in changes(old, new).items():
+        print(f"{len(keys)} {change}", *keys, sep="\n  ")
     print(f"wrote {TABLE}")

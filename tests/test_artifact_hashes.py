@@ -5,14 +5,12 @@ import json
 
 import numpy as np
 
-from make_artifact_hashes import TABLE, artifact_hashes
+from make_artifact_hashes import TABLE, artifact_hashes, changes
 
 
 def test_every_workload_artifact_is_byte_identical():
     table = json.loads(TABLE.read_text())
-    now = artifact_hashes()
-    moved = sorted(k for k in table["sha256"].keys() | now.keys()
-                   if table["sha256"].get(k) != now.get(k))
-    assert not moved, (f"{len(moved)} of {len(table['sha256'])} artifacts moved "
-                       f"(table made under numpy {table['numpy']}, now {np.__version__}): "
-                       + ", ".join(moved))
+    moved = changes(table["sha256"], artifact_hashes())
+    assert not any(moved.values()), (
+        f"of {len(table['sha256'])} artifacts (table made under numpy {table['numpy']}, "
+        f"now {np.__version__}): {moved}")

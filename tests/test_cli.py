@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import swirlcurv.curvature as curvature
 import swirlcurv.modes as modes
@@ -322,6 +322,15 @@ def test_spectrum_beyond_the_basis_exit_code(tmp_path, capsys):
     assert json.loads(lines[0])["error"] == "AccuracyError"
 
 
+def test_spectrum_failure_names_its_wavenumber(tmp_path, capsys):
+    # n = 1 settles, n = 10^12 does not by K_MAX
+    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "params": {"n_list": [1, 10 ** 12]}})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "AccuracyError" and "1000000000000" in error["message"]
+
+
 def test_spectrum_checks_the_criteria_once(tmp_path, monkeypatch):
     scans = []
     scan = profile._scan
@@ -563,6 +572,36 @@ def test_radial_data_boundary_gives_an_exit_code_and_one_json_line(case, command
         config["profile"] = spec
     else:
         config["modes"][0][field] = spec
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = main([command, "--config", write_cfg(Path(tmp), config), "--out", tmp, "--quiet"])
+        artifacts = [f.read_text() for f in Path(tmp).glob("*.json") if f.name != "cfg.json"]
+    assert code in (0, 1, 2)
+    if code:
+        assert _one_error_line(err.getvalue()) != "internal"
+    else:
+        assert err.getvalue() == ""
+    assert not any("NaN" in text or "Infinity" in text for text in artifacts)
+
+
+# JSON values of a param: integers within the config bound and just past it,
+# bools, floats, strings (the phases among them) and short lists of these
+PARAM_VALUES = st.recursive(
+    st.integers(-10 ** 12, 10 ** 12) | st.sampled_from([10 ** 12 + 1, -10 ** 12 - 1])
+    | st.booleans() | st.floats() | st.sampled_from(["cos", "sin", "1"]) | st.text(max_size=4),
+    lambda values: st.lists(values, max_size=3), max_leaves=4)
+PARAMS = ["n", "m", "m_max", "n_list", "k_max", "phase"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(COMMANDS), st.dictionaries(st.sampled_from(PARAMS), PARAM_VALUES))
+def test_params_give_an_exit_code_and_one_json_line(command, params):
+    # an oscillation study to k_max takes 0.3 s at 512 and 28 s at MAX_PANELS: that
+    # range is left to the k_max tests, to keep this one near a second
+    k_max = params.get("k_max")
+    assume(command != "oscillation-study" or type(k_max) is not int
+           or not 512 < k_max <= MAX_PANELS)
+    config = {"profile": GOOD_PROFILE, "modes": MODES, "params": params}
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         code = main([command, "--config", write_cfg(Path(tmp), config), "--out", tmp, "--quiet"])

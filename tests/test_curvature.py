@@ -16,9 +16,8 @@ import swirlcurv.modes as modes
 from swirlcurv import (AccuracyError, DegenerateSectionError, ExpressionFunction, FourierMode,
                        InvalidModeError, PolynomialFunction, RadialProfile,
                        RegularityError, TableFunction, ValidationError, curvature_mode_closed,
-                       curvature_mode_oracle, curvature_normalized,
-                       curvature_report, curvature_total, mode_energy,
-                       oscillation_study, pressure_bvp_solve, swirl_energy)
+                       curvature_mode_oracle, curvature_normalized, curvature_table,
+                       mode_energy, oscillation_study, pressure_bvp_solve, swirl_energy)
 from swirlcurv import special
 from swirlcurv.config import parse_config
 from swirlcurv.quadrature import NODES, gauss_nodes, quad_real
@@ -338,11 +337,11 @@ def test_negative_curvature_when_eta_negative():
 def test_total_is_additive_and_checks_duplicates():
     p = u_const()
     modes = [standard_mode(1), standard_mode(2), standard_mode(5)]
-    total = curvature_total(p, modes)
+    total = sum(row.kbar_closed for row in curvature_table(p, modes))
     parts = [curvature_mode_closed(p, m) for m in modes]
     assert total == pytest.approx(sum(parts), rel=1e-12)
     with pytest.raises(ValidationError):
-        curvature_total(p, [standard_mode(1), standard_mode(1)])
+        curvature_table(p, [standard_mode(1), standard_mode(1)])
 
 
 def test_combined_field_oracle_cross_terms_cancel():
@@ -393,7 +392,7 @@ def test_normalized_curvature_and_degenerate_section():
 
 def test_curvature_report_fields():
     p = u_const()
-    rep = curvature_report(p, standard_mode(2))
+    (rep,) = curvature_table(p, [standard_mode(2)])
     assert rep.n == 2
     assert rep.discrepancy <= 1e-8
     assert rep.kbar_closed > 0 and np.isfinite(rep.k_normalized)
@@ -403,14 +402,14 @@ def test_report_nan_normalization_for_divergent_mode():
     # g'(0) != 0: Kbar is still finite but the kinetic-energy normalization is not
     p = u_const()
     m = mode_poly(1, [0.0, 1.0, -1.0])
-    rep = curvature_report(p, m)
+    (rep,) = curvature_table(p, [m])
     assert np.isfinite(rep.kbar_closed)
     assert math.isnan(rep.k_normalized)
 
 
 def test_report_runs_closed_route_once_per_mode(monkeypatch):
-    # counted as closed-route integrand evaluations: a report evaluates its
-    # mode's closed integrand exactly as often as the closed route alone does
+    # counted as closed-route integrand evaluations: a one-mode table evaluates
+    # its mode's closed integrand exactly as often as the closed route alone does
     p = u_quadratic()
     modes = [standard_mode(1), standard_mode(3)]
     expected = [curvature_normalized(p, m) for m in modes]
@@ -420,7 +419,7 @@ def test_report_runs_closed_route_once_per_mode(monkeypatch):
     for m in modes:
         curvature_mode_closed(p, m)
     alone, calls[:] = calls[:], []
-    reports = [curvature_report(p, m) for m in modes]
+    reports = [curvature_table(p, [m])[0] for m in modes]
     assert calls == alone == [[1], [1], [3], [3]]
     assert [rep.k_normalized for rep in reports] == expected
 
@@ -504,16 +503,22 @@ class _RoughSlope(PolynomialFunction):
         return super().derivative(r) + r * np.abs(r - 0.3) ** -0.25
 
 
-@pytest.mark.parametrize("g, kind", [
-    (ExpressionFunction("r^2*(1-r)*sqrt((r-0.3)^2)^-0.25"), "closed"),
-    (_RoughSlope(), "energy"),
+@pytest.mark.parametrize("g, kind, ns, bad_n", [
+    (ExpressionFunction("r^2*(1-r)*sqrt((r-0.3)^2)^-0.25"), "closed", range(1, 17), 16),
+    (_RoughSlope(), "energy", [1, 9, 10], 9),
 ], ids=["closed", "energy"])
-def test_accuracy_error_names_the_mode_and_the_integral(g, kind):
-    # an integrable |r - 0.3|^-1/2 in |g|^2 / r or |g'|^2 / r, which no panel count resolves
-    bad = FourierMode(9, ComplexRadialFunction(g), standard_mode(9).f)
+def test_accuracy_error_names_the_mode_and_the_integral(monkeypatch, g, kind, ns, bad_n):
+    # an integrable |r - 0.3|^-1/2 in |g|^2 / r or |g'|^2 / r, which no panel count
+    # resolves; every row of the block lies on one panel set, so the one quad_real
+    # call that fails names the row that stopped it, and nothing is integrated again
+    bad = FourierMode(bad_n, ComplexRadialFunction(g), standard_mode(bad_n).f)
+    calls, quad = [], curvature.quad_real
+    monkeypatch.setattr(curvature, "quad_real",
+                        lambda *args, **kwargs: calls.append(1) or quad(*args, **kwargs))
     with pytest.raises(AccuracyError) as info:
-        curvature.curvature_table(u_quadratic(), [standard_mode(1), bad, standard_mode(10)])
-    assert str(info.value).startswith(f"n = 9, {kind} integral: quadrature error estimate ")
+        curvature_table(u_quadratic(), [bad if n == bad_n else standard_mode(n) for n in ns])
+    assert len(calls) == 1
+    assert str(info.value).startswith(f"n = {bad_n}, {kind} integral: quadrature error estimate ")
     with pytest.raises(AccuracyError) as alone:
         curvature_mode_closed(u_quadratic(), bad) if kind == "closed" else mode_energy(bad)
     assert info.value.value == alone.value.value
@@ -525,7 +530,7 @@ def test_swirl_energy_is_integrated_once_per_profile(monkeypatch):
     monkeypatch.setattr(modes, "swirl_energy", lambda p: calls.append(p) or swirl_energy(p))
     p = u_quadratic()
     for n in (1, 2, 3):
-        curvature_report(p, standard_mode(n))
+        curvature_table(p, [standard_mode(n)])
     oscillation_study(p, 1, [1, 2])
     assert calls == [p]
     assert p.energy == swirl_energy(p) == pytest.approx(17 * PI2 / 6, rel=1e-12)
@@ -550,6 +555,13 @@ def test_closed_route_evaluates_bessel_twice_per_node(monkeypatch):
 # ---------------------------------------------------------------------------
 # Oscillation study
 # ---------------------------------------------------------------------------
+
+def test_oscillation_study_names_the_wavenumber_that_fails():
+    # sin^2(k pi r) needs more than MAX_PANELS panels from k ~ 7850 on: the block's
+    # first k stops its quad_real call
+    with pytest.raises(AccuracyError, match="^k = 7890: quadrature error estimate "):
+        oscillation_study(u_const(), 1, range(7890, 7906))
+
 
 def test_oscillation_study_decreases():
     rows = oscillation_study(u_const(), 1, range(1, 13))

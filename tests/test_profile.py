@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import swirlcurv.profile as profile
-from swirlcurv import ExpressionFunction, RadialProfile, TableFunction, classify_criteria
+from swirlcurv import (ExpressionFunction, RadialProfile, TableFunction, classify_criteria,
+                       conjugate_times, sl_spectrum)
 
 from _helpers import profile_poly, u_const, u_decreasing, u_quadratic
 
@@ -123,6 +124,30 @@ def test_array_scan_matches_scalar_scan(monkeypatch, make):
     report = classify_criteria(p)
     monkeypatch.setattr(profile, "_scan", _scalar_scan)
     assert report == classify_criteria(p)
+
+
+def _flags(report):
+    return report.eta_strictly_positive, report.eta_nonnegative, report.u_omega_positive
+
+
+# u = 1 + r^2 passes both criteria, 2 - r^2 only u omega > 0, u = r (a zero at the
+# axis) and 1 - 2r (a zero inside) neither
+@settings(max_examples=30, deadline=None)
+@example([1.0, 0.0, 1.0], -7.0, False)   # under a floor of 1e-12 (1 + max |eta|) both failed
+@example([2.0, 0.0, -1.0], 100.0, False)
+@given(st.sampled_from([[1.0, 0.0, 1.0], [2.0, 0.0, -1.0], [0.0, 1.0], [1.0, -2.0]]),
+       st.floats(min_value=-100.0, max_value=100.0), st.booleans())
+def test_criteria_are_scale_free(coeffs, exponent, negative):
+    # eta and u omega scale by a^2 and lambda by 1 / |a|, so the flags and |a| t* stay
+    a = (-1.0 if negative else 1.0) * 10.0 ** exponent
+    base, scaled = profile_poly(coeffs), profile_poly([a * c for c in coeffs])
+    assert _flags(scaled.criteria) == _flags(base.criteria)
+    # eta = 2 u omega - 3 u^2
+    assert not (scaled.criteria.eta_strictly_positive and not scaled.criteria.u_omega_positive)
+    if base.criteria.u_omega_positive:
+        t_star = [abs(a) * t for _, t in conjugate_times(sl_spectrum(scaled, 1, 2))]
+        expected = [t for _, t in conjugate_times(sl_spectrum(base, 1, 2))]
+        np.testing.assert_allclose(t_star, expected, rtol=1e-12, atol=0)
 
 
 @given(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=5),

@@ -73,9 +73,10 @@ def test_non_finite_sum_stops_at_once(bad, rows):
         values = np.where(x > 0.5, bad, x)
         return np.stack([x, values]) if rows else values
 
-    with pytest.raises(AccuracyError):
+    with pytest.raises(AccuracyError) as info:
         quad_real(broken, 0.0, 1.0)
     assert len(calls) <= 2
+    assert info.value.row == (1 if rows else 0)
 
 
 # integrands that stop at different levels: e^x sin^2(k pi x) for k = 1, 150
@@ -110,7 +111,7 @@ def test_unresolved_row_is_named_while_the_others_converge():
         quad_real(lambda x: x ** -0.5, 0.0, 1.0)
     with pytest.raises(AccuracyError) as info:
         quad_real(lambda x: np.stack([x ** 2, x ** -0.5, x ** -0.6]), 0.0, 1.0)
-    assert " in row 1 " in str(info.value)
+    assert info.value.row == 1
     assert info.value.value == alone.value.value
     assert info.value.error_estimate == alone.value.error_estimate
 

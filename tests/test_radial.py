@@ -99,7 +99,7 @@ def test_spline_matches_scipy(seed, bc):
         assert np.max(np.abs(ours(t, nu) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("nu", [0, 1])
+@pytest.mark.parametrize("nu", [0, 1, 2])
 def test_bspline_basis_matches_scipy(nu):
     # degree 9 on a clamped knot vector with two knots of multiplicity 6, as
     # the pressure oracle builds; evaluated at every knot and at random points
