@@ -23,7 +23,7 @@ from .config import MAX_INT, RunConfig, check_integer, parse_config
 from .curvature import curvature_table, oscillation_study
 from .errors import HypothesisViolationError, SwirlcurvError, ValidationError
 from .jacobi import (assemble_jacobi, conjugate_times, jacobi_residuals,
-                     lambda_over_n_study, sl_spectrum)
+                     lambda_over_n_study, sl_spectra, sl_spectrum)
 from .quadrature import MAX_PANELS
 
 __all__ = ["main", "run_command"]
@@ -86,12 +86,10 @@ def _cmd_curvature(cfg: RunConfig, out: Path):
 def _cmd_spectrum(cfg: RunConfig, out: Path):
     m_max = _param(cfg, "m_max", 3, least=1)
     n_list = _param(cfg, "n_list", []) or [_param(cfg, "n", 1)]
-    rows = []
-    for n in sorted(n_list):
-        s = sl_spectrum(cfg.profile, n, m_max)
-        for (m, t_star), lam, est in zip(conjugate_times(s), s.eigenvalues,
-                                         s.error_estimates):
-            rows.append((n, m, float(lam), t_star, float(est)))
+    rows = [(s.n, m, float(lam), t_star, float(est))
+            for s in sl_spectra(cfg.profile, sorted(n_list), m_max)
+            for (m, t_star), lam, est in zip(conjugate_times(s), s.eigenvalues,
+                                             s.error_estimates)]
     _write_csv(out / "spectrum.csv",
                ["n", "m", "lambda", "t_star", "error_estimate"], rows)
     return ["spectrum.csv"]
@@ -116,10 +114,10 @@ def _cmd_jacobi(cfg: RunConfig, out: Path):
 
     r = np.linspace(1.0 / 64, 1.0, 64)   # 64 x 16 snapshot points per field and time
     z = 2.0 * np.pi * np.arange(16) / 16
-    # the rows of every snapshot, as _write_csv writes them: r and z formatted
+    # the rows of every snapshot, as _write_csv writes them: each r and z formatted
     # once, and a slot for the field's value
-    rows = "".join(f"{_FMT % a},{_FMT % b},{_FMT}\n"
-                   for a, b in itertools.product(r.tolist(), z.tolist()))
+    rows = "".join(f"{a},{b},{_FMT}\n" for a, b in itertools.product(
+        *([_FMT % v for v in x.tolist()] for x in (r, z))))
     for idx, t in enumerate(sol.times):
         fields = sol.fields(t, r[:, None], z[None, :])
         for name in ("h", "j", "g", "f"):
@@ -133,8 +131,8 @@ def _cmd_jacobi(cfg: RunConfig, out: Path):
 def _cmd_oscillation(cfg: RunConfig, out: Path):
     n = _param(cfg, "n", 1)
     k_max = _param(cfg, "k_max", 32)
-    # past k ~ 7850 sin^2(k pi r) needs more than MAX_PANELS panels, so a larger
-    # k_max would compute every lower k before its AccuracyError
+    # past k ~ 7850 sin^2(k pi r) needs more than MAX_PANELS panels; the study runs
+    # its largest k first, so a k_max up to MAX_PANELS fails in its first call
     if not 1 <= k_max <= MAX_PANELS:
         raise ValidationError(f"param 'k_max' must be in 1 ... {MAX_PANELS}, got {k_max}")
     rows = oscillation_study(cfg.profile, n, range(1, k_max + 1))

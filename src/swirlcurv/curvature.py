@@ -337,14 +337,15 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
     the energy form without the 1/r weight on |g'|^2 (finite, and the k -> 0
     trend is the same either way).  Each block of ``BLOCK`` wavenumbers is
     one vector ``quad_real`` call for the numerators and one for the
-    denominators; an ``AccuracyError`` names its k.
+    denominators; an ``AccuracyError`` names its k.  The last block runs first
+    (the largest k, in ascending ``k_values``); rows keep the order of k_values.
     """
     if n == 0:
         raise InvalidModeError("oscillation study requires n != 0")
     xx = p.energy
     k_values = list(k_values)
     out = []
-    for start in range(0, len(k_values), BLOCK):
+    for start in reversed(range(0, len(k_values), BLOCK)):
         block = k_values[start:start + BLOCK]
         w = np.array(block)[:, None] * np.pi
         try:
@@ -355,5 +356,5 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
         except AccuracyError as exc:
             raise AccuracyError(f"k = {block[exc.row]}: {exc}",
                                 exc.value, exc.error_estimate) from exc
-        out.extend(zip(map(int, block), (numerator / (xx * denominator)).tolist()))
+        out[:0] = zip(map(int, block), (numerator / (xx * denominator)).tolist())
     return out

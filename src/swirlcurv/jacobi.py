@@ -14,18 +14,20 @@ Sci. Comput. 15, 1994) on the basis phi_k = r^2 (1 - r) P_k(2r - 1), which
 carries phi ~ r^2 at the axis and phi(1) = 0; each eigenfunction is a
 ``numpy.polynomial.Legendre`` series, differentiated exactly.  The pencil is
 assembled once per profile and basis size K: n enters only as A + n^2 B, so
-a spectrum over many wavenumbers solves many pencils from one assembly.
+``sl_spectra`` stacks the pencils of many wavenumbers into one eigensolve per
+basis size, one Cholesky factor of the mass matrix for all of them.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import Legendre
-from numpy.polynomial.legendre import legder, legvander
+from numpy.polynomial.legendre import legvander
 
+from .curvature import BLOCK
 from .errors import AccuracyError, HypothesisViolationError, InvalidModeError, ValidationError
 from .linalg import eigh
 from .profile import RadialProfile
@@ -40,6 +42,7 @@ __all__ = [
     "JacobiSolution",
     "ResidualReport",
     "sl_spectrum",
+    "sl_spectra",
     "conjugate_times",
     "lambda_over_n_study",
     "assemble_jacobi",
@@ -70,8 +73,8 @@ class SLSpectrum:
     n: int
     eigenvalues: np.ndarray          # lambda_{mn}, ascending, at the larger basis size
     error_estimates: np.ndarray      # |lambda_K' - lambda_K| / lambda_K', K' the larger size
-    # the unread ``grid`` argument of sl_spectrum, echoed for the benchmark
-    # tracer (bench/tracing.py) until ROADMAP item 3 replaces it
+    # the unread ``grid`` argument of sl_spectrum (0 from sl_spectra), echoed for
+    # the benchmark tracer (bench/tracing.py) until ROADMAP item 3 replaces it
     grid: int
     coef: np.ndarray = field(repr=False)  # (m_max, K): phi_mn = sum_k coef[m - 1, k] phi_k
 
@@ -95,7 +98,9 @@ def _pencil(p: RadialProfile, K: int):
         if np.any(weight <= 0.0):
             raise HypothesisViolationError("u * omega must be positive on (0, 1)")
         P = legvander(2.0 * r - 1.0, K - 1)
-        dP = legvander(2.0 * r - 1.0, K - 2) @ legder(np.eye(K), scl=2.0)
+        # d/dr P_k(2r - 1) = sum over j < k, k - j odd, of 2 (2j + 1) P_j(2r - 1)
+        j, k = np.ogrid[:K - 1, :K]
+        dP = P[:, :-1] @ np.where((k > j) & ((k - j) % 2 == 1), 4.0 * j + 2.0, 0.0)
         b, db = _BUBBLE(r)[:, None], _BUBBLE.deriv()(r)[:, None]
         phi, dphi = b * P, db * P + b * dP
         cache[K] = ((dphi.T * (w / r)) @ dphi, (phi.T * (w / r)) @ phi,
@@ -103,29 +108,35 @@ def _pencil(p: RadialProfile, K: int):
     return cache[K]
 
 
-def _galerkin(p: RadialProfile, n: int, m_max: int, K: int):
+def _galerkin(p: RadialProfile, n, m_max: int, K: int):
     """The ``m_max`` smallest lambda of the Galerkin pencil on phi_0 ... phi_{K-1},
     int (phi' psi' + n^2 phi psi) / r = lambda^2 int (2 u omega / r) phi psi,
-    and the basis coefficients of their eigenfunctions, one row each."""
+    and the basis coefficients of their eigenfunctions, one row each; for an
+    array of n, one such pair per n, stacked along a leading axis."""
     A, B, M, phi = _pencil(p, K)
-    lam2, vecs = eigh(A + n * n * B, M, subset_by_index=[0, m_max - 1])
+    lam2, vecs = eigh(A + np.asarray(n, float)[..., None, None] ** 2 * B, M, [0, m_max - 1])
     # mass-orthonormal vectors give each phi weight-norm one; make its dominant lobe positive
     vals = phi @ vecs
-    vecs *= np.sign(vals[np.argmax(np.abs(vals), axis=0), np.arange(m_max)])
-    return np.sqrt(lam2), vecs.T
+    peak = np.take_along_axis(vals, np.argmax(np.abs(vals), axis=-2)[..., None, :], axis=-2)
+    vecs *= np.sign(peak)
+    return np.sqrt(lam2), np.swapaxes(vecs, -1, -2)
 
 
-def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048) -> SLSpectrum:
-    """Smallest ``m_max`` eigenvalues lambda_{mn} and their eigenfunctions.
+def sl_spectra(p: RadialProfile, n_list, m_max: int) -> list:
+    """Smallest ``m_max`` eigenvalues lambda_{mn} and their eigenfunctions, one
+    ``SLSpectrum`` per n of ``n_list``, in its order.
 
     Solves at basis size K = max(16, 2 m_max) and doubles K, capped at
-    ``K_MAX``, until every eigenvalue moves less than ``TOL`` relative; the
-    larger size's eigenvalues are returned with that change as their error
-    estimate, and ``AccuracyError`` is raised past ``K_MAX`` (m_max above 40
-    is not supported).  ``grid`` is not read: it stays in the signature, and
-    in ``SLSpectrum.grid``, for the benchmark tracer (ROADMAP item 3).
+    ``K_MAX``, until every eigenvalue of an n moves less than ``TOL`` relative;
+    the larger size's eigenvalues are returned with that change as their error
+    estimate (m_max above 40 is not supported).  At each size the pencils
+    A + n^2 B of the n not yet settled are stacked, ``BLOCK`` at a time, into
+    one ``eigh`` call, each as a solve of its own, bit for bit.  n = 0 anywhere
+    is refused before any solve; past ``K_MAX`` an ``AccuracyError`` names the
+    smallest n that did not settle.
     """
-    if n == 0:
+    n_list = [int(n) for n in n_list]
+    if 0 in n_list:
         raise InvalidModeError("spectrum requires n != 0")
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
@@ -136,19 +147,33 @@ def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048) -> SLSpe
             f"u * omega is not positive on [0,1]; minimum: {minimum}; "
             f"{len(roots)} roots, the first ones: {roots[:3]}")
 
-    n_abs = abs(int(n))
-    K, lam, est = max(16, 2 * m_max), None, None
-    while K <= K_MAX:
-        fine, coef = _galerkin(p, n_abs, m_max, K)
-        if lam is not None:
-            est = np.abs(fine - lam) / fine
-            if np.all(est <= TOL):
-                return SLSpectrum(n=int(n), eigenvalues=fine, error_estimates=est,
-                                  grid=grid, coef=coef)
-        lam, K = fine, min(2 * K, K_MAX) if K < K_MAX else K + 1  # K_MAX is the last size
-    raise AccuracyError(f"n = {n}: {m_max} eigenvalues did not settle to {TOL:g} by basis "
-                        f"size {K_MAX}",
-                        error_estimate=None if est is None else float(np.max(est)))
+    done, lam, est = {}, {}, {}   # by position in n_list
+    K, todo = max(16, 2 * m_max), list(range(len(n_list)))
+    while K <= K_MAX and todo:
+        for start in range(0, len(todo), BLOCK):
+            block = todo[start:start + BLOCK]
+            fine, coef = _galerkin(p, [abs(n_list[i]) for i in block], m_max, K)
+            for i, fine_i, coef_i in zip(block, fine, coef):
+                if i in lam:
+                    est[i] = np.abs(fine_i - lam[i]) / fine_i
+                    if np.all(est[i] <= TOL):
+                        done[i] = SLSpectrum(n=n_list[i], eigenvalues=fine_i,
+                                             error_estimates=est[i], grid=0, coef=coef_i)
+                lam[i] = fine_i
+        todo = [i for i in todo if i not in done]
+        K = min(2 * K, K_MAX) if K < K_MAX else K + 1  # K_MAX is the last size
+    if todo:
+        i = min(todo, key=n_list.__getitem__)
+        raise AccuracyError(f"n = {n_list[i]}: {m_max} eigenvalues did not settle to {TOL:g} "
+                            f"by basis size {K_MAX}",
+                            error_estimate=float(np.max(est[i])) if i in est else None)
+    return [done[i] for i in range(len(n_list))]
+
+
+def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048) -> SLSpectrum:
+    """``sl_spectra`` of the one wavenumber n.  ``grid`` is not read: it stays in the
+    signature, and in ``SLSpectrum.grid``, for the benchmark tracer (ROADMAP item 3)."""
+    return replace(sl_spectra(p, [n], m_max)[0], grid=grid)
 
 
 def conjugate_times(s: SLSpectrum):
@@ -159,11 +184,7 @@ def conjugate_times(s: SLSpectrum):
 
 def lambda_over_n_study(p: RadialProfile, m: int, n_list):
     """Numerical convergence diagnostic for the finite limit of lambda_{mn}/n."""
-    out = []
-    for n in n_list:
-        s = sl_spectrum(p, int(n), m)
-        out.append((int(n), float(s.eigenvalues[m - 1] / abs(n))))
-    return out
+    return [(s.n, float(s.eigenvalues[m - 1] / abs(s.n))) for s in sl_spectra(p, n_list, m)]
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ def solve_banded(l_and_u, ab, b):
 def eigh(a, b, subset_by_index):
     """Eigenvalues ``subset_by_index`` = [lo, hi] (ascending) of the pencil
     a v = w b v, a symmetric, b symmetric positive definite, and their
-    b-orthonormal eigenvectors as columns, as ``scipy.linalg.eigh``.
+    b-orthonormal eigenvectors as columns, as ``scipy.linalg.eigh``.  ``a`` may
+    be a stack of matrices sharing ``b``, each solved as alone, bit for bit.
 
     With b = L L^T, the eigenvalues are those of L^-1 a L^-T and each vector
     is L^-T times an orthonormal eigenvector of that matrix.
@@ -75,4 +76,4 @@ def eigh(a, b, subset_by_index):
     lo, hi = subset_by_index
     inv_chol = np.linalg.inv(np.linalg.cholesky(b))
     w, y = np.linalg.eigh(inv_chol @ a @ inv_chol.T)
-    return w[lo:hi + 1], inv_chol.T @ y[:, lo:hi + 1]
+    return w[..., lo:hi + 1], inv_chol.T @ y[..., lo:hi + 1]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import swirlcurv.curvature as curvature
+import swirlcurv.jacobi as jacobi
 import swirlcurv.modes as modes
 from swirlcurv import assemble_jacobi, profile, sl_spectrum
 from swirlcurv.cli import _write_csv, main
@@ -132,6 +133,19 @@ def test_oscillation_command(tmp_path):
     vals = [float(line.split(",")[1]) for line in lines[1:]]
     assert len(vals) == 6
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_k_max_at_the_panel_budget_fails_in_one_quadrature_call(tmp_path, capsys, monkeypatch):
+    # the largest block, k = 8177 ... 8192, runs first, and no k of it is resolved
+    calls, quad = [], curvature.quad_real
+    monkeypatch.setattr(curvature, "quad_real",
+                        lambda *args, **kw: calls.append(args) or quad(*args, **kw))
+    cfg = write_cfg(tmp_path, {"profile": {"poly": [1.0, 0.0, 1.0]},
+                               "params": {"k_max": MAX_PANELS}})
+    assert main(["oscillation-study", "--config", cfg, "--out", str(tmp_path)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["message"].startswith("k = 8177: quadrature error estimate")
+    assert len(calls) == 1
 
 
 def test_k_max_past_the_panel_budget_is_refused_before_any_quadrature(
@@ -339,6 +353,43 @@ def test_spectrum_checks_the_criteria_once(tmp_path, monkeypatch):
                                "params": {"m_max": 1, "n_list": list(range(1, 11))}})
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
     assert len(scans) == 2  # eta and u*omega, once for all ten wavenumbers
+
+
+@pytest.mark.parametrize("command,spec,params,sizes", [
+    ("spectrum", ONE, {"m_max": 3, "n_list": list(range(1, 11))}, [16, 32]),
+    ("limit-study", {"poly": [1.0, 0.0, 1.0]}, {}, [16, 32, 64]),
+])
+def test_spectrum_solves_one_stack_per_basis_size(tmp_path, monkeypatch, command, spec, params,
+                                                  sizes):
+    # every wavenumber starts at the same K, so the open ones of each basis size
+    # are one eigensolve: at most BLOCK pencils A + n^2 B on one mass matrix
+    shapes, eigh = [], jacobi.eigh
+    monkeypatch.setattr(jacobi, "eigh", lambda a, *args, **kw: shapes.append(a.shape)
+                        or eigh(a, *args, **kw))
+    cfg = write_cfg(tmp_path, {"profile": spec, "params": params})
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    assert [shape[-1] for shape in shapes] == sizes
+    assert all(len(shape) == 3 and shape[0] <= curvature.BLOCK for shape in shapes)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "limit-study"])
+def test_zero_in_n_list_is_refused_before_any_solve(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(jacobi, "eigh", lambda *args, **kw: calls.append(args))
+    cfg = write_cfg(tmp_path, {"profile": ONE, "params": {"n_list": [3, 0, 1]}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert _one_error_line(capsys.readouterr().err) == "InvalidModeError"
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "limit-study"])
+def test_spectrum_failure_names_the_smallest_unsettled_wavenumber(tmp_path, capsys, command):
+    # n = 1 settles; +-10^11 and 10^12 do not by K_MAX, and -10^11 is the smallest
+    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE,
+                               "params": {"n_list": [10 ** 12, 1, 10 ** 11, -10 ** 11]}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["message"].startswith("n = -100000000000: ")
 
 
 def test_cli_import_loads_no_scipy():
@@ -602,6 +653,31 @@ def test_params_give_an_exit_code_and_one_json_line(command, params):
     assume(command != "oscillation-study" or type(k_max) is not int
            or not 512 < k_max <= MAX_PANELS)
     config = {"profile": GOOD_PROFILE, "modes": MODES, "params": params}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = main([command, "--config", write_cfg(Path(tmp), config), "--out", tmp, "--quiet"])
+        artifacts = [f.read_text() for f in Path(tmp).glob("*.json") if f.name != "cfg.json"]
+    assert code in (0, 1, 2)
+    if code:
+        assert _one_error_line(err.getvalue()) != "internal"
+    else:
+        assert err.getvalue() == ""
+    assert not any("NaN" in text or "Infinity" in text for text in artifacts)
+
+
+# JSON values of a mode's n: integers within the config bound (small ones among
+# them) and just past it, bools, floats, strings and short lists
+MODE_NUMBERS = (st.integers(-10 ** 12, 10 ** 12) | st.integers(-300, 300)
+                | st.sampled_from([10 ** 12 + 1, -10 ** 12 - 1])
+                | st.booleans() | st.floats() | st.text(max_size=4)
+                | st.lists(st.integers(-3, 3), max_size=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["curvature", "check-profile"]), st.lists(MODE_NUMBERS, min_size=1,
+                                                                  max_size=3))
+def test_mode_numbers_give_an_exit_code_and_one_json_line(command, numbers):
+    config = {"profile": GOOD_PROFILE, "modes": [dict(MODES[0], n=n) for n in numbers]}
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         code = main([command, "--config", write_cfg(Path(tmp), config), "--out", tmp, "--quiet"])

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import legder, legvander
 from scipy.special import jn_zeros
 
 import swirlcurv.jacobi as jacobi
 from swirlcurv import (AccuracyError, HypothesisViolationError, InvalidModeError,
                        ValidationError, assemble_jacobi, conjugate_times, jacobi_residuals,
-                       lambda_over_n_study, sl_spectrum)
-from swirlcurv.quadrature import quad_real
+                       lambda_over_n_study, parse_config, sl_spectra, sl_spectrum)
+from swirlcurv.quadrature import gauss_nodes, quad_real
 
 from _helpers import fixed_size_spectrum, profile_poly, u_const, u_decreasing, u_quadratic
 from _oracles import SL_REFERENCES, j1_zeros
@@ -48,7 +49,7 @@ def test_each_grid_level_solved_once(monkeypatch):
     sizes = []
 
     def counting(a, b, *args, **kwargs):
-        sizes.append(len(a))
+        sizes.append(a.shape[-1])
         return eigh(a, b, *args, **kwargs)
 
     monkeypatch.setattr(jacobi, "eigh", counting)
@@ -61,7 +62,7 @@ def test_each_grid_level_solved_once(monkeypatch):
 
 def test_spectrum_assembles_each_basis_size_once_per_profile(monkeypatch):
     # n enters the pencil only as A + n^2 B: u = 1, n = 1 ... 10 solves at
-    # K = 16 and 32, and each assembly evaluates two Legendre Vandermondes
+    # K = 16 and 32, and each assembly evaluates one Legendre Vandermonde
     p, vander, degrees = u_const(), jacobi.legvander, []
 
     def counting(x, deg):
@@ -70,12 +71,46 @@ def test_spectrum_assembles_each_basis_size_once_per_profile(monkeypatch):
 
     monkeypatch.setattr(jacobi, "legvander", counting)
     spectra = [sl_spectrum(p, n, 3) for n in range(1, 11)]
-    assert sorted(degrees) == [14, 15, 30, 31]
+    assert sorted(degrees) == [15, 31]
     monkeypatch.undo()
     for n, s in enumerate(spectra, start=1):
         fresh = sl_spectrum(u_const(), n, 3)
         assert np.array_equal(s.eigenvalues, fresh.eigenvalues)
         assert np.array_equal(s.coef, fresh.coef)
+
+
+@pytest.mark.parametrize("K", [16, 32, 64, 128, 192])
+def test_pencil_derivative_matrix_is_legders(K):
+    # the closed-form derivative matrix gives the stiffness of legder's, bit for bit
+    p = u_quadratic()
+    A = jacobi._pencil(p, K)[0]
+    x, w = gauss_nodes(np.linspace(0.0, 1.0, K + 1))
+    r, w = x.ravel(), w.ravel()
+    dP = legvander(2.0 * r - 1.0, K - 2) @ legder(np.eye(K), scl=2.0)
+    b, db = jacobi._BUBBLE(r)[:, None], jacobi._BUBBLE.deriv()(r)[:, None]
+    dphi = db * legvander(2.0 * r - 1.0, K - 1) + b * dP
+    assert np.array_equal(A, (dphi.T * (w / r)) @ dphi)
+
+
+SWEEP_PROFILES = {"one": {"poly": [1.0]}, "quad": {"poly": [1.0, 0.0, 1.0]},
+                  "expr": {"expr": "1 + r^2*exp(-r)"},
+                  "table": {"table": {"r": np.linspace(0.0, 1.0, 9).tolist(),
+                                      "values": (1.0 + np.linspace(0.0, 1.0, 9) ** 2).tolist()}}}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PROFILES))
+@pytest.mark.parametrize("n_list", [list(range(1, 41)), [-7, 3, 7, -1, 12]],
+                         ids=["one-to-forty", "both-signs"])
+def test_sweep_equals_a_solve_per_wavenumber(name, n_list):
+    # 1 ... 40 crosses the BLOCK of stacked pencils; -n and n share a pencil
+    sweep = sl_spectra(parse_config({"profile": SWEEP_PROFILES[name]}).profile, n_list, 3)
+    p = parse_config({"profile": SWEEP_PROFILES[name]}).profile
+    assert [s.n for s in sweep] == n_list
+    for s in sweep:
+        alone = sl_spectrum(p, s.n, 3)
+        assert np.array_equal(s.eigenvalues, alone.eigenvalues)
+        assert np.array_equal(s.error_estimates, alone.error_estimates)
+        assert np.array_equal(s.coef, alone.coef)
 
 
 def test_pencil_cache_dies_with_its_profile():
@@ -174,6 +209,8 @@ def test_property_spectrum(a, b, n, m_max):
 def test_spectrum_validation():
     with pytest.raises(InvalidModeError):
         sl_spectrum(u_const(), 0, 1)
+    with pytest.raises(InvalidModeError):
+        sl_spectra(u_const(), [2, 1, 0], 1)
     with pytest.raises(ValidationError):
         sl_spectrum(u_const(), 1, 0)
 

@@ -100,17 +100,23 @@ def test_solve_banded_rejects_other_bands_and_shapes():
 @pytest.mark.parametrize("profile,n", [(u_const, 1), (u_quadratic, 1), (u_quadratic, 10)])
 @pytest.mark.parametrize("K", [16, 32, 64])
 def test_eigh_galerkin_pencils(monkeypatch, profile, n, K):
-    m_max = 3
+    # the pencil of n in a stack with those of n = 1 and 10, as the spectrum stacks them
+    m_max, ns = 3, [n, 1, 10]
     calls = _captured(monkeypatch, jacobi, "eigh",
-                      lambda: jacobi._galerkin(profile(), n, m_max, K))
+                      lambda: jacobi._galerkin(profile(), ns, m_max, K))
     (stiff, mass, subset), = calls
+    assert stiff.shape == (len(ns), K, K)
     w, v = linalg.eigh(stiff, mass, subset)
-    w_ref, v_ref = scipy.linalg.eigh(stiff, mass, subset_by_index=subset)
-    assert w.shape == (m_max,) and v.shape == (K, m_max)
-    # the mass matrix's condition number reaches 2.6e9 at K = 64: for u = 1 + r^2,
-    # n = 10 this solver is within 4.2e-13 of a 50-digit solve of the same
-    # pencil and scipy within 2.4e-12; over these cases the two differ by 1.3e-11
-    np.testing.assert_allclose(w, w_ref, rtol=3e-11)
-    np.testing.assert_allclose(v.T @ mass @ v, np.eye(m_max), atol=1e-12)
-    # the same vectors up to sign
-    np.testing.assert_allclose(np.abs(v.T @ mass @ v_ref), np.eye(m_max), atol=1e-9)
+    assert w.shape == (len(ns), m_max) and v.shape == (len(ns), K, m_max)
+    for k in range(len(ns)):
+        # each slice of the stack as a pencil of its own, bit for bit
+        w_k, v_k = linalg.eigh(stiff[k], mass, subset)
+        assert np.array_equal(w[k], w_k) and np.array_equal(v[k], v_k)
+        w_ref, v_ref = scipy.linalg.eigh(stiff[k], mass, subset_by_index=subset)
+        # the mass matrix's condition number reaches 2.6e9 at K = 64: for u = 1 + r^2,
+        # n = 10 this solver is within 4.2e-13 of a 50-digit solve of the same
+        # pencil and scipy within 2.4e-12; over these cases the two differ by 1.3e-11
+        np.testing.assert_allclose(w_k, w_ref, rtol=3e-11)
+        np.testing.assert_allclose(v_k.T @ mass @ v_k, np.eye(m_max), atol=1e-12)
+        # the same vectors up to sign
+        np.testing.assert_allclose(np.abs(v_k.T @ mass @ v_ref), np.eye(m_max), atol=1e-9)
