@@ -22,11 +22,12 @@ import numpy as np
 from .config import MAX_INT, RunConfig, check_integer, parse_config
 from .curvature import curvature_table, oscillation_study
 from .errors import HypothesisViolationError, SwirlcurvError, ValidationError
-from .jacobi import (assemble_jacobi, conjugate_times, jacobi_residuals,
+from .jacobi import (assemble_jacobi, check_phase, conjugate_times, jacobi_residuals,
                      lambda_over_n_study, sl_spectra, sl_spectrum)
+from .profile import classify_criteria
 from .quadrature import MAX_PANELS
 
-__all__ = ["main", "run_command"]
+__all__ = ["main"]
 
 _FMT = "%.16e"  # 17 significant digits, reproducible diffs
 # overflow and NaN stop a command, and the reading of its config; underflow
@@ -72,7 +73,7 @@ def _param(cfg: RunConfig, key: str, default, least: int = -MAX_INT):
 # ---------------------------------------------------------------------------
 
 def _cmd_check_profile(cfg: RunConfig, out: Path):
-    _write_json(out / "criteria.json", asdict(cfg.profile.criteria))
+    _write_json(out / "criteria.json", asdict(classify_criteria(cfg.profile)))
     return ["criteria.json"]
 
 
@@ -98,7 +99,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path):
 def _cmd_jacobi(cfg: RunConfig, out: Path):
     n = _param(cfg, "n", 1)
     m = _param(cfg, "m", 1, least=1)
-    phase = cfg.params.get("phase", "cos")
+    phase = check_phase(cfg.params.get("phase", "cos"))
     s = sl_spectrum(cfg.profile, n, m)
     sol = assemble_jacobi(cfg.profile, s, m, phase=phase)
     report = jacobi_residuals(cfg.profile, sol)
@@ -118,10 +119,10 @@ def _cmd_jacobi(cfg: RunConfig, out: Path):
     # once, and a slot for the field's value
     rows = "".join(f"{a},{b},{_FMT}\n" for a, b in itertools.product(
         *([_FMT % v for v in x.tolist()] for x in (r, z))))
-    for idx, t in enumerate(sol.times):
-        fields = sol.fields(t, r[:, None], z[None, :])
+    fields = sol.fields(np.array(sol.times)[:, None, None], r[:, None], z[None, :])
+    for idx in range(len(sol.times)):
         for name in ("h", "j", "g", "f"):
-            vals = fields[name]
+            vals = fields[name][idx]
             fname = f"jacobi_{name}_t{idx}.csv"
             (out / fname).write_text(f"r,z,{name}\n" + rows % tuple(vals.ravel().tolist()))
             artifacts.append(fname)
@@ -163,23 +164,6 @@ _COMMANDS = {
 }
 
 
-def run_command(command: str, cfg: RunConfig, out_dir, quiet=False) -> int:
-    """Run one subcommand; returns the process exit status."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        with np.errstate(**_RAISE):
-            artifacts = _COMMANDS[command](cfg, out)
-    except HypothesisViolationError as exc:
-        return _report("hypothesis-violation", str(exc), 2)
-    except (SwirlcurvError, FloatingPointError) as exc:
-        return _report(type(exc).__name__, str(exc))
-    if not quiet:
-        for name in artifacts:
-            print(out / name)
-    return 0
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse would print its usage text and exit 2, the hypothesis-violation code
@@ -204,9 +188,20 @@ def main(argv=None) -> int:
         # malformed JSON, an integer past 4300 digits, or nesting past the recursion limit
         return _report("config-error", str(exc))
     try:
-        return run_command(args.command, cfg, args.out, args.quiet)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        with np.errstate(**_RAISE):
+            artifacts = _COMMANDS[args.command](cfg, out)
+        if not args.quiet:
+            for name in artifacts:
+                print(out / name)
+    except HypothesisViolationError as exc:
+        return _report("hypothesis-violation", str(exc), 2)
+    except (SwirlcurvError, FloatingPointError) as exc:
+        return _report(type(exc).__name__, str(exc))
     except Exception as exc:  # internal error: report, never traceback-spray
         return _report("internal", f"{type(exc).__name__}: {exc}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from . import special as sp
 from .errors import (AccuracyError, DegenerateSectionError, InvalidModeError,
                      ValidationError)
 from .linalg import solve_banded
-from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy
+from .modes import FOUR_PI_SQ, FourierMode, cross_inner_product, mode_energy, swirl_energy
 from .profile import RadialProfile
 from .quadrature import _W, _X, NODES, PANELS, gauss_nodes, panel_edges, quad_real
 from .radial import bspline_basis
@@ -273,10 +273,10 @@ def curvature_mode_oracle(p: RadialProfile, m: FourierMode) -> float:
                          - pressure_bvp_solve(p, m).energy)
 
 
-def _gram_determinant(p: RadialProfile, m: FourierMode, yy: float) -> float:
-    """<<X, X>> <<Y, Y>> - <<X, Y>>^2 for the mode energy yy = <<Y, Y>>."""
+def _gram_determinant(p: RadialProfile, m: FourierMode, xx: float, yy: float) -> float:
+    """<<X, X>> <<Y, Y>> - <<X, Y>>^2 for the energies xx = <<X, X>> and yy = <<Y, Y>>."""
     xy = cross_inner_product(p, m)
-    denom = p.energy * yy - xy * xy
+    denom = xx * yy - xy * xy
     if denom <= 1e-300:
         raise DegenerateSectionError("section degenerate: Gram determinant vanishes")
     return denom
@@ -284,7 +284,8 @@ def _gram_determinant(p: RadialProfile, m: FourierMode, yy: float) -> float:
 
 def curvature_normalized(p: RadialProfile, m: FourierMode) -> float:
     """Kbar divided by the Gram determinant of (X, Y_n)."""
-    return curvature_mode_closed(p, m) / _gram_determinant(p, m, mode_energy(m))
+    return curvature_mode_closed(p, m) / _gram_determinant(p, m, swirl_energy(p),
+                                                           mode_energy(m))
 
 
 @dataclass
@@ -305,12 +306,14 @@ def curvature_table(p: RadialProfile, modes) -> list:
     ns = [m.n for m in modes]
     if len(set(ns)) != len(ns):
         raise ValidationError(f"duplicate mode numbers in {ns}")
+    finite = {m.n for m in modes if m.finite_energy}   # the modes with an energy row
+    xx = swirl_energy(p) if finite else None
     out = []
     for start in range(0, len(modes), BLOCK):
         block = modes[start:start + BLOCK]
         route = [m for m in block if m.n != 0]
         rows = ([(kind, m) for kind in KINDS[:2] for m in route]
-                + [("energy", m) for m in block if m.finite_energy])
+                + [("energy", m) for m in block if m.n in finite])
         value = _radial_integrals(p, rows)
         bases = {}   # one pressure basis per knot vector, for this block
         pressure = {m.n: _pressure(p, m, bases).energy for m in route}
@@ -320,7 +323,7 @@ def curvature_table(p: RadialProfile, modes) -> list:
             kn = float("nan")   # without an energy row (g'(0) != 0) or a section
             with contextlib.suppress(DegenerateSectionError):
                 if ("energy", m.n) in value:
-                    kn = kc / _gram_determinant(p, m, FOUR_PI_SQ * value["energy", m.n])
+                    kn = kc / _gram_determinant(p, m, xx, FOUR_PI_SQ * value["energy", m.n])
             out.append(CurvatureResult(m.n, kc, ko, abs(kc - ko) / (1.0 + abs(kc)), kn))
     return out
 
@@ -342,7 +345,7 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
     """
     if n == 0:
         raise InvalidModeError("oscillation study requires n != 0")
-    xx = p.energy
+    xx = swirl_energy(p)
     k_values = list(k_values)
     out = []
     for start in reversed(range(0, len(k_values), BLOCK)):

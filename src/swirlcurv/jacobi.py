@@ -12,15 +12,14 @@ the phi = r psi form of the Bessel-type eigenproblem.  The weight
 refused.  The discretization is a Legendre-Galerkin method (Shen, SIAM J.
 Sci. Comput. 15, 1994) on the basis phi_k = r^2 (1 - r) P_k(2r - 1), which
 carries phi ~ r^2 at the axis and phi(1) = 0; each eigenfunction is a
-``numpy.polynomial.Legendre`` series, differentiated exactly.  The pencil is
-assembled once per profile and basis size K: n enters only as A + n^2 B, so
-``sl_spectra`` stacks the pencils of many wavenumbers into one eigensolve per
-basis size, one Cholesky factor of the mass matrix for all of them.
+``numpy.polynomial.Legendre`` series, differentiated exactly.  n enters the
+pencil only as A + n^2 B, so ``sl_spectra`` assembles it once per basis size K
+and stacks the pencils of many wavenumbers into one eigensolve, one Cholesky
+factor of the mass matrix for all of them; n and -n share one pencil.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +29,7 @@ from numpy.polynomial.legendre import legvander
 from .curvature import BLOCK
 from .errors import AccuracyError, HypothesisViolationError, InvalidModeError, ValidationError
 from .linalg import eigh
-from .profile import RadialProfile
+from .profile import RadialProfile, classify_criteria
 from .quadrature import gauss_nodes
 
 # a name only: the benchmark tracer (bench/tracing.py) rebinds it, and nothing
@@ -62,8 +61,6 @@ __all__ = [
 # K = 192, a spurious eigenvalue at K = 256).
 TOL, K_MAX = 1e-8, 192
 _BUBBLE = -Legendre.fromroots([0.0, 0.0, 1.0], domain=[0.0, 1.0])  # r^2 (1 - r)
-# profile -> {K: _pencil(profile, K)}
-_PENCILS = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -87,33 +84,29 @@ class SLSpectrum:
 def _pencil(p: RadialProfile, K: int):
     """The Galerkin matrices on phi_0 ... phi_{K-1} that do not depend on n:
     stiffness A = int phi' psi' / r, B = int phi psi / r, mass
-    M = int (2 u omega / r) phi psi, and the basis values at the nodes.
-    Assembled once per (profile, K); the cache entry dies with the profile."""
-    cache = _PENCILS.setdefault(p, {})
-    if K not in cache:
-        # table nodes past [0, 1] split no panel: clipped, they fall on 0 and 1
-        x, w = gauss_nodes(np.union1d(np.linspace(0.0, 1.0, K + 1), np.clip(p.u.knots, 0.0, 1.0)))
-        r, w = x.ravel(), w.ravel()
-        weight = 2.0 * p.u(r) * p.omega(r) / r
-        if np.any(weight <= 0.0):
-            raise HypothesisViolationError("u * omega must be positive on (0, 1)")
-        P = legvander(2.0 * r - 1.0, K - 1)
-        # d/dr P_k(2r - 1) = sum over j < k, k - j odd, of 2 (2j + 1) P_j(2r - 1)
-        j, k = np.ogrid[:K - 1, :K]
-        dP = P[:, :-1] @ np.where((k > j) & ((k - j) % 2 == 1), 4.0 * j + 2.0, 0.0)
-        b, db = _BUBBLE(r)[:, None], _BUBBLE.deriv()(r)[:, None]
-        phi, dphi = b * P, db * P + b * dP
-        cache[K] = ((dphi.T * (w / r)) @ dphi, (phi.T * (w / r)) @ phi,
-                    (phi.T * (w * weight)) @ phi, phi)
-    return cache[K]
+    M = int (2 u omega / r) phi psi, and the basis values at the nodes."""
+    # table nodes past [0, 1] split no panel: clipped, they fall on 0 and 1
+    x, w = gauss_nodes(np.union1d(np.linspace(0.0, 1.0, K + 1), np.clip(p.u.knots, 0.0, 1.0)))
+    r, w = x.ravel(), w.ravel()
+    weight = 2.0 * p.u(r) * p.omega(r) / r
+    if np.any(weight <= 0.0):
+        raise HypothesisViolationError("u * omega must be positive on (0, 1)")
+    P = legvander(2.0 * r - 1.0, K - 1)
+    # d/dr P_k(2r - 1) = sum over j < k, k - j odd, of 2 (2j + 1) P_j(2r - 1)
+    j, k = np.ogrid[:K - 1, :K]
+    dP = P[:, :-1] @ np.where((k > j) & ((k - j) % 2 == 1), 4.0 * j + 2.0, 0.0)
+    b, db = _BUBBLE(r)[:, None], _BUBBLE.deriv()(r)[:, None]
+    phi, dphi = b * P, db * P + b * dP
+    return ((dphi.T * (w / r)) @ dphi, (phi.T * (w / r)) @ phi,
+            (phi.T * (w * weight)) @ phi, phi)
 
 
-def _galerkin(p: RadialProfile, n, m_max: int, K: int):
-    """The ``m_max`` smallest lambda of the Galerkin pencil on phi_0 ... phi_{K-1},
-    int (phi' psi' + n^2 phi psi) / r = lambda^2 int (2 u omega / r) phi psi,
-    and the basis coefficients of their eigenfunctions, one row each; for an
-    array of n, one such pair per n, stacked along a leading axis."""
-    A, B, M, phi = _pencil(p, K)
+def _galerkin(pencil, n, m_max: int):
+    """The ``m_max`` smallest lambda of the Galerkin ``pencil`` (``_pencil``'s) on
+    phi_0 ... phi_{K-1}, int (phi' psi' + n^2 phi psi) / r = lambda^2 int (2 u omega / r)
+    phi psi, and the basis coefficients of their eigenfunctions, one row each; for
+    an array of n, one such pair per n, stacked along a leading axis."""
+    A, B, M, phi = pencil
     lam2, vecs = eigh(A + np.asarray(n, float)[..., None, None] ** 2 * B, M, [0, m_max - 1])
     # mass-orthonormal vectors give each phi weight-norm one; make its dominant lobe positive
     vals = phi @ vecs
@@ -129,45 +122,47 @@ def sl_spectra(p: RadialProfile, n_list, m_max: int) -> list:
     Solves at basis size K = max(16, 2 m_max) and doubles K, capped at
     ``K_MAX``, until every eigenvalue of an n moves less than ``TOL`` relative;
     the larger size's eigenvalues are returned with that change as their error
-    estimate (m_max above 40 is not supported).  At each size the pencils
-    A + n^2 B of the n not yet settled are stacked, ``BLOCK`` at a time, into
-    one ``eigh`` call, each as a solve of its own, bit for bit.  n = 0 anywhere
-    is refused before any solve; past ``K_MAX`` an ``AccuracyError`` names the
-    smallest n that did not settle.
+    estimate (m_max above 40 is not supported).  Each size's pencil is assembled
+    once, and the pencils A + n^2 B of the distinct |n| not yet settled are stacked,
+    ``BLOCK`` at a time, into one ``eigh`` call, each as a solve of its own, bit for
+    bit; n and -n share the arrays of one spectrum.  n = 0 anywhere is refused before
+    any solve; past ``K_MAX`` an ``AccuracyError`` names the smallest n that did not
+    settle.
     """
     n_list = [int(n) for n in n_list]
     if 0 in n_list:
         raise InvalidModeError("spectrum requires n != 0")
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
-    if not p.criteria.u_omega_positive:
+    criteria = classify_criteria(p)
+    if not criteria.u_omega_positive:
         # a few roots: u = 0 on an interval has one at each grid point (criteria.json)
-        minimum, *roots = [w for w in p.criteria.witness_points if w["criterion"] == "u_omega"]
+        minimum, *roots = [w for w in criteria.witness_points if w["criterion"] == "u_omega"]
         raise HypothesisViolationError(
             f"u * omega is not positive on [0,1]; minimum: {minimum}; "
             f"{len(roots)} roots, the first ones: {roots[:3]}")
 
-    done, lam, est = {}, {}, {}   # by position in n_list
-    K, todo = max(16, 2 * m_max), list(range(len(n_list)))
+    done, lam, est = {}, {}, {}   # by |n|
+    K, todo = max(16, 2 * m_max), list(dict.fromkeys(abs(n) for n in n_list))
     while K <= K_MAX and todo:
+        pencil = _pencil(p, K)
         for start in range(0, len(todo), BLOCK):
             block = todo[start:start + BLOCK]
-            fine, coef = _galerkin(p, [abs(n_list[i]) for i in block], m_max, K)
-            for i, fine_i, coef_i in zip(block, fine, coef):
-                if i in lam:
-                    est[i] = np.abs(fine_i - lam[i]) / fine_i
-                    if np.all(est[i] <= TOL):
-                        done[i] = SLSpectrum(n=n_list[i], eigenvalues=fine_i,
-                                             error_estimates=est[i], grid=0, coef=coef_i)
-                lam[i] = fine_i
-        todo = [i for i in todo if i not in done]
+            for n, fine, coef in zip(block, *_galerkin(pencil, block, m_max)):
+                if n in lam:
+                    est[n] = np.abs(fine - lam[n]) / fine
+                    if np.all(est[n] <= TOL):
+                        done[n] = SLSpectrum(n=n, eigenvalues=fine, error_estimates=est[n],
+                                             grid=0, coef=coef)
+                lam[n] = fine
+        todo = [n for n in todo if n not in done]
         K = min(2 * K, K_MAX) if K < K_MAX else K + 1  # K_MAX is the last size
     if todo:
-        i = min(todo, key=n_list.__getitem__)
-        raise AccuracyError(f"n = {n_list[i]}: {m_max} eigenvalues did not settle to {TOL:g} "
+        n = min(n for n in n_list if abs(n) in todo)
+        raise AccuracyError(f"n = {n}: {m_max} eigenvalues did not settle to {TOL:g} "
                             f"by basis size {K_MAX}",
-                            error_estimate=float(np.max(est[i])) if i in est else None)
-    return [done[i] for i in range(len(n_list))]
+                            error_estimate=float(np.max(est[abs(n)])) if abs(n) in est else None)
+    return [replace(done[abs(n)], n=n) for n in n_list]
 
 
 def sl_spectrum(p: RadialProfile, n: int, m_max: int, grid: int = 2048) -> SLSpectrum:
@@ -197,11 +192,18 @@ _TIME_FACTORS = {"cos": (np.cos, lambda x: -np.sin(x), np.sin),
                  "sin": (np.sin, np.cos, lambda x: 1.0 - np.cos(x))}
 
 
+def check_phase(phase) -> str:
+    """``phase``, which must be 'cos' or 'sin'."""
+    if phase not in ("cos", "sin"):
+        raise ValidationError(f"phase must be 'cos' or 'sin', got {phase!r}")
+    return phase
+
+
 @dataclass
 class JacobiSolution:
     """Closed-form Jacobi field built from one eigenpair.
 
-    ``fields(t, r, z)`` gives, broadcast over (r, z), the stream/swirl components
+    ``fields(t, r, z)`` gives, broadcast over (t, r, z), the stream/swirl components
     ``h`` and ``j`` of the linearized Euler solution, the components ``g`` and
     ``f`` of the Jacobi field itself and the time derivatives ``dj_dt``, ``dg_dt``
     and ``df_dt``: all seven for both phases through T, T' and G at
@@ -227,7 +229,8 @@ class JacobiSolution:
         return T(theta), dT(theta), G(theta)
 
     def fields(self, t, r, z) -> dict:
-        """{h, j, g, f, dj_dt, dg_dt, df_dt} at time t on the grid (r, z)."""
+        """{h, j, g, f, dj_dt, dg_dt, df_dt} at the times t on the grid (r, z), all
+        broadcast together: times of shape (k, 1, 1) give k grids in one call."""
         (T, dT, G), (T0, secular, _) = self._time(t), self._time(0.0)
         r, nz = np.asarray(r, dtype=float), self.n * np.asarray(z)
         phi, cz, sz = self._phi(r), np.cos(nz), np.sin(nz)
@@ -248,8 +251,7 @@ class JacobiSolution:
 def assemble_jacobi(p: RadialProfile, s: SLSpectrum, m: int, *,
                     phase: str = "cos") -> JacobiSolution:
     """Build the explicit Jacobi field for eigenpair (m, n) of ``s``."""
-    if phase not in ("cos", "sin"):
-        raise ValidationError("phase must be 'cos' or 'sin'")
+    check_phase(phase)
     if not (1 <= m <= len(s.eigenvalues)):
         raise ValidationError(f"eigenindex m={m} out of range")
     lam = float(s.eigenvalues[m - 1])
@@ -284,10 +286,11 @@ def _fft_dz(field: np.ndarray, n: int, order: int = 1) -> np.ndarray:
 
 
 def _relative(defect, *terms) -> float:
-    """max |defect| over the largest max |term|: scales taken over every term, so
-    a term vanishing at a special time does not turn round-off into a large
-    relative residual."""
-    return float(np.max(np.abs(defect)) / max(*(np.max(np.abs(x)) for x in terms), 1e-300))
+    """max over the times (leading axis) of max |defect| over (r, z) divided by the
+    largest max |term| there: scales taken over every term, so a term vanishing at a
+    special time does not turn round-off into a large relative residual."""
+    scale = np.maximum(np.max([np.max(np.abs(x), axis=(-2, -1)) for x in terms], axis=0), 1e-300)
+    return float(np.max(np.max(np.abs(defect), axis=(-2, -1)) / scale))
 
 
 def jacobi_residuals(p: RadialProfile, sol: JacobiSolution) -> ResidualReport:
@@ -296,11 +299,12 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution) -> ResidualReport:
     Time derivatives are analytic (the closed forms are trigonometric in t);
     z derivatives are spectral; r derivatives are those of the eigenfunction's
     Legendre series.  The 256-point radial grid starts away from the axis, where
-    the 1/r^2 factors would amplify round-off; the times are ``sol.times``.
-    Every field is one harmonic of nz, so z takes 16 points on one period
-    2pi/|n|, whatever n.
+    the 1/r^2 factors would amplify round-off; the fields are evaluated at all of
+    ``sol.times`` in one call, along a leading axis.  Every field is one harmonic
+    of nz, so z takes 16 points on one period 2pi/|n|, whatever n.
     """
     n = sol.n
+    t = np.array(sol.times)[:, None, None]
     r = np.linspace(0.1, 1.0, 256)[:, None]
     z = (2.0 * np.pi / abs(n) * np.arange(16) / 16)[None, :]
 
@@ -312,35 +316,33 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution) -> ResidualReport:
     # D_r phi := (phi'/r)' - n^2 phi / r, the radial part of the stream operator
     lop = ddphi / r - dphi / r ** 2 - n * n * phi / r
 
-    res_a = res_b = res_c = res_d = 0.0
-    for t in sol.times:
-        fields = sol.fields(t, r, z)
-        h, j = fields["h"], fields["j"]
+    fields = sol.fields(t, r, z)
+    h, j = fields["h"], fields["j"]
 
-        # (a) swirl transport
-        lhs = fields["dj_dt"]
-        rhs = (om / r ** 2) * _fft_dz(h, n)
-        res_a = max(res_a, _relative(lhs - rhs, rhs, lhs))
+    # (a) swirl transport
+    lhs = fields["dj_dt"]
+    rhs = (om / r ** 2) * _fft_dz(h, n)
+    res_a = _relative(lhs - rhs, rhs, lhs)
 
-        # time factor multiplying D(h): d/dt and d2/dt2 of the t-dependence T of h
-        T, dT, _ = sol._time(t)
-        tf1, tf2 = dT * n / sol.lam, -T * (n / sol.lam) ** 2
+    # time factor multiplying D(h): d/dt and d2/dt2 of the t-dependence T of h
+    T, dT, _ = sol._time(t)
+    tf1, tf2 = dT * n / sol.lam, -T * (n / sol.lam) ** 2
 
-        # D(h) separates as (time factor) * [lop * cos(nz)]; assemble directly:
-        dt_Dh = tf1 * lop * cz
-        dtt_Dh = tf2 * lop * cz
+    # D(h) separates as (time factor) * [lop * cos(nz)]; assemble directly:
+    dt_Dh = tf1 * lop * cz
+    dtt_Dh = tf2 * lop * cz
 
-        # (b) stream transport: dt[D h] + 2 r u dj/dz = 0
-        term = 2.0 * r * u * _fft_dz(j, n)
-        res_b = max(res_b, _relative(dt_Dh + term, term, dt_Dh))
+    # (b) stream transport: dt[D h] + 2 r u dj/dz = 0
+    term = 2.0 * r * u * _fft_dz(j, n)
+    res_b = _relative(dt_Dh + term, term, dt_Dh)
 
-        # (c) second-order equation: dtt[D h] + (2 u om / r) dzz h = 0
-        term_c = (2.0 * u * om / r) * _fft_dz(h, n, order=2)
-        res_c = max(res_c, _relative(dtt_Dh + term_c, term_c, dtt_Dh))
+    # (c) second-order equation: dtt[D h] + (2 u om / r) dzz h = 0
+    term_c = (2.0 * u * om / r) * _fft_dz(h, n, order=2)
+    res_c = _relative(dtt_Dh + term_c, term_c, dtt_Dh)
 
-        # (d) flow components: dg/dt = h  and  df/dt + (u'/r) dg/dz = j
-        dg, df = fields["dg_dt"], fields["df_dt"]
-        drift = (up / r) * _fft_dz(fields["g"], n)
-        res_d = max(res_d, _relative(dg - h, h, dg), _relative(df + drift - j, j, df, drift))
+    # (d) flow components: dg/dt = h  and  df/dt + (u'/r) dg/dz = j
+    dg, df = fields["dg_dt"], fields["df_dt"]
+    drift = (up / r) * _fft_dz(fields["g"], n)
+    res_d = max(_relative(dg - h, h, dg), _relative(df + drift - j, j, df, drift))
 
     return ResidualReport(res_a, res_b, res_c, res_d)

@@ -13,7 +13,6 @@ u*omega > 0 (hypothesis for the conjugate-point construction).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,17 +36,6 @@ class RadialProfile:
 
     def __init__(self, u: RadialFunction):
         self.u = u
-
-    @functools.cached_property
-    def criteria(self) -> CriteriaReport:
-        """``classify_criteria`` of this profile, scanned once."""
-        return classify_criteria(self)
-
-    @functools.cached_property
-    def energy(self) -> float:
-        """<<X, X>> by ``modes.swirl_energy`` (which imports this module), once."""
-        from .modes import swirl_energy
-        return swirl_energy(self)
 
     def omega(self, r):
         return 2.0 * self.u(r) + np.asarray(r, dtype=float) * self.u.derivative(r)
@@ -88,7 +76,8 @@ def _bisect_root(fn, a, b, fa, value_tol, tol=1e-12):
 def _scan(fn, grid, tol):
     """Values of ``fn`` on ``grid`` (one array call) followed by its roots there:
     exact zeros at grid points and a root bisected to |value| <= ``tol`` in
-    every sign change."""
+    every sign change.  A zero value is +0.0: u omega and eta take the same
+    values, to the bit, for u and -u."""
     vals = np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape)
     change = np.sign(vals[:-1]) == -np.sign(vals[1:])   # by sign: a product can overflow
     hits = np.flatnonzero((vals == 0.0) | np.append(change, False))
@@ -96,7 +85,7 @@ def _scan(fn, grid, tol):
              else _bisect_root(fn, grid[i], grid[i + 1], vals[i], tol)
              for i in hits]
     return (np.concatenate([grid, roots]),
-            np.concatenate([vals, [float(fn(r)) for r in roots]]))
+            np.concatenate([vals, [float(fn(r)) for r in roots]]) + 0.0)
 
 
 def classify_criteria(p: RadialProfile) -> CriteriaReport:

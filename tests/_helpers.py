@@ -30,7 +30,7 @@ def u_decreasing() -> RadialProfile:
 
 def fixed_size_spectrum(p: RadialProfile, n: int, K: int) -> SLSpectrum:
     """lambda_1n and phi_1n at Galerkin basis size K, without sl_spectrum's doubling."""
-    lam, coef = jacobi._galerkin(p, n, 1, K)
+    lam, coef = jacobi._galerkin(jacobi._pencil(p, K), n, 1)
     return SLSpectrum(n=n, eigenvalues=lam, error_estimates=0.0 * lam, grid=0, coef=coef)
 
 

@@ -124,6 +124,21 @@ def test_jacobi_snapshots_match_write_csv(tmp_path, phase, n):
                     == (tmp_path / "reference.csv").read_bytes())
 
 
+@pytest.mark.parametrize("spec, params", [
+    ({"poly": [2.0, 0.0, -1.0]}, {}),   # u omega = 0 at r = 1: the solve would exit 2
+    ({"poly": [1.0]}, {"m": 100}),       # 100 eigenvalues would not settle
+], ids=["u-omega", "unsettled"])
+def test_jacobi_checks_the_phase_before_any_solve(tmp_path, capsys, monkeypatch, spec, params):
+    calls = []
+    monkeypatch.setattr(jacobi, "eigh", lambda *args, **kw: calls.append(args))
+    cfg = write_cfg(tmp_path, {"profile": spec, "params": dict(params, phase="tan")})
+    assert main(["jacobi", "--config", cfg, "--out", str(tmp_path)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {"error": "ValidationError",
+                                "message": "phase must be 'cos' or 'sin', got 'tan'"}
+    assert calls == []
+
+
 def test_oscillation_command(tmp_path):
     cfg = write_cfg(tmp_path, {"profile": {"poly": [1.0]},
                                "params": {"n": 1, "k_max": 6}})
@@ -748,6 +763,76 @@ def test_removed_sampling_keys_are_ignored(tmp_path):
             assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
             outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
         assert outputs[0] == outputs[1]
+
+
+# Metamorphic relations, through main(): u -> -u changes no artifact, and n -> -n
+# changes no value of a row, matched by |n| (rows sorted by n flip their order)
+SYMMETRIC_PROFILES = {"1+r^2": {"poly": [1.0, 0.0, 1.0]}, "2-r^2": {"expr": "2 - r^2"}}
+SYMMETRIC_MODES = [   # a table f, an expr g with an imaginary part, n = 0 and n = 200
+    {"n": 1, "g": {"poly": [0, 0, 1, -1]},
+     "f": table(np.linspace(0.0, 1.0, 9).tolist(),
+                (np.linspace(0.0, 1.0, 9) * (1.0 - np.linspace(0.0, 1.0, 9))).tolist())},
+    {"n": -2, "g": {"expr": "r^2*(1-r)*exp(r)"}, "g_imag": {"expr": "r^2*(1-r)*cos(3*r)"},
+     "f": {"poly": [0, 1, -1]}},
+    {"n": 0, "g": {"poly": [0, 0, 1]}, "f": {"poly": [0, 1, -1]}},
+    {"n": 5, "g": {"poly": [0, 0, 2, -2]}, "f_imag": {"poly": [0, 0.5]}},
+    {"n": 200, "g": {"poly": [0, 0, 1, -1]}, "f": {"poly": [0, 1, -1]}},
+]
+SYMMETRIC_COMMANDS = {"check-profile": {}, "curvature": {},
+                      "spectrum": {"m_max": 3, "n_list": [1, -2, 5, 200]},
+                      "limit-study": {"m": 2, "n_list": [4, -8, 16]}}
+
+
+def _outcome(tmp_path, capsys, command, payload, name):
+    """Exit status, stderr and every artifact of one run of ``command``."""
+    out = tmp_path / name
+    code = main([command, "--config", write_cfg(tmp_path, payload, f"{name}.json"),
+                 "--out", str(out), "--quiet"])
+    return code, capsys.readouterr().err, {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+def _negated(payload):
+    """``payload`` with every wavenumber, of a mode or a param, negated."""
+    params = {key: [-n for n in value] if key == "n_list" else value
+              for key, value in payload["params"].items()}
+    return dict(payload, modes=[dict(m, n=-m["n"]) for m in payload["modes"]], params=params)
+
+
+def _rows_by_abs_n(files):
+    """Each CSV's rows without their n, grouped by |n| in file order; other files whole."""
+    groups = {}
+    for name, data in files.items():
+        if not name.endswith(".csv"):
+            groups[name] = data
+            continue
+        header, *lines = data.decode().splitlines()
+        for line in lines:
+            n, rest = line.split(",", 1)
+            groups.setdefault((name, header, abs(int(n))), []).append(rest)
+    return groups
+
+
+@pytest.mark.parametrize("command", sorted(SYMMETRIC_COMMANDS))
+@pytest.mark.parametrize("profile", sorted(SYMMETRIC_PROFILES))
+def test_negating_u_changes_no_artifact(tmp_path, capsys, command, profile):
+    spec = SYMMETRIC_PROFILES[profile]
+    negated = ({"poly": [-c for c in spec["poly"]]} if "poly" in spec
+               else {"expr": f"-({spec['expr']})"})
+    payload = {"profile": spec, "modes": SYMMETRIC_MODES, "params": SYMMETRIC_COMMANDS[command]}
+    base = _outcome(tmp_path, capsys, command, payload, "u")
+    assert base == _outcome(tmp_path, capsys, command, dict(payload, profile=negated), "minus-u")
+    assert base[2] or base[0] == 2   # u = 2 - r^2 has no spectrum: u omega = 0 at r = 1
+
+
+@pytest.mark.parametrize("command", sorted(SYMMETRIC_COMMANDS))
+@pytest.mark.parametrize("profile", sorted(SYMMETRIC_PROFILES))
+def test_negating_n_changes_no_value_of_a_row(tmp_path, capsys, command, profile):
+    payload = {"profile": SYMMETRIC_PROFILES[profile], "modes": SYMMETRIC_MODES,
+               "params": SYMMETRIC_COMMANDS[command]}
+    code, err, files = _outcome(tmp_path, capsys, command, payload, "n")
+    minus = _outcome(tmp_path, capsys, command, _negated(payload), "minus-n")
+    assert (code, err, _rows_by_abs_n(files)) == (minus[0], minus[1], _rows_by_abs_n(minus[2]))
+    assert files or code == 2
 
 
 def _params_read_by_each_command():

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 import tracemalloc
@@ -19,6 +20,7 @@ from swirlcurv import (AccuracyError, DegenerateSectionError, ExpressionFunction
                        curvature_mode_oracle, curvature_normalized, curvature_table,
                        mode_energy, oscillation_study, pressure_bvp_solve, swirl_energy)
 from swirlcurv import special
+from swirlcurv.cli import main
 from swirlcurv.config import parse_config
 from swirlcurv.quadrature import NODES, gauss_nodes, quad_real
 from swirlcurv.radial import ComplexRadialFunction
@@ -484,7 +486,7 @@ def test_table_equals_one_mode_calls(profile, specs):
     assert [row.n for row in rows] == [m.n for m in ordered]
     for row, m in zip(rows, ordered):
         closed, oracle = curvature_mode_closed(p, m), curvature_mode_oracle(p, m)
-        try:   # Kbar / (<<X, X>> mode_energy - <<X, Y>>^2), by p.energy and mode_energy
+        try:   # Kbar / (<<X, X>> <<Y, Y>> - <<X, Y>>^2), by swirl_energy and mode_energy
             normalized = curvature_normalized(p, m)
         except (RegularityError, DegenerateSectionError):
             normalized = math.nan
@@ -525,15 +527,19 @@ def test_accuracy_error_names_the_mode_and_the_integral(monkeypatch, g, kind, ns
     assert info.value.error_estimate == alone.value.error_estimate
 
 
-def test_swirl_energy_is_integrated_once_per_profile(monkeypatch):
+@pytest.mark.parametrize("specs, integrals", [
+    ([{"n": n, "g": {"poly": G_BASE}, "f": {"poly": [0, 1, -1]}} for n in range(1, 18)], 1),
+    ([{"n": 0, "g": {"poly": [0, 1]}}], 0),
+], ids=["two-blocks", "no-energy-row"])
+def test_curvature_integrates_the_swirl_energy_once(tmp_path, monkeypatch, specs, integrals):
+    # <<X, X>> is shared by every mode of every block, and not integrated for a
+    # table whose modes all have g'(0) != 0 (k_normalized is nan for each)
     calls = []
-    monkeypatch.setattr(modes, "swirl_energy", lambda p: calls.append(p) or swirl_energy(p))
-    p = u_quadratic()
-    for n in (1, 2, 3):
-        curvature_table(p, [standard_mode(n)])
-    oscillation_study(p, 1, [1, 2])
-    assert calls == [p]
-    assert p.energy == swirl_energy(p) == pytest.approx(17 * PI2 / 6, rel=1e-12)
+    monkeypatch.setattr(curvature, "swirl_energy", lambda p: calls.append(p) or swirl_energy(p))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": {"poly": [1.0, 0.0, 1.0]}, "modes": specs}))
+    assert main(["curvature", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == integrals
 
 
 def test_closed_route_evaluates_bessel_twice_per_node(monkeypatch):
@@ -579,7 +585,7 @@ def _oscillation_row(p, n, k):
                           points=p.u.knots)
     denominator = quad_real(
         lambda r: n * n * np.sin(w * r) ** 2 / r + (w * np.cos(w * r)) ** 2, 0.0, 1.0)
-    return numerator / (p.energy * denominator)
+    return numerator / (swirl_energy(p) * denominator)
 
 
 @pytest.mark.parametrize("p, n", [

@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import gc
 import math
 import re
 from pathlib import Path
@@ -14,8 +13,9 @@ from scipy.special import jn_zeros
 
 import swirlcurv.jacobi as jacobi
 from swirlcurv import (AccuracyError, HypothesisViolationError, InvalidModeError,
-                       ValidationError, assemble_jacobi, conjugate_times, jacobi_residuals,
-                       lambda_over_n_study, parse_config, sl_spectra, sl_spectrum)
+                       JacobiSolution, ValidationError, assemble_jacobi, conjugate_times,
+                       jacobi_residuals, lambda_over_n_study, parse_config, sl_spectra,
+                       sl_spectrum)
 from swirlcurv.quadrature import gauss_nodes, quad_real
 
 from _helpers import fixed_size_spectrum, profile_poly, u_const, u_decreasing, u_quadratic
@@ -43,8 +43,8 @@ def test_each_grid_level_solved_once(monkeypatch):
     # u = 1 + r^2, n = 1, m_max = 20 starts at K = 40 and settles between 80 and
     # 160, so each basis size is solved once and the K = 160 values are reported
     p = u_quadratic()
-    lam80, _ = jacobi._galerkin(p, 1, 20, 80)
-    lam160, coef160 = jacobi._galerkin(p, 1, 20, 160)
+    lam80, _ = jacobi._galerkin(jacobi._pencil(p, 80), 1, 20)
+    lam160, coef160 = jacobi._galerkin(jacobi._pencil(p, 160), 1, 20)
     eigh = jacobi.eigh
     sizes = []
 
@@ -60,7 +60,7 @@ def test_each_grid_level_solved_once(monkeypatch):
     assert np.array_equal(s.error_estimates, np.abs(lam160 - lam80) / lam160)
 
 
-def test_spectrum_assembles_each_basis_size_once_per_profile(monkeypatch):
+def test_spectrum_assembles_each_basis_size_once_per_sweep(monkeypatch):
     # n enters the pencil only as A + n^2 B: u = 1, n = 1 ... 10 solves at
     # K = 16 and 32, and each assembly evaluates one Legendre Vandermonde
     p, vander, degrees = u_const(), jacobi.legvander, []
@@ -70,13 +70,13 @@ def test_spectrum_assembles_each_basis_size_once_per_profile(monkeypatch):
         return vander(x, deg)
 
     monkeypatch.setattr(jacobi, "legvander", counting)
-    spectra = [sl_spectrum(p, n, 3) for n in range(1, 11)]
-    assert sorted(degrees) == [15, 31]
+    spectra = sl_spectra(p, range(1, 11), 3)
+    assert degrees == [15, 31]
     monkeypatch.undo()
     for n, s in enumerate(spectra, start=1):
-        fresh = sl_spectrum(u_const(), n, 3)
-        assert np.array_equal(s.eigenvalues, fresh.eigenvalues)
-        assert np.array_equal(s.coef, fresh.coef)
+        alone = sl_spectrum(u_const(), n, 3)
+        assert np.array_equal(s.eigenvalues, alone.eigenvalues)
+        assert np.array_equal(s.coef, alone.coef)
 
 
 @pytest.mark.parametrize("K", [16, 32, 64, 128, 192])
@@ -113,15 +113,23 @@ def test_sweep_equals_a_solve_per_wavenumber(name, n_list):
         assert np.array_equal(s.coef, alone.coef)
 
 
-def test_pencil_cache_dies_with_its_profile():
-    gc.collect()
-    before = len(jacobi._PENCILS)
-    p = u_quadratic()
-    lambda_over_n_study(p, 1, [4, 8, 16])
-    assert len(jacobi._PENCILS) == before + 1
-    del p
-    gc.collect()
-    assert len(jacobi._PENCILS) == before
+def test_each_distinct_wavenumber_is_solved_once(monkeypatch):
+    # n and -n share the pencil A + n^2 B: +-1 ... +-20 makes the eigensolves of
+    # 1 ... 20, 5 stacks of 44 pencils in all, and -n gets the arrays of n
+    p, shapes, eigh = u_quadratic(), [], jacobi.eigh
+    monkeypatch.setattr(jacobi, "eigh", lambda a, *args, **kw: shapes.append(a.shape)
+                        or eigh(a, *args, **kw))
+    positive = sl_spectra(p, range(1, 21), 3)
+    positive_shapes, shapes[:] = list(shapes), []
+    both = sl_spectra(p, [sign * n for n in range(1, 21) for sign in (-1, 1)], 3)
+    assert shapes == positive_shapes and len(shapes) == 5 and sum(s[0] for s in shapes) == 44
+    for k, s in enumerate(both):
+        twin = positive[k // 2]
+        assert s.n == (-1) ** (k + 1) * twin.n
+        assert s.eigenvalues is both[k ^ 1].eigenvalues and s.coef is both[k ^ 1].coef
+        assert np.array_equal(s.eigenvalues, twin.eigenvalues)
+        assert np.array_equal(s.error_estimates, twin.error_estimates)
+        assert np.array_equal(s.coef, twin.coef)
 
 
 def test_spectrum_other_wavenumbers():
@@ -376,6 +384,43 @@ def test_fields_sum_phi_once_per_call():
     again = sol.fields(sol.times[0], r, z)
     assert len(grids) == len(sol.times) + 2
     assert all(np.array_equal(first[name], again[name]) for name in first)
+
+
+@pytest.mark.parametrize("phase", ["cos", "sin"])
+def test_fields_at_all_times_in_one_call_equal_a_call_per_time(phase):
+    p = u_quadratic()
+    sol = assemble_jacobi(p, sl_spectrum(p, -3, 2), 2, phase=phase)
+    r = np.linspace(0.1, 1.0, 33)[:, None]
+    z = np.linspace(0.0, 2 * np.pi, 9)[None, :]
+    times = [0.0, *sol.times, sol.t_star, 1.7 * sol.t_star]
+    together = sol.fields(np.array(times)[:, None, None], r, z)
+    assert sorted(together) == ["df_dt", "dg_dt", "dj_dt", "f", "g", "h", "j"]
+    for k, t in enumerate(times):
+        for name, value in sol.fields(t, r, z).items():
+            assert np.array_equal(together[name][k], value), (name, t)
+
+
+@dataclasses.dataclass
+class _AtOneTime(JacobiSolution):
+    """A Jacobi solution whose residuals are taken at the one time ``t``."""
+
+    t: float = 0.0
+
+    @property
+    def times(self):
+        return [self.t]
+
+
+@pytest.mark.parametrize("phase", ["cos", "sin"])
+@pytest.mark.parametrize("n", [2, -3])
+def test_residuals_are_the_largest_of_each_time_alone(phase, n):
+    # all times in one call, each normalized at its own time, as by a call per time
+    p = u_quadratic()
+    sol = assemble_jacobi(p, sl_spectrum(p, n, 2), 2, phase=phase)
+    state = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)}
+    alone = [jacobi_residuals(p, _AtOneTime(**state, t=t)) for t in sol.times]
+    assert dataclasses.astuple(jacobi_residuals(p, sol)) == tuple(
+        max(column) for column in zip(*map(dataclasses.astuple, alone)))
 
 
 def test_assemble_jacobi_validation():

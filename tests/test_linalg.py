@@ -103,7 +103,7 @@ def test_eigh_galerkin_pencils(monkeypatch, profile, n, K):
     # the pencil of n in a stack with those of n = 1 and 10, as the spectrum stacks them
     m_max, ns = 3, [n, 1, 10]
     calls = _captured(monkeypatch, jacobi, "eigh",
-                      lambda: jacobi._galerkin(profile(), ns, m_max, K))
+                      lambda: jacobi._galerkin(jacobi._pencil(profile(), K), ns, m_max))
     (stiff, mass, subset), = calls
     assert stiff.shape == (len(ns), K, K)
     w, v = linalg.eigh(stiff, mass, subset)

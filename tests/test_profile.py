@@ -140,13 +140,14 @@ def _flags(report):
 def test_criteria_are_scale_free(coeffs, exponent, negative):
     # eta and u omega scale by a^2 and lambda by 1 / |a|, so the flags and |a| t* stay
     a = (-1.0 if negative else 1.0) * 10.0 ** exponent
-    base, scaled = profile_poly(coeffs), profile_poly([a * c for c in coeffs])
-    assert _flags(scaled.criteria) == _flags(base.criteria)
+    p, p_scaled = profile_poly(coeffs), profile_poly([a * c for c in coeffs])
+    base, scaled = classify_criteria(p), classify_criteria(p_scaled)
+    assert _flags(scaled) == _flags(base)
     # eta = 2 u omega - 3 u^2
-    assert not (scaled.criteria.eta_strictly_positive and not scaled.criteria.u_omega_positive)
-    if base.criteria.u_omega_positive:
-        t_star = [abs(a) * t for _, t in conjugate_times(sl_spectrum(scaled, 1, 2))]
-        expected = [t for _, t in conjugate_times(sl_spectrum(base, 1, 2))]
+    assert not (scaled.eta_strictly_positive and not scaled.u_omega_positive)
+    if base.u_omega_positive:
+        t_star = [abs(a) * t for _, t in conjugate_times(sl_spectrum(p_scaled, 1, 2))]
+        expected = [t for _, t in conjugate_times(sl_spectrum(p, 1, 2))]
         np.testing.assert_allclose(t_star, expected, rtol=1e-12, atol=0)
 
 
