@@ -21,7 +21,8 @@ are gradients (projected away) and [X, Y_0] = 0.
 
 ``curvature_table``, behind the ``curvature`` command, computes both routes and
 the normalized curvature of a list of modes in one pass: one ``quad_real`` call
-per panel set per ``BLOCK`` modes.
+per panel set and one stacked ``solve_banded`` call per pressure knot vector
+per ``BLOCK`` modes.
 """
 
 from __future__ import annotations
@@ -65,16 +66,30 @@ DEG = NODES - 1
 # first panel is 0.51 / |n| wide, and they widen as the layer fades, out to
 # x = 10 ln WALL = 30, where it is down to e^-30
 WALL = 20
+# band rows of one stacked pressure solve: a stack's band storage, element matrices,
+# loads and elimination blocks grow with its rows, so it is kept within the rows of
+# one mode on a 10 001-knot spline table (60 020), whose solve alone peaks near
+# 110 MB traced; polynomial data (41 or 60 rows a mode) stacks a whole block
+STACK_ROWS = 1 << 16
 
 
 @dataclass
 class PressureSolution:
-    """The Fourier coefficient q_n of the pressure in the Leray projection."""
+    """The Fourier coefficient q_n = sum_j coef_j B_j of the pressure in the Leray
+    projection, on the B-splines B_j of degree ``DEG`` on the knots ``t``."""
 
     n: int
-    q: object            # r (number or array) -> complex values
-    q_prime: object      # r (number or array) -> complex values
+    t: np.ndarray
+    coef: np.ndarray     # complex
     energy: float        # int_0^1 r (|q'|^2 + n^2 |q|^2) dr = c^H A c >= 0
+
+    def q(self, r, nu=0):
+        """q_n, or its ``nu``-th derivative, at r (number or array)."""
+        start, basis = bspline_basis(self.t, DEG, r, nu)
+        return sum(basis[j] * self.coef[start + j] for j in range(DEG + 1))
+
+    def q_prime(self, r):
+        return self.q(r, 1)
 
 
 # S[j, k] = int_{-1}^{t_j} l_k for the quadrature's Gauss nodes t = _X (weights w = _W)
@@ -126,43 +141,51 @@ def _h_ratio(modes, r, f, u):
     return (start + half[:, None] * ((vq + start * vp) @ _S.T)).reshape(N.size, -1)
 
 
-def _pressure(p: RadialProfile, m: FourierMode, bases: dict) -> PressureSolution:
-    """``pressure_bvp_solve``, with what does not depend on the mode (nodes, u,
-    B-splines, band positions, stiffness and mass) kept in ``bases`` by knot vector."""
-    data = np.concatenate([p.u.knots, m.f.knots])
-    wall = (1.0 + 10.0 * np.log(1.0 - np.arange(1, WALL) / WALL) / abs(m.n)
-            if abs(m.n) > PANELS else [])
-    edges = panel_edges(0.0, 1.0, np.concatenate([wall, data]))
-    mult = np.where(np.isin(edges, data), DEG - 3, 1)
-    mult[[0, -1]] = DEG + 1
-    t = np.repeat(edges, mult)
-    nb = t.size - DEG - 1
-    if t.tobytes() not in bases:
+def _pressure_solutions(p: RadialProfile, modes) -> list:
+    """``pressure_bvp_solve`` of each of ``modes`` (n != 0): the modes that share a
+    knot vector share its nodes, u, B-splines, band positions, stiffness and mass,
+    and their systems are stacked ``solve_banded`` calls of up to ``STACK_ROWS``
+    band rows (at least one system)."""
+    groups = {}
+    for m in modes:
+        data = np.concatenate([p.u.knots, m.f.knots])
+        wall = (1.0 + 10.0 * np.log(1.0 - np.arange(1, WALL) / WALL) / abs(m.n)
+                if abs(m.n) > PANELS else [])
+        edges = panel_edges(0.0, 1.0, np.concatenate([wall, data]))
+        mult = np.where(np.isin(edges, data), DEG - 3, 1)
+        mult[[0, -1]] = DEG + 1
+        t = np.repeat(edges, mult)
+        groups.setdefault(t.tobytes(), (edges, t, []))[2].append(m)
+    out = {}
+    for edges, t, group in groups.values():
+        nb = t.size - DEG - 1
         x, w = gauss_nodes(edges)
         # b, db: (spline, panel, node); a panel lies in one span, so its nodes share first
         (first, b), (_, db) = (bspline_basis(t, DEG, x, nu) for nu in (0, 1))
-        wr = w * x
-        # A[i, j] goes to ab[DEG + i - j, j]; neighbouring panels add into shared entries
+        wr, u = w * x, p.u(x)
+        stiffness = np.swapaxes(db * wr, 0, 1) @ db.transpose(1, 2, 0)
+        mass = np.swapaxes(b * wr, 0, 1) @ b.transpose(1, 2, 0)
+        # A[i, j] of the k-th mode of a stack goes to ab[k, DEG + i - j, j]; neighbouring
+        # panels add into shared entries
         i = first[:, :1] + np.arange(DEG + 1)
-        bases[t.tobytes()] = (x, wr * x, p.u(x), db, i,
-                              (DEG + i[:, :, None] - i[:, None, :]) * nb + i[:, None, :],
-                              np.swapaxes(db * wr, 0, 1) @ db.transpose(1, 2, 0),
-                              np.swapaxes(b * wr, 0, 1) @ b.transpose(1, 2, 0))
-    x, wr2, u, db, i, flat, stiffness, mass = bases[t.tobytes()]
-    element = stiffness + m.n ** 2 * mass
-    source = -np.sum(wr2 * m.f(x) * u * db, axis=-1).T
-    ab = np.bincount(flat.ravel(), element.ravel(), (2 * DEG + 1) * nb).reshape(-1, nb)
-    rhs = np.stack([np.bincount(i.ravel(), part.ravel(), nb)
-                    for part in (source.real, source.imag)], axis=-1)
-    coef = solve_banded((DEG, DEG), ab, rhs)   # the matrix is real: one column per part
-    coef = coef[:, 0] + 1j * coef[:, 1]
-    energy = np.vdot(rhs[:, 0] + 1j * rhs[:, 1], coef).real   # Re(s^H c) = c^H A c: s = A c
-
-    def q(r, nu=0):
-        start, basis = bspline_basis(t, DEG, r, nu)
-        return sum(basis[j] * coef[start + j] for j in range(DEG + 1))
-
-    return PressureSolution(m.n, q, lambda r: q(r, 1), float(energy))
+        band = (DEG + i[:, :, None] - i[:, None, :]) * nb + i[:, None, :]
+        size = max(1, STACK_ROWS // nb)
+        for stack in (group[start:start + size] for start in range(0, len(group), size)):
+            k = np.arange(len(stack))[:, None, None]
+            n2 = np.array([m.n ** 2 for m in stack], dtype=float)[:, None, None, None]
+            f = np.array([m.f(x) for m in stack])
+            source = -np.sum((wr * x * f * u)[:, None] * db, axis=-1)   # (mode, spline, panel)
+            ab = np.bincount((k[..., None] * (2 * DEG + 1) * nb + band).ravel(),
+                             (stiffness + n2 * mass).ravel(),
+                             len(stack) * (2 * DEG + 1) * nb).reshape(len(stack), -1, nb)
+            rhs = np.stack([np.bincount((k * nb + i).ravel(), np.swapaxes(part, 1, 2).ravel(),
+                                        len(stack) * nb) for part in (source.real, source.imag)],
+                           axis=-1).reshape(len(stack), nb, 2)
+            coef = solve_banded((DEG, DEG), ab, rhs)   # the matrices are real: a column per part
+            loads, coef = (v[..., 0] + 1j * v[..., 1] for v in (rhs, coef))
+            for m, s, c in zip(stack, loads, coef):   # Re(s^H c) = c^H A c: s = A c
+                out[m.n] = PressureSolution(m.n, t, c, float(np.vdot(s, c).real))
+    return [out[m.n] for m in modes]
 
 
 def pressure_bvp_solve(p: RadialProfile, m: FourierMode) -> PressureSolution:
@@ -176,11 +199,13 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode) -> PressureSolution:
     The basis is the B-splines of degree ``DEG`` on the uniform panels, on the
     ``WALL`` grading of a thin wall layer, and on the spline knots of u and f
     with multiplicity DEG - 3, since q is only C^3 there.  Each panel's
-    element matrix goes straight into band storage.  No Bessel functions.
+    element matrix goes straight into band storage, and the system is a stack
+    of one for ``solve_banded``, the path of a curvature table's modes.  No
+    Bessel functions.
     """
     if m.n == 0:
         raise InvalidModeError("pressure BVP requires n != 0")
-    return _pressure(p, m, {})
+    return _pressure_solutions(p, [m])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +216,8 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode) -> PressureSolution:
 # quadrature call: a row that has converged is still evaluated on the finer
 # panels its block's slowest row needs, so one call over every k is slower than
 # one k at a time from k_max ~ 256 on (4.0 s against 1.6 s at 1024); a block bounds
-# the arrays by BLOCK * MAX_PANELS * NODES values (times NODES for the collocation)
+# the arrays by BLOCK * MAX_PANELS * NODES values per integral (the oscillation study
+# has two, times NODES for the collocation)
 BLOCK = 16
 KINDS = ("closed", "oracle", "energy")   # the integrals of a mode, rows in this order
 
@@ -315,8 +341,7 @@ def curvature_table(p: RadialProfile, modes) -> list:
         rows = ([(kind, m) for kind in KINDS[:2] for m in route]
                 + [("energy", m) for m in block if m.n in finite])
         value = _radial_integrals(p, rows)
-        bases = {}   # one pressure basis per knot vector, for this block
-        pressure = {m.n: _pressure(p, m, bases).energy for m in route}
+        pressure = {m.n: q.energy for m, q in zip(route, _pressure_solutions(p, route))}
         for m in block:   # n = 0 has no closed, oracle or pressure value: Kbar = 0
             kc = FOUR_PI_SQ * value.get(("closed", m.n), 0.0)
             ko = FOUR_PI_SQ * (value.get(("oracle", m.n), 0.0) - pressure.get(m.n, 0.0))
@@ -339,9 +364,10 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
     energy diverges logarithmically at the axis; the denominator here uses
     the energy form without the 1/r weight on |g'|^2 (finite, and the k -> 0
     trend is the same either way).  Each block of ``BLOCK`` wavenumbers is
-    one vector ``quad_real`` call for the numerators and one for the
-    denominators; an ``AccuracyError`` names its k.  The last block runs first
-    (the largest k, in ascending ``k_values``); rows keep the order of k_values.
+    one vector ``quad_real`` call on panels split at u's knots: its rows are
+    the numerators, then the denominators, which share sin(k pi r), and an
+    ``AccuracyError`` names its k.  The last block runs first (the largest k,
+    in ascending ``k_values``); rows keep the order of k_values.
     """
     if n == 0:
         raise InvalidModeError("oscillation study requires n != 0")
@@ -351,13 +377,30 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
     for start in reversed(range(0, len(k_values), BLOCK)):
         block = k_values[start:start + BLOCK]
         w = np.array(block)[:, None] * np.pi
+
+        def fn(r):
+            # numerators n^2 sin^2(w r) eta / r, then denominators
+            # n^2 sin^2(w r) / r + (w cos(w r))^2, written in place in the operation
+            # order of one k alone, with one temporary the size of a half
+            rows = np.empty((2 * len(block), r.size))
+            numerator, denominator = np.split(rows, 2)
+            np.multiply(w, r, out=numerator)
+            np.cos(numerator, out=denominator)
+            np.sin(numerator, out=numerator)
+            denominator *= w
+            np.square(denominator, out=denominator)
+            np.square(numerator, out=numerator)
+            np.multiply(n * n, numerator, out=numerator)
+            denominator += numerator / r
+            numerator *= p.eta(r)
+            numerator /= r
+            return rows
+
         try:
-            numerator = quad_real(lambda r: n * n * np.sin(w * r) ** 2 * p.eta(r) / r, 0.0, 1.0,
-                                  points=p.u.knots)
-            denominator = quad_real(
-                lambda r: n * n * np.sin(w * r) ** 2 / r + (w * np.cos(w * r)) ** 2, 0.0, 1.0)
+            value = quad_real(fn, 0.0, 1.0, points=p.u.knots)
         except AccuracyError as exc:
-            raise AccuracyError(f"k = {block[exc.row]}: {exc}",
+            raise AccuracyError(f"k = {block[exc.row % len(block)]}: {exc}",
                                 exc.value, exc.error_estimate) from exc
+        numerator, denominator = np.split(value, 2)
         out[:0] = zip(map(int, block), (numerator / (xx * denominator)).tolist())
     return out

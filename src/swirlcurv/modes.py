@@ -47,27 +47,31 @@ class FourierMode:
     def knots(self):
         return np.concatenate([self.g.knots, self.f.knots])
 
-    def field_scale(self) -> float:
-        r = np.linspace(1.0 / 64, 1.0, 64)
-        return float(max(np.max(np.abs(self.g(r))), np.max(np.abs(self.g.derivative(r))),
-                         np.max(np.abs(self.f(r))), 1e-300))
+    def _samples(self):
+        """g, g' and f at r = j/64, j = 0 ... 64 (0 the axis, 64 the wall), evaluated
+        once, and the tolerance of the axis and wall conditions: ``_AXIS_TOL`` times
+        the field's scale, the largest |g|, |g'| or |f| at r > 0 (at least 1e-300)."""
+        r = np.linspace(0.0, 1.0, 65)
+        g, dg, f = self.g(r), self.g.derivative(r), self.f(r)
+        scale = max(np.max(np.abs(g[1:])), np.max(np.abs(dg[1:])), np.max(np.abs(f[1:])), 1e-300)
+        return g, dg, f, _AXIS_TOL * float(scale)
 
     @property
     def finite_energy(self) -> bool:
         """g'(0) = 0, without which the kinetic energy diverges at the axis."""
-        return not abs(self.g.derivative(0.0)) > _AXIS_TOL * self.field_scale()
+        _, dg, _, tol = self._samples()
+        return not abs(dg[0]) > tol
 
     def validate(self) -> None:
         """Check g(0) = f(0) = 0 and, for n != 0, g(1) = 0; raises on violation.
         Finite energy is checked where it is needed (``finite_energy``)."""
-        tol = _AXIS_TOL * self.field_scale()
-        if abs(self.g(0.0)) > tol:
-            raise RegularityError(f"g(0) = {complex(self.g(0.0))} must vanish on the axis")
-        if abs(self.f(0.0)) > tol:
-            raise RegularityError(f"f(0) = {complex(self.f(0.0))} must vanish on the axis")
-        if self.n != 0 and abs(self.g(1.0)) > tol:
-            raise RegularityError(
-                f"g(1) = {complex(self.g(1.0))} must vanish for n = {self.n} != 0")
+        g, _, f, tol = self._samples()
+        if abs(g[0]) > tol:
+            raise RegularityError(f"g(0) = {complex(g[0])} must vanish on the axis")
+        if abs(f[0]) > tol:
+            raise RegularityError(f"f(0) = {complex(f[0])} must vanish on the axis")
+        if self.n != 0 and abs(g[-1]) > tol:
+            raise RegularityError(f"g(1) = {complex(g[-1])} must vanish for n = {self.n} != 0")
 
 
 def swirl_energy(p: RadialProfile) -> float:

@@ -835,6 +835,54 @@ def test_negating_n_changes_no_value_of_a_row(tmp_path, capsys, command, profile
     assert files or code == 2
 
 
+# polynomial modes for the phase relation: n = 0, an imaginary g, an imaginary f,
+# g'(0) != 0 (k_normalized nan) and n = 200
+PHASE_MODES = [
+    {"n": 1, "g": {"poly": [0, 0, 1, -1]}, "f": {"poly": [0, 1, -1]}},
+    {"n": -2, "g": {"poly": [0, 0, 1, 0, -1]}, "g_imag": {"poly": [0, 0, 0.5, -0.5]},
+     "f": {"poly": [0, 1, -1]}},
+    {"n": 0, "g": {"poly": [0, 0, 1]}, "f": {"poly": [0, 1, -1]}},
+    {"n": 3, "g": {"poly": [0, 1, -1]}, "f": {"poly": [0, 0, 1]}},
+    {"n": 5, "g": {"poly": [0, 0, 2, -2]}, "f_imag": {"poly": [0, 0.5]}},
+    {"n": 200, "g": {"poly": [0, 0, 1, -1]}, "f": {"poly": [0, 1, -1]}},
+]
+
+
+def _phased(spec, alpha):
+    """The mode ``spec`` with e^(i alpha) applied to g and to f."""
+    out = {"n": spec["n"]}
+    for part in ("g", "f"):
+        re = spec.get(part, {"poly": [0.0]})["poly"]
+        im = spec.get(f"{part}_imag", {"poly": [0.0]})["poly"]
+        c, s = math.cos(alpha), math.sin(alpha)
+        out[part] = {"poly": np.polynomial.polynomial.polyadd(np.multiply(c, re),
+                                                              np.multiply(-s, im)).tolist()}
+        out[f"{part}_imag"] = {"poly": np.polynomial.polynomial.polyadd(
+            np.multiply(s, re), np.multiply(c, im)).tolist()}
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("profile", sorted(SYMMETRIC_PROFILES))
+def test_a_phase_on_the_mode_moves_no_curvature(tmp_path, capsys, profile, alpha):
+    # Kbar reads |g|^2, |g'|^2, |f|^2 and |H_n|^2, and the energies |.|^2 alike:
+    # e^(i alpha) (g, f) moves them by round-off only
+    payload = {"profile": SYMMETRIC_PROFILES[profile], "modes": PHASE_MODES}
+    phased = dict(payload, modes=[_phased(m, alpha) for m in PHASE_MODES])
+    tables = []
+    for name, data in (("base", payload), ("phased", phased)):
+        code, err, files = _outcome(tmp_path, capsys, "curvature", data, name)
+        assert (code, err) == (0, "")
+        header, *lines = files["curvature.csv"].decode().splitlines()
+        tables.append([[float(v) for v in line.split(",")] for line in lines])
+    assert header == "n,kbar_closed,kbar_oracle,discrepancy,k_normalized"
+    base, moved = (np.array(t) for t in tables)
+    assert np.array_equal(base[:, 0], moved[:, 0])
+    assert np.isnan(base[:, 4]).tolist() == [False, False, False, True, False, False]
+    for column in (1, 2, 4):   # kbar_closed, kbar_oracle, k_normalized
+        np.testing.assert_allclose(moved[:, column], base[:, column], rtol=1e-13, atol=0.0)
+
+
 def _params_read_by_each_command():
     """(command, key) for every key a ``_cmd_*`` function of cli.py reads,
     through ``_param(cfg, key, ...)`` or ``cfg.params.get(key, ...)``."""

@@ -426,6 +426,27 @@ def test_report_runs_closed_route_once_per_mode(monkeypatch):
     assert [rep.k_normalized for rep in reports] == expected
 
 
+@pytest.mark.parametrize("stack_rows, stacks", [(curvature.STACK_ROWS, [3, 2, 1]),
+                                                 (100, [2, 1, 1, 1, 1])])
+def test_table_solves_the_pressure_once_per_knot_vector(monkeypatch, stack_rows, stacks):
+    # |n| <= 32 with the same spline knots share the uniform panels (41 band rows),
+    # and n, -n share a wall grading (60 rows): three knot vectors, each one stacked
+    # banded solve of at most STACK_ROWS rows, whose energies equal those of one
+    # mode alone bit for bit
+    p, ns = u_quadratic(), [1, 2, 3, 40, -40, 50]
+    modes = [standard_mode(n) for n in ns]
+    alone = [pressure_bvp_solve(p, m).energy for m in modes]
+    calls, solve = [], curvature.solve_banded
+    monkeypatch.setattr(curvature, "solve_banded",
+                        lambda lu, ab, b: calls.append(len(b)) or solve(lu, ab, b))
+    monkeypatch.setattr(curvature, "STACK_ROWS", stack_rows)
+    assert [q.energy for q in curvature._pressure_solutions(p, modes)] == alone
+    assert calls == stacks
+    calls[:] = []
+    curvature_table(p, modes)
+    assert sorted(calls) == sorted(stacks)
+
+
 # radial data as poly, expr or table specs; the 33 table knots are the
 # quadrature's uniform panel edges, the 12 are off them (but for 0 and 1)
 ON_EDGES, OFF_EDGES = np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 12)
@@ -579,20 +600,24 @@ def test_oscillation_study_decreases():
 
 
 def _oscillation_row(p, n, k):
-    """One k of the oscillation study, by two scalar quadrature calls."""
+    """One k of the oscillation study, by two scalar quadrature calls on the
+    study's panels, split at u's knots."""
     w = k * np.pi
     numerator = quad_real(lambda r: n * n * np.sin(w * r) ** 2 * p.eta(r) / r, 0.0, 1.0,
                           points=p.u.knots)
     denominator = quad_real(
-        lambda r: n * n * np.sin(w * r) ** 2 / r + (w * np.cos(w * r)) ** 2, 0.0, 1.0)
+        lambda r: n * n * np.sin(w * r) ** 2 / r + (w * np.cos(w * r)) ** 2, 0.0, 1.0,
+        points=p.u.knots)
     return numerator / (swirl_energy(p) * denominator)
 
 
 @pytest.mark.parametrize("p, n", [
     (u_quadratic(), 3),
-    (RadialProfile(TableFunction(np.linspace(0.0, 1.0, 33),
-                                 1.0 + np.linspace(0.0, 1.0, 33) ** 2)), 1),
-], ids=["1+r^2", "table"])
+    (RadialProfile(TableFunction(ON_EDGES, 1.0 + ON_EDGES ** 2)), 1),
+    # knots off the 1/32 panel edges split the denominator's panels too: against
+    # panels not split there it moves by at most 3.9e-16 relative
+    (RadialProfile(TableFunction(OFF_EDGES, 2.0 - OFF_EDGES ** 2)), 2),
+], ids=["1+r^2", "table", "table-off-edges"])
 def test_blocked_oscillation_study_equals_one_k_at_a_time(p, n):
     # k = 1 ... 40 crosses the block ends at 16/17 and 32/33
     assert curvature.BLOCK == 16

@@ -81,10 +81,27 @@ def test_solve_banded_galerkin_systems(monkeypatch, n):
     calls = _captured(monkeypatch, curvature, "solve_banded",
                       lambda: curvature.pressure_bvp_solve(u_quadratic(), standard_mode(n)))
     (l_and_u, ab, b), = calls
-    assert l_and_u == (curvature.DEG, curvature.DEG) and b.shape == (ab.shape[1], 2)
-    # condition numbers reach 1.9e5 (n = 200), so the two solves, both with
-    # residuals of 1e-16 relative, differ by up to 7.9e-13
-    _assert_solves_like_scipy(ab, b, 5e-12, l_and_u)
+    assert l_and_u == (curvature.DEG, curvature.DEG) and b.shape == (len(ab), ab.shape[-1], 2)
+    for ab_k, b_k in zip(ab, b):
+        # condition numbers reach 1.9e5 (n = 200), so the two solves, both with
+        # residuals of 1e-16 relative, differ by up to 7.9e-13
+        _assert_solves_like_scipy(ab_k, b_k, 5e-12, l_and_u)
+
+
+@pytest.mark.parametrize("l_and_u", [(9, 9), (1, 1)])
+@pytest.mark.parametrize("trailing,dtype", [((2,), float), ((), complex), ((2, 3), complex)])
+def test_solve_banded_stack_equals_each_system_alone(l_and_u, trailing, dtype):
+    rng = np.random.default_rng(l_and_u[0])
+    n, bands = 161, max(l_and_u)
+    systems = [_random_system(rng, n, trailing, dtype, bands) for _ in range(5)]
+    ab, b = (np.stack(part) for part in zip(*systems))
+    x = linalg.solve_banded(l_and_u, ab.real, b)
+    assert x.shape == b.shape
+    for k in range(len(ab)):
+        assert np.array_equal(x[k], linalg.solve_banded(l_and_u, ab[k].real, b[k]))
+    # two leading axes are one stack
+    assert np.array_equal(linalg.solve_banded(l_and_u, ab.real.reshape((1, 5) + ab.shape[1:]),
+                                              b.reshape((1,) + b.shape)), x[None])
 
 
 def test_solve_banded_rejects_other_bands_and_shapes():
@@ -95,6 +112,16 @@ def test_solve_banded_rejects_other_bands_and_shapes():
         linalg.solve_banded((1, 1), ab, b[:4])
     with pytest.raises(ValueError):
         linalg.solve_banded((-1, 3), ab, b)
+
+
+def test_solve_banded_rejects_a_stack_that_does_not_match():
+    ab, b = _random_system(np.random.default_rng(0), 5, (2,))
+    stack, rhs = np.stack([ab, ab, ab]), np.stack([b, b, b])
+    for bad in (rhs[:2], rhs[:, :4], b, rhs[None]):
+        with pytest.raises(ValueError):
+            linalg.solve_banded((1, 1), stack, bad)
+    with pytest.raises(ValueError):
+        linalg.solve_banded((1, 1), ab[0], b)   # no band axis
 
 
 @pytest.mark.parametrize("profile,n", [(u_const, 1), (u_quadratic, 1), (u_quadratic, 10)])

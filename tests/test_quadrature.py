@@ -135,7 +135,7 @@ def test_curvature_routes_converge_at_the_first_check(monkeypatch, route, n):
 def test_oscillation_study_converges_at_the_first_check(monkeypatch):
     counts = _node_counts(monkeypatch)
     curvature.oscillation_study(u_quadratic(), 1, [1])
-    assert counts == [320, 640] * 2   # numerator, then denominator
+    assert counts == [320, 640]   # numerators and denominators, one call
 
 
 def test_resolution_floor_gaussian():
