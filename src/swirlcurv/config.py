@@ -44,9 +44,16 @@ def check_integer(value, name: str, least: int = -MAX_INT) -> int:
     return value
 
 
+def _shaped(value, kind: type, name: str):
+    """``value``, which must be a ``kind``: dict (a JSON object) or list (an array)."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be {'an object' if kind is dict else 'a list'}, "
+                              f"got {value!r}")
+    return value
+
+
 def radial_from_spec(spec) -> RadialFunction:
-    if not isinstance(spec, dict):
-        raise ValidationError(f"radial function spec must be an object, got {spec!r}")
+    _shaped(spec, dict, "radial function spec")
     keys = set(spec) & {"expr", "poly", "table"}
     if len(keys) != 1:
         raise ValidationError(
@@ -55,7 +62,9 @@ def radial_from_spec(spec) -> RadialFunction:
         return ExpressionFunction(spec["expr"])
     if "poly" in spec:
         return PolynomialFunction(_numbers(spec["poly"], "poly"))
-    tab = spec["table"]
+    tab = _shaped(spec["table"], dict, "'table'")
+    if not {"r", "values"} <= set(tab):
+        raise ValidationError(f"'table' needs keys 'r' and 'values', got {sorted(tab)}")
     return TableFunction(_numbers(tab["r"], "table 'r'"), _numbers(tab["values"], "table 'values'"))
 
 
@@ -74,8 +83,8 @@ def _complex_from_spec(cfg: dict, key: str) -> ComplexRadialFunction:
     return ComplexRadialFunction(real, imag)
 
 
-def _mode_from_spec(cfg: dict) -> FourierMode:
-    if "n" not in cfg:
+def _mode_from_spec(cfg) -> FourierMode:
+    if "n" not in _shaped(cfg, dict, "'modes' entry"):
         raise ValidationError("mode spec missing 'n'")
     return FourierMode(check_integer(cfg["n"], "mode 'n'"),
                        _complex_from_spec(cfg, "g"), _complex_from_spec(cfg, "f"))
@@ -94,16 +103,16 @@ class RunConfig:
 
 
 def _require_finite(profile: RadialProfile, modes) -> None:
-    """Reject a profile or mode with a non-finite value on the criteria grid,
-    and a profile u that is 0 at every point of it."""
+    """Reject a profile with a non-finite value on the criteria grid, a mode with
+    one in its sample (``FourierMode.samples``, a superset of that grid), and a
+    profile u that is 0 at every point of the grid."""
     r = CRITERIA_GRID
     with np.errstate(all="ignore"):
-        samples = [profile.u(r), profile.u.derivative(r), profile.eta(r)]
-        for m in modes:
-            samples += [m.g(r), m.g.derivative(r), m.f(r), m.f.derivative(r)]
+        u, du = profile.u(r), profile.u.derivative(r)
+        samples = [u, du, u * u + 2.0 * r * u * du] + [m.samples for m in modes]
     if not all(np.all(np.isfinite(v)) for v in samples):
         raise ValidationError("u, u', eta, g, g', f or f' is not finite on [0, 1]")
-    if not np.any(samples[0]):
+    if not np.any(u):
         raise ValidationError("u is 0 on [0, 1]: the swirl field X = 0 spans no section")
 
 
@@ -123,11 +132,11 @@ def parse_config(source) -> RunConfig:
     else:
         raise ValidationError(f"cannot read config from {source!r}")
     try:
-        if "profile" not in raw:
+        if "profile" not in _shaped(raw, dict, "config"):
             raise ValidationError("config missing 'profile'")
         profile = RadialProfile(radial_from_spec(raw["profile"]))
-        modes = [_mode_from_spec(m) for m in raw.get("modes", [])]
-        params = dict(raw.get("params", {}))
+        modes = [_mode_from_spec(m) for m in _shaped(raw.get("modes", []), list, "'modes'")]
+        params = dict(_shaped(raw.get("params", {}), dict, "'params'"))
     except (KeyError, TypeError, ValueError) as exc:
         # a document or spec of the wrong type, a missing key or an empty
         # coefficient list is a config error, not a crash

@@ -86,7 +86,7 @@ class PressureSolution:
     def q(self, r, nu=0):
         """q_n, or its ``nu``-th derivative, at r (number or array)."""
         start, basis = bspline_basis(self.t, DEG, r, nu)
-        return sum(basis[j] * self.coef[start + j] for j in range(DEG + 1))
+        return sum(basis[nu, j] * self.coef[start + j] for j in range(DEG + 1))
 
     def q_prime(self, r):
         return self.q(r, 1)
@@ -142,26 +142,31 @@ def _h_ratio(modes, r, f, u):
 
 
 def _pressure_solutions(p: RadialProfile, modes) -> list:
-    """``pressure_bvp_solve`` of each of ``modes`` (n != 0): the modes that share a
-    knot vector share its nodes, u, B-splines, band positions, stiffness and mass,
+    """``pressure_bvp_solve`` of each of ``modes`` (n != 0): the knot vector of each
+    distinct pair of data knots and wall grading is built once, the modes that share
+    a knot vector share its nodes, u, B-splines, band positions, stiffness and mass,
     and their systems are stacked ``solve_banded`` calls of up to ``STACK_ROWS``
     band rows (at least one system)."""
-    groups = {}
+    groups, vectors = {}, {}
     for m in modes:
         data = np.concatenate([p.u.knots, m.f.knots])
-        wall = (1.0 + 10.0 * np.log(1.0 - np.arange(1, WALL) / WALL) / abs(m.n)
-                if abs(m.n) > PANELS else [])
-        edges = panel_edges(0.0, 1.0, np.concatenate([wall, data]))
-        mult = np.where(np.isin(edges, data), DEG - 3, 1)
-        mult[[0, -1]] = DEG + 1
-        t = np.repeat(edges, mult)
-        groups.setdefault(t.tobytes(), (edges, t, []))[2].append(m)
+        graded = abs(m.n) > PANELS   # a wall layer thinner than the uniform panels
+        key = data.tobytes(), abs(m.n) if graded else 0
+        if key not in vectors:
+            wall = (1.0 + 10.0 * np.log(1.0 - np.arange(1, WALL) / WALL) / abs(m.n)
+                    if graded else [])
+            edges = panel_edges(0.0, 1.0, np.concatenate([wall, data]))
+            mult = np.where(np.isin(edges, data), DEG - 3, 1)
+            mult[[0, -1]] = DEG + 1
+            t = np.repeat(edges, mult)
+            vectors[key] = groups.setdefault(t.tobytes(), (edges, t, []))
+        vectors[key][2].append(m)
     out = {}
     for edges, t, group in groups.values():
         nb = t.size - DEG - 1
         x, w = gauss_nodes(edges)
         # b, db: (spline, panel, node); a panel lies in one span, so its nodes share first
-        (first, b), (_, db) = (bspline_basis(t, DEG, x, nu) for nu in (0, 1))
+        first, (b, db) = bspline_basis(t, DEG, x, 1)
         wr, u = w * x, p.u(x)
         stiffness = np.swapaxes(db * wr, 0, 1) @ db.transpose(1, 2, 0)
         mass = np.swapaxes(b * wr, 0, 1) @ b.transpose(1, 2, 0)
@@ -254,12 +259,15 @@ def _integrand(p: RadialProfile, rows):
 def _radial_integrals(p: RadialProfile, rows) -> dict:
     """{(kind, n): integral over [0, 1], without 4 pi^2} of ``_integrand``'s ``rows``:
     one vector ``quad_real`` call per panel set, split at the knots of the mode
-    (and of u, but for an energy).  An ``AccuracyError`` names mode and integral."""
-    groups = {}
+    (and of u, but for an energy), each distinct knot set's panels found once.
+    An ``AccuracyError`` names mode and integral."""
+    groups, panels = {}, {}
     for kind, m in sorted(rows, key=lambda row: KINDS.index(row[0])):   # _integrand's order
         points = m.knots if kind == "energy" else np.concatenate([p.u.knots, m.knots])
-        key = panel_edges(0.0, 1.0, points).tobytes()
-        groups.setdefault(key, (points, []))[1].append((kind, m))
+        key = points.tobytes()
+        if key not in panels:
+            panels[key] = groups.setdefault(panel_edges(0.0, 1.0, points).tobytes(), (points, []))
+        panels[key][1].append((kind, m))
     out = {}
     for points, part in groups.values():
         fn = _integrand(p, part)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegularityError
-from .profile import RadialProfile
+from .profile import CRITERIA_GRID, RadialProfile
 from .quadrature import quad_real
 from .radial import ComplexRadialFunction
 
@@ -33,6 +33,11 @@ __all__ = [
 
 _AXIS_TOL = 1e-9
 FOUR_PI_SQ = 4.0 * np.pi ** 2
+# the radii of a mode's one sample: the criteria grid, on which a config's modes
+# must be finite, then r = j/64, j = 0 ... 64, from column _AXIS (r = 0) to the
+# last (r = 1), on which the axis and wall conditions are read
+SAMPLE_GRID = np.concatenate([CRITERIA_GRID, np.linspace(0.0, 1.0, 65)])
+_AXIS = CRITERIA_GRID.size
 
 
 @dataclass
@@ -43,35 +48,36 @@ class FourierMode:
     g: ComplexRadialFunction
     f: ComplexRadialFunction
 
+    def __post_init__(self):
+        """Sample g, g', f and f' once, as the rows of ``samples`` on ``SAMPLE_GRID``
+        (a non-finite value is kept, for the config to refuse), and set ``tol``, the
+        tolerance of the axis and wall conditions: ``_AXIS_TOL`` times the field's
+        scale, the largest |g|, |g'| or |f| at r = j/64 > 0 (at least 1e-300)."""
+        with np.errstate(all="ignore"):
+            self.samples = np.array([self.g(SAMPLE_GRID), self.g.derivative(SAMPLE_GRID),
+                                     self.f(SAMPLE_GRID), self.f.derivative(SAMPLE_GRID)])
+            scale = np.max(np.abs(self.samples[:3, _AXIS + 1:]), initial=1e-300)
+        self.tol = _AXIS_TOL * float(scale)
+
     @property
     def knots(self):
         return np.concatenate([self.g.knots, self.f.knots])
 
-    def _samples(self):
-        """g, g' and f at r = j/64, j = 0 ... 64 (0 the axis, 64 the wall), evaluated
-        once, and the tolerance of the axis and wall conditions: ``_AXIS_TOL`` times
-        the field's scale, the largest |g|, |g'| or |f| at r > 0 (at least 1e-300)."""
-        r = np.linspace(0.0, 1.0, 65)
-        g, dg, f = self.g(r), self.g.derivative(r), self.f(r)
-        scale = max(np.max(np.abs(g[1:])), np.max(np.abs(dg[1:])), np.max(np.abs(f[1:])), 1e-300)
-        return g, dg, f, _AXIS_TOL * float(scale)
-
     @property
     def finite_energy(self) -> bool:
         """g'(0) = 0, without which the kinetic energy diverges at the axis."""
-        _, dg, _, tol = self._samples()
-        return not abs(dg[0]) > tol
+        return not abs(self.samples[1, _AXIS]) > self.tol
 
     def validate(self) -> None:
         """Check g(0) = f(0) = 0 and, for n != 0, g(1) = 0; raises on violation.
         Finite energy is checked where it is needed (``finite_energy``)."""
-        g, _, f, tol = self._samples()
-        if abs(g[0]) > tol:
-            raise RegularityError(f"g(0) = {complex(g[0])} must vanish on the axis")
-        if abs(f[0]) > tol:
-            raise RegularityError(f"f(0) = {complex(f[0])} must vanish on the axis")
-        if self.n != 0 and abs(g[-1]) > tol:
-            raise RegularityError(f"g(1) = {complex(g[-1])} must vanish for n = {self.n} != 0")
+        g0, g1, f0 = self.samples[0, _AXIS], self.samples[0, -1], self.samples[2, _AXIS]
+        if abs(g0) > self.tol:
+            raise RegularityError(f"g(0) = {complex(g0)} must vanish on the axis")
+        if abs(f0) > self.tol:
+            raise RegularityError(f"f(0) = {complex(f0)} must vanish on the axis")
+        if self.n != 0 and abs(g1) > self.tol:
+            raise RegularityError(f"g(1) = {complex(g1)} must vanish for n = {self.n} != 0")
 
 
 def swirl_energy(p: RadialProfile) -> float:

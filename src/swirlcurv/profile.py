@@ -73,12 +73,11 @@ def _bisect_root(fn, a, b, fa, value_tol, tol=1e-12):
             a, fa = mid, fm
 
 
-def _scan(fn, grid, tol):
-    """Values of ``fn`` on ``grid`` (one array call) followed by its roots there:
+def _scan(fn, grid, vals, tol):
+    """The values ``vals`` of ``fn`` on ``grid`` followed by its roots there:
     exact zeros at grid points and a root bisected to |value| <= ``tol`` in
-    every sign change.  A zero value is +0.0: u omega and eta take the same
-    values, to the bit, for u and -u."""
-    vals = np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape)
+    every sign change, where ``fn`` is called.  A zero value is +0.0: u omega
+    and eta take the same values, to the bit, for u and -u."""
     change = np.sign(vals[:-1]) == -np.sign(vals[1:])   # by sign: a product can overflow
     hits = np.flatnonzero((vals == 0.0) | np.append(change, False))
     roots = [grid[i] if vals[i] == 0.0
@@ -93,12 +92,16 @@ def classify_criteria(p: RadialProfile) -> CriteriaReport:
 
     "Strictly positive" means min > tol with
     tol = POSITIVITY_TOL_SCALE * max |eta| on the grid, without an absolute
-    floor: a * u has the flags of u for every a != 0.
+    floor: a * u has the flags of u for every a != 0.  u and u' are evaluated
+    once on the grid, and eta and u omega formed from them in the operation
+    order of ``RadialProfile.eta`` and ``RadialProfile.omega``.
     """
-    uo_fn = lambda r: p.u(r) * p.omega(r)
-    tol = POSITIVITY_TOL_SCALE * float(np.max(np.abs(p.eta(CRITERIA_GRID))))
-    eta_pts, eta_vals = _scan(p.eta, CRITERIA_GRID, tol)
-    uo_pts, uo_vals = _scan(uo_fn, CRITERIA_GRID, tol)
+    r = CRITERIA_GRID
+    u, du = p.u(r), p.u.derivative(r)
+    eta, uo = u * u + 2.0 * r * u * du, u * (2.0 * u + r * du)
+    tol = POSITIVITY_TOL_SCALE * float(np.max(np.abs(eta)))
+    eta_pts, eta_vals = _scan(p.eta, r, eta, tol)
+    uo_pts, uo_vals = _scan(lambda x: p.u(x) * p.omega(x), r, uo, tol)
 
     eta_min_i = int(np.argmin(eta_vals))
     uo_min_i = int(np.argmin(uo_vals))

@@ -88,31 +88,34 @@ class CubicSpline:
 
 def bspline_basis(t, degree, x, nu=0):
     """The ``degree`` + 1 B-splines on the knots ``t`` that can be nonzero at
-    each x, or their ``nu``-th derivatives: (first, values) with
-    values[j] = B_{first + j}(x), values of shape (degree + 1,) + x.shape.
+    each x, and their derivatives up to order ``nu`` <= ``degree``: (first, values)
+    with values[k, j] = the k-th derivative of B_{first + j} at x, values of shape
+    (nu + 1, degree + 1) + x.shape.
 
     The span t[i] <= x < t[i + 1] (the last nonempty one at the right end) is
     found once, and the knots around it are gathered once; the Cox-de Boor
     recursion (de Boor 1978, ch. X) then raises the degree by row slices.
-    The last ``nu`` steps, each to a degree d, differentiate instead:
-    B'_j = d (B_j / (t_{j+d} - t_j) - B_{j+1} / (t_{j+d+1} - t_{j+1})) on
-    degree d - 1.  Each denominator spans the span around x, so it is never 0.
+    The k-th derivative differentiates in the last k steps instead, each to a
+    degree d: B'_j = d (B_j / (t_{j+d} - t_j) - B_{j+1} / (t_{j+d+1} - t_{j+1}))
+    on degree d - 1.  So the orders share one recursion, and order k branches off
+    the values k steps before the end.  Each denominator spans the span around
+    x, so it is never 0.
     """
     x = np.asarray(x, dtype=float)
     i = np.asarray(np.searchsorted(t, x, side="right") - 1).clip(degree, t.size - degree - 2)
     steps = np.arange(1, degree + 1).reshape((-1,) + (1,) * x.ndim)
     right = t[i + steps] - x                  # t[i + 1 .. i + p] - x
     left = x - t[i + 1 - steps[::-1]]         # x - t[i - p + 1 .. i]
-    b = np.zeros((degree + 1,) + x.shape)
-    b[0] = 1.0
+    b = np.zeros((1, degree + 1) + x.shape)   # b[k]: the k-th derivatives
+    b[0, 0] = 1.0
     for d in range(1, degree + 1):
-        w = b[:d] / (right[:d] + left[degree - d:])
-        if d + nu > degree:
-            b[:d] = -d * w
-            b[1:d + 1] += d * w
-        else:
-            b[:d] = right[:d] * w
-            b[1:d + 1] += left[degree - d:] * w
+        if d + nu > degree:   # order degree - d + 1 branches off the values
+            b = np.concatenate([b[:1], b])
+        w = b[:, :d] / (right[:d] + left[degree - d:])
+        b[0, :d] = right[:d] * w[0]
+        b[0, 1:d + 1] += left[degree - d:] * w[0]
+        b[1:, :d] = -d * w[1:]
+        b[1:, 1:d + 1] += d * w[1:]
     return i - degree, b
 
 
@@ -184,11 +187,11 @@ class TableFunction(RadialFunction):
         values = np.asarray(values, dtype=float)
         if r_nodes.ndim != 1 or r_nodes.shape != values.shape or r_nodes.size < 4:
             raise ValueError("need matching 1-d arrays with at least 4 nodes")
+        self._spline = CubicSpline(r_nodes, values)   # refuses nodes that do not increase
         if r_nodes[0] > _DOMAIN_SLACK or r_nodes[-1] < 1.0 - _DOMAIN_SLACK:
             raise ValueError("table nodes must span [0, 1]")
         self.knots = r_nodes
         self.values = values
-        self._spline = CubicSpline(r_nodes, values)
 
     def __call__(self, r):
         return self._spline(_check_domain(r))

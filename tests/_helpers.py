@@ -10,6 +10,20 @@ from swirlcurv import (ComplexRadialFunction, FourierMode, PolynomialFunction,
                        RadialFunction, RadialProfile, SLSpectrum)
 
 
+def counting(monkeypatch, module, name, calls=None) -> list:
+    """Wrap ``module.name`` for the test: each call appends its positional
+    arguments to ``calls`` (a new list if None), then runs the function.
+    Returns ``calls``; functions that share it log their calls in order."""
+    calls, fn = [] if calls is None else calls, getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def profile_poly(coeffs) -> RadialProfile:
     return RadialProfile(PolynomialFunction(coeffs))
 

@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import io
 import json
@@ -21,6 +22,9 @@ from swirlcurv import assemble_jacobi, profile, sl_spectrum
 from swirlcurv.cli import _write_csv, main
 from swirlcurv.config import parse_config
 from swirlcurv.quadrature import MAX_PANELS
+from swirlcurv.radial import ComplexRadialFunction
+
+from _helpers import G_BASE, counting
 
 GOOD_PROFILE = {"expr": "1 + r^2"}
 MODES = [{"n": 1, "g": {"poly": [0, 0, 1, -1]}, "f": {"poly": [0, 1, -1]}},
@@ -152,9 +156,7 @@ def test_oscillation_command(tmp_path):
 
 def test_k_max_at_the_panel_budget_fails_in_one_quadrature_call(tmp_path, capsys, monkeypatch):
     # the largest block, k = 8177 ... 8192, runs first, and no k of it is resolved
-    calls, quad = [], curvature.quad_real
-    monkeypatch.setattr(curvature, "quad_real",
-                        lambda *args, **kw: calls.append(args) or quad(*args, **kw))
+    calls = counting(monkeypatch, curvature, "quad_real")
     cfg = write_cfg(tmp_path, {"profile": {"poly": [1.0, 0.0, 1.0]},
                                "params": {"k_max": MAX_PANELS}})
     assert main(["oscillation-study", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -221,8 +223,9 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert main(["check-profile", "--config", bad_expr, "--out", str(tmp_path)]) == 1
 
 
-def case(command, payload, id):
-    return pytest.param(command, payload, id=id)
+def case(command, payload, id, message=""):
+    """A config that ``command`` refuses with a ValidationError whose message has ``message``."""
+    return pytest.param(command, payload, message, id=id)
 
 
 ONE = {"poly": [1.0]}
@@ -232,18 +235,33 @@ def table(r, values):
     return {"table": {"r": r, "values": values}}
 
 
-@pytest.mark.parametrize("command,payload", [
+@pytest.mark.parametrize("command,payload,message", [
     case("check-profile", {"profile": {"table": {"values": [1.0] * 9}}},  # table without "r"
-         "payload0"),
+         "payload0", "'table' needs keys 'r' and 'values', got ['values']"),
     case("check-profile", {"profile": {"poly": []}}, "payload1"),         # empty coefficients
     case("check-profile", {"profile": GOOD_PROFILE, "modes": [{"n": "x"}]},  # non-integer n
          "payload2"),
-    case("check-profile", {"profile": GOOD_PROFILE, "modes": 5}, "payload3"),  # not a list
-    case("check-profile", 5, "5"),                                       # not an object
+    case("check-profile", {"profile": GOOD_PROFILE, "modes": 5}, "payload3",  # not a list
+         "'modes' must be a list, got 5"),
+    case("check-profile", 5, "5", "config must be an object, got 5"),   # not an object
+    case("check-profile", {"profile": GOOD_PROFILE, "modes": "ab"}, "modes-text",
+         "'modes' must be a list, got 'ab'"),
+    case("check-profile", {"profile": GOOD_PROFILE, "modes": [1]}, "mode-not-an-object",
+         "'modes' entry must be an object, got 1"),
+    case("spectrum", {"profile": ONE, "params": [1]}, "params-not-an-object",
+         "'params' must be an object, got [1]"),
+    case("check-profile", {"profile": {"table": [[0, 1], [1, 1]]}}, "table-not-an-object",
+         "'table' must be an object, got [[0, 1], [1, 1]]"),
+    case("check-profile", {"profile": {"table": {"r": [0, 0.3, 0.6, 1]}}}, "table-without-values",
+         "'table' needs keys 'r' and 'values', got ['r']"),
     case("check-profile", {"profile": {"expr": "sqrt(r-2)"}}, "payload5"),  # NaN everywhere
     case("check-profile", {"profile": {"expr": "log(r)"}}, "payload6"),  # -inf at the axis
     case("check-profile", {"profile": GOOD_PROFILE,                      # g(1) != 0
                            "modes": [{"n": 1, "g": {"poly": [0, 0, 1]}}]}, "payload7"),
+    # f' = nan at r = 1/2, a point of the mode's sample off the 256-point grid
+    case("check-profile", {"profile": GOOD_PROFILE, "modes": [
+        {"n": 1, "g": {"poly": G_BASE}, "f": {"expr": "r*(1-r)*sqrt(sqrt((r-0.5)^2))"}}]},
+         "slope-not-finite-at-r-one-half", "is not finite on [0, 1]"),
     case("check-profile", {"profile": {"expr": 5}}, "expr-not-text"),
     case("spectrum", {"profile": ONE, "params": {"m_max": "x"}}, "text-m_max"),
     case("spectrum", {"profile": ONE, "params": {"n_list": 5}}, "n_list-not-list"),
@@ -259,7 +277,9 @@ def table(r, values):
     case("oscillation-study", {"profile": ONE, "params": {"k_max": -5}}, "negative-k_max"),
     case("check-profile", {"profile": table([0, 0.5, 0.5, 1], [1, 1, 1, 1])}, "repeated-table-r"),
     case("check-profile", {"profile": table([0, 0.75, 0.5, 1], [1, 1, 1, 1])},
-         "descending-table-r"),
+         "descending-table-r", "strictly increasing"),
+    case("check-profile", {"profile": table([0, 0.5, 1, 0.2], [1, 1, 1, 1])},
+         "unsorted-table-r", "strictly increasing"),   # not "must span [0, 1]"
     case("check-profile", {"profile": table([0, 0.25, 0.5, 1], [1, math.nan, 1, 1])},
          "nan-table-value"),
     # |n| > 1e12, up to wavenumbers whose square is no float, names its key
@@ -271,7 +291,7 @@ def table(r, values):
     case("curvature", {"profile": GOOD_PROFILE, "modes": [dict(MODES[0], n=10 ** 12 + 1)]},
          "mode-n-past-bound"),
 ])
-def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, payload):
+def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, payload, message):
     cfg = write_cfg(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -279,6 +299,7 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, paylo
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ValidationError"
+    assert message in json.loads(lines[0])["message"]
     assert "np." not in lines[0]  # plain numbers, not numpy reprs
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]  # no artifact written
 
@@ -330,17 +351,36 @@ def test_curvature_at_the_wavenumber_bound(tmp_path, n):
 def test_curvature_table_call_counts(tmp_path, monkeypatch):
     # polynomial data: one quadrature call for the whole table and one for the swirl
     # energy; n = 1 and 2 share a pressure knot vector, as do 200 and -200
-    calls, quad, basis = [], curvature.quad_real, curvature.bspline_basis
-    counted = lambda fn, *args, **kw: calls.append("quad") or quad(fn, *args, **kw)
-    monkeypatch.setattr(curvature, "quad_real", counted)
-    monkeypatch.setattr(modes, "quad_real", counted)
-    monkeypatch.setattr(curvature, "bspline_basis",
-                        lambda *args: calls.append("basis") or basis(*args))
+    quads = counting(monkeypatch, curvature, "quad_real")
+    counting(monkeypatch, modes, "quad_real", quads)
+    basis = counting(monkeypatch, curvature, "bspline_basis")
     specs = [dict(MODES[0], n=n) for n in (1, 2, 40, 200, -200)]
     cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "modes": specs})
     assert main(["curvature", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
-    assert calls.count("quad") == 1 + 1
-    assert calls.count("basis") == 2 * 3
+    assert len(quads) == 1 + 1
+    assert len(basis) == 3   # values and slopes of a knot vector from one recursion
+
+
+def test_curvature_sets_up_each_mode_and_knot_set_once(tmp_path, monkeypatch):
+    # polynomial data: g, g', f and f' of each mode are sampled once, when the config
+    # is read, and nothing else of a mode is evaluated before the first quadrature
+    # call; the radial integrals share one knot set (none), and the pressure has
+    # three: the uniform panels (n = 1, 2), and the wall gradings of 40 and of +-200
+    events = counting(monkeypatch, curvature, "quad_real")
+    counting(monkeypatch, modes, "quad_real", events)
+    counting(monkeypatch, ComplexRadialFunction, "_evaluate", events)
+    edges = counting(monkeypatch, curvature, "panel_edges")
+    basis = counting(monkeypatch, curvature, "bspline_basis")
+    specs = [dict(MODES[0], n=n) for n in (1, 2, 40, 200, -200)]
+    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "modes": specs})
+    assert main(["curvature", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    first = next(k for k, args in enumerate(events)
+                 if not isinstance(args[0], ComplexRadialFunction))
+    setup = collections.Counter((id(args[0]), args[1]) for args in events[:first])
+    assert len(setup) == len(specs) * 4   # (g or f) x (value or slope)
+    assert set(setup.values()) == {1}
+    assert len(edges) == 1 + 3
+    assert len(basis) == 3
 
 
 def test_spectrum_beyond_the_basis_exit_code(tmp_path, capsys):
@@ -361,9 +401,7 @@ def test_spectrum_failure_names_its_wavenumber(tmp_path, capsys):
 
 
 def test_spectrum_checks_the_criteria_once(tmp_path, monkeypatch):
-    scans = []
-    scan = profile._scan
-    monkeypatch.setattr(profile, "_scan", lambda fn, grid, tol: scans.append(fn) or scan(fn, grid, tol))
+    scans = counting(monkeypatch, profile, "_scan")
     cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE,
                                "params": {"m_max": 1, "n_list": list(range(1, 11))}})
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
@@ -378,11 +416,10 @@ def test_spectrum_solves_one_stack_per_basis_size(tmp_path, monkeypatch, command
                                                   sizes):
     # every wavenumber starts at the same K, so the open ones of each basis size
     # are one eigensolve: at most BLOCK pencils A + n^2 B on one mass matrix
-    shapes, eigh = [], jacobi.eigh
-    monkeypatch.setattr(jacobi, "eigh", lambda a, *args, **kw: shapes.append(a.shape)
-                        or eigh(a, *args, **kw))
+    calls = counting(monkeypatch, jacobi, "eigh")
     cfg = write_cfg(tmp_path, {"profile": spec, "params": params})
     assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    shapes = [args[0].shape for args in calls]
     assert [shape[-1] for shape in shapes] == sizes
     assert all(len(shape) == 3 and shape[0] <= curvature.BLOCK for shape in shapes)
 
@@ -494,14 +531,15 @@ def test_constant_at_a_singular_point_of_its_slope_rule_is_read(tmp_path, capsys
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("g", [
-    pytest.param("r^2*(1-r)/(r-0.5)", id="pole-on-the-scale-grid"),
-    pytest.param("(1/0)^0*r^2*(1-r)", id="division-by-zero-at-the-axis"),
+@pytest.mark.parametrize("g, error", [
+    # r = 1/2 is a point of the mode's one sample, whose non-finite value is refused
+    pytest.param("r^2*(1-r)/(r-0.5)", "ValidationError", id="pole-on-the-scale-grid"),
+    pytest.param("(1/0)^0*r^2*(1-r)", "FloatingPointError", id="division-by-zero-at-the-axis"),
 ])
-def test_floating_point_error_while_reading_the_config(tmp_path, capsys, g):
+def test_floating_point_error_while_reading_the_config(tmp_path, capsys, g, error):
     cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "modes": [{"n": 1, "g": {"expr": g}}]})
     assert main(["curvature", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert _one_error_line(capsys.readouterr().err) == "FloatingPointError"
+    assert _one_error_line(capsys.readouterr().err) == error
 
 
 SEED_EXPRESSIONS = ["1 + r^2", "2 - r^2", "exp(-r^2)*sin(3*r) + 2", "sqrt(1 + r)/(2 - r)",

@@ -25,7 +25,7 @@ from swirlcurv.config import parse_config
 from swirlcurv.quadrature import NODES, gauss_nodes, quad_real
 from swirlcurv.radial import ComplexRadialFunction
 
-from _helpers import (G_BASE, mode_poly, profile_poly, random_mode, scaled_mode,
+from _helpers import (G_BASE, counting, mode_poly, profile_poly, random_mode, scaled_mode,
                       standard_mode, u_const, u_decreasing, u_quadratic)
 from _oracles import (H_RATIO_F, H_RATIO_PANELS, H_RATIO_PROFILE, H_RATIO_REFERENCES,
                       KBAR_REFERENCES, PRESSURE_F, PRESSURE_PROFILE, PRESSURE_REFERENCES,
@@ -232,13 +232,11 @@ def test_closed_pressure_term_nears_its_large_n_limit():
 
 
 def test_oracle_evaluates_no_pressure_at_the_quadrature_nodes(monkeypatch):
-    # the assembly's two calls (B and B'), and none for q' at the quadrature's nodes
-    calls = []
-    basis = curvature.bspline_basis
-    monkeypatch.setattr(curvature, "bspline_basis",
-                        lambda *args: calls.append(args[-1]) or basis(*args))
+    # the assembly's one call (B and B' from one recursion), and none for q' at the
+    # quadrature's nodes
+    calls = counting(monkeypatch, curvature, "bspline_basis")
     curvature_mode_oracle(u_quadratic(), standard_mode(3))
-    assert calls == [0, 1]
+    assert [args[-1] for args in calls] == [1]
 
 
 def test_oracle_memory_is_linear_in_the_table_size():
@@ -415,14 +413,13 @@ def test_report_runs_closed_route_once_per_mode(monkeypatch):
     p = u_quadratic()
     modes = [standard_mode(1), standard_mode(3)]
     expected = [curvature_normalized(p, m) for m in modes]
-    h_ratio, calls = curvature._h_ratio, []
-    monkeypatch.setattr(curvature, "_h_ratio",
-                        lambda ms, *args: calls.append([m.n for m in ms]) or h_ratio(ms, *args))
+    calls = counting(monkeypatch, curvature, "_h_ratio")
     for m in modes:
         curvature_mode_closed(p, m)
     alone, calls[:] = calls[:], []
     reports = [curvature_table(p, [m])[0] for m in modes]
-    assert calls == alone == [[1], [1], [3], [3]]
+    ns = lambda calls: [[m.n for m in args[0]] for args in calls]
+    assert ns(calls) == ns(alone) == [[1], [1], [3], [3]]
     assert [rep.k_normalized for rep in reports] == expected
 
 
@@ -436,15 +433,13 @@ def test_table_solves_the_pressure_once_per_knot_vector(monkeypatch, stack_rows,
     p, ns = u_quadratic(), [1, 2, 3, 40, -40, 50]
     modes = [standard_mode(n) for n in ns]
     alone = [pressure_bvp_solve(p, m).energy for m in modes]
-    calls, solve = [], curvature.solve_banded
-    monkeypatch.setattr(curvature, "solve_banded",
-                        lambda lu, ab, b: calls.append(len(b)) or solve(lu, ab, b))
+    calls = counting(monkeypatch, curvature, "solve_banded")
     monkeypatch.setattr(curvature, "STACK_ROWS", stack_rows)
     assert [q.energy for q in curvature._pressure_solutions(p, modes)] == alone
-    assert calls == stacks
+    assert [len(b) for _, _, b in calls] == stacks
     calls[:] = []
     curvature_table(p, modes)
-    assert sorted(calls) == sorted(stacks)
+    assert sorted(len(b) for _, _, b in calls) == sorted(stacks)
 
 
 # radial data as poly, expr or table specs; the 33 table knots are the
@@ -535,9 +530,7 @@ def test_accuracy_error_names_the_mode_and_the_integral(monkeypatch, g, kind, ns
     # resolves; every row of the block lies on one panel set, so the one quad_real
     # call that fails names the row that stopped it, and nothing is integrated again
     bad = FourierMode(bad_n, ComplexRadialFunction(g), standard_mode(bad_n).f)
-    calls, quad = [], curvature.quad_real
-    monkeypatch.setattr(curvature, "quad_real",
-                        lambda *args, **kwargs: calls.append(1) or quad(*args, **kwargs))
+    calls = counting(monkeypatch, curvature, "quad_real")
     with pytest.raises(AccuracyError) as info:
         curvature_table(u_quadratic(), [bad if n == bad_n else standard_mode(n) for n in ns])
     assert len(calls) == 1
@@ -555,8 +548,7 @@ def test_accuracy_error_names_the_mode_and_the_integral(monkeypatch, g, kind, ns
 def test_curvature_integrates_the_swirl_energy_once(tmp_path, monkeypatch, specs, integrals):
     # <<X, X>> is shared by every mode of every block, and not integrated for a
     # table whose modes all have g'(0) != 0 (k_normalized is nan for each)
-    calls = []
-    monkeypatch.setattr(curvature, "swirl_energy", lambda p: calls.append(p) or swirl_energy(p))
+    calls = counting(monkeypatch, curvature, "swirl_energy")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"profile": {"poly": [1.0, 0.0, 1.0]}, "modes": specs}))
     assert main(["curvature", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
@@ -566,14 +558,14 @@ def test_curvature_integrates_the_swirl_energy_once(tmp_path, monkeypatch, specs
 def test_closed_route_evaluates_bessel_twice_per_node(monkeypatch):
     points, nodes = [], []
 
-    def counting(fn, sizes):
+    def sizing(fn, sizes):
         return lambda x: sizes.append(np.size(x)) or fn(x)
 
     quad = curvature.quad_real
-    monkeypatch.setattr(curvature, "sp", SimpleNamespace(i0e=counting(special.i0e, points),
-                                                         i1e=counting(special.i1e, points)))
+    monkeypatch.setattr(curvature, "sp", SimpleNamespace(i0e=sizing(special.i0e, points),
+                                                         i1e=sizing(special.i1e, points)))
     monkeypatch.setattr(curvature, "quad_real",
-                        lambda fn, *args, **kw: quad(counting(fn, nodes), *args, **kw))
+                        lambda fn, *args, **kw: quad(sizing(fn, nodes), *args, **kw))
     curvature_mode_closed(u_quadratic(), standard_mode(3))
     assert sum(nodes) > 0
     assert sum(points) == 2 * sum(nodes)

@@ -89,8 +89,9 @@ def test_witnesses_list_each_point_once(coeffs):
     assert ("u_omega", 0.0 if coeffs[0] == 0.0 else 1.0) in points
 
 
-def _scalar_scan(fn, grid, tol):
-    """Reference for profile._scan: one scalar call per grid point."""
+def _scalar_scan(fn, grid, vals, tol):
+    """Reference for profile._scan: one scalar call per grid point, in place of
+    the array values ``vals``."""
     vals = np.array([float(fn(r)) for r in grid])
     roots = []
     for i in range(len(grid) - 1):

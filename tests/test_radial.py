@@ -110,13 +110,15 @@ def test_bspline_basis_matches_scipy(nu):
     t = np.repeat(edges, mult)
     x = np.concatenate([edges, rng.uniform(0.0, 1.0, 300)])
     first, values = bspline_basis(t, 9, x, nu)
-    values = values.T
-    every = interpolate.BSpline(t, np.eye(t.size - 10), 9)(x, nu)
-    local = np.take_along_axis(every, first[:, None] + np.arange(10), axis=1)
-    scale = np.max(np.abs(every))
-    np.testing.assert_allclose(values, local, rtol=0, atol=1e-13 * scale)
-    # the splines outside the window vanish at x
-    np.testing.assert_allclose(local.sum(axis=1), every.sum(axis=1), rtol=0, atol=1e-13 * scale)
+    assert values.shape == (nu + 1, 10, x.size)
+    for k in range(nu + 1):   # every derivative up to nu
+        every = interpolate.BSpline(t, np.eye(t.size - 10), 9)(x, k)
+        local = np.take_along_axis(every, first[:, None] + np.arange(10), axis=1)
+        scale = np.max(np.abs(every))
+        np.testing.assert_allclose(values[k].T, local, rtol=0, atol=1e-13 * scale)
+        # the splines outside the window vanish at x
+        np.testing.assert_allclose(local.sum(axis=1), every.sum(axis=1), rtol=0,
+                                   atol=1e-13 * scale)
 
 
 @pytest.mark.parametrize("x,y", [
