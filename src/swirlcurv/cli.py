@@ -11,7 +11,6 @@ input, 1 for anything else (a config nested too deeply to read is a
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import asdict, astuple
@@ -33,16 +32,98 @@ _FMT = "%.16e"  # 17 significant digits, reproducible diffs
 # overflow and NaN stop a command, and the reading of its config; underflow
 # flushes to 0 (curvature._carry)
 _RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
+# long double's machine epsilon, which bounds the relative error of two correctly
+# rounded long-double operations; where long double is a double it certifies no
+# rounding, and every value takes _fallback
+_EPS = float(np.finfo(np.longdouble).eps)
+_PAIRS = np.array([b"%02d" % k for k in range(100)]).view("<u2")   # "00" ... "99"
+
+
+def _pow10(k):
+    """10**k in long double, correctly rounded from its decimal string, for an
+    integer array k (which ``_nearest`` sets to 16 for a value it does not round)."""
+    lo = int(k.min(initial=16))
+    return np.array(["1e%d" % j for j in range(lo, int(k.max(initial=16)) + 1)],
+                    dtype=np.longdouble)[k - lo]
+
+
+def _fallback(values):
+    """``_FMT % v`` of each value, as (len, 24) NUL-padded bytes."""
+    cells = np.array([_FMT % v for v in values.tolist()], dtype="S24")
+    return cells.view(np.uint8).reshape(-1, 24)
+
+
+def _nearest(v):
+    """(N, e, certified) for each value of ``v``, as ``_format`` describes them;
+    N and e are 0 where the rounding is not certified."""
+    a = np.abs(v)
+    fast = (a >= 1e-290) & (a < 1e290)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int16)
+    y = _pow10(16 - e)
+    y *= a
+    n = y.astype(np.int64)
+    tol = 1.01 * _EPS * y.astype(float)
+    y -= n
+    frac = y.astype(float)
+    n += frac > 0.5
+    ok = fast & (np.abs(frac - 0.5) > tol) & (n > 10 ** 16) & (n < 10 ** 17)
+    return np.where(ok, n, 0), np.where(ok, e, 0), ok
+
+
+def _format(x):
+    """``_FMT % v`` for every value of the float array ``x``, as NUL-padded bytes
+    of shape ``x.shape + (24,)``.
+
+    For 1e-290 <= |v| < 1e290 the 17 digits are the integer N nearest to
+    y = |v| 10**(16 - e), taken in long double with e = floor(log10 |v|).  Two
+    correctly rounded operations put y within _EPS y of the exact product, so N is
+    the correctly rounded one when y is farther than 1.01 _EPS y from a tie.
+    10**16 < N < 10**17 catches an e that log10 rounded across a power of ten
+    (N = 10**16 is left out: it would be wrong were e one too large).  Zeros are
+    written directly; every other value (nan, inf, out of range, or a rounding not
+    certified) takes ``_fallback``."""
+    v = np.asarray(x, dtype=float).ravel()
+    n, e, ok = _nearest(v)
+    out = np.zeros((v.size, 24), np.uint8)
+    cells = out.view("<u2")   # sign D0 | . D1 | D2 D3 | ... | D14 D15 | D16 e | +- h | t o
+    n, digits = np.divmod(n, 10)
+    cells[:, 9] = digits + (ord("0") + 256 * ord("e"))
+    for j in range(8, 1, -1):
+        np.divmod(n, 100, out=(n, digits))
+        cells[:, j] = _PAIRS[digits]
+    lead, first = np.divmod(n, 10)
+    cells[:, 0] = 256 * (ord("0") + lead) + ord("-") * np.signbit(v)
+    cells[:, 1] = 256 * (ord("0") + first) + ord(".")
+    hundreds, tens = np.divmod(np.abs(e), 100)
+    cells[:, 10] = (np.where(e < 0, ord("-"), ord("+"))
+                    + 256 * np.where(hundreds > 0, ord("0") + hundreds, 0))
+    cells[:, 11] = _PAIRS[tens]
+    slow = np.flatnonzero(~ok & (v != 0))
+    if slow.size:
+        out[slow] = _fallback(v[slow])
+    return out.reshape(np.shape(x) + (24,))
+
+
+def _csv(header, columns) -> bytes:
+    """The CSV text of ``columns``, each a (rows, width) array of NUL-padded cells."""
+    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    parts = [part for col, sep in zip(columns, seps)
+             for part in (col, np.full((len(col), 1), sep, np.uint8))]
+    table = np.concatenate(parts, axis=1).tobytes() if parts else b""
+    return (",".join(header) + "\n").encode() + table.replace(b"\0", b"")
 
 
 def _write_csv(path: Path, header, rows):
-    """``rows``: tuples or a 2-D float array.  A column whose first value is an
-    integer is written as one, every other value with ``_FMT``."""
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
-    line = ",".join("%d" if isinstance(v, (int, np.integer)) else _FMT
-                    for v in (rows[0] if rows else ())) + "\n"
-    path.write_text(",".join(header) + "\n"
-                    + line * len(rows) % tuple(v for row in rows for v in row))
+    """``rows``: tuples.  A column whose first value is an integer is written with
+    ``%d``, and every other column by one ``_format`` call."""
+    columns = list(zip(*rows))
+    ints = [isinstance(col[0], (int, np.integer)) for col in columns]
+    floats = iter(_format(np.array([col for col, i in zip(columns, ints) if not i],
+                                   dtype=float)))
+    path.write_bytes(_csv(header, [
+        np.array(["%d" % v for v in col], dtype="S").view(np.uint8).reshape(len(col), -1)
+        if i else next(floats) for col, i in zip(columns, ints)]))
 
 
 def _write_json(path: Path, payload):
@@ -115,16 +196,16 @@ def _cmd_jacobi(cfg: RunConfig, out: Path):
 
     r = np.linspace(1.0 / 64, 1.0, 64)   # 64 x 16 snapshot points per field and time
     z = 2.0 * np.pi * np.arange(16) / 16
-    # the rows of every snapshot, as _write_csv writes them: each r and z formatted
-    # once, and a slot for the field's value
-    rows = "".join(f"{a},{b},{_FMT}\n" for a, b in itertools.product(
-        *([_FMT % v for v in x.tolist()] for x in (r, z))))
+    names = ("h", "j", "g", "f")
     fields = sol.fields(np.array(sol.times)[:, None, None], r[:, None], z[None, :])
-    for idx in range(len(sol.times)):
-        for name in ("h", "j", "g", "f"):
-            vals = fields[name][idx]
+    values = _format(np.stack([fields[name] for name in names], axis=1))
+    rz = _format(np.concatenate([r, z]))
+    points = [np.broadcast_to(c, (64, 16, 24)).reshape(-1, 24)
+              for c in (rz[:64, None], rz[None, 64:])]
+    for idx, cells in enumerate(values):
+        for name, col in zip(names, cells):
             fname = f"jacobi_{name}_t{idx}.csv"
-            (out / fname).write_text(f"r,z,{name}\n" + rows % tuple(vals.ravel().tolist()))
+            (out / fname).write_bytes(_csv(["r", "z", name], points + [col.reshape(-1, 24)]))
             artifacts.append(fname)
     return artifacts
 

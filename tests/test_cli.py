@@ -19,7 +19,7 @@ import swirlcurv.curvature as curvature
 import swirlcurv.jacobi as jacobi
 import swirlcurv.modes as modes
 from swirlcurv import assemble_jacobi, profile, sl_spectrum
-from swirlcurv.cli import _write_csv, main
+from swirlcurv.cli import main
 from swirlcurv.config import parse_config
 from swirlcurv.quadrature import MAX_PANELS
 from swirlcurv.radial import ComplexRadialFunction
@@ -112,7 +112,8 @@ def test_jacobi_command(tmp_path):
 @pytest.mark.parametrize("phase", ["cos", "sin"])
 @pytest.mark.parametrize("n", [2, -3])
 def test_jacobi_snapshots_match_write_csv(tmp_path, phase, n):
-    # the snapshot rows are formatted from one template; _write_csv is the reference
+    # the snapshot cells come from one vectorized kernel; the reference is each
+    # value of sol.fields formatted alone by Python's %
     cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE,
                                "params": {"n": n, "m": 2, "phase": phase}})
     assert main(["jacobi", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
@@ -123,9 +124,9 @@ def test_jacobi_snapshots_match_write_csv(tmp_path, phase, n):
     for idx, t in enumerate(sol.times):
         for name in ("h", "j", "g", "f"):
             table = np.stack([rr, zz, sol.fields(t, rr, zz)[name]], axis=-1)
-            _write_csv(tmp_path / "reference.csv", ["r", "z", name], table.reshape(-1, 3))
-            assert ((tmp_path / f"jacobi_{name}_t{idx}.csv").read_bytes()
-                    == (tmp_path / "reference.csv").read_bytes())
+            text = f"r,z,{name}\n" + "".join("%.16e,%.16e,%.16e\n" % tuple(row)
+                                             for row in table.reshape(-1, 3).tolist())
+            assert (tmp_path / f"jacobi_{name}_t{idx}.csv").read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize("spec, params", [

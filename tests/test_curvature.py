@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -229,6 +230,36 @@ def test_closed_pressure_term_nears_its_large_n_limit():
     # which the closed route reaches as O(n^-2): 1.25e-11 below it at n = 10^6
     _, closed = _pressure_terms(u_quadratic(), 10 ** 6, [0, 1, -1])
     assert abs(closed - modes.FOUR_PI_SQ * 361 / 27720) <= 2e-11
+
+
+def _exact_integral(*terms) -> Fraction:
+    """int_0^1 of a sum of products of integer polynomials (ascending coefficients)."""
+    total = Fraction(0)
+    for factors in terms:
+        prod = [1]
+        for f in factors:
+            prod = [sum(prod[i] * f[k - i] for i in range(len(prod)) if 0 <= k - i < len(f))
+                    for k in range(len(prod) + len(f) - 1)]
+        total += sum(Fraction(c, k + 1) for k, c in enumerate(prod))
+    return total
+
+
+def test_oracle_and_energy_rows_are_exact_for_polynomial_data():
+    # u = 1 + r^2, g = r^2 (1 - r) = r f, f = r (1 - r): the oracle row
+    # n^2 |g|^2 eta / r + r^3 |f u|^2 (eta = u^2 + 2 r u u') and the energy row
+    # (n^2 |g|^2 + |g'|^2) / r + r^3 |f|^2 are polynomials, which each Gauss panel
+    # integrates exactly, so only round-off is left
+    r, r3, u, du, f, dg_r = [0, 1], [0, 0, 0, 1], [1, 0, 1], [0, 2], [0, 1, -1], [2, -3]
+    modes_ = [standard_mode(n) for n in (1, 3, 200)]
+    values = curvature._radial_integrals(
+        u_quadratic(), [(kind, m) for m in modes_ for kind in ("oracle", "energy")])
+    for m in modes_:
+        n2 = [m.n ** 2]
+        oracle = _exact_integral((n2, r, f, f, u, u), ([2 * m.n ** 2], r, f, f, r, u, du),
+                                 (r3, f, f, u, u))
+        energy = _exact_integral((n2, r, f, f), (r, dg_r, dg_r), (r3, f, f))
+        assert values["oracle", m.n] == pytest.approx(float(oracle), rel=1e-14, abs=0)
+        assert values["energy", m.n] == pytest.approx(float(energy), rel=1e-14, abs=0)
 
 
 def test_oracle_evaluates_no_pressure_at_the_quadrature_nodes(monkeypatch):
