@@ -251,16 +251,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+_PARSER = _Parser(prog="swirlcurv",
+                  description="Curvature and conjugate points of axisymmetric swirl flows")
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to the JSON config")
+_PARSER.add_argument("--out", default=".", help="output directory for artifacts")
+_PARSER.add_argument("--quiet", action="store_true")
+
+
 def main(argv=None) -> int:
-    parser = _Parser(
-        prog="swirlcurv",
-        description="Curvature and conjugate points of axisymmetric swirl flows")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--out", default=".", help="output directory for artifacts")
-    parser.add_argument("--quiet", action="store_true")
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         with np.errstate(**_RAISE):
             cfg = parse_config(Path(args.config))
     except (SwirlcurvError, FloatingPointError) as exc:

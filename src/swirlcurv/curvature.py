@@ -117,14 +117,15 @@ def _carry(decay, increment):
 
 
 def _h_ratio(modes, r, f, u):
-    """H_n(r) / I1(N r), one row per mode, at the nodes r of a ``quad_real`` panel
-    set from 0, from the values of u and of each mode's f there.
+    """H_n(r) / I1(N r), one row per mode, at the nodes r of one or more
+    ``quad_real`` panel sets from 0, from the values of u and of each mode's f there.
 
     On each panel y' = q - rate y, q = N r^2 f u, rate = N I1'/I1 > 0, is
     collocated at the Gauss nodes: y' there solves (I + half diag(rate) S) y'
     = q - rate y_start, so each panel's end value is an affine map of its
     start value, with a factor in [0, 1].  The maps are carried from the axis,
     in (modes, panels, nodes) arrays: each step is one numpy call for all modes.
+    The carry restarts from 0 at each set's first panel, which lies below the one before.
     """
     N = np.array([abs(m.n) for m in modes], dtype=float)[:, None, None]
     x = r.reshape(-1, NODES)
@@ -135,9 +136,11 @@ def _h_ratio(modes, r, f, u):
     v = np.linalg.solve(np.eye(NODES) + (half[:, None] * rate)[..., None] * _S,
                         np.stack([q.real, q.imag, -rate], axis=-1))
     vq, vp = v[..., 0] + 1j * v[..., 1], v[..., 2]
+    first = np.diff(x[:, 0], prepend=np.inf) < 0.0   # the first panel of each set
     decay = 1.0 + half * (vp @ _W)
-    decay[:, 0] = 0.0   # nothing is carried into the axis
+    decay[:, first] = 0.0   # nothing is carried into the axis
     start = np.pad(_carry(decay, half * (vq @ _W))[:, :-1], ((0, 0), (1, 0)))[..., None]
+    start[:, first] = 0.0
     return (start + half[:, None] * ((vq + start * vp) @ _S.T)).reshape(N.size, -1)
 
 
@@ -284,8 +287,9 @@ def _radial_integrals(p: RadialProfile, rows) -> dict:
 def curvature_mode_closed(p: RadialProfile, m: FourierMode) -> float:
     """Non-normalized curvature of span(X, Y_n) via the closed Bessel formula.
 
-    The integrand sees every node at once, ascending, so H_n / I1 is carried
-    from node to node in one sweep.
+    The integrand sees every node of a panel set at once, ascending, so H_n / I1
+    is carried from node to node in one sweep; the first check's call holds two
+    panel sets, and the sweep restarts from 0 at the axis of each.
     """
     if m.n == 0:
         return 0.0

@@ -72,10 +72,12 @@ class Expression:
     """A parsed expression; two are equal when Python reads their texts alike."""
 
     def __init__(self, run, tree):
-        self._run, self._tree = run, ast.dump(tree)
+        self._run, self._tree = run, tree
 
     def __eq__(self, other):
-        return self._tree == other._tree if isinstance(other, Expression) else NotImplemented
+        if not isinstance(other, Expression):
+            return NotImplemented
+        return ast.dump(self._tree) == ast.dump(other._tree)
 
     def eval(self, r):
         r = np.asarray(r, dtype=float)[()]

@@ -1,18 +1,18 @@
 """Composite Gauss-Legendre rule, the one quadrature for every radial integral.
 
 ``PANELS`` uniform panels on [a, b], split at spline knots, carry ``NODES``
-Gauss-Legendre nodes each; the integrand sees every node at once, ascending,
-and may be complex.  It may also return an (m, nodes) array, m integrals over
-one panel set.  Panels are bisected until the P- and 2P-panel values agree to
-``EPSABS`` or ``EPSREL``, one tolerance for every integral; a row keeps its
-value from the first level at which it agrees, as it would alone, and the
-panels are bisected until every row has.  ``AccuracyError`` is raised past
-``MAX_PANELS`` or on a non-finite sum, its ``row`` the first row still open or
-the first non-finite one (0 for a scalar integrand).  Gauss nodes never touch a
-panel end, so a removable 1/r at the axis needs no special case.  Why 32
-panels: the first check's 640 nodes lie closer (1.6e-3 at mid-radius) than the
-256-point grid on which the criteria judge u (6e-3); a narrower feature can be
-missed by both levels (README, Numerical method)."""
+Gauss-Legendre nodes each.  Panels are bisected until the P- and 2P-panel
+values agree to ``EPSABS`` or ``EPSREL``, one tolerance for every integral;
+the integrand, maybe complex or m rows, sees both sets of the first check in
+one call, then each finer set.  A row keeps its value from the first level at
+which it agrees, as it would alone, and the panels are bisected until every
+row has.  ``AccuracyError`` is raised past ``MAX_PANELS`` or on a non-finite
+sum, its ``row`` the first row still open or the first non-finite one (0 for a
+scalar integrand).  Gauss nodes never touch a panel end, so a removable 1/r at
+the axis needs no special case.  Why 32 panels: the first check's 640 nodes
+lie closer (1.6e-3 at mid-radius) than the 256-point grid on which the
+criteria judge u (6e-3); a narrower feature can be missed by both levels
+(README, Numerical method)."""
 
 from __future__ import annotations
 
@@ -44,28 +44,40 @@ def gauss_nodes(edges):
     return edges[:-1, None] + half * (_X + 1.0), half * _W
 
 
+def _bisect(edges):
+    """``edges`` with the midpoint of each panel inserted."""
+    return np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
+
+
 def quad_real(fn, a, b, points=()):
-    """Integral over [a, b] of ``fn``, which maps the 1-d ascending array of
-    all nodes of a panel set to real or complex values: a scalar for 1-d
-    values, an (m,) array for (m, nodes) values, each row equal to a 1-d call
-    on its own values.  The nodes come panel-major from a to b:
-    ``x.reshape(-1, NODES)[k]`` are the Gauss nodes of panel k, on which the
-    closed curvature route collocates."""
-    def total(edges):
-        x, w = gauss_nodes(edges)
-        out = np.sum(w.ravel() * fn(x.ravel()), axis=-1)
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:   # refining cannot mend it
-            raise AccuracyError(f"quadrature sum {out.ravel()[bad[0]]} on {edges.size - 1} "
-                                "panels", row=int(bad[0]))
+    """Integral over [a, b] of ``fn``, which maps a 1-d array of nodes to real or
+    complex values: a scalar for 1-d values, an (m,) array for (m, nodes)
+    values, each row equal to a 1-d call on its own values.  The first call
+    holds the nodes of the P-panel set, then of the 2P-panel set, each
+    panel-major from a to b (``x.reshape(-1, NODES)[k]`` are the Gauss nodes of
+    the call's k-th panel, on which the closed curvature route collocates);
+    every later call holds one set.  A value on one set may depend only on
+    that set's nodes, so each set's sum is the one it would have alone."""
+    def totals(*sets):
+        """The sum on each panel set of ``sets``, from one call of ``fn``."""
+        rules = [gauss_nodes(edges) for edges in sets]
+        values = fn(np.concatenate([x.ravel() for x, _ in rules]))
+        ends = np.cumsum([w.size for _, w in rules])[:-1]
+        out = []
+        for edges, (_, w), part in zip(sets, rules, np.split(values, ends, axis=-1)):
+            total = np.sum(w.ravel() * part, axis=-1)
+            bad = np.flatnonzero(~np.isfinite(total))
+            if bad.size:   # refining cannot mend it
+                raise AccuracyError(f"quadrature sum {total.ravel()[bad[0]]} on "
+                                    f"{edges.size - 1} panels", row=int(bad[0]))
+            out.append(total)
         return out
 
-    edges = panel_edges(a, b, points)
-    value = total(edges)
+    coarse = panel_edges(a, b, points)
+    edges = _bisect(coarse)
+    value, finer = totals(coarse, edges)
     result, done = value, np.zeros(value.shape, dtype=bool)
     while True:
-        edges = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
-        finer = total(edges)
         err = np.abs(finer - value)
         result = np.where(done, result, finer)
         done |= err <= np.maximum(EPSABS, EPSREL * np.abs(finer))
@@ -78,4 +90,5 @@ def quad_real(fn, a, b, points=()):
                 f"quadrature error estimate {err:.3e} with {edges.size - 1} panels "
                 f"exceeds tolerance for value {abs(finer):.6e}",
                 value=finer, error_estimate=float(err), row=row)
-        value = finer
+        value, edges = finer, _bisect(edges)
+        (finer,) = totals(edges)

@@ -144,7 +144,7 @@ class PolynomialFunction(RadialFunction):
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
         self.coeffs = c
-        self._d1 = npoly.polyder(c) if c.size > 1 else np.zeros(1)
+        self._d1 = c[1:] * np.arange(1, c.size) if c.size > 1 else np.zeros(1)   # j c_j
 
     def __call__(self, r):
         return npoly.polyval(_check_domain(r), self.coeffs)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -22,6 +25,17 @@ def counting(monkeypatch, module, name, calls=None) -> list:
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def workload_config(workload, key, command) -> dict:
+    """The config of the benchmark ``workload``'s ``command`` on profile ``key``
+    ("quad", "dec" or "one"; ``bench/workloads.py``) at its default seed."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+    return next(config for k, c, config in workloads.invocations(workload, workloads.DEFAULT_SEED)
+                if (k, c) == (key, command))
 
 
 def profile_poly(coeffs) -> RadialProfile:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from swirlcurv.config import parse_config
 from swirlcurv.quadrature import MAX_PANELS
 from swirlcurv.radial import ComplexRadialFunction
 
-from _helpers import G_BASE, counting
+from _helpers import G_BASE, counting, workload_config
 
 GOOD_PROFILE = {"expr": "1 + r^2"}
 MODES = [{"n": 1, "g": {"poly": [0, 0, 1, -1]}, "f": {"poly": [0, 1, -1]}},
@@ -360,6 +361,24 @@ def test_curvature_table_call_counts(tmp_path, monkeypatch):
     assert main(["curvature", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
     assert len(quads) == 1 + 1
     assert len(basis) == 3   # values and slopes of a knot vector from one recursion
+
+
+def test_every_quadrature_call_of_a_table_calls_its_integrand_once(tmp_path, monkeypatch):
+    # the benchmark's 8-mode table on u = 1 + r^2: each integral stops at the first
+    # check, whose 32- and 64-panel sets are one integrand call on 960 nodes; the
+    # table is one quadrature call and the swirl energy the other
+    quad, calls = curvature.quad_real, []
+
+    def traced(fn, *args, **kwargs):
+        integrand = SimpleNamespace(fn=fn)
+        calls.append(counting(monkeypatch, integrand, "fn"))
+        return quad(integrand.fn, *args, **kwargs)
+
+    monkeypatch.setattr(curvature, "quad_real", traced)
+    monkeypatch.setattr(modes, "quad_real", traced)
+    cfg = write_cfg(tmp_path, workload_config("curvature_table", "quad", "curvature"))
+    assert main(["curvature", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    assert [[x.size for (x,) in integrand] for integrand in calls] == [[960], [960]]
 
 
 def test_curvature_sets_up_each_mode_and_knot_set_once(tmp_path, monkeypatch):

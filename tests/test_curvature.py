@@ -23,11 +23,11 @@ from swirlcurv import (AccuracyError, DegenerateSectionError, ExpressionFunction
 from swirlcurv import special
 from swirlcurv.cli import main
 from swirlcurv.config import parse_config
-from swirlcurv.quadrature import NODES, gauss_nodes, quad_real
+from swirlcurv.quadrature import NODES, gauss_nodes, panel_edges, quad_real
 from swirlcurv.radial import ComplexRadialFunction
 
 from _helpers import (G_BASE, counting, mode_poly, profile_poly, random_mode, scaled_mode,
-                      standard_mode, u_const, u_decreasing, u_quadratic)
+                      standard_mode, u_const, u_decreasing, u_quadratic, workload_config)
 from _oracles import (H_RATIO_F, H_RATIO_PANELS, H_RATIO_PROFILE, H_RATIO_REFERENCES,
                       KBAR_REFERENCES, PRESSURE_F, PRESSURE_PROFILE, PRESSURE_REFERENCES,
                       PRESSURE_TERM_REFERENCES, carry_recurrence, h_ratio_gaps, int_r3_i1)
@@ -91,6 +91,25 @@ def test_h_ratio_matches_mpmath_at_large_n(n, r, value):
     got = _h_ratio(profile_poly(H_RATIO_PROFILE), m, nodes)[i]
     assert got.real == pytest.approx(float(value), rel=1e-14)
     assert got.imag == 0.0
+
+
+def test_h_ratio_restarts_the_carry_at_each_panel_set():
+    # the first check's 32- and 64-panel sets in one call give each set's values
+    # alone, bit for bit, for the benchmark table's 8 modes (n = 1 ... 10^4, a
+    # spline-table f among them): the carry starts from 0 where the second set
+    # starts, not from the first set's end value
+    cfg = parse_config(workload_config("curvature_table", "quad", "curvature"))
+    p, ms = cfg.profile, cfg.modes
+    assert len(ms) == 8 and 10_000 in [m.n for m in ms]
+    assert any(np.size(m.f.knots) for m in ms)
+    edges = panel_edges(0.0, 1.0, np.concatenate([p.u.knots] + [m.knots for m in ms]))
+    finer = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
+    sets = [gauss_nodes(e)[0].ravel() for e in (edges, finer)]
+
+    def h(r):
+        return curvature._h_ratio(ms, r, np.array([m.f(r) for m in ms]), p.u(r))
+
+    assert np.array_equal(h(np.concatenate(sets)), np.concatenate([h(r) for r in sets], axis=1))
 
 
 @pytest.mark.parametrize("panels", [256, 8192])
@@ -450,7 +469,7 @@ def test_report_runs_closed_route_once_per_mode(monkeypatch):
     alone, calls[:] = calls[:], []
     reports = [curvature_table(p, [m])[0] for m in modes]
     ns = lambda calls: [[m.n for m in args[0]] for args in calls]
-    assert ns(calls) == ns(alone) == [[1], [1], [3], [3]]
+    assert ns(calls) == ns(alone) == [[1], [3]]   # one call per first check
     assert [rep.k_normalized for rep in reports] == expected
 
 

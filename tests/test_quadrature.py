@@ -28,15 +28,23 @@ def test_nodes_ascend_and_stay_inside_panels():
 
 
 def test_integrand_sees_the_nodes_panel_major():
-    # the closed curvature route reshapes the nodes to (panels, NODES)
-    seen = []
-    quad_real(lambda x: seen.append(x) or np.exp(x), 0.0, 1.0, points=[1.0 / 3.0])
-    edges = panel_edges(0.0, 1.0, points=[1.0 / 3.0])
-    assert len(seen) >= 2
-    for x in seen:
-        assert x.shape == ((edges.size - 1) * NODES,)
-        np.testing.assert_array_equal(x.reshape(-1, NODES), gauss_nodes(edges)[0])
-        edges = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
+    # the closed curvature route reshapes the nodes to (panels, NODES); the first
+    # call holds the P- and the 2P-panel set of the first check, in that order,
+    # and every later call the set of one finer level (e^x sin^2(300 pi x) stops
+    # on 528 panels: 33 split at 1/3, bisected four times)
+    for fn, calls in ((np.exp, 1), (lambda x: np.exp(x) * np.sin(300 * np.pi * x) ** 2, 4)):
+        seen = []
+        quad_real(lambda x: seen.append(x) or fn(x), 0.0, 1.0, points=[1.0 / 3.0])
+        assert len(seen) == calls
+        levels = [panel_edges(0.0, 1.0, points=[1.0 / 3.0])]
+        while len(levels) <= calls:
+            edges = levels[-1]
+            levels.append(np.insert(edges, np.arange(1, edges.size),
+                                    0.5 * (edges[:-1] + edges[1:])))
+        for x, sets in zip(seen, [levels[:2]] + [[edges] for edges in levels[2:]]):
+            assert x.shape == (sum(edges.size - 1 for edges in sets) * NODES,)
+            np.testing.assert_array_equal(
+                x.reshape(-1, NODES), np.concatenate([gauss_nodes(edges)[0] for edges in sets]))
 
 
 def test_knot_breakpoints_resolve_a_kink():
@@ -129,13 +137,13 @@ def _node_counts(monkeypatch):
 def test_curvature_routes_converge_at_the_first_check(monkeypatch, route, n):
     counts = _node_counts(monkeypatch)
     getattr(curvature, route)(u_quadratic(), standard_mode(n))
-    assert counts == [320, 640]
+    assert counts == [960]   # the 32- and 64-panel sets in one call
 
 
 def test_oscillation_study_converges_at_the_first_check(monkeypatch):
     counts = _node_counts(monkeypatch)
     curvature.oscillation_study(u_quadratic(), 1, [1])
-    assert counts == [320, 640]   # numerators and denominators, one call
+    assert counts == [960]   # numerators and denominators, both panel sets, one call
 
 
 def test_resolution_floor_gaussian():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy import interpolate
 
 from swirlcurv import (ComplexRadialFunction, DomainError, ExpressionFunction,
@@ -20,6 +21,15 @@ def test_polynomial_values_and_derivatives():
     assert p.derivative(0.5) == pytest.approx(-1.0)
     r = np.linspace(0, 1, 7)
     np.testing.assert_allclose(p(r), 2.0 - r ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=12))
+def test_polynomial_derivative_is_polyders_bit_for_bit(coeffs):
+    # the derivative coefficients are the products j c_j that npoly.polyder forms
+    r = np.linspace(0.0, 1.0, 9)
+    expected = npoly.polyval(r, npoly.polyder(coeffs))
+    assert PolynomialFunction(coeffs).derivative(r).tobytes() == expected.tobytes()
 
 
 def test_polynomial_constant_and_zero():
