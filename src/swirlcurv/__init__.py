@@ -22,11 +22,10 @@ from .errors import (AccuracyError, DegenerateSectionError, DomainError,
                      RegularityError, SwirlcurvError, ValidationError)
 from .expr import parse_expression
 from .jacobi import (JacobiSolution, ResidualReport, SLSpectrum, assemble_jacobi,
-                     conjugate_times, jacobi_residuals, lambda_over_n_study,
-                     sl_spectra, sl_spectrum)
+                     conjugate_times, jacobi_residuals, sl_spectra, sl_spectrum)
 from .modes import FourierMode, cross_inner_product, mode_energy, swirl_energy
 from .profile import CriteriaReport, RadialProfile, classify_criteria
 from .radial import (ComplexRadialFunction, ExpressionFunction, PolynomialFunction,
-                     RadialFunction, TableFunction, zero)
+                     RadialFunction, TableFunction)
 
 __version__ = "0.1.0"

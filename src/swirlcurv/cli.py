@@ -22,7 +22,7 @@ from .config import MAX_INT, RunConfig, check_integer, parse_config
 from .curvature import curvature_table, oscillation_study
 from .errors import HypothesisViolationError, SwirlcurvError, ValidationError
 from .jacobi import (assemble_jacobi, check_phase, conjugate_times, jacobi_residuals,
-                     lambda_over_n_study, sl_spectra, sl_spectrum)
+                     sl_spectra, sl_spectrum)
 from .profile import classify_criteria
 from .quadrature import MAX_PANELS
 
@@ -183,7 +183,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path):
     phase = check_phase(cfg.params.get("phase", "cos"))
     s = sl_spectrum(cfg.profile, n, m)
     sol = assemble_jacobi(cfg.profile, s, m, phase=phase)
-    report = jacobi_residuals(cfg.profile, sol)
+    report = jacobi_residuals(sol)
     _write_json(out / "jacobi_residuals.json", {
         "n": n, "m": m, "lambda": float(sol.lam), "t_star": sol.t_star, "phase": phase,
         "residual_swirl_transport": report.swirl_transport,
@@ -227,10 +227,10 @@ def _cmd_limit(cfg: RunConfig, out: Path):
     n_list = _param(cfg, "n_list", [4, 8, 16, 32, 64])
     if not n_list:
         raise ValidationError("param 'n_list' must not be empty")
-    pairs = lambda_over_n_study(cfg.profile, m, n_list)
-    ratios = [ratio for _, ratio in pairs]
+    spectra = sl_spectra(cfg.profile, n_list, m)
+    ratios = [float(s.eigenvalues[m - 1] / abs(s.n)) for s in spectra]
     diffs = [float("nan")] + [b - a for a, b in zip(ratios, ratios[1:])]
-    rows = [(n, ratio, diff) for (n, ratio), diff in zip(pairs, diffs)]
+    rows = [(s.n, ratio, diff) for s, ratio, diff in zip(spectra, ratios, diffs)]
     _write_csv(out / "limit.csv", ["n", "lambda_over_n", "diff"], rows)
     return ["limit.csv"]
 

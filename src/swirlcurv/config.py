@@ -29,7 +29,7 @@ from .errors import RegularityError, ValidationError
 from .modes import FourierMode
 from .profile import CRITERIA_GRID, RadialProfile
 from .radial import (ComplexRadialFunction, ExpressionFunction, PolynomialFunction,
-                     RadialFunction, TableFunction, zero)
+                     RadialFunction, TableFunction)
 
 __all__ = ["MAX_INT", "RunConfig", "check_integer", "parse_config", "radial_from_spec"]
 
@@ -77,7 +77,7 @@ def _numbers(values, name: str):
 
 
 def _complex_from_spec(cfg: dict, key: str) -> ComplexRadialFunction:
-    real = radial_from_spec(cfg[key]) if key in cfg else zero()
+    real = radial_from_spec(cfg[key]) if key in cfg else PolynomialFunction([0.0])
     imag_key = f"{key}_imag"
     imag = radial_from_spec(cfg[imag_key]) if imag_key in cfg else None
     return ComplexRadialFunction(real, imag)

@@ -88,9 +88,6 @@ class PressureSolution:
         start, basis = bspline_basis(self.t, DEG, r, nu)
         return sum(basis[nu, j] * self.coef[start + j] for j in range(DEG + 1))
 
-    def q_prime(self, r):
-        return self.q(r, 1)
-
 
 # S[j, k] = int_{-1}^{t_j} l_k for the quadrature's Gauss nodes t = _X (weights w = _W)
 # and the Lagrange basis l_k on t, from l_k = w_k sum_i (i + 1/2) P_i(t_k) P_i

@@ -26,11 +26,10 @@ import numpy as np
 from numpy.polynomial import Legendre
 from numpy.polynomial.legendre import legvander
 
-from .curvature import BLOCK
 from .errors import AccuracyError, HypothesisViolationError, InvalidModeError, ValidationError
 from .linalg import eigh
 from .profile import RadialProfile, classify_criteria
-from .quadrature import gauss_nodes
+from .quadrature import gauss_nodes, panel_edges
 
 # a name only: the benchmark tracer (bench/tracing.py) rebinds it, and nothing
 # calls it, until ROADMAP item 3 gives the tracer a recorder to read
@@ -43,7 +42,6 @@ __all__ = [
     "sl_spectrum",
     "sl_spectra",
     "conjugate_times",
-    "lambda_over_n_study",
     "assemble_jacobi",
     "jacobi_residuals",
 ]
@@ -60,6 +58,8 @@ __all__ = [
 # round-off grows (u = 1, n = 1, m <= 5: error 5e-11 at K = 128, 2e-9 at
 # K = 192, a spurious eigenvalue at K = 256).
 TOL, K_MAX = 1e-8, 192
+# wavenumbers per stacked eigensolve: 16 pencils of K_MAX^2 doubles, 4.7 MB
+BLOCK = 16
 _BUBBLE = -Legendre.fromroots([0.0, 0.0, 1.0], domain=[0.0, 1.0])  # r^2 (1 - r)
 
 
@@ -85,8 +85,7 @@ def _pencil(p: RadialProfile, K: int):
     """The Galerkin matrices on phi_0 ... phi_{K-1} that do not depend on n:
     stiffness A = int phi' psi' / r, B = int phi psi / r, mass
     M = int (2 u omega / r) phi psi, and the basis values at the nodes."""
-    # table nodes past [0, 1] split no panel: clipped, they fall on 0 and 1
-    x, w = gauss_nodes(np.union1d(np.linspace(0.0, 1.0, K + 1), np.clip(p.u.knots, 0.0, 1.0)))
+    x, w = gauss_nodes(panel_edges(0.0, 1.0, p.u.knots, K))
     r, w = x.ravel(), w.ravel()
     weight = 2.0 * p.u(r) * p.omega(r) / r
     if np.any(weight <= 0.0):
@@ -175,11 +174,6 @@ def conjugate_times(s: SLSpectrum):
     """Monoconjugate times t* = 2 pi lambda_{mn} / |n|, ascending in m."""
     return [(m + 1, float(2.0 * np.pi * lam / abs(s.n)))
             for m, lam in enumerate(s.eigenvalues)]
-
-
-def lambda_over_n_study(p: RadialProfile, m: int, n_list):
-    """Numerical convergence diagnostic for the finite limit of lambda_{mn}/n."""
-    return [(s.n, float(s.eigenvalues[m - 1] / abs(s.n))) for s in sl_spectra(p, n_list, m)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +267,6 @@ class ResidualReport:
     second_order: float       # dtt[D h] = -(2 u omega / r) dzz h
     flow_components: float    # dg/dt = h  and  df/dt + (u'/r) dg/dz = j
 
-    def max_residual(self) -> float:
-        return max(self.swirl_transport, self.stream_transport,
-                   self.second_order, self.flow_components)
-
 
 def _fft_dz(field: np.ndarray, n: int, order: int = 1) -> np.ndarray:
     """Spectral d/dz along the last axis (z uniform on one period [0, 2pi/|n|))."""
@@ -293,8 +283,9 @@ def _relative(defect, *terms) -> float:
     return float(np.max(np.max(np.abs(defect), axis=(-2, -1)) / scale))
 
 
-def jacobi_residuals(p: RadialProfile, sol: JacobiSolution) -> ResidualReport:
-    """Evaluate the four linearized-equation residuals for a Jacobi solution.
+def jacobi_residuals(sol: JacobiSolution) -> ResidualReport:
+    """Evaluate the four linearized-equation residuals for a Jacobi solution, on
+    the profile its fields were built on.
 
     Time derivatives are analytic (the closed forms are trigonometric in t);
     z derivatives are spectral; r derivatives are those of the eigenfunction's
@@ -308,6 +299,7 @@ def jacobi_residuals(p: RadialProfile, sol: JacobiSolution) -> ResidualReport:
     r = np.linspace(0.1, 1.0, 256)[:, None]
     z = (2.0 * np.pi / abs(n) * np.arange(16) / 16)[None, :]
 
+    p = sol.profile
     u, up, om = p.u(r), p.u.derivative(r), p.omega(r)
     cz = np.cos(n * z)
     phi = sol._phi(r)

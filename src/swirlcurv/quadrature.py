@@ -27,10 +27,10 @@ NODES, PANELS, MAX_PANELS = 10, 32, 8192
 _X, _W = np.polynomial.legendre.leggauss(NODES)
 
 
-def panel_edges(a, b, points=()):
-    """Uniform panels on [a, b] split at ``points``, without round-off slivers."""
+def panel_edges(a, b, points=(), panels=PANELS):
+    """``panels`` uniform panels on [a, b] split at ``points``, without round-off slivers."""
     pts = np.asarray(points, dtype=float)
-    edges = np.unique(np.concatenate([np.linspace(a, b, PANELS + 1),
+    edges = np.unique(np.concatenate([np.linspace(a, b, panels + 1),
                                       pts[(pts > a) & (pts < b)]]))
     edges = edges[np.diff(edges, prepend=-np.inf) > 1e-12 * (b - a)]
     edges[-1] = b

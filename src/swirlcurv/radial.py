@@ -26,7 +26,6 @@ __all__ = [
     "ExpressionFunction",
     "TableFunction",
     "ComplexRadialFunction",
-    "zero",
 ]
 
 _DOMAIN_SLACK = 1e-12
@@ -191,7 +190,6 @@ class TableFunction(RadialFunction):
         if r_nodes[0] > _DOMAIN_SLACK or r_nodes[-1] < 1.0 - _DOMAIN_SLACK:
             raise ValueError("table nodes must span [0, 1]")
         self.knots = r_nodes
-        self.values = values
 
     def __call__(self, r):
         return self._spline(_check_domain(r))
@@ -201,10 +199,6 @@ class TableFunction(RadialFunction):
 
     def __repr__(self):
         return f"TableFunction(<{self.knots.size} nodes>)"
-
-
-def zero() -> RadialFunction:
-    return PolynomialFunction([0.0])
 
 
 class ComplexRadialFunction:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
+import dataclasses
 import math
 import time
 
@@ -13,7 +14,7 @@ import pytest
 from swirlcurv import (FourierMode, PolynomialFunction, RadialProfile,
                        TableFunction, assemble_jacobi, curvature_mode_closed,
                        curvature_mode_oracle, curvature_table, jacobi_residuals,
-                       lambda_over_n_study, oscillation_study, sl_spectrum)
+                       oscillation_study, sl_spectra, sl_spectrum)
 from swirlcurv.radial import ComplexRadialFunction
 
 from _helpers import (fixed_size_spectrum, mode_poly, random_mode, scaled_mode, u_const,
@@ -118,7 +119,7 @@ def test_ac6_conjugate_vanishing_and_residuals(ac5_spectra):
                     np.max(np.abs(sol.fields(0.5 * sol.t_star, r, z)["f"])))
         end = max(np.max(np.abs(sol.fields(sol.t_star, r, z)[name])) for name in ("g", "f"))
         worst_vanish = max(worst_vanish, end / scale)
-        worst_resid = max(worst_resid, jacobi_residuals(p, sol).max_residual())
+        worst_resid = max(worst_resid, *dataclasses.astuple(jacobi_residuals(sol)))
 
     # spectral decay of the discretization-limited residuals as the basis grows
     # (the two analytic identities sit at round-off at every size), down to
@@ -128,11 +129,12 @@ def test_ac6_conjugate_vanishing_and_residuals(ac5_spectra):
     for p, n in ((u_const(), 1), (u_quadratic(), 2)):
         res = {}
         for K in (8, 16):
-            rep = jacobi_residuals(p, assemble_jacobi(p, fixed_size_spectrum(p, n, K), 1))
+            rep = jacobi_residuals(assemble_jacobi(p, fixed_size_spectrum(p, n, K), 1))
             res[K] = max(rep.stream_transport, rep.second_order)
-        accepted = jacobi_residuals(p, assemble_jacobi(p, sl_spectrum(p, n, 1), 1))
+        accepted = jacobi_residuals(assemble_jacobi(p, sl_spectrum(p, n, 1), 1))
         ratios.append(res[8] / res[16])
-        decay_ok = decay_ok and res[8] / res[16] >= 100.0 and accepted.max_residual() <= 1e-10
+        decay_ok = (decay_ok and res[8] / res[16] >= 100.0
+                    and max(dataclasses.astuple(accepted)) <= 1e-10)
 
     ok = worst_vanish <= 1e-8 and worst_resid <= 1e-6 and decay_ok
     report("AC-6", ok,
@@ -154,11 +156,11 @@ def test_ac7_oscillation_infimum_zero():
 
 
 def test_ac8_finite_limit_of_lambda_over_n():
-    pairs = lambda_over_n_study(u_const(), 1, [64])
-    gap = abs(pairs[0][1] - 0.5)
+    (s,) = sl_spectra(u_const(), [64], 1)
+    gap = abs(float(s.eigenvalues[0] / abs(s.n)) - 0.5)
 
-    pairs2 = lambda_over_n_study(u_quadratic(), 1, [4, 8, 16, 32, 64])
-    ratios = [x for _, x in pairs2]
+    ratios = [float(s.eigenvalues[0] / abs(s.n))
+              for s in sl_spectra(u_quadratic(), [4, 8, 16, 32, 64], 1)]
     diffs = [abs(b - a) for a, b in zip(ratios, ratios[1:])]
     # the weight's maximum sits on the Dirichlet boundary, so the limit is
     # approached at the boundary-layer rate n^(-2/3): successive differences

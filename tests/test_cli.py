@@ -441,7 +441,7 @@ def test_spectrum_solves_one_stack_per_basis_size(tmp_path, monkeypatch, command
     assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
     shapes = [args[0].shape for args in calls]
     assert [shape[-1] for shape in shapes] == sizes
-    assert all(len(shape) == 3 and shape[0] <= curvature.BLOCK for shape in shapes)
+    assert all(len(shape) == 3 and shape[0] <= jacobi.BLOCK for shape in shapes)
 
 
 @pytest.mark.parametrize("command", ["spectrum", "limit-study"])

@@ -156,7 +156,7 @@ def test_pressure_boundary_condition(n):
     m = standard_mode(n)
     f1u1 = complex(m.f(1.0)) * float(p.u(1.0))
     sol = pressure_bvp_solve(p, m)
-    assert sol.q_prime(1.0) == pytest.approx(-f1u1, abs=1e-9)
+    assert sol.q(1.0, 1) == pytest.approx(-f1u1, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [200, 10 ** 4, 10 ** 6])
@@ -168,7 +168,7 @@ def test_pressure_resolves_the_wall_layer(n):
     p = profile_poly(PRESSURE_PROFILE)
     m = mode_poly(n, G_BASE, f_re=[c.real for c in f], f_im=[c.imag for c in f])
     beta = -complex(m.f(1.0)) * float(p.u(1.0))
-    assert abs(pressure_bvp_solve(p, m).q_prime(1.0) - beta) <= 1e-9 * abs(beta)
+    assert abs(pressure_bvp_solve(p, m).q(1.0, 1) - beta) <= 1e-9 * abs(beta)
 
 
 def ode_residual(sol, p, m, grid=128):
@@ -200,7 +200,7 @@ def test_pressure_routes_agree(n):
     qb = pressure_bvp_solve(p, m)
     for r, q, q_prime in PRESSURE_REFERENCES[n]:
         assert qb.q(float(r)) == pytest.approx(complex(q), abs=1e-13)
-        assert qb.q_prime(float(r)) == pytest.approx(complex(q_prime), abs=2e-12)
+        assert qb.q(float(r), 1) == pytest.approx(complex(q_prime), abs=2e-12)
 
 
 @pytest.mark.parametrize("u", [[1.0, 0.0, 1.0], [2.0, 0.0, -1.0], [1.0]])
@@ -412,7 +412,7 @@ def test_combined_field_oracle_cross_terms_cancel():
     y_th = np.zeros_like(w_r)
     for m in modes:
         q = pressure_bvp_solve(p, m)
-        qp = q.q_prime(r)
+        qp = q.q(r, 1)
         g = np.asarray(m.g(r))
         f = np.asarray(m.f(r))
         phase = np.exp(1j * m.n * z)[None, :]

@@ -25,6 +25,11 @@ def _imports(path: Path) -> set:
     return names
 
 
+def test_the_spectrum_does_not_import_the_curvature_module():
+    # jacobi states its own bound on a stacked eigensolve
+    assert "curvature" not in _imports(PACKAGE / "jacobi.py")
+
+
 def test_package_imports_form_no_cycle():
     graph = {path.stem: _imports(path) for path in PACKAGE.glob("*.py")}
     assert graph["curvature"] >= {"modes", "profile", "quadrature"}   # the reader sees imports

@@ -13,12 +13,13 @@ from scipy.special import jn_zeros
 
 import swirlcurv.jacobi as jacobi
 from swirlcurv import (AccuracyError, HypothesisViolationError, InvalidModeError,
-                       JacobiSolution, ValidationError, assemble_jacobi, conjugate_times,
-                       jacobi_residuals, lambda_over_n_study, parse_config, sl_spectra,
-                       sl_spectrum)
-from swirlcurv.quadrature import gauss_nodes, quad_real
+                       JacobiSolution, RadialProfile, TableFunction, ValidationError,
+                       assemble_jacobi, conjugate_times, jacobi_residuals, parse_config,
+                       sl_spectra, sl_spectrum)
+from swirlcurv.quadrature import gauss_nodes, panel_edges, quad_real
 
-from _helpers import fixed_size_spectrum, profile_poly, u_const, u_decreasing, u_quadratic
+from _helpers import (counting, fixed_size_spectrum, profile_poly, u_const, u_decreasing,
+                      u_quadratic)
 from _oracles import SL_REFERENCES, j1_zeros
 
 
@@ -90,6 +91,19 @@ def test_pencil_derivative_matrix_is_legders(K):
     b, db = jacobi._BUBBLE(r)[:, None], jacobi._BUBBLE.deriv()(r)[:, None]
     dphi = db * legvander(2.0 * r - 1.0, K - 1) + b * dP
     assert np.array_equal(A, (dphi.T * (w / r)) @ dphi)
+
+
+def test_spectrum_panels_are_the_quadratures(monkeypatch):
+    # a table knot 5e-13 past the uniform edge 0.5 splits off no sliver panel: at
+    # K = 16 the spectrum's nodes are the Gauss nodes of panel_edges(0, 1, knots, 16)
+    r = np.linspace(0.0, 1.0, 9)   # every other knot on a uniform edge
+    r[4] += 5e-13
+    p = RadialProfile(TableFunction(r, 1.0 + r ** 2))
+    calls = counting(monkeypatch, jacobi, "gauss_nodes")
+    sl_spectrum(p, 1, 1)
+    edges = calls[0][0]
+    assert edges.size == 17 and np.min(np.diff(edges)) > 1e-3
+    assert np.array_equal(edges, panel_edges(0.0, 1.0, r, 16))
 
 
 SWEEP_PROFILES = {"one": {"poly": [1.0]}, "quad": {"poly": [1.0, 0.0, 1.0]},
@@ -211,7 +225,7 @@ def test_property_spectrum(a, b, n, m_max):
     for m in range(1, m_max + 1):
         assert sign_changes(s.eigenfunction(m)) == m - 1
         assert weight_norm(p, s.eigenfunction(m)) == pytest.approx(1.0, abs=1e-10)
-        assert jacobi_residuals(p, assemble_jacobi(p, s, m)).max_residual() <= 1e-8
+        assert max(dataclasses.astuple(jacobi_residuals(assemble_jacobi(p, s, m)))) <= 1e-8
 
 
 def test_spectrum_validation():
@@ -243,8 +257,8 @@ def test_conjugate_times_values():
 
 
 def test_lambda_over_n_limit_one_half():
-    pairs = lambda_over_n_study(u_const(), 1, [4, 8, 16, 32, 64])
-    ratios = dict(pairs)
+    ratios = {s.n: float(s.eigenvalues[0] / abs(s.n))
+              for s in sl_spectra(u_const(), [4, 8, 16, 32, 64], 1)}
     assert abs(ratios[64] - 0.5) < 1e-3
     diffs = [abs(ratios[b] - ratios[a]) for a, b in ((4, 8), (8, 16), (16, 32), (32, 64))]
     assert all(d2 < d1 / 2 for d1, d2 in zip(diffs, diffs[1:]))
@@ -282,8 +296,8 @@ def test_residuals_small(profile_fn, n, m):
     p = profile_fn()
     s = sl_spectrum(p, n, m)
     sol = assemble_jacobi(p, s, m)
-    rep = jacobi_residuals(p, sol)
-    assert rep.max_residual() < 1e-6
+    rep = jacobi_residuals(sol)
+    assert max(dataclasses.astuple(rep)) < 1e-6
 
 
 def test_residuals_sample_one_period_in_z(monkeypatch):
@@ -294,9 +308,9 @@ def test_residuals_sample_one_period_in_z(monkeypatch):
                         lambda field, *args, **kw: sizes.append(field.shape[-1])
                         or fft_dz(field, *args, **kw))
     p = u_const()
-    rep = jacobi_residuals(p, assemble_jacobi(p, sl_spectrum(p, 500, 1), 1))
+    rep = jacobi_residuals(assemble_jacobi(p, sl_spectrum(p, 500, 1), 1))
     assert sizes and set(sizes) == {16}
-    assert rep.max_residual() < 1e-10
+    assert max(dataclasses.astuple(rep)) < 1e-10
 
 
 def test_residuals_fall_with_basis_size():
@@ -305,7 +319,7 @@ def test_residuals_fall_with_basis_size():
     p = u_quadratic()
     res = {}
     for K in (8, 16):
-        rep = jacobi_residuals(p, assemble_jacobi(p, fixed_size_spectrum(p, 1, K), 1))
+        rep = jacobi_residuals(assemble_jacobi(p, fixed_size_spectrum(p, 1, K), 1))
         res[K] = max(rep.stream_transport, rep.second_order)
     assert res[16] < res[8] / 100.0
 
@@ -317,18 +331,18 @@ def test_residual_detects_wrong_eigenvalue():
     # a wrong eigenvalue in the closed forms, the eigenfunction left alone
     lam = float(s.eigenvalues[0]) * 1.01
     bad = dataclasses.replace(good, lam=lam, t_star=float(2.0 * np.pi * lam / abs(s.n)))
-    rep_good = jacobi_residuals(p, good)
-    rep_bad = jacobi_residuals(p, bad)
-    assert rep_bad.max_residual() > 100 * rep_good.max_residual()
-    assert rep_bad.max_residual() > 1e-3
+    rep_good = max(dataclasses.astuple(jacobi_residuals(good)))
+    rep_bad = max(dataclasses.astuple(jacobi_residuals(bad)))
+    assert rep_bad > 100 * rep_good
+    assert rep_bad > 1e-3
 
 
 def test_sine_branch_residuals_and_secular_term():
     p = u_quadratic()
     s = sl_spectrum(p, 2, 1)
     sol = assemble_jacobi(p, s, 1, phase="sin")
-    rep = jacobi_residuals(p, sol)
-    assert rep.max_residual() < 1e-6
+    rep = jacobi_residuals(sol)
+    assert max(dataclasses.astuple(rep)) < 1e-6
     # the secular u'(r) t term keeps f from re-vanishing at t*
     r = np.linspace(0.2, 0.9, 20)[:, None]
     z = np.array([[np.pi / 4]])
@@ -418,8 +432,8 @@ def test_residuals_are_the_largest_of_each_time_alone(phase, n):
     p = u_quadratic()
     sol = assemble_jacobi(p, sl_spectrum(p, n, 2), 2, phase=phase)
     state = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)}
-    alone = [jacobi_residuals(p, _AtOneTime(**state, t=t)) for t in sol.times]
-    assert dataclasses.astuple(jacobi_residuals(p, sol)) == tuple(
+    alone = [jacobi_residuals(_AtOneTime(**state, t=t)) for t in sol.times]
+    assert dataclasses.astuple(jacobi_residuals(sol)) == tuple(
         max(column) for column in zip(*map(dataclasses.astuple, alone)))
 
 

@@ -9,7 +9,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy import interpolate
 
 from swirlcurv import (ComplexRadialFunction, DomainError, ExpressionFunction,
-                       PolynomialFunction, TableFunction, pressure_bvp_solve, zero)
+                       PolynomialFunction, TableFunction, pressure_bvp_solve)
 from swirlcurv.radial import CubicSpline, bspline_basis
 
 from _helpers import standard_mode, u_quadratic
@@ -35,7 +35,7 @@ def test_polynomial_derivative_is_polyders_bit_for_bit(coeffs):
 def test_polynomial_constant_and_zero():
     assert PolynomialFunction([3.0])(0.7) == 3.0
     assert PolynomialFunction([3.0]).derivative(0.7) == 0.0
-    assert zero()(0.2) == 0.0
+    assert PolynomialFunction([0.0])(0.2) == 0.0
 
 
 def test_expression_function_matches_polynomial():
@@ -177,7 +177,7 @@ ONE_PATH_KINDS = {
 @functools.cache
 def _value_and_slope(kind):
     fn = ONE_PATH_KINDS[kind]()
-    return (fn.q, fn.q_prime) if kind == "pressure" else (fn, fn.derivative)
+    return (fn.q, functools.partial(fn.q, nu=1)) if kind == "pressure" else (fn, fn.derivative)
 
 
 @settings(max_examples=300)
