@@ -199,9 +199,9 @@ class JacobiSolution:
 
     ``fields(t, r, z)`` gives, broadcast over (t, r, z), the stream/swirl components
     ``h`` and ``j`` of the linearized Euler solution, the components ``g`` and
-    ``f`` of the Jacobi field itself and the time derivatives ``dj_dt``, ``dg_dt``
-    and ``df_dt``: all seven for both phases through T, T' and G at
-    theta = n t / lambda, from one evaluation of phi, u, u' and omega.
+    ``f`` of the Jacobi field itself and the time derivatives ``dj_dt`` and
+    ``df_dt``: all six for both phases through T, T' and G at theta = n t / lambda,
+    from one evaluation of phi, u, u' and omega.  dg/dt is h itself, as G' = T.
     """
 
     m: int
@@ -223,17 +223,16 @@ class JacobiSolution:
         return T(theta), dT(theta), G(theta)
 
     def fields(self, t, r, z) -> dict:
-        """{h, j, g, f, dj_dt, dg_dt, df_dt} at the times t on the grid (r, z), all
+        """{h, j, g, f, dj_dt, df_dt} at the times t on the grid (r, z), all
         broadcast together: times of shape (k, 1, 1) give k grids in one call."""
         (T, dT, G), (T0, secular, _) = self._time(t), self._time(0.0)
         r, nz = np.asarray(r, dtype=float), self.n * np.asarray(z)
         phi, cz, sz = self._phi(r), np.cos(nz), np.sin(nz)
         u, up, om = self.profile.u(r), self.profile.u.derivative(r), self.profile.omega(r)
         lam, n, r2 = self.lam, self.n, r ** 2
-        h = T * phi * cz
         # f = int_0^t (j - (u'/r) dg/dz) dt, and omega / r^2 = 2 u / r^2 + u' / r; with
         # the sine phase the secular u'(r) t term keeps f from re-vanishing at t*
-        return {"h": h, "dg_dt": h,
+        return {"h": T * phi * cz,
                 "j": (lam * om / r2) * phi * sz * dT,
                 "g": (lam / n) * cz * G * phi,
                 "f": sz * phi * lam * ((2.0 * u / r2) * (lam / n) * (T - T0)
@@ -265,7 +264,7 @@ class ResidualReport:
     swirl_transport: float    # d j/dt = (omega/r^2) dh/dz
     stream_transport: float   # dt[D h] = -2 r u dj/dz
     second_order: float       # dtt[D h] = -(2 u omega / r) dzz h
-    flow_components: float    # dg/dt = h  and  df/dt + (u'/r) dg/dz = j
+    flow_components: float    # df/dt + (u'/r) dg/dz = j
 
 
 def _fft_dz(field: np.ndarray, n: int, order: int = 1) -> np.ndarray:
@@ -332,9 +331,9 @@ def jacobi_residuals(sol: JacobiSolution) -> ResidualReport:
     term_c = (2.0 * u * om / r) * _fft_dz(h, n, order=2)
     res_c = _relative(dtt_Dh + term_c, term_c, dtt_Dh)
 
-    # (d) flow components: dg/dt = h  and  df/dt + (u'/r) dg/dz = j
-    dg, df = fields["dg_dt"], fields["df_dt"]
+    # (d) flow components: df/dt + (u'/r) dg/dz = j
+    df = fields["df_dt"]
     drift = (up / r) * _fft_dz(fields["g"], n)
-    res_d = max(_relative(dg - h, h, dg), _relative(df + drift - j, j, df, drift))
+    res_d = _relative(df + drift - j, j, df, drift)
 
     return ResidualReport(res_a, res_b, res_c, res_d)

@@ -2,7 +2,7 @@
 
 Three interchangeable representations back every scalar radial function in
 the package: polynomial coefficients, a differentiable expression AST, or a
-sampled table interpolated by a natural cubic spline (``CubicSpline``).
+sampled table interpolated by a natural cubic spline (``TableFunction``).
 Complex-valued radial data (mode coefficients g_n, f_n) is stored as a
 real/imaginary pair.  ``bspline_basis`` evaluates the B-splines of the
 pressure oracle's Galerkin basis.  Every evaluation takes one array path: a
@@ -19,7 +19,6 @@ from .errors import DomainError
 from .linalg import solve_banded
 
 __all__ = [
-    "CubicSpline",
     "bspline_basis",
     "RadialFunction",
     "PolynomialFunction",
@@ -41,48 +40,6 @@ def _check_domain(r):
         bad = arr[(arr < -_DOMAIN_SLACK) | (arr > 1.0 + _DOMAIN_SLACK)]
         raise DomainError(f"radius {float(bad[0])} outside [0, 1]")
     return np.clip(arr, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else arr
-
-
-class CubicSpline:
-    """C² piecewise cubic through (x, y) with natural ends (zero second
-    derivative at x[0] and x[-1]).
-
-    The knot slopes solve one tridiagonal system (de Boor, *A Practical Guide
-    to Splines*, 1978, ch. IV), assembled and evaluated in the same operation
-    order as ``scipy.interpolate.CubicSpline``, so the two agree to round-off.
-    Outside [x[0], x[-1]] the end pieces are extrapolated.
-    """
-
-    def __init__(self, x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        if x.ndim != 1 or x.size < 2 or y.shape != x.shape:
-            raise ValueError("spline needs 1-d nodes, at least 2, one per value")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("spline nodes and values must be finite")
-        dx = np.diff(x)
-        if np.any(dx <= 0):
-            raise ValueError("spline nodes must be strictly increasing")
-        slope = np.diff(y) / dx
-        ab, b = np.zeros((3, x.size)), np.empty_like(y)
-        ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
-        ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = 2 * dx[0], dx[0], 2 * dx[-1], dx[-1]
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        b[0], b[-1] = 3 * (y[1] - y[0]), 3 * (y[-1] - y[-2])
-        s = solve_banded((1, 1), ab, b)
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        self.x = x
-        self.c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
-
-    def __call__(self, r, nu=0):
-        """Values (``nu`` = 0) or first derivatives (``nu`` = 1) at ``r``."""
-        r = np.asarray(r, dtype=float)
-        i = np.searchsorted(self.x[1:-1], r, side="right")   # piece x[i] <= r < x[i + 1]
-        d = r - self.x.take(i)
-        c0, c1, c2, c3 = self.c.take(i, axis=1)
-        d2 = d * d
-        if nu == 0:
-            return c3 + c2 * d + c1 * d2 + c0 * (d2 * d)
-        return c2 + 2 * c1 * d + c0 * d2 * 3
 
 
 def bspline_basis(t, degree, x, nu=0):
@@ -176,26 +133,53 @@ class ExpressionFunction(RadialFunction):
 
 
 class TableFunction(RadialFunction):
-    """Sampled values interpolated by a natural cubic spline.
+    """Sampled values interpolated by a natural cubic spline: C² piecewise cubic
+    through the nodes, with second derivative 0 at r = 0 and r = 1.
 
-    The spline's derivative *defines* the derivative of the profile.
+    The spline's derivative *defines* the derivative of the profile.  The knot
+    slopes solve one tridiagonal system (de Boor, *A Practical Guide to Splines*,
+    1978, ch. IV), assembled and evaluated in the same operation order as
+    ``scipy.interpolate.CubicSpline(bc_type="natural")``, so the two agree to
+    round-off.
     """
 
     def __init__(self, r_nodes, values):
-        r_nodes = np.asarray(r_nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if r_nodes.ndim != 1 or r_nodes.shape != values.shape or r_nodes.size < 4:
+        x, y = np.asarray(r_nodes, dtype=float), np.asarray(values, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 4:
             raise ValueError("need matching 1-d arrays with at least 4 nodes")
-        self._spline = CubicSpline(r_nodes, values)   # refuses nodes that do not increase
-        if r_nodes[0] > _DOMAIN_SLACK or r_nodes[-1] < 1.0 - _DOMAIN_SLACK:
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("spline nodes and values must be finite")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("spline nodes must be strictly increasing")
+        if x[0] > _DOMAIN_SLACK or x[-1] < 1.0 - _DOMAIN_SLACK:
             raise ValueError("table nodes must span [0, 1]")
-        self.knots = r_nodes
+        slope = np.diff(y) / dx
+        ab, b = np.zeros((3, x.size)), np.empty_like(y)
+        ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
+        ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = 2 * dx[0], dx[0], 2 * dx[-1], dx[-1]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        b[0], b[-1] = 3 * (y[1] - y[0]), 3 * (y[-1] - y[-2])
+        s = solve_banded((1, 1), ab, b)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.knots = x
+        self._c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+    def _piece(self, r):
+        """d = r - x[i] for the piece x[i] <= r < x[i + 1] of each r, and that
+        piece's coefficients of d^3, d^2, d and 1."""
+        r = _check_domain(r)
+        i = np.searchsorted(self.knots[1:-1], r, side="right")
+        return (r - self.knots.take(i), *self._c.take(i, axis=1))
 
     def __call__(self, r):
-        return self._spline(_check_domain(r))
+        d, c0, c1, c2, c3 = self._piece(r)
+        d2 = d * d
+        return c3 + c2 * d + c1 * d2 + c0 * (d2 * d)
 
     def derivative(self, r):
-        return self._spline(_check_domain(r), 1)
+        d, c0, c1, c2, _ = self._piece(r)
+        return c2 + 2 * c1 * d + c0 * (d * d) * 3
 
     def __repr__(self):
         return f"TableFunction(<{self.knots.size} nodes>)"

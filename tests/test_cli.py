@@ -277,13 +277,18 @@ def table(r, values):
     case("limit-study", {"profile": ONE, "params": {"n_list": []}}, "empty-limit-n_list"),
     case("oscillation-study", {"profile": ONE, "params": {"k_max": 0}}, "k_max-0"),
     case("oscillation-study", {"profile": ONE, "params": {"k_max": -5}}, "negative-k_max"),
-    case("check-profile", {"profile": table([0, 0.5, 0.5, 1], [1, 1, 1, 1])}, "repeated-table-r"),
+    case("check-profile", {"profile": table([0, 0.5, 0.5, 1], [1, 1, 1, 1])}, "repeated-table-r",
+         "strictly increasing"),
     case("check-profile", {"profile": table([0, 0.75, 0.5, 1], [1, 1, 1, 1])},
          "descending-table-r", "strictly increasing"),
     case("check-profile", {"profile": table([0, 0.5, 1, 0.2], [1, 1, 1, 1])},
          "unsorted-table-r", "strictly increasing"),   # not "must span [0, 1]"
     case("check-profile", {"profile": table([0, 0.25, 0.5, 1], [1, math.nan, 1, 1])},
-         "nan-table-value"),
+         "nan-table-value", "not a finite number"),
+    case("check-profile", {"profile": table([0, 0.5, 1], [1, 1, 1])}, "three-table-nodes",
+         "at least 4 nodes"),
+    case("check-profile", {"profile": table([0, 0.3, 0.6, 0.9], [1, 1, 1, 1])},
+         "table-short-of-the-wall", "must span [0, 1]"),
     # |n| > 1e12, up to wavenumbers whose square is no float, names its key
     case("curvature", {"profile": GOOD_PROFILE, "modes": [dict(MODES[0], n=10 ** 200)]},
          "huge-mode-n"),

@@ -281,6 +281,34 @@ def test_oracle_and_energy_rows_are_exact_for_polynomial_data():
         assert values["energy", m.n] == pytest.approx(float(energy), rel=1e-14, abs=0)
 
 
+_SMALL_RATIONALS = st.fractions(-2, 2, max_denominator=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(Fraction(1, 8), 2, max_denominator=8), st.lists(_SMALL_RATIONALS, max_size=3),
+       st.lists(_SMALL_RATIONALS, min_size=1, max_size=3).filter(any),
+       st.integers(1, 10 ** 4))
+def test_shared_radial_term_is_exact_for_polynomial_data(u0, u_rest, q, n):
+    # with f = 0 both routes are the term they share, 4 pi^2 n^2 int |g|^2 eta / r, and
+    # g = r^2 (1 - r) q; u of degree <= 3 and q of degree <= 2 make it a polynomial of
+    # degree <= 15, which each Gauss panel integrates exactly.  The data are floats,
+    # and the reference is the exact integral of those floats; eta may change sign,
+    # so the bound is relative to int |g|^2 |eta| / r
+    u = [float(c) for c in (u0, *u_rest)]
+    g = [float(c) for c in npoly.polymul([0, 0, Fraction(1), Fraction(-1)], q)]
+    p, m = profile_poly(u), mode_poly(n, g)
+    du = [k * c for k, c in enumerate(u)][1:] or [0.0]
+    U, dU, G = ([Fraction(c) for c in coeffs] for coeffs in (u, du, g))
+    exact = _exact_integral((G[1:], G, U, U), ([2], G, G, U, dU))   # g^2 (u^2 / r + 2 u u')
+    x, w = gauss_nodes(np.linspace(0.0, 1.0, 65))
+    scale = np.sum(w * npoly.polyval(x, g) ** 2 * np.abs(p.eta(x)) / x)
+    row, = curvature_table(p, [m])
+    for value in (curvature_mode_closed(p, m), curvature_mode_oracle(p, m),
+                  row.kbar_closed, row.kbar_oracle):
+        assert abs(value - modes.FOUR_PI_SQ * n * n * float(exact)) <= (
+            1e-14 * modes.FOUR_PI_SQ * n * n * scale)
+
+
 def test_oracle_evaluates_no_pressure_at_the_quadrature_nodes(monkeypatch):
     # the assembly's one call (B and B' from one recursion), and none for q' at the
     # quadrature's nodes

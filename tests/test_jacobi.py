@@ -225,7 +225,7 @@ def test_property_spectrum(a, b, n, m_max):
     for m in range(1, m_max + 1):
         assert sign_changes(s.eigenfunction(m)) == m - 1
         assert weight_norm(p, s.eigenfunction(m)) == pytest.approx(1.0, abs=1e-10)
-        assert max(dataclasses.astuple(jacobi_residuals(assemble_jacobi(p, s, m)))) <= 1e-8
+        assert np.max(dataclasses.astuple(jacobi_residuals(assemble_jacobi(p, s, m)))) <= 1e-8
 
 
 def test_spectrum_validation():
@@ -297,7 +297,7 @@ def test_residuals_small(profile_fn, n, m):
     s = sl_spectrum(p, n, m)
     sol = assemble_jacobi(p, s, m)
     rep = jacobi_residuals(sol)
-    assert max(dataclasses.astuple(rep)) < 1e-6
+    assert np.max(dataclasses.astuple(rep)) < 1e-6
 
 
 def test_residuals_sample_one_period_in_z(monkeypatch):
@@ -310,7 +310,7 @@ def test_residuals_sample_one_period_in_z(monkeypatch):
     p = u_const()
     rep = jacobi_residuals(assemble_jacobi(p, sl_spectrum(p, 500, 1), 1))
     assert sizes and set(sizes) == {16}
-    assert max(dataclasses.astuple(rep)) < 1e-10
+    assert np.max(dataclasses.astuple(rep)) < 1e-10
 
 
 def test_residuals_fall_with_basis_size():
@@ -320,7 +320,7 @@ def test_residuals_fall_with_basis_size():
     res = {}
     for K in (8, 16):
         rep = jacobi_residuals(assemble_jacobi(p, fixed_size_spectrum(p, 1, K), 1))
-        res[K] = max(rep.stream_transport, rep.second_order)
+        res[K] = np.maximum(rep.stream_transport, rep.second_order)
     assert res[16] < res[8] / 100.0
 
 
@@ -331,8 +331,8 @@ def test_residual_detects_wrong_eigenvalue():
     # a wrong eigenvalue in the closed forms, the eigenfunction left alone
     lam = float(s.eigenvalues[0]) * 1.01
     bad = dataclasses.replace(good, lam=lam, t_star=float(2.0 * np.pi * lam / abs(s.n)))
-    rep_good = max(dataclasses.astuple(jacobi_residuals(good)))
-    rep_bad = max(dataclasses.astuple(jacobi_residuals(bad)))
+    rep_good = np.max(dataclasses.astuple(jacobi_residuals(good)))
+    rep_bad = np.max(dataclasses.astuple(jacobi_residuals(bad)))
     assert rep_bad > 100 * rep_good
     assert rep_bad > 1e-3
 
@@ -342,7 +342,7 @@ def test_sine_branch_residuals_and_secular_term():
     s = sl_spectrum(p, 2, 1)
     sol = assemble_jacobi(p, s, 1, phase="sin")
     rep = jacobi_residuals(sol)
-    assert max(dataclasses.astuple(rep)) < 1e-6
+    assert np.max(dataclasses.astuple(rep)) < 1e-6
     # the secular u'(r) t term keeps f from re-vanishing at t*
     r = np.linspace(0.2, 0.9, 20)[:, None]
     z = np.array([[np.pi / 4]])
@@ -350,8 +350,19 @@ def test_sine_branch_residuals_and_secular_term():
     assert np.max(np.abs(sol.fields(sol.t_star, r, z)["f"])) > 0.1 * scale
 
 
+@pytest.mark.parametrize("phase", ["cos", "sin"])
+def test_time_factors_differentiate_into_each_other(phase):
+    # G' = T, so dg/dt = h with no field of its own, and T' = dT, by central differences
+    T, dT, G = jacobi._TIME_FACTORS[phase]
+    theta, step = np.linspace(-7.0, 7.0, 12), 1e-5
+    assert G(0.0) == 0.0
+    for fn, slope in ((G, T), (T, dT)):
+        central = (fn(theta + step) - fn(theta - step)) / (2.0 * step)
+        np.testing.assert_allclose(central, slope(theta), rtol=0, atol=1e-9)
+
+
 def per_phase_closed_forms(sol, p, t, r, z):
-    """The seven fields written out separately for each phase, as references."""
+    """The six fields written out separately for each phase, as references."""
     lam, n, th = sol.lam, sol.n, sol.n * t / sol.lam
     phi, u, up, om = sol._phi(r), p.u(r), p.u.derivative(r), p.omega(r)
     cz, sz, c, s = np.cos(n * z), np.sin(n * z), np.cos(th), np.sin(th)
@@ -359,12 +370,12 @@ def per_phase_closed_forms(sol, p, t, r, z):
         return {"h": c * phi * cz, "j": -(lam * om / r ** 2) * phi * sz * s,
                 "g": (lam / n) * cz * s * phi,
                 "f": (2.0 * lam ** 2 * u / (n * r ** 2)) * sz * (c - 1.0) * phi,
-                "dj_dt": -(n * om / r ** 2) * phi * sz * c, "dg_dt": c * phi * cz,
+                "dj_dt": -(n * om / r ** 2) * phi * sz * c,
                 "df_dt": -(2.0 * lam * u / r ** 2) * sz * s * phi}
     return {"h": s * phi * cz, "j": (lam * om / r ** 2) * phi * sz * c,
             "g": (lam / n) * cz * (1.0 - c) * phi,
             "f": sz * phi * lam * ((2.0 * u / r ** 2) * (lam / n) * s + (up / r) * t),
-            "dj_dt": -(n * om / r ** 2) * phi * sz * s, "dg_dt": s * phi * cz,
+            "dj_dt": -(n * om / r ** 2) * phi * sz * s,
             "df_dt": sz * phi * lam * ((2.0 * u / r ** 2) * c + up / r)}
 
 
@@ -408,7 +419,7 @@ def test_fields_at_all_times_in_one_call_equal_a_call_per_time(phase):
     z = np.linspace(0.0, 2 * np.pi, 9)[None, :]
     times = [0.0, *sol.times, sol.t_star, 1.7 * sol.t_star]
     together = sol.fields(np.array(times)[:, None, None], r, z)
-    assert sorted(together) == ["df_dt", "dg_dt", "dj_dt", "f", "g", "h", "j"]
+    assert sorted(together) == ["df_dt", "dj_dt", "f", "g", "h", "j"]
     for k, t in enumerate(times):
         for name, value in sol.fields(t, r, z).items():
             assert np.array_equal(together[name][k], value), (name, t)
