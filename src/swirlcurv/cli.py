@@ -20,9 +20,9 @@ import numpy as np
 
 from .config import MAX_INT, RunConfig, check_integer, parse_config
 from .curvature import curvature_table, oscillation_study
-from .errors import HypothesisViolationError, SwirlcurvError, ValidationError
-from .jacobi import (assemble_jacobi, check_phase, conjugate_times, jacobi_residuals,
-                     sl_spectra, sl_spectrum)
+from .errors import AccuracyError, HypothesisViolationError, SwirlcurvError, ValidationError
+from .jacobi import (RESIDUAL_TOL, assemble_jacobi, check_phase, conjugate_times,
+                     jacobi_residuals, sl_spectra, sl_spectrum)
 from .profile import classify_criteria
 from .quadrature import MAX_PANELS
 
@@ -183,15 +183,15 @@ def _cmd_jacobi(cfg: RunConfig, out: Path):
     phase = check_phase(cfg.params.get("phase", "cos"))
     s = sl_spectrum(cfg.profile, n, m)
     sol = assemble_jacobi(cfg.profile, s, m, phase=phase)
-    report = jacobi_residuals(sol)
+    residuals = {f"residual_{key}": value for key, value in asdict(jacobi_residuals(sol)).items()}
+    failing = [f"{key} = {value:.3e}" for key, value in residuals.items()
+               if not value <= RESIDUAL_TOL]   # a nan fails too
+    if failing:
+        raise AccuracyError(f"n = {n}, m = {m}: the Jacobi field fails its equations, "
+                            f"{', '.join(failing)} > {RESIDUAL_TOL:g}")
     _write_json(out / "jacobi_residuals.json", {
         "n": n, "m": m, "lambda": float(sol.lam), "t_star": sol.t_star, "phase": phase,
-        "residual_swirl_transport": report.swirl_transport,
-        "residual_stream_transport": report.stream_transport,
-        "residual_second_order": report.second_order,
-        "residual_flow_components": report.flow_components,
-        "times": sol.times,
-    })
+        "times": sol.times, **residuals})
     artifacts = ["jacobi_residuals.json"]
 
     r = np.linspace(1.0 / 64, 1.0, 64)   # 64 x 16 snapshot points per field and time

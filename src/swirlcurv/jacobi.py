@@ -257,6 +257,10 @@ def assemble_jacobi(p: RadialProfile, s: SLSpectrum, m: int, *,
 # Residuals of the linearized equations
 # ---------------------------------------------------------------------------
 
+# the largest residual of a Jacobi field the ``jacobi`` command publishes
+RESIDUAL_TOL = 1e-8
+
+
 @dataclass
 class ResidualReport:
     """Max-norm residuals over the (r, z, t) sample set, scale-normalized."""

@@ -374,3 +374,58 @@ def sl_mpmath(u, n, lam0, dps=40):
         return total
 
     return mp.findroot(phi_at_one, mp.mpf(lam0))
+
+
+# ---------------------------------------------------------------------------
+# Oscillation study reference values from mpmath (g = sin(k pi r), f = 0)
+# ---------------------------------------------------------------------------
+
+def oscillation_mpmath(u, n, k, dps=30):
+    """The oscillation study's value at k, num / (<<X, X>> den), by ``mpmath.quad``.
+
+    num = int_0^1 n^2 sin^2(k pi r) eta / r dr and den = int_0^1 (n^2 sin^2(k pi r) / r
+    + (k pi cos(k pi r))^2) dr, each split at the 2k + 1 points j / 2k, where
+    sin(k pi r) or cos(k pi r) vanishes, and <<X, X>> = 4 pi^2 int_0^1 r^3 u^2 dr,
+    u as ascending polynomial coefficients.  Produced ``OSCILLATION_REFERENCES``;
+    the tests read the frozen values and do not run this.
+    """
+    from mpmath import mp
+
+    mp.dps = dps
+    du = [j * c for j, c in enumerate(u)][1:]
+    w = k * mp.pi
+    pts = [mp.mpf(j) / (2 * k) for j in range(2 * k + 1)]
+
+    def eta(r):
+        return _mp_poly(u, r) ** 2 + 2 * r * _mp_poly(u, r) * _mp_poly(du, r)
+
+    num = n * n * mp.quad(lambda r: mp.sin(w * r) ** 2 * eta(r) / r, pts)
+    den = mp.quad(lambda r: n * n * mp.sin(w * r) ** 2 / r + (w * mp.cos(w * r)) ** 2, pts)
+    xx = 4 * mp.pi ** 2 * mp.quad(lambda r: r ** 3 * _mp_poly(u, r) ** 2, [0, 1])
+    return num / (xx * den)
+
+
+# (u, n, k, value) of the oscillation study: u as ascending polynomial coefficients,
+# value from ``oscillation_mpmath`` at 30 digits, confirmed to the digits shown at 40
+OSCILLATION_REFERENCES = [
+    ([1.0], 1, 1, "0.02006831507273594513826145"),
+    ([1.0], 1, 16, "0.0002076114597260262904903626"),
+    ([1.0], 1, 17, "0.0001860932764454695181844007"),
+    ([1.0], 1, 48, "0.00002800228177338734372523181"),
+    ([1.0], 1, 64, "0.0000164739769271780801422246"),
+    ([1.0], 3, 1, "0.06988303115157422465817864"),
+    ([1.0], 3, 16, "0.001838367977590707674492269"),
+    ([1.0], 3, 17, "0.001650586860405117893731436"),
+    ([1.0], 3, 48, "0.0002514645549842239631060508"),
+    ([1.0], 3, 64, "0.0001480731886496471741301935"),
+    ([1.0, 0.0, 1.0], 1, 1, "0.01832788046386790829848406"),
+    ([1.0, 0.0, 1.0], 1, 16, "0.0001332826546014947549538182"),
+    ([1.0, 0.0, 1.0], 1, 17, "0.000118849307711333551089929"),
+    ([1.0, 0.0, 1.0], 1, 48, "0.0000165646340504924091511886"),
+    ([1.0, 0.0, 1.0], 1, 64, "0.000009573166474547728785916019"),
+    ([1.0, 0.0, 1.0], 3, 1, "0.06382239050745554830705474"),
+    ([1.0, 0.0, 1.0], 3, 16, "0.001180197685190470114495063"),
+    ([1.0, 0.0, 1.0], 3, 17, "0.001054154719738385489134812"),
+    ([1.0, 0.0, 1.0], 3, 48, "0.0001487528182057758072050981"),
+    ([1.0, 0.0, 1.0], 3, 64, "0.00008604657464474184770157641"),
+]

@@ -145,6 +145,41 @@ def test_jacobi_checks_the_phase_before_any_solve(tmp_path, capsys, monkeypatch,
     assert calls == []
 
 
+def test_jacobi_refuses_a_field_that_fails_its_equations(tmp_path, capsys):
+    # the 12th eigenfunction at n = 128 is not resolved at the spectrum's last basis size
+    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE, "params": {"n": 128, "m": 12}})
+    assert main(["jacobi", "--config", cfg, "--out", str(tmp_path)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "AccuracyError"
+    assert payload["message"].startswith("n = 128, m = 12: the Jacobi field fails its equations")
+    assert "residual_second_order = 1.000e+00" in payload["message"]
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@settings(max_examples=25, deadline=None)
+@example([1.0, 0.0, 1.0], 128, 12)   # refused: residuals of 1.0
+@example([1.0], 2, 2)                # the workload's run, residuals near 1e-15
+@given(st.lists(st.floats(-0.5, 1.0), max_size=3).map(lambda tail: [1.0] + tail),
+       st.integers(-256, 256).filter(bool), st.integers(1, 12))
+def test_jacobi_publishes_only_fields_that_pass_their_equations(coeffs, n, m):
+    config = {"profile": {"poly": coeffs}, "params": {"n": n, "m": m}}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = main(["jacobi", "--config", write_cfg(Path(tmp), config), "--out", tmp, "--quiet"])
+        names = {path.name for path in Path(tmp).iterdir()}
+        report = (json.loads(Path(tmp, "jacobi_residuals.json").read_text())
+                  if "jacobi_residuals.json" in names else None)
+    if code == 0:
+        residuals = [value for key, value in report.items() if key.startswith("residual_")]
+        assert len(residuals) == 4 and max(residuals) <= jacobi.RESIDUAL_TOL
+    else:   # 2: u omega is not positive; 1: the spectrum or the field is refused
+        assert names == {"cfg.json"}
+        message = json.loads(err.getvalue())["message"]
+        assert code == 2 or (f"n = {n}" in message
+                             and (f"m = {m}:" in message or f"{m} eigenvalues" in message))
+
+
 def test_oscillation_command(tmp_path):
     cfg = write_cfg(tmp_path, {"profile": {"poly": [1.0]},
                                "params": {"n": 1, "k_max": 6}})
@@ -331,11 +366,19 @@ def test_radial_data_must_be_json_numbers(tmp_path, capsys, spec, field):
                          ids=["sliver-past-the-axis", "nodes-past-both-ends"])
 @pytest.mark.parametrize("command", ["spectrum", "jacobi", "limit-study"])
 def test_table_nodes_outside_the_unit_interval_split_no_panel(tmp_path, capsys, command, r):
-    # the spectrum's Gauss nodes stay in (0, 1), where u * omega is checked
+    # the spectrum's Gauss nodes stay in (0, 1), where u * omega is checked.  The
+    # Jacobi field is solved too, but on a 4-node spline its residuals are 1.1e-4
+    # (the eigenfunction is only C^3 at the knots), so jacobi refuses to publish it
     profile = table(r, [1 + x * x for x in r])
     cfg = write_cfg(tmp_path, {"profile": profile, "params": {"n_list": [1, 2]}})
-    assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
-    assert capsys.readouterr().err == ""
+    code = main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"])
+    err = capsys.readouterr().err
+    if command == "jacobi":
+        assert code == 1
+        assert json.loads(err)["message"].startswith(
+            "n = 1, m = 1: the Jacobi field fails its equations, residual_stream_transport")
+    else:
+        assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("command, key", [("jacobi", "m"), ("limit-study", "m"),

@@ -29,8 +29,9 @@ from swirlcurv.radial import ComplexRadialFunction
 from _helpers import (G_BASE, counting, mode_poly, profile_poly, random_mode, scaled_mode,
                       standard_mode, u_const, u_decreasing, u_quadratic, workload_config)
 from _oracles import (H_RATIO_F, H_RATIO_PANELS, H_RATIO_PROFILE, H_RATIO_REFERENCES,
-                      KBAR_REFERENCES, PRESSURE_F, PRESSURE_PROFILE, PRESSURE_REFERENCES,
-                      PRESSURE_TERM_REFERENCES, carry_recurrence, h_ratio_gaps, int_r3_i1)
+                      KBAR_REFERENCES, OSCILLATION_REFERENCES, PRESSURE_F, PRESSURE_PROFILE,
+                      PRESSURE_REFERENCES, PRESSURE_TERM_REFERENCES, carry_recurrence,
+                      h_ratio_gaps, int_r3_i1)
 
 PI2 = math.pi ** 2
 
@@ -671,7 +672,7 @@ def test_oscillation_study_decreases():
 
 def _oscillation_row(p, n, k):
     """One k of the oscillation study, by two scalar quadrature calls on the
-    study's panels, split at u's knots."""
+    study's panels, split at u's knots, with np.sin and np.cos of k pi r."""
     w = k * np.pi
     numerator = quad_real(lambda r: n * n * np.sin(w * r) ** 2 * p.eta(r) / r, 0.0, 1.0,
                           points=p.u.knots)
@@ -681,22 +682,66 @@ def _oscillation_row(p, n, k):
     return numerator / (swirl_energy(p) * denominator)
 
 
-@pytest.mark.parametrize("p, n", [
-    (u_quadratic(), 3),
-    (RadialProfile(TableFunction(ON_EDGES, 1.0 + ON_EDGES ** 2)), 1),
+@pytest.mark.parametrize("p, n, ks", [
+    (u_quadratic(), 3, range(1, 41)),
+    (RadialProfile(TableFunction(ON_EDGES, 1.0 + ON_EDGES ** 2)), 1, range(1, 41)),
     # knots off the 1/32 panel edges split the denominator's panels too: against
     # panels not split there it moves by at most 3.9e-16 relative
-    (RadialProfile(TableFunction(OFF_EDGES, 2.0 - OFF_EDGES ** 2)), 2),
-], ids=["1+r^2", "table", "table-off-edges"])
-def test_blocked_oscillation_study_equals_one_k_at_a_time(p, n):
-    # k = 1 ... 40 crosses the block ends at 16/17 and 32/33
+    (RadialProfile(TableFunction(OFF_EDGES, 2.0 - OFF_EDGES ** 2)), 2, range(1, 41)),
+    # steps 1, 3, 59 and 1: one rotation per distinct step
+    (u_quadratic(), 3, [1, 2, 5, 64, 65]),
+], ids=["1+r^2", "table", "table-off-edges", "uneven-steps"])
+def test_blocked_oscillation_study_equals_one_k_at_a_time(p, n, ks):
+    # k = 1 ... 40 crosses the block ends at 16/17 and 32/33; the block's harmonics
+    # come by rotation, within 2e-15 of np.sin and np.cos at k <= 64
     assert curvature.BLOCK == 16
-    rows = oscillation_study(p, n, range(1, 41))
-    assert rows == [(k, _oscillation_row(p, n, k)) for k in range(1, 41)]
+    rows = oscillation_study(p, n, ks)
+    assert [k for k, _ in rows] == list(ks)
+    np.testing.assert_allclose([v for _, v in rows], [_oscillation_row(p, n, k) for k in ks],
+                               rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("u, n", [([1.0], 1), ([1.0], 3), ([1.0, 0.0, 1.0], 1),
+                                  ([1.0, 0.0, 1.0], 3)], ids=["1-1", "1-3", "1+r^2-1", "1+r^2-3"])
+def test_oscillation_study_matches_mpmath(u, n):
+    # one study over k = 1 ... 64, so the references sit at both ends of its blocks
+    values = dict(oscillation_study(profile_poly(u), n, range(1, 65)))
+    refs = [(k, float(value)) for uu, nn, k, value in OSCILLATION_REFERENCES if (uu, nn) == (u, n)]
+    assert [k for k, _ in refs] == [1, 16, 17, 48, 64]
+    for k, value in refs:
+        assert values[k] == pytest.approx(value, rel=1e-14, abs=0)
+
+
+def test_oscillation_study_integrates_the_swirl_energy_in_its_first_call(monkeypatch):
+    p, values = u_quadratic(), []
+    quad = curvature.quad_real
+    monkeypatch.setattr(curvature, "quad_real",
+                        lambda *args, **kw: values.append(quad(*args, **kw)) or values[-1])
+    monkeypatch.setattr(curvature, "swirl_energy", None)   # not called
+    oscillation_study(p, 3, range(1, 41))
+    # the largest k first: 8 numerators, 8 denominators and <<X, X>>, then two blocks of 16
+    assert [v.size for v in values] == [17, 32, 32]
+    assert modes.FOUR_PI_SQ * values[0][-1] == swirl_energy(p)
+
+
+class _HugeU:
+    """u = 1e200 on no knots: r^3 u^2 overflows."""
+
+    knots = np.array([])
+
+    def __call__(self, r):
+        return np.full_like(r, 1e200)
+
+
+def test_oscillation_study_names_the_swirl_energy_when_it_fails():
+    p = SimpleNamespace(u=_HugeU(), eta=np.ones_like)   # eta = 1 keeps every k finite
+    with np.errstate(over="ignore"), pytest.raises(AccuracyError,
+                                                   match="^swirl energy: quadrature sum inf"):
+        oscillation_study(p, 1, range(1, 5))
 
 
 def test_oscillation_study_memory_is_bounded_by_the_block():
-    # one call over all 256 wavenumbers peaks at about 31 MB, blocks of 16 at 2 MB
+    # one call over all 256 wavenumbers peaks at about 31 MB, blocks of 16 at 3.9 MB
     tracemalloc.start()
     try:
         oscillation_study(u_const(), 1, range(1, 257))
