@@ -111,7 +111,7 @@ def _csv(header, columns) -> bytes:
     parts = [part for col, sep in zip(columns, seps)
              for part in (col, np.full((len(col), 1), sep, np.uint8))]
     table = np.concatenate(parts, axis=1).tobytes() if parts else b""
-    return (",".join(header) + "\n").encode() + table.replace(b"\0", b"")
+    return (",".join(header) + "\n").encode() + table.translate(None, b"\0")
 
 
 def _write_csv(path: Path, header, rows):

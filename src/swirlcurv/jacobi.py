@@ -14,8 +14,9 @@ Sci. Comput. 15, 1994) on the basis phi_k = r^2 (1 - r) P_k(2r - 1), which
 carries phi ~ r^2 at the axis and phi(1) = 0; each eigenfunction is a
 ``numpy.polynomial.Legendre`` series, differentiated exactly.  n enters the
 pencil only as A + n^2 B, so ``sl_spectra`` assembles it once per basis size K
-and stacks the pencils of many wavenumbers into one eigensolve, one Cholesky
-factor of the mass matrix for all of them; n and -n share one pencil.
+(the first size is the leading block of the second's) and stacks the pencils of
+many wavenumbers into one eigensolve, one Cholesky factor of the mass matrix for
+all of them; n and -n share one pencil.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import Legendre
-from numpy.polynomial.legendre import legvander
 
 from .errors import AccuracyError, HypothesisViolationError, InvalidModeError, ValidationError
 from .linalg import eigh
@@ -90,14 +90,16 @@ def _pencil(p: RadialProfile, K: int):
     weight = 2.0 * p.u(r) * p.omega(r) / r
     if np.any(weight <= 0.0):
         raise HypothesisViolationError("u * omega must be positive on (0, 1)")
-    P = legvander(2.0 * r - 1.0, K - 1)
-    # d/dr P_k(2r - 1) = sum over j < k, k - j odd, of 2 (2j + 1) P_j(2r - 1)
-    j, k = np.ogrid[:K - 1, :K]
-    dP = P[:, :-1] @ np.where((k > j) & ((k - j) % 2 == 1), 4.0 * j + 2.0, 0.0)
-    b, db = _BUBBLE(r)[:, None], _BUBBLE.deriv()(r)[:, None]
-    phi, dphi = b * P, db * P + b * dP
-    return ((dphi.T * (w / r)) @ dphi, (phi.T * (w / r)) @ phi,
-            (phi.T * (w * weight)) @ phi, phi)
+    # P_k(2r - 1) and its r-derivative by the three-term recurrence, one row each
+    P, dP, s = np.zeros((K, r.size)), np.zeros((K, r.size)), 2.0 * r - 1.0
+    P[0], P[1], dP[1] = 1.0, s, 2.0
+    for k in range(1, K - 1):
+        P[k + 1] = ((2 * k + 1) * s * P[k] - k * P[k - 1]) / (k + 1)
+        dP[k + 1] = dP[k - 1] + (4 * k + 2) * P[k]
+    b = r * r * (1.0 - r)   # the bubble, with slope r (2 - 3r)
+    phi, dphi = b * P, r * (2.0 - 3.0 * r) * P + b * dP
+    return ((dphi * (w / r)) @ dphi.T, (phi * (w / r)) @ phi.T,
+            (phi * (w * weight)) @ phi.T, phi.T)
 
 
 def _galerkin(pencil, n, m_max: int):
@@ -121,12 +123,13 @@ def sl_spectra(p: RadialProfile, n_list, m_max: int) -> list:
     Solves at basis size K = max(16, 2 m_max) and doubles K, capped at
     ``K_MAX``, until every eigenvalue of an n moves less than ``TOL`` relative;
     the larger size's eigenvalues are returned with that change as their error
-    estimate (m_max above 40 is not supported).  Each size's pencil is assembled
-    once, and the pencils A + n^2 B of the distinct |n| not yet settled are stacked,
-    ``BLOCK`` at a time, into one ``eigh`` call, each as a solve of its own, bit for
-    bit; n and -n share the arrays of one spectrum.  n = 0 anywhere is refused before
-    any solve; past ``K_MAX`` an ``AccuracyError`` names the smallest n that did not
-    settle.
+    estimate (m_max above 40 is not supported).  The basis nests, so the first
+    size solves on the leading block of the second size's pencil; each size after
+    it is assembled once.  The pencils A + n^2 B of the distinct |n| not yet
+    settled are stacked, ``BLOCK`` at a time, into one ``eigh`` call, each as a
+    solve of its own, bit for bit; n and -n share the arrays of one spectrum.
+    n = 0 anywhere is refused before any solve; past ``K_MAX`` an ``AccuracyError``
+    names the smallest n that did not settle.
     """
     n_list = [int(n) for n in n_list]
     if 0 in n_list:
@@ -142,9 +145,12 @@ def sl_spectra(p: RadialProfile, n_list, m_max: int) -> list:
             f"{len(roots)} roots, the first ones: {roots[:3]}")
 
     done, lam, est = {}, {}, {}   # by |n|
-    K, todo = max(16, 2 * m_max), list(dict.fromkeys(abs(n) for n in n_list))
+    K, todo, full = max(16, 2 * m_max), list(dict.fromkeys(abs(n) for n in n_list)), None
     while K <= K_MAX and todo:
-        pencil = _pencil(p, K)
+        if full is None or len(full[0]) < K:
+            # the basis nests: the first size reads the second's leading block
+            full = _pencil(p, min(2 * K, K_MAX) if full is None else K)
+        pencil = [a[:K, :K] for a in full[:3]] + [full[3][:, :K]]
         for start in range(0, len(todo), BLOCK):
             block = todo[start:start + BLOCK]
             for n, fine, coef in zip(block, *_galerkin(pencil, block, m_max)):
@@ -271,11 +277,18 @@ class ResidualReport:
     flow_components: float    # df/dt + (u'/r) dg/dz = j
 
 
-def _fft_dz(field: np.ndarray, n: int, order: int = 1) -> np.ndarray:
-    """Spectral d/dz along the last axis (z uniform on one period [0, 2pi/|n|))."""
-    nz = field.shape[-1]
-    k = abs(n) * np.fft.fftfreq(nz, d=1.0 / nz)
-    return np.real(np.fft.ifft((1j * k) ** order * np.fft.fft(field, axis=-1), axis=-1))
+# d/dx and d^2/dx^2 on the 16 periodic points x_j = j h, h = pi/8, in closed form
+# (Trefethen, Spectral Methods in MATLAB, 2000, ch. 3; the second's diagonal is
+# -pi^2/(3 h^2) - 1/6 = -(16^2 + 2)/12)
+_dj = np.subtract.outer(np.arange(16), np.arange(16))
+_x, _sign = np.where(_dj == 0, 1.0, _dj * np.pi / 16), (-1.0) ** _dj   # (j - k) h / 2
+_D = (np.where(_dj == 0, 0.0, 0.5 * _sign / np.tan(_x)),
+      np.where(_dj == 0, -(16 ** 2 + 2) / 12, -0.5 * _sign / np.sin(_x) ** 2))
+
+
+def _dz(field: np.ndarray, n: int, order: int = 1) -> np.ndarray:
+    """Spectral d/dz along the last axis, z on 16 points of one period [0, 2pi/|n|)."""
+    return field @ (abs(n) ** order * _D[order - 1].T)
 
 
 def _relative(defect, *terms) -> float:
@@ -291,11 +304,12 @@ def jacobi_residuals(sol: JacobiSolution) -> ResidualReport:
     the profile its fields were built on.
 
     Time derivatives are analytic (the closed forms are trigonometric in t);
-    z derivatives are spectral; r derivatives are those of the eigenfunction's
-    Legendre series.  The 256-point radial grid starts away from the axis, where
-    the 1/r^2 factors would amplify round-off; the fields are evaluated at all of
-    ``sol.times`` in one call, along a leading axis.  Every field is one harmonic
-    of nz, so z takes 16 points on one period 2pi/|n|, whatever n.
+    z derivatives are spectral, one real matrix product each (``_dz``); r
+    derivatives are those of the eigenfunction's Legendre series.  The 256-point
+    radial grid starts away from the axis, where the 1/r^2 factors would amplify
+    round-off; the fields are evaluated at all of ``sol.times`` in one call, along
+    a leading axis.  Every field is one harmonic of nz, so z takes 16 points on
+    one period 2pi/|n|, whatever n.
     """
     n = sol.n
     t = np.array(sol.times)[:, None, None]
@@ -306,8 +320,8 @@ def jacobi_residuals(sol: JacobiSolution) -> ResidualReport:
     u, up, om = p.u(r), p.u.derivative(r), p.omega(r)
     cz = np.cos(n * z)
     phi = sol._phi(r)
-    dphi = sol._phi.deriv()(r)
-    ddphi = sol._phi.deriv(2)(r)
+    dphi_series = sol._phi.deriv()
+    dphi, ddphi = dphi_series(r), dphi_series.deriv()(r)
     # D_r phi := (phi'/r)' - n^2 phi / r, the radial part of the stream operator
     lop = ddphi / r - dphi / r ** 2 - n * n * phi / r
 
@@ -316,7 +330,7 @@ def jacobi_residuals(sol: JacobiSolution) -> ResidualReport:
 
     # (a) swirl transport
     lhs = fields["dj_dt"]
-    rhs = (om / r ** 2) * _fft_dz(h, n)
+    rhs = (om / r ** 2) * _dz(h, n)
     res_a = _relative(lhs - rhs, rhs, lhs)
 
     # time factor multiplying D(h): d/dt and d2/dt2 of the t-dependence T of h
@@ -328,16 +342,16 @@ def jacobi_residuals(sol: JacobiSolution) -> ResidualReport:
     dtt_Dh = tf2 * lop * cz
 
     # (b) stream transport: dt[D h] + 2 r u dj/dz = 0
-    term = 2.0 * r * u * _fft_dz(j, n)
+    term = 2.0 * r * u * _dz(j, n)
     res_b = _relative(dt_Dh + term, term, dt_Dh)
 
     # (c) second-order equation: dtt[D h] + (2 u om / r) dzz h = 0
-    term_c = (2.0 * u * om / r) * _fft_dz(h, n, order=2)
+    term_c = (2.0 * u * om / r) * _dz(h, n, 2)
     res_c = _relative(dtt_Dh + term_c, term_c, dtt_Dh)
 
     # (d) flow components: df/dt + (u'/r) dg/dz = j
     df = fields["df_dt"]
-    drift = (up / r) * _fft_dz(fields["g"], n)
+    drift = (up / r) * _dz(fields["g"], n)
     res_d = _relative(df + drift - j, j, df, drift)
 
     return ResidualReport(res_a, res_b, res_c, res_d)

@@ -2,6 +2,9 @@
 functions included: a cycle only works while one side imports lazily."""
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -38,3 +41,14 @@ def test_package_imports_form_no_cycle():
         TopologicalSorter(graph).prepare()
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def test_cli_import_leaves_numpy_fft_unloaded():
+    # the residuals' z-derivative matrices are built in closed form at import:
+    # numpy.fft's import would add about 1.7 ms to every command's start-up
+    code = "import sys, swirlcurv.cli; print('numpy.fft' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -62,17 +62,11 @@ def test_each_grid_level_solved_once(monkeypatch):
 
 
 def test_spectrum_assembles_each_basis_size_once_per_sweep(monkeypatch):
-    # n enters the pencil only as A + n^2 B: u = 1, n = 1 ... 10 solves at
-    # K = 16 and 32, and each assembly evaluates one Legendre Vandermonde
-    p, vander, degrees = u_const(), jacobi.legvander, []
-
-    def counting(x, deg):
-        degrees.append(deg)
-        return vander(x, deg)
-
-    monkeypatch.setattr(jacobi, "legvander", counting)
-    spectra = sl_spectra(p, range(1, 11), 3)
-    assert degrees == [15, 31]
+    # n enters the pencil only as A + n^2 B: u = 1, n = 1 ... 10 solves at K = 16
+    # and 32, and the K = 16 solve is the leading block of the one K = 32 assembly
+    calls = counting(monkeypatch, jacobi, "_pencil")
+    spectra = sl_spectra(u_const(), range(1, 11), 3)
+    assert [K for _, K in calls] == [32]
     monkeypatch.undo()
     for n, s in enumerate(spectra, start=1):
         alone = sl_spectrum(u_const(), n, 3)
@@ -80,30 +74,70 @@ def test_spectrum_assembles_each_basis_size_once_per_sweep(monkeypatch):
         assert np.array_equal(s.coef, alone.coef)
 
 
-@pytest.mark.parametrize("K", [16, 32, 64, 128, 192])
-def test_pencil_derivative_matrix_is_legders(K):
-    # the closed-form derivative matrix gives the stiffness of legder's, bit for bit
-    p = u_quadratic()
-    A = jacobi._pencil(p, K)[0]
-    x, w = gauss_nodes(np.linspace(0.0, 1.0, K + 1))
+def legendre_pencil(p, K):
+    """``jacobi._pencil`` built another way, as the oracle of its recurrence: a
+    Legendre Vandermonde, legder's derivative matrix and the bubble r^2 (1 - r)
+    as a Legendre series."""
+    x, w = gauss_nodes(panel_edges(0.0, 1.0, p.u.knots, K))
     r, w = x.ravel(), w.ravel()
+    P = legvander(2.0 * r - 1.0, K - 1)
     dP = legvander(2.0 * r - 1.0, K - 2) @ legder(np.eye(K), scl=2.0)
     b, db = jacobi._BUBBLE(r)[:, None], jacobi._BUBBLE.deriv()(r)[:, None]
-    dphi = db * legvander(2.0 * r - 1.0, K - 1) + b * dP
-    assert np.array_equal(A, (dphi.T * (w / r)) @ dphi)
+    phi, dphi = b * P, db * P + b * dP
+    weight = 2.0 * p.u(r) * p.omega(r) / r
+    return ((dphi.T * (w / r)) @ dphi, (phi.T * (w / r)) @ phi,
+            (phi.T * (w * weight)) @ phi, phi)
+
+
+@pytest.mark.parametrize("K", [16, 32, 64, 128, 192])
+def test_pencil_derivative_matrix_is_legders(K):
+    # the recurrence's P' gives the stiffness of legder's to round-off: 8.9e-16 of
+    # the largest entry at most, measured over K = 16 ... 192
+    A, ref = jacobi._pencil(u_quadratic(), K)[0], legendre_pencil(u_quadratic(), K)[0]
+    assert np.max(np.abs(A - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("K", [16, 32, 64, 128, 192])
+@pytest.mark.parametrize("name", ["one", "quad", "expr", "table"])
+def test_recurrence_pencil_is_the_vandermonde_one(name, K):
+    # A, B, M and the basis values, each within 2e-15 of its largest entry
+    # (8.9e-16 measured); the table's knots split the panels of both alike
+    p = parse_config({"profile": SWEEP_PROFILES[name]}).profile
+    for got, ref in zip(jacobi._pencil(p, K), legendre_pencil(p, K)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["one", "quad", "expr", "table"])
+def test_first_size_is_the_leading_block_of_the_second(name):
+    # the basis nests, so the K = 16 solve reads the K = 32 pencil's leading block:
+    # each n here settles at K = 32 with its change from that block as the error
+    # estimate, and the block's lambda agree with a solve on a 16-panel pencil of
+    # its own (3.7e-14 measured)
+    p = parse_config({"profile": SWEEP_PROFILES[name]}).profile
+    full = jacobi._pencil(p, 32)
+    block = [a[:16, :16] for a in full[:3]] + [full[3][:, :16]]
+    for n in (1, 3, 7):
+        lam_block, _ = jacobi._galerkin(block, n, 3)
+        lam_own, _ = jacobi._galerkin(jacobi._pencil(p, 16), n, 3)
+        assert np.max(np.abs(lam_block - lam_own) / lam_own) <= 1e-12
+        s, (lam32, _) = sl_spectrum(p, n, 3), jacobi._galerkin(full, n, 3)
+        assert np.array_equal(s.eigenvalues, lam32)
+        assert np.array_equal(s.error_estimates, np.abs(lam32 - lam_block) / lam32)
 
 
 def test_spectrum_panels_are_the_quadratures(monkeypatch):
-    # a table knot 5e-13 past the uniform edge 0.5 splits off no sliver panel: at
-    # K = 16 the spectrum's nodes are the Gauss nodes of panel_edges(0, 1, knots, 16)
+    # a table knot 5e-13 past the uniform edge 0.5 splits off no sliver panel: the
+    # first assembly, for K = 32 (whose leading block serves K = 16), is on the
+    # Gauss nodes of panel_edges(0, 1, knots, 32)
     r = np.linspace(0.0, 1.0, 9)   # every other knot on a uniform edge
     r[4] += 5e-13
     p = RadialProfile(TableFunction(r, 1.0 + r ** 2))
     calls = counting(monkeypatch, jacobi, "gauss_nodes")
     sl_spectrum(p, 1, 1)
     edges = calls[0][0]
-    assert edges.size == 17 and np.min(np.diff(edges)) > 1e-3
-    assert np.array_equal(edges, panel_edges(0.0, 1.0, r, 16))
+    assert edges.size == 33 and np.min(np.diff(edges)) > 1e-3
+    assert np.array_equal(edges, panel_edges(0.0, 1.0, r, 32))
 
 
 SWEEP_PROFILES = {"one": {"poly": [1.0]}, "quad": {"poly": [1.0, 0.0, 1.0]},
@@ -302,15 +336,28 @@ def test_residuals_small(profile_fn, n, m):
 
 def test_residuals_sample_one_period_in_z(monkeypatch):
     # every field is one harmonic cos/sin(n z): 16 points on one period serve any n
-    sizes = []
-    fft_dz = jacobi._fft_dz
-    monkeypatch.setattr(jacobi, "_fft_dz",
-                        lambda field, *args, **kw: sizes.append(field.shape[-1])
-                        or fft_dz(field, *args, **kw))
+    calls = counting(monkeypatch, jacobi, "_dz")
     p = u_const()
     rep = jacobi_residuals(assemble_jacobi(p, sl_spectrum(p, 500, 1), 1))
-    assert sizes and set(sizes) == {16}
+    assert len(calls) == 4 and {field.shape[-1] for field, *_ in calls} == {16}
     assert np.max(dataclasses.astuple(rep)) < 1e-10
+
+
+def fft_dz(field, n, order):
+    """d/dz of order 1 or 2 by numpy.fft along the last axis, z on one period 2pi/|n|."""
+    k = abs(n) * np.fft.fftfreq(field.shape[-1], d=1.0 / field.shape[-1])
+    return np.real(np.fft.ifft((1j * k) ** order * np.fft.fft(field, axis=-1), axis=-1))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [1, -2, 500, 10 ** 4])
+def test_derivative_matrices_are_the_fft_derivative(n, order):
+    # every harmonic cos(k x) and sin(k x) of 16 points, k = 0 ... 8, x = |n| z:
+    # 5.9e-15 (order 1) and 5.7e-14 (order 2) of |n|^order measured
+    x = 2.0 * np.pi * np.arange(16) / 16
+    fields = np.array([f(k * x) for k in range(9) for f in (np.cos, np.sin)])
+    err = np.max(np.abs(jacobi._dz(fields, n, order) - fft_dz(fields, n, order)))
+    assert err <= [1e-14, 1e-13][order - 1] * abs(n) ** order
 
 
 def test_residuals_fall_with_basis_size():
