@@ -281,6 +281,8 @@ def main(argv=None) -> int:
         return _report("hypothesis-violation", str(exc), 2)
     except (SwirlcurvError, FloatingPointError) as exc:
         return _report(type(exc).__name__, str(exc))
+    except OSError as exc:   # --out or an artifact in it cannot be created
+        return _report("output-error", str(exc))
     except Exception as exc:  # internal error: report, never traceback-spray
         return _report("internal", f"{type(exc).__name__}: {exc}")
     return 0

@@ -410,7 +410,7 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
             for j in range(1, len(block)):
                 z[j] *= z[j - 1]
             values = np.empty((2 * len(block) + energy, r.size))
-            numerator, denominator = np.split(values[:2 * len(block)], 2)
+            numerator, denominator = values[:len(block)], values[len(block):2 * len(block)]
             np.square(z.imag, out=numerator)
             np.multiply(w, z.real, out=denominator)
             del z   # before the temporaries below: 3.9 MB traced at k <= 256, not 4.6
@@ -431,6 +431,6 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
             raise AccuracyError(f"{what}: {exc}", exc.value, exc.error_estimate) from exc
         if energy:
             xx = FOUR_PI_SQ * value[-1]
-        numerator, denominator = np.split(value[:2 * len(block)], 2)
+        numerator, denominator = value[:len(block)], value[len(block):2 * len(block)]
         out[:0] = zip(map(int, block), (numerator / (xx * denominator)).tolist())
     return out

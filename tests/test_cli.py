@@ -260,6 +260,21 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert main(["check-profile", "--config", bad_expr, "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_cannot_be_created_is_an_output_error(tmp_path, capsys, out):
+    cfg = write_cfg(tmp_path, {"profile": GOOD_PROFILE})
+    (tmp_path / "file").write_text("")
+    assert main(["check-profile", "--config", cfg, "--out", str(tmp_path / out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "output-error"
+    assert str(tmp_path / out) in payload["message"]
+    assert (tmp_path / "file").read_text() == ""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    assert "exits 1 with an `output-error` line naming the path" in readme
+
+
 def case(command, payload, id, message=""):
     """A config that ``command`` refuses with a ValidationError whose message has ``message``."""
     return pytest.param(command, payload, message, id=id)

@@ -1,4 +1,5 @@
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swirlcurv import AccuracyError, curvature
-from swirlcurv.quadrature import MAX_PANELS, NODES, PANELS, gauss_nodes, panel_edges, quad_real
+from swirlcurv.quadrature import (MAX_PANELS, NODES, PANELS, _W, _X, _bisect, gauss_nodes,
+                                  panel_edges, quad_real)
 
 from _helpers import standard_mode, u_quadratic
 
@@ -27,6 +29,71 @@ def test_nodes_ascend_and_stay_inside_panels():
     assert np.sum(w) == pytest.approx(1.0, rel=1e-14)
 
 
+def test_edges_without_inner_points_are_the_uniform_ones():
+    np.testing.assert_array_equal(panel_edges(0.0, 1.0), np.linspace(0.0, 1.0, PANELS + 1))
+    np.testing.assert_array_equal(panel_edges(0.0, 1.0, [0.0, 1.0, -2.0, 3.0]),
+                                  np.linspace(0.0, 1.0, PANELS + 1))
+
+
+# the rule as each set was built on its own, by np.unique, np.insert and one
+# gauss_nodes call per set: the one-step construction must equal it bit for bit
+def _edges_oracle(a, b, points, panels):
+    pts = np.asarray(points, dtype=float)
+    edges = np.unique(np.concatenate([np.linspace(a, b, panels + 1),
+                                      pts[(pts > a) & (pts < b)]]))
+    edges = edges[np.diff(edges, prepend=-np.inf) > 1e-12 * (b - a)]
+    edges[-1] = b
+    return edges
+
+
+def _bisect_oracle(edges):
+    return np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[:-1] + edges[1:]))
+
+
+def _nodes_oracle(edges):
+    half = 0.5 * np.diff(edges)[:, None]
+    return edges[:-1, None] + half * (_X + 1.0), half * _W
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@st.composite
+def _knot_sets(draw):
+    """An interval, a panel count and knots on, near, inside and outside it,
+    some repeated."""
+    a, b = draw(st.sampled_from([(0.0, 1.0), (0.0, np.pi), (-1.0, 2.5)]))
+    panels = draw(st.sampled_from([1, 2, 7, 32, 192]))
+    uniform = np.linspace(a, b, panels + 1)
+    edge = st.sampled_from(uniform.tolist())
+    knot = st.one_of(
+        edge,
+        st.builds(lambda e, d: e + d, edge, st.floats(-1e-12, 1e-12)),
+        st.floats(a, b),
+        st.floats(a - 1.0, a), st.floats(b, b + 1.0))
+    knots = draw(st.lists(knot, max_size=12))
+    knots += draw(st.lists(st.sampled_from(knots), max_size=4)) if knots else []
+    return a, b, draw(st.permutations(knots)), panels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_knot_sets())
+def test_one_step_rule_is_the_per_set_rule(case):
+    a, b, knots, panels = case
+    coarse = panel_edges(a, b, knots, panels)
+    assert _same_bits(coarse, _edges_oracle(a, b, knots, panels))
+    finer = _bisect(coarse)
+    assert _same_bits(finer, _bisect_oracle(coarse))
+    finest = _bisect(finer)
+    assert _same_bits(finest, _bisect_oracle(finer))
+    for sets in ([coarse], [coarse, finer], [finer, finest, coarse]):
+        x, w = gauss_nodes(*sets)
+        rules = [_nodes_oracle(edges) for edges in sets]
+        assert _same_bits(x, np.concatenate([x for x, _ in rules]))
+        assert _same_bits(w, np.concatenate([w for _, w in rules]))
+
+
 def test_integrand_sees_the_nodes_panel_major():
     # the closed curvature route reshapes the nodes to (panels, NODES); the first
     # call holds the P- and the 2P-panel set of the first check, in that order,
@@ -45,6 +112,21 @@ def test_integrand_sees_the_nodes_panel_major():
             assert x.shape == (sum(edges.size - 1 for edges in sets) * NODES,)
             np.testing.assert_array_equal(
                 x.reshape(-1, NODES), np.concatenate([gauss_nodes(edges)[0] for edges in sets]))
+
+
+def test_values_are_released_before_the_next_call():
+    # a refining call holds one level's values at a time, so its peak memory
+    # is that of its largest call, not of the first check's and the next's
+    refs = []
+
+    def fn(x):
+        assert all(ref() is None for ref in refs)
+        values = np.stack([np.exp(x) * np.sin(300 * np.pi * x) ** 2, x])
+        refs.append(weakref.ref(values))
+        return values
+
+    quad_real(fn, 0.0, 1.0)
+    assert len(refs) == 3
 
 
 def test_knot_breakpoints_resolve_a_kink():
