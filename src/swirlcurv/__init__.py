@@ -18,8 +18,8 @@ from .curvature import (CurvatureResult, PressureSolution, curvature_mode_closed
                         curvature_mode_oracle, curvature_normalized, curvature_table,
                         oscillation_study, pressure_bvp_solve)
 from .errors import (AccuracyError, DegenerateSectionError, DomainError,
-                     HypothesisViolationError, InvalidModeError, ParseError,
-                     RegularityError, SwirlcurvError, ValidationError)
+                     InvalidModeError, ParseError, RegularityError, SwirlcurvError,
+                     ValidationError)
 from .expr import parse_expression
 from .jacobi import (JacobiSolution, ResidualReport, SLSpectrum, assemble_jacobi,
                      conjugate_times, jacobi_residuals, sl_spectra, sl_spectrum)

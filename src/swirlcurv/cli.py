@@ -3,9 +3,8 @@
 Every command reads one JSON config (see :mod:`swirlcurv.config`) and writes
 deterministic artifacts into the output directory: CSV numbers use fixed
 17-significant-digit scientific notation and rows are ordered by (n, m).
-Exit status: 0 success, 2 when a theorem hypothesis is violated by the
-input, 1 for anything else (a config nested too deeply to read is a
-``config-error``); errors are reported as single-line JSON on stderr.
+Exit status: 0 success, 1 for any error (a config nested too deeply to read
+is a ``config-error``); errors are reported as single-line JSON on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .config import MAX_INT, RunConfig, check_integer, parse_config
 from .curvature import curvature_table, oscillation_study
-from .errors import AccuracyError, HypothesisViolationError, SwirlcurvError, ValidationError
+from .errors import AccuracyError, SwirlcurvError, ValidationError
 from .jacobi import (RESIDUAL_TOL, assemble_jacobi, check_phase, conjugate_times,
                      jacobi_residuals, sl_spectra, sl_spectrum)
 from .profile import classify_criteria
@@ -130,10 +129,10 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _report(error: str, message: str, status: int = 1) -> int:
-    """Write the single JSON error line on stderr; returns the exit status."""
+def _report(error: str, message: str) -> int:
+    """Write the single JSON error line on stderr; returns the exit status 1."""
     print(json.dumps({"error": error, "message": message}), file=sys.stderr)
-    return status
+    return 1
 
 
 def _param(cfg: RunConfig, key: str, default, least: int = -MAX_INT):
@@ -247,7 +246,7 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # argparse would print its usage text and exit 2, the hypothesis-violation code
+        # argparse would print its usage text and exit 2; a usage error is one JSON line
         raise ValidationError(message)
 
 
@@ -277,8 +276,6 @@ def main(argv=None) -> int:
         if not args.quiet:
             for name in artifacts:
                 print(out / name)
-    except HypothesisViolationError as exc:
-        return _report("hypothesis-violation", str(exc), 2)
     except (SwirlcurvError, FloatingPointError) as exc:
         return _report(type(exc).__name__, str(exc))
     except OSError as exc:   # --out or an artifact in it cannot be created

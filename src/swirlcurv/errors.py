@@ -33,10 +33,6 @@ class AccuracyError(SwirlcurvError):
         self.row = row
 
 
-class HypothesisViolationError(SwirlcurvError):
-    """Input violates a theorem hypothesis (e.g. u*omega must be positive on [0,1])."""
-
-
 class DegenerateSectionError(SwirlcurvError):
     """The 2-plane spanned by the swirl field and the mode is degenerate."""
 

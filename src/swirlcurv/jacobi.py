@@ -7,16 +7,21 @@ t = 2 pi lambda / n, where lambda^2 is an eigenvalue of
     -(d/dr)((1/r) phi') + (n^2 / r) phi = lambda^2 (2 u omega / r) phi,
     phi(0) = phi(1) = 0,
 
-the phi = r psi form of the Bessel-type eigenproblem.  The weight
-2 u omega / r must be positive on [0, 1]; otherwise the construction is
-refused.  The discretization is a Legendre-Galerkin method (Shen, SIAM J.
+the phi = r psi form of the Bessel-type eigenproblem.  Its left side is
+positive definite for every profile; the weight 2 u omega / r may change sign,
+and the problem is then right-definite with an indefinite weight.  Since
+d/dr (r^4 u^2) = 2 r^3 u omega, the weight is positive somewhere for every
+u != 0, so there are infinitely many positive lambda^2, the m-th with an
+eigenfunction of m - 1 interior zeros (Zettl, Sturm-Liouville Theory, AMS 2005).
+The discretization is a Legendre-Galerkin method (Shen, SIAM J.
 Sci. Comput. 15, 1994) on the basis phi_k = r^2 (1 - r) P_k(2r - 1), which
 carries phi ~ r^2 at the axis and phi(1) = 0; each eigenfunction is a
 ``numpy.polynomial.Legendre`` series, differentiated exactly.  n enters the
 pencil only as A + n^2 B, so ``sl_spectra`` assembles it once per basis size K
-(the first size is the leading block of the second's) and stacks the pencils of
-many wavenumbers into one eigensolve, one Cholesky factor of the mass matrix for
-all of them; n and -n share one pencil.
+(the first size is the leading block of the second's) and diagonalizes A and B
+together once; each wavenumber is then a diagonal scaling of one matrix, and
+the pencils of many wavenumbers are one stacked eigensolve; n and -n share one
+pencil.
 """
 
 from __future__ import annotations
@@ -26,9 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial import Legendre
 
-from .errors import AccuracyError, HypothesisViolationError, InvalidModeError, ValidationError
-from .linalg import eigh
-from .profile import RadialProfile, classify_criteria
+from .errors import AccuracyError, InvalidModeError, ValidationError
+from .profile import RadialProfile
 from .quadrature import gauss_nodes, panel_edges
 
 # a name only: the benchmark tracer (bench/tracing.py) rebinds it, and nothing
@@ -54,9 +58,10 @@ __all__ = [
 # Doubling stops once no eigenvalue moves more than TOL relative.  Eigenvalue
 # errors go as the square of eigenfunction errors, so the Jacobi fields set TOL:
 # at 1e-6, u = 1 + r + r^2/2, n = 20, m = 4 stopped at K = 32 with residuals of
-# 3.4e-8.  Past K_MAX the K-panel rule no longer resolves P_k near the ends and
-# round-off grows (u = 1, n = 1, m <= 5: error 5e-11 at K = 128, 2e-9 at
-# K = 192, a spurious eigenvalue at K = 256).
+# 3.4e-8.  Past K_MAX the K-panel rule under-integrates the stiffness, a
+# polynomial of degree up to 2K + 1 (ROADMAP item 19): u = 1, n = 1, m <= 5 has
+# an error of 2.8e-15 at K = 128, 5.5e-11 at K = 192 and a spurious eigenvalue
+# at K = 256.
 TOL, K_MAX = 1e-8, 192
 # wavenumbers per stacked eigensolve: 16 pencils of K_MAX^2 doubles, 4.7 MB
 BLOCK = 16
@@ -84,12 +89,14 @@ class SLSpectrum:
 def _pencil(p: RadialProfile, K: int):
     """The Galerkin matrices on phi_0 ... phi_{K-1} that do not depend on n:
     stiffness A = int phi' psi' / r, B = int phi psi / r, mass
-    M = int (2 u omega / r) phi psi, and the basis values at the nodes."""
+    M = int (2 u omega / r) phi psi of u 2^-e, the basis values at the nodes, and
+    2^-e, e the exponent of max |u| there: lambda(u) = 2^-e lambda(u 2^-e), and the
+    power of two rounds nothing and keeps u omega from over- or underflowing."""
     x, w = gauss_nodes(panel_edges(0.0, 1.0, p.u.knots, K))
     r, w = x.ravel(), w.ravel()
-    weight = 2.0 * p.u(r) * p.omega(r) / r
-    if np.any(weight <= 0.0):
-        raise HypothesisViolationError("u * omega must be positive on (0, 1)")
+    u = p.u(r)
+    e = np.frexp(np.max(np.abs(u)))[1]
+    weight = 2.0 * np.ldexp(u, -e) * np.ldexp(p.omega(r), -e) / r
     # P_k(2r - 1) and its r-derivative by the three-term recurrence, one row each
     P, dP, s = np.zeros((K, r.size)), np.zeros((K, r.size)), 2.0 * r - 1.0
     P[0], P[1], dP[1] = 1.0, s, 2.0
@@ -99,21 +106,40 @@ def _pencil(p: RadialProfile, K: int):
     b = r * r * (1.0 - r)   # the bubble, with slope r (2 - 3r)
     phi, dphi = b * P, r * (2.0 - 3.0 * r) * P + b * dP
     return ((dphi * (w / r)) @ dphi.T, (phi * (w / r)) @ phi.T,
-            (phi * (w * weight)) @ phi.T, phi.T)
+            (phi * (w * weight)) @ phi.T, phi.T, np.ldexp(1.0, -e))
 
 
-def _galerkin(pencil, n, m_max: int):
-    """The ``m_max`` smallest lambda of the Galerkin ``pencil`` (``_pencil``'s) on
-    phi_0 ... phi_{K-1}, int (phi' psi' + n^2 phi psi) / r = lambda^2 int (2 u omega / r)
-    phi psi, and the basis coefficients of their eigenfunctions, one row each; for
-    an array of n, one such pair per n, stacked along a leading axis."""
-    A, B, M, phi = pencil
-    lam2, vecs = eigh(A + np.asarray(n, float)[..., None, None] ** 2 * B, M, [0, m_max - 1])
-    # mass-orthonormal vectors give each phi weight-norm one; make its dominant lobe positive
+def _diagonalize(pencil, K: int):
+    """T, d, G = T^T M T, the basis values and the scale of the leading K x K block
+    of ``_pencil``'s ``pencil``: with A = L L^T and L^-1 B L^-T = Q diag(d) Q^T,
+    T = L^-T Q makes T^T (A + n^2 B) T = diag(1 + n^2 d) for every n (Golub &
+    Van Loan, 4th ed., sec. 8.7)."""
+    A, B, M = (a[:K, :K] for a in pencil[:3])
+    inv_chol = np.linalg.inv(np.linalg.cholesky(A))
+    d, Q = np.linalg.eigh(inv_chol @ B @ inv_chol.T)
+    T = inv_chol.T @ Q
+    return T, d, T.T @ M @ T, pencil[3][:, :K], pencil[4]
+
+
+def _galerkin(basis, n, m_max: int):
+    """The ``m_max`` smallest lambda of (A + n^2 B) v = lambda^2 M v on
+    ``_diagonalize``'s ``basis`` and their coefficient vectors, one row each; for
+    an array of n, one such pair per n, stacked along a leading axis.  M need not
+    be definite, so this solves the right-definite M v = mu (A + n^2 B) v for its
+    m_max largest mu = 1 / lambda^2: with s = (1 + n^2 d)^-1/2, w are the
+    eigenvectors of diag(s) G diag(s) and v = T (s w) lambda.  A mu <= 0 has
+    no lambda: it gives NaN, which settles nothing."""
+    T, d, G, phi, scale = basis
+    s = (1.0 + np.asarray(n, float)[..., None] ** 2 * d) ** -0.5
+    mu, w = np.linalg.eigh(s[..., :, None] * G * s[..., None, :])
+    mu, w = mu[..., :-m_max - 1:-1], w[..., :-m_max - 1:-1]   # descending mu: ascending lambda
+    lam = scale / np.sqrt(np.where(mu > 0.0, mu, np.nan))
+    # v^T M v = 1 gives each phi weight-norm one; make its dominant lobe positive
+    vecs = T @ (s[..., :, None] * w) * lam[..., None, :]
     vals = phi @ vecs
     peak = np.take_along_axis(vals, np.argmax(np.abs(vals), axis=-2)[..., None, :], axis=-2)
     vecs *= np.sign(peak)
-    return np.sqrt(lam2), np.swapaxes(vecs, -1, -2)
+    return lam, np.swapaxes(vecs, -1, -2)
 
 
 def sl_spectra(p: RadialProfile, n_list, m_max: int) -> list:
@@ -125,24 +151,17 @@ def sl_spectra(p: RadialProfile, n_list, m_max: int) -> list:
     the larger size's eigenvalues are returned with that change as their error
     estimate (m_max above 40 is not supported).  The basis nests, so the first
     size solves on the leading block of the second size's pencil; each size after
-    it is assembled once.  The pencils A + n^2 B of the distinct |n| not yet
-    settled are stacked, ``BLOCK`` at a time, into one ``eigh`` call, each as a
-    solve of its own, bit for bit; n and -n share the arrays of one spectrum.
-    n = 0 anywhere is refused before any solve; past ``K_MAX`` an ``AccuracyError``
-    names the smallest n that did not settle.
+    it is assembled once, and every size is diagonalized once.  The distinct |n|
+    not yet settled are solved ``BLOCK`` at a time in one stacked eigensolve, each
+    as a solve of its own, bit for bit; n and -n share the arrays of one spectrum.
+    n = 0 anywhere is refused before any solve; past ``K_MAX`` an
+    ``AccuracyError`` names the smallest n that did not settle.
     """
     n_list = [int(n) for n in n_list]
     if 0 in n_list:
         raise InvalidModeError("spectrum requires n != 0")
     if m_max < 1:
         raise ValidationError("m_max must be >= 1")
-    criteria = classify_criteria(p)
-    if not criteria.u_omega_positive:
-        # a few roots: u = 0 on an interval has one at each grid point (criteria.json)
-        minimum, *roots = [w for w in criteria.witness_points if w["criterion"] == "u_omega"]
-        raise HypothesisViolationError(
-            f"u * omega is not positive on [0,1]; minimum: {minimum}; "
-            f"{len(roots)} roots, the first ones: {roots[:3]}")
 
     done, lam, est = {}, {}, {}   # by |n|
     K, todo, full = max(16, 2 * m_max), list(dict.fromkeys(abs(n) for n in n_list)), None
@@ -150,10 +169,10 @@ def sl_spectra(p: RadialProfile, n_list, m_max: int) -> list:
         if full is None or len(full[0]) < K:
             # the basis nests: the first size reads the second's leading block
             full = _pencil(p, min(2 * K, K_MAX) if full is None else K)
-        pencil = [a[:K, :K] for a in full[:3]] + [full[3][:, :K]]
+        basis = _diagonalize(full, K)
         for start in range(0, len(todo), BLOCK):
             block = todo[start:start + BLOCK]
-            for n, fine, coef in zip(block, *_galerkin(pencil, block, m_max)):
+            for n, fine, coef in zip(block, *_galerkin(basis, block, m_max)):
                 if n in lam:
                     est[n] = np.abs(fine - lam[n]) / fine
                     if np.all(est[n] <= TOL):

@@ -1,20 +1,17 @@
-"""The two linear-algebra kernels the package needs, on numpy alone.
+"""The banded solver the package needs, on numpy alone.
 
 ``solve_banded`` solves a banded system by block Gaussian elimination
 without pivoting (Golub & Van Loan, *Matrix Computations*, 4th ed., sec.
-4.5.1), one small dense solve per block of rows; ``eigh`` reduces a
-symmetric-definite pencil to a standard eigenproblem by Cholesky (Golub &
-Van Loan, sec. 8.7.2).  Both keep the calling conventions of their
-``scipy.linalg`` namesakes for the arguments used here, and both take a
-stack of problems on leading axes (``eigh`` a stack of ``a``), each solved as
-alone, bit for bit.
+4.5.1), one small dense solve per block of rows.  It keeps the calling
+convention of ``scipy.linalg.solve_banded`` for the arguments used here, and
+takes a stack of problems on leading axes, each solved as alone, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["solve_banded", "eigh"]
+__all__ = ["solve_banded"]
 
 
 # rows per block: below this a block step costs more in call overhead than in arithmetic
@@ -69,17 +66,3 @@ def solve_banded(l_and_u, ab, b):
         x.append(step[..., s:] - step[..., :s] @ x[-1])
     return np.concatenate(x[::-1], axis=1)[:, :n].reshape(b.shape)
 
-
-def eigh(a, b, subset_by_index):
-    """Eigenvalues ``subset_by_index`` = [lo, hi] (ascending) of the pencil
-    a v = w b v, a symmetric, b symmetric positive definite, and their
-    b-orthonormal eigenvectors as columns, as ``scipy.linalg.eigh``.  ``a`` may
-    be a stack of matrices sharing ``b``, each solved as alone, bit for bit.
-
-    With b = L L^T, the eigenvalues are those of L^-1 a L^-T and each vector
-    is L^-T times an orthonormal eigenvector of that matrix.
-    """
-    lo, hi = subset_by_index
-    inv_chol = np.linalg.inv(np.linalg.cholesky(b))
-    w, y = np.linalg.eigh(inv_chol @ a @ inv_chol.T)
-    return w[..., lo:hi + 1], inv_chol.T @ y[..., lo:hi + 1]

@@ -56,9 +56,15 @@ def u_decreasing() -> RadialProfile:
     return profile_poly([2.0, 0.0, -1.0])
 
 
+def galerkin(p: RadialProfile, K: int, n, m_max: int):
+    """``jacobi._galerkin`` on the pencil of basis size K: the m_max smallest
+    lambda and their coefficients, without sl_spectrum's doubling."""
+    return jacobi._galerkin(jacobi._diagonalize(jacobi._pencil(p, K), K), n, m_max)
+
+
 def fixed_size_spectrum(p: RadialProfile, n: int, K: int) -> SLSpectrum:
     """lambda_1n and phi_1n at Galerkin basis size K, without sl_spectrum's doubling."""
-    lam, coef = jacobi._galerkin(jacobi._pencil(p, K), n, 1)
+    lam, coef = galerkin(p, K, n, 1)
     return SLSpectrum(n=n, eigenvalues=lam, error_estimates=0.0 * lam, grid=0, coef=coef)
 
 

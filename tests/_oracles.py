@@ -1,7 +1,7 @@
 """Independent numerical oracles used by the tests.
 
-Everything here is deliberately primitive (power series, bisection,
-finite differences) and shares no code with the package under test.
+Everything here is deliberately primitive (power series, finite differences)
+or taken from mpmath, and shares no code with the package under test.
 """
 
 from __future__ import annotations
@@ -29,38 +29,11 @@ def i1_series(x: float, terms: int = 40) -> float:
     return total
 
 
-def j1_series(x: float, terms: int = 60) -> float:
-    """Bessel J1 by its alternating power series (fine for x <= 25)."""
-    half = x / 2.0
-    term = half
-    total = half
-    for k in range(1, terms):
-        term *= -(half * half) / (k * (k + 1))
-        total += term
-    return total
-
-
 def j1_zeros(count: int) -> list[float]:
-    """First ``count`` positive zeros of J1 by sign-scan plus bisection."""
-    zeros = []
-    x = 0.5
-    step = 0.05
-    prev = j1_series(x)
-    while len(zeros) < count:
-        x2 = x + step
-        cur = j1_series(x2)
-        if prev * cur < 0.0:
-            a, b, fa = x, x2, prev
-            for _ in range(100):
-                mid = 0.5 * (a + b)
-                fm = j1_series(mid)
-                if (fa < 0.0) != (fm < 0.0):
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            zeros.append(0.5 * (a + b))
-        x, prev = x2, cur
-    return zeros
+    """First ``count`` positive zeros of J1, from ``mpmath.besseljzero``."""
+    from mpmath import besseljzero
+
+    return [float(besseljzero(1, m)) for m in range(1, count + 1)]
 
 
 def int_r3_i1(terms: int = 40) -> float:

@@ -1,31 +1,38 @@
 import ast
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import legder, legvander
 from scipy.special import jn_zeros
 
 import swirlcurv.jacobi as jacobi
-from swirlcurv import (AccuracyError, HypothesisViolationError, InvalidModeError,
-                       JacobiSolution, RadialProfile, TableFunction, ValidationError,
+from swirlcurv import (AccuracyError, InvalidModeError, JacobiSolution, RadialProfile, TableFunction, ValidationError,
                        assemble_jacobi, conjugate_times, jacobi_residuals, parse_config,
                        sl_spectra, sl_spectrum)
+from swirlcurv.cli import main
 from swirlcurv.quadrature import gauss_nodes, panel_edges, quad_real
 
-from _helpers import (counting, fixed_size_spectrum, profile_poly, u_const, u_decreasing,
+from _helpers import (counting, fixed_size_spectrum, galerkin, profile_poly, u_const,
                       u_quadratic)
-from _oracles import SL_REFERENCES, j1_zeros
+from _oracles import SL_REFERENCES, j1_zeros, sl_mpmath
+
+
+J1_ZEROS = j1_zeros(12)
 
 
 def exact_lambda(m, n):
     """For u = 1 the eigenvalues are sqrt(j_{1,m}^2 + n^2) / 2."""
-    return math.sqrt(j1_zeros(m)[m - 1] ** 2 + n ** 2) / 2.0
+    return math.sqrt(J1_ZEROS[m - 1] ** 2 + n ** 2) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -44,18 +51,11 @@ def test_each_grid_level_solved_once(monkeypatch):
     # u = 1 + r^2, n = 1, m_max = 20 starts at K = 40 and settles between 80 and
     # 160, so each basis size is solved once and the K = 160 values are reported
     p = u_quadratic()
-    lam80, _ = jacobi._galerkin(jacobi._pencil(p, 80), 1, 20)
-    lam160, coef160 = jacobi._galerkin(jacobi._pencil(p, 160), 1, 20)
-    eigh = jacobi.eigh
-    sizes = []
-
-    def counting(a, b, *args, **kwargs):
-        sizes.append(a.shape[-1])
-        return eigh(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(jacobi, "eigh", counting)
+    lam80, _ = galerkin(p, 80, 1, 20)
+    lam160, coef160 = galerkin(p, 160, 1, 20)
+    calls = counting(monkeypatch, jacobi, "_galerkin")
     s = sl_spectrum(p, 1, 20)
-    assert sizes == [40, 80, 160]
+    assert [basis[0].shape[-1] for basis, *_ in calls] == [40, 80, 160]
     assert np.array_equal(s.eigenvalues, lam160)
     assert np.array_equal(s.coef, coef160)
     assert np.array_equal(s.error_estimates, np.abs(lam160 - lam80) / lam160)
@@ -101,9 +101,11 @@ def test_pencil_derivative_matrix_is_legders(K):
 @pytest.mark.parametrize("name", ["one", "quad", "expr", "table"])
 def test_recurrence_pencil_is_the_vandermonde_one(name, K):
     # A, B, M and the basis values, each within 2e-15 of its largest entry
-    # (8.9e-16 measured); the table's knots split the panels of both alike
+    # (8.9e-16 measured); the table's knots split the panels of both alike.  M is
+    # assembled on u and omega times the power of two ``scale``, which rounds nothing
     p = parse_config({"profile": SWEEP_PROFILES[name]}).profile
-    for got, ref in zip(jacobi._pencil(p, K), legendre_pencil(p, K)):
+    A, B, M, phi, scale = jacobi._pencil(p, K)
+    for got, ref in zip((A, B, M / scale ** 2, phi), legendre_pencil(p, K)):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
 
@@ -116,12 +118,11 @@ def test_first_size_is_the_leading_block_of_the_second(name):
     # its own (3.7e-14 measured)
     p = parse_config({"profile": SWEEP_PROFILES[name]}).profile
     full = jacobi._pencil(p, 32)
-    block = [a[:16, :16] for a in full[:3]] + [full[3][:, :16]]
     for n in (1, 3, 7):
-        lam_block, _ = jacobi._galerkin(block, n, 3)
-        lam_own, _ = jacobi._galerkin(jacobi._pencil(p, 16), n, 3)
+        lam_block, _ = jacobi._galerkin(jacobi._diagonalize(full, 16), n, 3)
+        lam_own, _ = galerkin(p, 16, n, 3)
         assert np.max(np.abs(lam_block - lam_own) / lam_own) <= 1e-12
-        s, (lam32, _) = sl_spectrum(p, n, 3), jacobi._galerkin(full, n, 3)
+        s, (lam32, _) = sl_spectrum(p, n, 3), galerkin(p, 32, n, 3)
         assert np.array_equal(s.eigenvalues, lam32)
         assert np.array_equal(s.error_estimates, np.abs(lam32 - lam_block) / lam32)
 
@@ -164,13 +165,16 @@ def test_sweep_equals_a_solve_per_wavenumber(name, n_list):
 def test_each_distinct_wavenumber_is_solved_once(monkeypatch):
     # n and -n share the pencil A + n^2 B: +-1 ... +-20 makes the eigensolves of
     # 1 ... 20, 5 stacks of 44 pencils in all, and -n gets the arrays of n
-    p, shapes, eigh = u_quadratic(), [], jacobi.eigh
-    monkeypatch.setattr(jacobi, "eigh", lambda a, *args, **kw: shapes.append(a.shape)
-                        or eigh(a, *args, **kw))
+    p, calls = u_quadratic(), []
+
+    def shapes():
+        return [(len(block), basis[0].shape[-1]) for basis, block, _ in calls]
+    counting(monkeypatch, jacobi, "_galerkin", calls)
     positive = sl_spectra(p, range(1, 21), 3)
-    positive_shapes, shapes[:] = list(shapes), []
+    positive_shapes, calls[:] = shapes(), []
     both = sl_spectra(p, [sign * n for n in range(1, 21) for sign in (-1, 1)], 3)
-    assert shapes == positive_shapes and len(shapes) == 5 and sum(s[0] for s in shapes) == 44
+    assert shapes() == positive_shapes and len(calls) == 5
+    assert sum(s[0] for s in positive_shapes) == 44
     for k, s in enumerate(both):
         twin = positive[k // 2]
         assert s.n == (-1) ** (k + 1) * twin.n
@@ -228,10 +232,11 @@ def test_spectrum_matches_frobenius_references(u, n, values):
 
 
 def test_constant_profile_spectrum_matches_bessel_zeros_to_1e_11():
+    # 9.5e-15 measured, over m <= 12 and n <= 10
     for n in range(1, 11):
-        s = sl_spectrum(u_const(), n, 5)
-        np.testing.assert_allclose(s.eigenvalues, [exact_lambda(m, n) for m in range(1, 6)],
-                                   rtol=1e-11, atol=0)
+        s = sl_spectrum(u_const(), n, 12)
+        np.testing.assert_allclose(s.eigenvalues, [exact_lambda(m, n) for m in range(1, 13)],
+                                   rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("profile_fn", [u_const, u_quadratic])
@@ -271,12 +276,50 @@ def test_spectrum_validation():
         sl_spectrum(u_const(), 1, 0)
 
 
-def test_hypothesis_violation_refused():
+@pytest.mark.parametrize("coeffs", [[2.0, 0.0, -1.0], [0.0, 1.0]], ids=["2-r^2", "r"])
+def test_u_omega_zero_at_an_end_is_solved(coeffs):
     # u = 2 - r^2 has u*omega = 0 at r = 1; u = r has u*omega = 0 on the axis
-    with pytest.raises(HypothesisViolationError):
-        sl_spectrum(u_decreasing(), 1, 1)
-    with pytest.raises(HypothesisViolationError):
-        sl_spectrum(profile_poly([0.0, 1.0]), 1, 1)
+    p = profile_poly(coeffs)
+    s = sl_spectrum(p, 1, 3)
+    for m, lam in enumerate(s.eigenvalues, start=1):
+        assert lam == pytest.approx(float(sl_mpmath(coeffs, 1, lam)), rel=1e-12, abs=0)
+        assert sign_changes(s.eigenfunction(m)) == m - 1
+        assert weight_norm(p, s.eigenfunction(m)) == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=15, deadline=None)
+@example(0.0, -3.0, 1, 3)    # u omega < 0 on (0.408, 0.577): lambda_1 = 1.855598...
+@example(0.0, -3.0, 4, 3)    # 2.255976...
+@example(0.0, -3.0, 16, 3)   # 4.386795...
+@example(0.0, -1.0, 2, 3)    # u = 2 - r^2 up to scale: u omega = 0 at the wall
+@given(st.floats(-2.0, 1.0), st.floats(-4.0, 1.0), st.integers(-32, 32).filter(bool),
+       st.integers(1, 3))
+def test_sign_changing_weight_matches_the_frobenius_series(c1, c2, n, m_max):
+    # u = 1 + c1 r + c2 r^2: u omega changes sign on (0, 1) for part of the space.
+    # Each lambda is a root of the series solution's phi(1); eigenfunction m has
+    # m - 1 interior zeros, which makes lambda the m-th positive eigenvalue; and
+    # jacobi publishes each field only when it passes its equations
+    coeffs = [1.0, c1, c2]
+    p = profile_poly(coeffs)
+    s = sl_spectrum(p, n, m_max)
+    for m, lam in enumerate(s.eigenvalues, start=1):
+        assert lam == pytest.approx(float(sl_mpmath(coeffs, abs(n), lam)), rel=1e-10, abs=0)
+        assert sign_changes(s.eigenfunction(m)) == m - 1
+        err = io.StringIO()
+        config = {"profile": {"poly": coeffs}, "params": {"n": n, "m": m}}
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            Path(tmp, "cfg.json").write_text(json.dumps(config))
+            code = main(["jacobi", "--config", str(Path(tmp, "cfg.json")), "--out", tmp,
+                         "--quiet"])
+            report = (json.loads(Path(tmp, "jacobi_residuals.json").read_text())
+                      if code == 0 else None)
+        if code == 0:
+            assert max(v for k, v in report.items() if k.startswith("residual_")) \
+                <= jacobi.RESIDUAL_TOL
+        else:
+            payload = json.loads(err.getvalue())
+            assert payload["error"] == "AccuracyError"
+            assert payload["message"].startswith(f"n = {n}, m = {m}: ")
 
 
 def test_conjugate_times_values():

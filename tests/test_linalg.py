@@ -1,6 +1,6 @@
-"""The package's banded and generalized-eigen kernels against scipy.linalg, on
-random systems and on the spline, pressure-Galerkin and spectrum-Galerkin
-systems the package builds."""
+"""The package's banded solver and its spectrum's Galerkin eigensolve against
+scipy.linalg, on random systems and on the spline, pressure-Galerkin and
+spectrum-Galerkin systems the package builds."""
 
 import numpy as np
 import pytest
@@ -125,24 +125,24 @@ def test_solve_banded_rejects_a_stack_that_does_not_match():
 
 @pytest.mark.parametrize("profile,n", [(u_const, 1), (u_quadratic, 1), (u_quadratic, 10)])
 @pytest.mark.parametrize("K", [16, 32, 64])
-def test_eigh_galerkin_pencils(monkeypatch, profile, n, K):
+def test_eigh_galerkin_pencils(profile, n, K):
     # the pencil of n in a stack with those of n = 1 and 10, as the spectrum stacks them
     m_max, ns = 3, [n, 1, 10]
-    calls = _captured(monkeypatch, jacobi, "eigh",
-                      lambda: jacobi._galerkin(jacobi._pencil(profile(), K), ns, m_max))
-    (stiff, mass, subset), = calls
-    assert stiff.shape == (len(ns), K, K)
-    w, v = linalg.eigh(stiff, mass, subset)
-    assert w.shape == (len(ns), m_max) and v.shape == (len(ns), K, m_max)
-    for k in range(len(ns)):
+    A, B, M, _, scale = pencil = jacobi._pencil(profile(), K)
+    basis = jacobi._diagonalize(pencil, K)
+    lam, coef = jacobi._galerkin(basis, ns, m_max)
+    assert lam.shape == (len(ns), m_max) and coef.shape == (len(ns), m_max, K)
+    mass = M / scale ** 2   # M is assembled on u times the power of two scale
+    for k, n_k in enumerate(ns):
         # each slice of the stack as a pencil of its own, bit for bit
-        w_k, v_k = linalg.eigh(stiff[k], mass, subset)
-        assert np.array_equal(w[k], w_k) and np.array_equal(v[k], v_k)
-        w_ref, v_ref = scipy.linalg.eigh(stiff[k], mass, subset_by_index=subset)
-        # the mass matrix's condition number reaches 2.6e9 at K = 64: for u = 1 + r^2,
-        # n = 10 this solver is within 4.2e-13 of a 50-digit solve of the same
-        # pencil and scipy within 2.4e-12; over these cases the two differ by 1.3e-11
-        np.testing.assert_allclose(w_k, w_ref, rtol=3e-11)
-        np.testing.assert_allclose(v_k.T @ mass @ v_k, np.eye(m_max), atol=1e-12)
+        lam_k, v_k = jacobi._galerkin(basis, n_k, m_max)
+        assert np.array_equal(lam[k], lam_k) and np.array_equal(coef[k], v_k)
+        w_ref, v_ref = scipy.linalg.eigh(A + n_k ** 2 * B, mass, subset_by_index=[0, m_max - 1])
+        # scipy factors the mass matrix, whose condition number reaches 2.6e9 at
+        # K = 64; the right-definite solve factors the stiffness.  For u = 1 + r^2,
+        # n = 10, K = 64 it is within 1.1e-15 of a 40-digit solve of the same pencil
+        # and scipy within 3.9e-12; over these cases the two differ by 1.5e-11
+        np.testing.assert_allclose(lam_k ** 2, w_ref, rtol=3e-11)
+        np.testing.assert_allclose(v_k @ mass @ v_k.T, np.eye(m_max), atol=1e-12)
         # the same vectors up to sign
-        np.testing.assert_allclose(np.abs(v_k.T @ mass @ v_ref), np.eye(m_max), atol=1e-9)
+        np.testing.assert_allclose(np.abs(v_k @ mass @ v_ref), np.eye(m_max), atol=1e-9)

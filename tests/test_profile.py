@@ -146,10 +146,10 @@ def test_criteria_are_scale_free(coeffs, exponent, negative):
     assert _flags(scaled) == _flags(base)
     # eta = 2 u omega - 3 u^2
     assert not (scaled.eta_strictly_positive and not scaled.u_omega_positive)
-    if base.u_omega_positive:
-        t_star = [abs(a) * t for _, t in conjugate_times(sl_spectrum(p_scaled, 1, 2))]
-        expected = [t for _, t in conjugate_times(sl_spectrum(p, 1, 2))]
-        np.testing.assert_allclose(t_star, expected, rtol=1e-12, atol=0)
+    # the spectrum is solved whatever the sign of u omega
+    t_star = [abs(a) * t for _, t in conjugate_times(sl_spectrum(p_scaled, 1, 2))]
+    expected = [t for _, t in conjugate_times(sl_spectrum(p, 1, 2))]
+    np.testing.assert_allclose(t_star, expected, rtol=1e-12, atol=0)
 
 
 @given(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=5),
