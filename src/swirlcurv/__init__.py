@@ -21,8 +21,8 @@ from .errors import (AccuracyError, DegenerateSectionError, DomainError,
                      InvalidModeError, ParseError, RegularityError, SwirlcurvError,
                      ValidationError)
 from .expr import parse_expression
-from .jacobi import (JacobiSolution, ResidualReport, SLSpectrum, assemble_jacobi,
-                     conjugate_times, jacobi_residuals, sl_spectra, sl_spectrum)
+from .jacobi import (JacobiSolution, SLSpectrum, assemble_jacobi, conjugate_times,
+                     jacobi_residuals, sl_spectra, sl_spectrum)
 from .modes import FourierMode, cross_inner_product, mode_energy, swirl_energy
 from .profile import CriteriaReport, RadialProfile, classify_criteria
 from .radial import (ComplexRadialFunction, ExpressionFunction, PolynomialFunction,

@@ -105,24 +105,21 @@ def _format(x):
 
 
 def _csv(header, columns) -> bytes:
-    """The CSV text of ``columns``, each a (rows, width) array of NUL-padded cells."""
+    """The CSV text of ``columns``, each a (rows, 24) array of NUL-padded cells."""
     seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
     parts = [part for col, sep in zip(columns, seps)
              for part in (col, np.full((len(col), 1), sep, np.uint8))]
-    table = np.concatenate(parts, axis=1).tobytes() if parts else b""
+    table = np.concatenate(parts, axis=1).tobytes()
     return (",".join(header) + "\n").encode() + table.translate(None, b"\0")
 
 
 def _write_csv(path: Path, header, rows):
     """``rows``: tuples.  A column whose first value is an integer is written with
-    ``%d``, and every other column by one ``_format`` call."""
-    columns = list(zip(*rows))
-    ints = [isinstance(col[0], (int, np.integer)) for col in columns]
-    floats = iter(_format(np.array([col for col, i in zip(columns, ints) if not i],
-                                   dtype=float)))
-    path.write_bytes(_csv(header, [
-        np.array(["%d" % v for v in col], dtype="S").view(np.uint8).reshape(len(col), -1)
-        if i else next(floats) for col, i in zip(columns, ints)]))
+    ``%d``, every other value with ``_FMT``: one ``%`` over the repeated row format."""
+    line = ",".join("%d" if isinstance(v, (int, np.integer)) else _FMT
+                    for v in (rows[0] if rows else ())) + "\n"
+    path.write_text(",".join(header) + "\n"
+                    + line * len(rows) % tuple(v for row in rows for v in row))
 
 
 def _write_json(path: Path, payload):
@@ -182,7 +179,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path):
     phase = check_phase(cfg.params.get("phase", "cos"))
     s = sl_spectrum(cfg.profile, n, m)
     sol = assemble_jacobi(cfg.profile, s, m, phase=phase)
-    residuals = {f"residual_{key}": value for key, value in asdict(jacobi_residuals(sol)).items()}
+    residuals = jacobi_residuals(sol)
     failing = [f"{key} = {value:.3e}" for key, value in residuals.items()
                if not value <= RESIDUAL_TOL]   # a nan fails too
     if failing:
@@ -216,7 +213,7 @@ def _cmd_oscillation(cfg: RunConfig, out: Path):
     # its largest k first, so a k_max up to MAX_PANELS fails in its first call
     if not 1 <= k_max <= MAX_PANELS:
         raise ValidationError(f"param 'k_max' must be in 1 ... {MAX_PANELS}, got {k_max}")
-    rows = oscillation_study(cfg.profile, n, range(1, k_max + 1))
+    rows = oscillation_study(cfg.profile, n, k_max)
     _write_csv(out / "oscillation.csv", ["k", "k_normalized"], rows)
     return ["oscillation.csv"]
 

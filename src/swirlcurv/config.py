@@ -109,7 +109,7 @@ def _require_finite(profile: RadialProfile, modes) -> None:
     r = CRITERIA_GRID
     with np.errstate(all="ignore"):
         u, du = profile.u(r), profile.u.derivative(r)
-        samples = [u, du, u * u + 2.0 * r * u * du] + [m.samples for m in modes]
+        samples = [u, du, profile.eta(r)] + [m.samples for m in modes]
     if not all(np.all(np.isfinite(v)) for v in samples):
         raise ValidationError("u, u', eta, g, g', f or f' is not finite on [0, 1]")
     if not np.any(u):

@@ -129,7 +129,7 @@ def _h_ratio(modes, r, f, u):
     half = (x[:, -1] - x[:, 0]) / (_X[-1] - _X[0])
     Nx = N * x
     rate = N * sp.i0e(Nx) / sp.i1e(Nx) - 1.0 / x
-    q = N * x * x * f.reshape(N.size, -1, NODES) * np.broadcast_to(u, r.shape).reshape(x.shape)
+    q = N * x * x * f.reshape(N.size, -1, NODES) * u.reshape(x.shape)
     v = np.linalg.solve(np.eye(NODES) + (half[:, None] * rate)[..., None] * _S,
                         np.stack([q.real, q.imag, -rate], axis=-1))
     vq, vp = v[..., 0] + 1j * v[..., 1], v[..., 2]
@@ -238,8 +238,8 @@ def _integrand(p: RadialProfile, rows):
     n2 = np.array([m.n ** 2 for m in modes], dtype=float)[:, None]
 
     def fn(r):
-        g = np.array([np.broadcast_to(m.g(r), r.shape) for m in modes])
-        f = np.array([np.broadcast_to(m.f(r), r.shape) for m in modes])
+        g = np.array([m.g(r) for m in modes])
+        f = np.array([m.f(r) for m in modes])
         r3, s, parts = r ** 3, n2 * np.abs(g) ** 2, []
         if c or o:
             u, s_eta = p.u(r), s * p.eta(r)
@@ -249,7 +249,7 @@ def _integrand(p: RadialProfile, rows):
         if o:
             parts.append(s_eta[o] / r + r3 * np.abs(f[o] * u) ** 2)
         if e:
-            dg = np.array([np.broadcast_to(modes[k].g.derivative(r), r.shape) for k in e])
+            dg = np.array([modes[k].g.derivative(r) for k in e])
             parts.append((s[e] + np.abs(dg) ** 2) / r + r3 * np.abs(f[e]) ** 2)
         return np.concatenate(parts)
 
@@ -366,8 +366,8 @@ def curvature_table(p: RadialProfile, modes) -> list:
 # Oscillation study (normalized curvature of g = sin(k pi r), f = 0)
 # ---------------------------------------------------------------------------
 
-def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
-    """Normalized curvature of g = sin(k pi r) modes for increasing k.
+def oscillation_study(p: RadialProfile, n: int, k_max: int):
+    """Normalized curvature of g = sin(k pi r) modes for k = 1 ... ``k_max``.
 
     These test fields carry g'(0) != 0, so the first-principles kinetic
     energy diverges logarithmically at the axis; the denominator here uses
@@ -375,31 +375,26 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
     trend is the same either way).  Each block of ``BLOCK`` wavenumbers is
     one vector ``quad_real`` call on panels split at u's knots: its rows are
     the numerators, then the denominators, which share sin(k pi r), and an
-    ``AccuracyError`` names its k.  The last block runs first (the largest k,
-    in ascending ``k_values``), with the swirl energy <<X, X>> as one more row,
-    bit for bit ``swirl_energy``'s; rows keep the order of k_values.
+    ``AccuracyError`` names its k.  The last block runs first (the largest k),
+    with the swirl energy <<X, X>> as one more row, bit for bit
+    ``swirl_energy``'s; rows are ascending in k.
 
     A block's harmonics z_j = e^(i k_j pi r) come by rotation: z_0 = e^(i k_0 pi r),
-    each later one as z_(j-1) e^(i (k_j - k_(j-1)) pi r), one rotation per
-    distinct step (a consecutive block has one).  So a node costs 1 + (distinct
-    steps) complex exponentials, a cos and a sin each, not 2 ``BLOCK`` calls.  A
-    harmonic lies at most ``BLOCK`` - 1 unit-modulus products from an exact one,
-    and the error of such products grows at most linearly in their number:
-    against np.sin and np.cos of k pi r the values move by at most 1.3e-15
-    relative at k <= 64, 5e-15 at 256 and 1.8e-14 at 1024 (u = 1 and 1 + r^2,
-    n = 1 and 3).
+    each later one as z_(j-1) e^(i pi r).  So a node costs two complex
+    exponentials, a cos and a sin each, not 2 ``BLOCK`` calls.  A harmonic lies
+    at most ``BLOCK`` - 1 unit-modulus products from an exact one, and the error
+    of such products grows at most linearly in their number: against np.sin and
+    np.cos of k pi r the values move by at most 1.3e-15 relative at k <= 64,
+    5e-15 at 256 and 1.8e-14 at 1024 (u = 1 and 1 + r^2, n = 1 and 3).
     """
     if n == 0:
         raise InvalidModeError("oscillation study requires n != 0")
-    k_values = list(k_values)
     out, xx = [], None
-    for start in reversed(range(0, len(k_values), BLOCK)):
-        block = k_values[start:start + BLOCK]
+    for start in reversed(range(1, k_max + 1, BLOCK)):
+        block = range(start, min(start + BLOCK, k_max + 1))
         w = np.array(block)[:, None] * np.pi
-        diffs = np.diff(block).tolist()
-        steps = list(dict.fromkeys(diffs))   # distinct, in Python: np.unique costs 26 us
-        angles = np.pi * np.array([block[0], *steps])
-        turns = [0] + [1 + steps.index(d) for d in diffs]
+        angles = np.pi * np.array([start, 1])
+        turns = [0] + [1] * (len(block) - 1)
         energy = xx is None
 
         def fn(r):
@@ -432,5 +427,5 @@ def oscillation_study(p: RadialProfile, n: int = 1, k_values=range(1, 33)):
         if energy:
             xx = FOUR_PI_SQ * value[-1]
         numerator, denominator = value[:len(block)], value[len(block):2 * len(block)]
-        out[:0] = zip(map(int, block), (numerator / (xx * denominator)).tolist())
+        out[:0] = zip(block, (numerator / (xx * denominator)).tolist())
     return out

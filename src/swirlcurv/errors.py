@@ -8,7 +8,7 @@ class SwirlcurvError(Exception):
 
 
 class DomainError(SwirlcurvError):
-    """Evaluation requested outside the radial domain [0, 1] (or x < 0 for Bessel)."""
+    """Evaluation requested outside the radial domain [0, 1] (``radial._check_domain``)."""
 
 
 class RegularityError(SwirlcurvError):

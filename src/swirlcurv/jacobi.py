@@ -42,7 +42,6 @@ eigh_tridiagonal = None
 __all__ = [
     "SLSpectrum",
     "JacobiSolution",
-    "ResidualReport",
     "sl_spectrum",
     "sl_spectra",
     "conjugate_times",
@@ -286,16 +285,6 @@ def assemble_jacobi(p: RadialProfile, s: SLSpectrum, m: int, *,
 RESIDUAL_TOL = 1e-8
 
 
-@dataclass
-class ResidualReport:
-    """Max-norm residuals over the (r, z, t) sample set, scale-normalized."""
-
-    swirl_transport: float    # d j/dt = (omega/r^2) dh/dz
-    stream_transport: float   # dt[D h] = -2 r u dj/dz
-    second_order: float       # dtt[D h] = -(2 u omega / r) dzz h
-    flow_components: float    # df/dt + (u'/r) dg/dz = j
-
-
 # d/dx and d^2/dx^2 on the 16 periodic points x_j = j h, h = pi/8, in closed form
 # (Trefethen, Spectral Methods in MATLAB, 2000, ch. 3; the second's diagonal is
 # -pi^2/(3 h^2) - 1/6 = -(16^2 + 2)/12)
@@ -318,9 +307,14 @@ def _relative(defect, *terms) -> float:
     return float(np.max(np.max(np.abs(defect), axis=(-2, -1)) / scale))
 
 
-def jacobi_residuals(sol: JacobiSolution) -> ResidualReport:
-    """Evaluate the four linearized-equation residuals for a Jacobi solution, on
-    the profile its fields were built on.
+def jacobi_residuals(sol: JacobiSolution) -> dict:
+    """The four linearized-equation residuals of a Jacobi solution, on the profile
+    its fields were built on: max-norm over the (r, z, t) sample set,
+    scale-normalized, keyed as ``jacobi_residuals.json`` holds them:
+    ``residual_swirl_transport`` d j/dt = (omega/r^2) dh/dz,
+    ``residual_stream_transport`` dt[D h] = -2 r u dj/dz,
+    ``residual_second_order`` dtt[D h] = -(2 u omega / r) dzz h and
+    ``residual_flow_components`` df/dt + (u'/r) dg/dz = j.
 
     Time derivatives are analytic (the closed forms are trigonometric in t);
     z derivatives are spectral, one real matrix product each (``_dz``); r
@@ -373,4 +367,5 @@ def jacobi_residuals(sol: JacobiSolution) -> ResidualReport:
     drift = (up / r) * _dz(fields["g"], n)
     res_d = _relative(df + drift - j, j, df, drift)
 
-    return ResidualReport(res_a, res_b, res_c, res_d)
+    return {"residual_swirl_transport": res_a, "residual_stream_transport": res_b,
+            "residual_second_order": res_c, "residual_flow_components": res_d}

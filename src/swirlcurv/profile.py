@@ -92,16 +92,13 @@ def classify_criteria(p: RadialProfile) -> CriteriaReport:
 
     "Strictly positive" means min > tol with
     tol = POSITIVITY_TOL_SCALE * max |eta| on the grid, without an absolute
-    floor: a * u has the flags of u for every a != 0.  u and u' are evaluated
-    once on the grid, and eta and u omega formed from them in the operation
-    order of ``RadialProfile.eta`` and ``RadialProfile.omega``.
+    floor: a * u has the flags of u for every a != 0.
     """
     r = CRITERIA_GRID
-    u, du = p.u(r), p.u.derivative(r)
-    eta, uo = u * u + 2.0 * r * u * du, u * (2.0 * u + r * du)
+    eta = p.eta(r)
     tol = POSITIVITY_TOL_SCALE * float(np.max(np.abs(eta)))
     eta_pts, eta_vals = _scan(p.eta, r, eta, tol)
-    uo_pts, uo_vals = _scan(lambda x: p.u(x) * p.omega(x), r, uo, tol)
+    uo_pts, uo_vals = _scan(lambda x: p.u(x) * p.omega(x), r, p.u(r) * p.omega(r), tol)
 
     eta_min_i = int(np.argmin(eta_vals))
     uo_min_i = int(np.argmin(uo_vals))

@@ -108,16 +108,12 @@ class PolynomialFunction(RadialFunction):
     def derivative(self, r):
         return npoly.polyval(_check_domain(r), self._d1)
 
-    def __repr__(self):
-        return f"PolynomialFunction({self.coeffs.tolist()})"
-
 
 class ExpressionFunction(RadialFunction):
     """Radial function given by an expression string; the derivative is exact,
     the slope of the expression's forward-mode ``jet``."""
 
     def __init__(self, source: str):
-        self.text = source
         self.ast = expr_mod.parse_expression(source)
 
     def __call__(self, r):
@@ -127,9 +123,6 @@ class ExpressionFunction(RadialFunction):
         value, slope = self.ast.jet(_check_domain(r))
         # a constant slope stays a number on the way up: give it the value's shape
         return slope if np.ndim(slope) else np.full(np.shape(value), slope)[()]
-
-    def __repr__(self):
-        return f"ExpressionFunction({self.text!r})"
 
 
 class TableFunction(RadialFunction):
@@ -180,9 +173,6 @@ class TableFunction(RadialFunction):
     def derivative(self, r):
         d, c0, c1, c2, _ = self._piece(r)
         return c2 + 2 * c1 * d + c0 * (d * d) * 3
-
-    def __repr__(self):
-        return f"TableFunction(<{self.knots.size} nodes>)"
 
 
 class ComplexRadialFunction:

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
-import dataclasses
 import math
 import time
 
@@ -120,7 +119,7 @@ def test_ac6_conjugate_vanishing_and_residuals(ac5_spectra):
         end = np.max([np.abs(sol.fields(sol.t_star, r, z)[name]) for name in ("g", "f")])
         # np.maximum and np.max carry a NaN through, where the builtin max would drop it
         worst_vanish = np.maximum(worst_vanish, end / scale)
-        worst_resid = np.maximum(worst_resid, np.max(dataclasses.astuple(jacobi_residuals(sol))))
+        worst_resid = np.maximum(worst_resid, np.max(list(jacobi_residuals(sol).values())))
 
     # spectral decay of the discretization-limited residuals as the basis grows
     # (the two analytic identities sit at round-off at every size), down to
@@ -131,11 +130,11 @@ def test_ac6_conjugate_vanishing_and_residuals(ac5_spectra):
         res = {}
         for K in (8, 16):
             rep = jacobi_residuals(assemble_jacobi(p, fixed_size_spectrum(p, n, K), 1))
-            res[K] = np.maximum(rep.stream_transport, rep.second_order)
+            res[K] = np.maximum(rep["residual_stream_transport"], rep["residual_second_order"])
         accepted = jacobi_residuals(assemble_jacobi(p, sl_spectrum(p, n, 1), 1))
         ratios.append(res[8] / res[16])
         decay_ok = (decay_ok and res[8] / res[16] >= 100.0
-                    and np.max(dataclasses.astuple(accepted)) <= 1e-10)
+                    and np.max(list(accepted.values())) <= 1e-10)
 
     ok = worst_vanish <= 1e-8 and worst_resid <= 1e-6 and decay_ok
     report("AC-6", ok,
@@ -145,7 +144,7 @@ def test_ac6_conjugate_vanishing_and_residuals(ac5_spectra):
 
 
 def test_ac7_oscillation_infimum_zero():
-    rows = oscillation_study(u_const(), 1, range(1, 33))
+    rows = oscillation_study(u_const(), 1, 32)
     k = np.array([row[0] for row in rows], dtype=float)
     v = np.array([row[1] for row in rows])
     decreasing = bool(np.all(np.diff(v) < 0.0))

@@ -655,19 +655,19 @@ def test_closed_route_evaluates_bessel_twice_per_node(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_oscillation_study_names_the_wavenumber_that_fails():
-    # sin^2(k pi r) needs more than MAX_PANELS panels from k ~ 7850 on: the block's
-    # first k stops its quad_real call
-    with pytest.raises(AccuracyError, match="^k = 7890: quadrature error estimate "):
-        oscillation_study(u_const(), 1, range(7890, 7906))
+    # sin^2(k pi r) needs more than MAX_PANELS panels from k ~ 7850 on: the last
+    # block, 7889 ... 7904, runs first and its first k stops its quad_real call
+    with pytest.raises(AccuracyError, match="^k = 7889: quadrature error estimate "):
+        oscillation_study(u_const(), 1, 7904)
 
 
 def test_oscillation_study_decreases():
-    rows = oscillation_study(u_const(), 1, range(1, 13))
+    rows = oscillation_study(u_const(), 1, 12)
     vals = [v for _, v in rows]
     assert all(v > 0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(InvalidModeError):
-        oscillation_study(u_const(), 0, range(1, 3))
+        oscillation_study(u_const(), 0, 2)
 
 
 def _oscillation_row(p, n, k):
@@ -682,20 +682,19 @@ def _oscillation_row(p, n, k):
     return numerator / (swirl_energy(p) * denominator)
 
 
-@pytest.mark.parametrize("p, n, ks", [
-    (u_quadratic(), 3, range(1, 41)),
-    (RadialProfile(TableFunction(ON_EDGES, 1.0 + ON_EDGES ** 2)), 1, range(1, 41)),
+@pytest.mark.parametrize("p, n", [
+    (u_quadratic(), 3),
+    (RadialProfile(TableFunction(ON_EDGES, 1.0 + ON_EDGES ** 2)), 1),
     # knots off the 1/32 panel edges split the denominator's panels too: against
     # panels not split there it moves by at most 3.9e-16 relative
-    (RadialProfile(TableFunction(OFF_EDGES, 2.0 - OFF_EDGES ** 2)), 2, range(1, 41)),
-    # steps 1, 3, 59 and 1: one rotation per distinct step
-    (u_quadratic(), 3, [1, 2, 5, 64, 65]),
-], ids=["1+r^2", "table", "table-off-edges", "uneven-steps"])
-def test_blocked_oscillation_study_equals_one_k_at_a_time(p, n, ks):
+    (RadialProfile(TableFunction(OFF_EDGES, 2.0 - OFF_EDGES ** 2)), 2),
+], ids=["1+r^2", "table", "table-off-edges"])
+def test_blocked_oscillation_study_equals_one_k_at_a_time(p, n):
     # k = 1 ... 40 crosses the block ends at 16/17 and 32/33; the block's harmonics
     # come by rotation, within 2e-15 of np.sin and np.cos at k <= 64
     assert curvature.BLOCK == 16
-    rows = oscillation_study(p, n, ks)
+    ks = range(1, 41)
+    rows = oscillation_study(p, n, 40)
     assert [k for k, _ in rows] == list(ks)
     np.testing.assert_allclose([v for _, v in rows], [_oscillation_row(p, n, k) for k in ks],
                                rtol=1e-14, atol=0)
@@ -705,7 +704,7 @@ def test_blocked_oscillation_study_equals_one_k_at_a_time(p, n, ks):
                                   ([1.0, 0.0, 1.0], 3)], ids=["1-1", "1-3", "1+r^2-1", "1+r^2-3"])
 def test_oscillation_study_matches_mpmath(u, n):
     # one study over k = 1 ... 64, so the references sit at both ends of its blocks
-    values = dict(oscillation_study(profile_poly(u), n, range(1, 65)))
+    values = dict(oscillation_study(profile_poly(u), n, 64))
     refs = [(k, float(value)) for uu, nn, k, value in OSCILLATION_REFERENCES if (uu, nn) == (u, n)]
     assert [k for k, _ in refs] == [1, 16, 17, 48, 64]
     for k, value in refs:
@@ -718,7 +717,7 @@ def test_oscillation_study_integrates_the_swirl_energy_in_its_first_call(monkeyp
     monkeypatch.setattr(curvature, "quad_real",
                         lambda *args, **kw: values.append(quad(*args, **kw)) or values[-1])
     monkeypatch.setattr(curvature, "swirl_energy", None)   # not called
-    oscillation_study(p, 3, range(1, 41))
+    oscillation_study(p, 3, 40)
     # the largest k first: 8 numerators, 8 denominators and <<X, X>>, then two blocks of 16
     assert [v.size for v in values] == [17, 32, 32]
     assert modes.FOUR_PI_SQ * values[0][-1] == swirl_energy(p)
@@ -737,14 +736,14 @@ def test_oscillation_study_names_the_swirl_energy_when_it_fails():
     p = SimpleNamespace(u=_HugeU(), eta=np.ones_like)   # eta = 1 keeps every k finite
     with np.errstate(over="ignore"), pytest.raises(AccuracyError,
                                                    match="^swirl energy: quadrature sum inf"):
-        oscillation_study(p, 1, range(1, 5))
+        oscillation_study(p, 1, 4)
 
 
 def test_oscillation_study_memory_is_bounded_by_the_block():
     # one call over all 256 wavenumbers peaks at about 31 MB, blocks of 16 at 3.9 MB
     tracemalloc.start()
     try:
-        oscillation_study(u_const(), 1, range(1, 257))
+        oscillation_study(u_const(), 1, 256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

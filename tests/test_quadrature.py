@@ -224,7 +224,7 @@ def test_curvature_routes_converge_at_the_first_check(monkeypatch, route, n):
 
 def test_oscillation_study_converges_at_the_first_check(monkeypatch):
     counts = _node_counts(monkeypatch)
-    curvature.oscillation_study(u_quadratic(), 1, [1])
+    curvature.oscillation_study(u_quadratic(), 1, 1)
     assert counts == [960]   # numerators and denominators, both panel sets, one call
 
 

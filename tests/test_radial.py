@@ -165,12 +165,15 @@ ONE_PATH_KINDS = {
     "poly-constant": lambda: PolynomialFunction([3.0]),
     "expr": lambda: ExpressionFunction("exp(-r^2)*sin(3*r) + sqrt(1 + r)/(2 - r) + r^3"),
     "expr-constant": lambda: ExpressionFunction("2.5 + sqrt(0)"),
+    "expr-one": lambda: ExpressionFunction("1"),
+    "expr-r-free": lambda: ExpressionFunction("2 + sqrt(4)"),
     "expr-r": lambda: ExpressionFunction("r"),
     "table": lambda: TableFunction(np.linspace(0.0, 1.0, 9),
                                    np.cos(3.0 * np.linspace(0.0, 1.0, 9))),
     "complex": lambda: ComplexRadialFunction(PolynomialFunction([1.0, 2.0]),
                                              ExpressionFunction("sin(r)")),
     "complex-real": lambda: ComplexRadialFunction(ExpressionFunction("1 + r^2")),
+    "complex-zero": lambda: ComplexRadialFunction(PolynomialFunction([0.0])),   # a missing f
     "pressure": lambda: pressure_bvp_solve(u_quadratic(), standard_mode(3)),
 }
 
@@ -189,3 +192,13 @@ def test_a_scalar_radius_takes_the_array_path(kind, r):
         scalar, array = fn(r), fn(np.array([r]))
         assert isinstance(scalar, np.generic) and array.shape == (1,)
         assert scalar.dtype == array.dtype and scalar.tobytes() == array.tobytes()
+
+
+@pytest.mark.parametrize("r", [np.array(0.3), np.linspace(0.0, 1.0, 5),
+                               np.linspace(0.0, 1.0, 6).reshape(2, 3)], ids=["0-d", "1-d", "2-d"])
+@pytest.mark.parametrize("kind", sorted(ONE_PATH_KINDS))
+def test_values_and_slopes_have_the_radius_shape(kind, r):
+    # the curvature integrand stacks the values of modes and u without broadcasting
+    # them: a constant, too, gives one value per radius
+    for fn in _value_and_slope(kind):
+        assert np.shape(fn(r)) == r.shape
