@@ -17,11 +17,10 @@ The discretization is a Legendre-Galerkin method (Shen, SIAM J.
 Sci. Comput. 15, 1994) on the basis phi_k = r^2 (1 - r) P_k(2r - 1), which
 carries phi ~ r^2 at the axis and phi(1) = 0; each eigenfunction is a
 ``numpy.polynomial.Legendre`` series, differentiated exactly.  n enters the
-pencil only as A + n^2 B, so ``sl_spectra`` assembles it once per basis size K
-(the first size is the leading block of the second's) and diagonalizes A and B
-together once; each wavenumber is then a diagonal scaling of one matrix, and
-the pencils of many wavenumbers are one stacked eigensolve; n and -n share one
-pencil.
+pencil only as A + n^2 B, so ``sl_spectra`` assembles it once per basis size K,
+on that size's own rule, and diagonalizes A and B together once; each
+wavenumber is then a diagonal scaling of one matrix, and the pencils of many
+wavenumbers are one stacked eigensolve; n and -n share one pencil.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ __all__ = [
 # errors go as the square of eigenfunction errors, so the Jacobi fields set TOL:
 # at 1e-6, u = 1 + r + r^2/2, n = 20, m = 4 stopped at K = 32 with residuals of
 # 3.4e-8.  Past K_MAX the K-panel rule under-integrates the stiffness, a
-# polynomial of degree up to 2K + 1 (ROADMAP item 19): u = 1, n = 1, m <= 5 has
+# polynomial of degree up to 2K + 1 (ROADMAP item 21): u = 1, n = 1, m <= 5 has
 # an error of 2.8e-15 at K = 128, 5.5e-11 at K = 192 and a spurious eigenvalue
 # at K = 256.
 TOL, K_MAX = 1e-8, 192
@@ -108,16 +107,16 @@ def _pencil(p: RadialProfile, K: int):
             (phi * (w * weight)) @ phi.T, phi.T, np.ldexp(1.0, -e))
 
 
-def _diagonalize(pencil, K: int):
-    """T, d, G = T^T M T, the basis values and the scale of the leading K x K block
-    of ``_pencil``'s ``pencil``: with A = L L^T and L^-1 B L^-T = Q diag(d) Q^T,
-    T = L^-T Q makes T^T (A + n^2 B) T = diag(1 + n^2 d) for every n (Golub &
-    Van Loan, 4th ed., sec. 8.7)."""
-    A, B, M = (a[:K, :K] for a in pencil[:3])
+def _diagonalize(pencil):
+    """T, d, G = T^T M T, the basis values and the scale of ``_pencil``'s
+    ``pencil``: with A = L L^T and L^-1 B L^-T = Q diag(d) Q^T, T = L^-T Q makes
+    T^T (A + n^2 B) T = diag(1 + n^2 d) for every n (Golub & Van Loan, 4th ed.,
+    sec. 8.7)."""
+    A, B, M, phi, scale = pencil
     inv_chol = np.linalg.inv(np.linalg.cholesky(A))
     d, Q = np.linalg.eigh(inv_chol @ B @ inv_chol.T)
     T = inv_chol.T @ Q
-    return T, d, T.T @ M @ T, pencil[3][:, :K], pencil[4]
+    return T, d, T.T @ M @ T, phi, scale
 
 
 def _galerkin(basis, n, m_max: int):
@@ -148,13 +147,14 @@ def sl_spectra(p: RadialProfile, n_list, m_max: int) -> list:
     Solves at basis size K = max(16, 2 m_max) and doubles K, capped at
     ``K_MAX``, until every eigenvalue of an n moves less than ``TOL`` relative;
     the larger size's eigenvalues are returned with that change as their error
-    estimate (m_max above 40 is not supported).  The basis nests, so the first
-    size solves on the leading block of the second size's pencil; each size after
-    it is assembled once, and every size is diagonalized once.  The distinct |n|
-    not yet settled are solved ``BLOCK`` at a time in one stacked eigensolve, each
-    as a solve of its own, bit for bit; n and -n share the arrays of one spectrum.
-    n = 0 anywhere is refused before any solve; past ``K_MAX`` an
-    ``AccuracyError`` names the smallest n that did not settle.
+    estimate (m_max above 40 is not supported).  Every size is assembled on its
+    own K-panel rule and diagonalized once, so the change between two sizes also
+    sees the error of either rule.  The distinct |n| not yet settled are solved
+    ``BLOCK`` at a time in one stacked eigensolve, each as a solve of its own, bit
+    for bit; n and -n share the arrays of one spectrum.  n = 0 anywhere is refused
+    before any solve; past ``K_MAX`` an ``AccuracyError`` names the smallest n
+    that did not settle and its largest last change (NaN where an eigenvalue has
+    no lambda).
     """
     n_list = [int(n) for n in n_list]
     if 0 in n_list:
@@ -163,12 +163,9 @@ def sl_spectra(p: RadialProfile, n_list, m_max: int) -> list:
         raise ValidationError("m_max must be >= 1")
 
     done, lam, est = {}, {}, {}   # by |n|
-    K, todo, full = max(16, 2 * m_max), list(dict.fromkeys(abs(n) for n in n_list)), None
+    K, todo = max(16, 2 * m_max), list(dict.fromkeys(abs(n) for n in n_list))
     while K <= K_MAX and todo:
-        if full is None or len(full[0]) < K:
-            # the basis nests: the first size reads the second's leading block
-            full = _pencil(p, min(2 * K, K_MAX) if full is None else K)
-        basis = _diagonalize(full, K)
+        basis = _diagonalize(_pencil(p, K))
         for start in range(0, len(todo), BLOCK):
             block = todo[start:start + BLOCK]
             for n, fine, coef in zip(block, *_galerkin(basis, block, m_max)):
@@ -182,9 +179,11 @@ def sl_spectra(p: RadialProfile, n_list, m_max: int) -> list:
         K = min(2 * K, K_MAX) if K < K_MAX else K + 1  # K_MAX is the last size
     if todo:
         n = min(n for n in n_list if abs(n) in todo)
+        # NaN where an eigenvalue has no lambda, or where no second size was solved
+        change = float(np.max(est.get(abs(n), np.nan)))
         raise AccuracyError(f"n = {n}: {m_max} eigenvalues did not settle to {TOL:g} "
-                            f"by basis size {K_MAX}",
-                            error_estimate=float(np.max(est[abs(n)])) if abs(n) in est else None)
+                            f"by basis size {K_MAX} (last change {change:.1e})",
+                            error_estimate=change)
     return [replace(done[abs(n)], n=n) for n in n_list]
 
 

@@ -59,7 +59,7 @@ def u_decreasing() -> RadialProfile:
 def galerkin(p: RadialProfile, K: int, n, m_max: int):
     """``jacobi._galerkin`` on the pencil of basis size K: the m_max smallest
     lambda and their coefficients, without sl_spectrum's doubling."""
-    return jacobi._galerkin(jacobi._diagonalize(jacobi._pencil(p, K), K), n, m_max)
+    return jacobi._galerkin(jacobi._diagonalize(jacobi._pencil(p, K)), n, m_max)
 
 
 def fixed_size_spectrum(p: RadialProfile, n: int, K: int) -> SLSpectrum:

@@ -63,10 +63,10 @@ def test_each_grid_level_solved_once(monkeypatch):
 
 def test_spectrum_assembles_each_basis_size_once_per_sweep(monkeypatch):
     # n enters the pencil only as A + n^2 B: u = 1, n = 1 ... 10 solves at K = 16
-    # and 32, and the K = 16 solve is the leading block of the one K = 32 assembly
+    # and 32, one assembly each
     calls = counting(monkeypatch, jacobi, "_pencil")
     spectra = sl_spectra(u_const(), range(1, 11), 3)
-    assert [K for _, K in calls] == [32]
+    assert [K for _, K in calls] == [16, 32]
     monkeypatch.undo()
     for n, s in enumerate(spectra, start=1):
         alone = sl_spectrum(u_const(), n, 3)
@@ -111,34 +111,29 @@ def test_recurrence_pencil_is_the_vandermonde_one(name, K):
 
 
 @pytest.mark.parametrize("name", ["one", "quad", "expr", "table"])
-def test_first_size_is_the_leading_block_of_the_second(name):
-    # the basis nests, so the K = 16 solve reads the K = 32 pencil's leading block:
-    # each n here settles at K = 32 with its change from that block as the error
-    # estimate, and the block's lambda agree with a solve on a 16-panel pencil of
-    # its own (3.7e-14 measured)
+def test_error_estimate_is_the_change_between_two_own_pencils(name):
+    # each n here settles at K = 32; its error estimate is the change from K = 16,
+    # each size solved on a pencil of its own rule
     p = parse_config({"profile": SWEEP_PROFILES[name]}).profile
-    full = jacobi._pencil(p, 32)
     for n in (1, 3, 7):
-        lam_block, _ = jacobi._galerkin(jacobi._diagonalize(full, 16), n, 3)
-        lam_own, _ = galerkin(p, 16, n, 3)
-        assert np.max(np.abs(lam_block - lam_own) / lam_own) <= 1e-12
-        s, (lam32, _) = sl_spectrum(p, n, 3), galerkin(p, 32, n, 3)
+        (lam16, _), (lam32, _) = galerkin(p, 16, n, 3), galerkin(p, 32, n, 3)
+        s = sl_spectrum(p, n, 3)
         assert np.array_equal(s.eigenvalues, lam32)
-        assert np.array_equal(s.error_estimates, np.abs(lam32 - lam_block) / lam32)
+        assert np.array_equal(s.error_estimates, np.abs(lam32 - lam16) / lam32)
 
 
 def test_spectrum_panels_are_the_quadratures(monkeypatch):
     # a table knot 5e-13 past the uniform edge 0.5 splits off no sliver panel: the
-    # first assembly, for K = 32 (whose leading block serves K = 16), is on the
-    # Gauss nodes of panel_edges(0, 1, knots, 32)
+    # first assembly, for K = 16, is on the Gauss nodes of
+    # panel_edges(0, 1, knots, 16)
     r = np.linspace(0.0, 1.0, 9)   # every other knot on a uniform edge
     r[4] += 5e-13
     p = RadialProfile(TableFunction(r, 1.0 + r ** 2))
     calls = counting(monkeypatch, jacobi, "gauss_nodes")
     sl_spectrum(p, 1, 1)
     edges = calls[0][0]
-    assert edges.size == 33 and np.min(np.diff(edges)) > 1e-3
-    assert np.array_equal(edges, panel_edges(0.0, 1.0, r, 32))
+    assert edges.size == 17 and np.min(np.diff(edges)) > 1e-3
+    assert np.array_equal(edges, panel_edges(0.0, 1.0, r, 16))
 
 
 SWEEP_PROFILES = {"one": {"poly": [1.0]}, "quad": {"poly": [1.0, 0.0, 1.0]},
@@ -320,6 +315,58 @@ def test_sign_changing_weight_matches_the_frobenius_series(c1, c2, n, m_max):
             payload = json.loads(err.getvalue())
             assert payload["error"] == "AccuracyError"
             assert payload["message"].startswith(f"n = {n}, m = {m}: ")
+
+
+def f_max(coeffs) -> float:
+    """max of F = 2 u omega on [0, 1] for the polynomial u of ``coeffs``: F at the
+    ends and at the real part of every root of F' that lies in [0, 1], where F can
+    only read below its maximum.  Coefficients of F' below 1e-12 are dropped from
+    the top, whose roots would overflow the companion matrix and lie far past 1."""
+    u = np.polynomial.Polynomial(coeffs)
+    F = 2.0 * u * (2.0 * u + np.polynomial.Polynomial([0.0, 1.0]) * u.deriv())
+    r = F.deriv().trim(1e-12).roots().real
+    return float(np.max(F(np.concatenate([[0.0, 1.0], r[(r >= 0.0) & (r <= 1.0)]]))))
+
+
+@settings(max_examples=64)
+@example(0.0, 0.0, 0.0, 128, 1)   # u = 1: lambda_1 sqrt(F_max) / n = 1.000448
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.integers(-128, 128).filter(bool), st.integers(1, 3))
+def test_every_eigenvalue_is_above_the_floor(c1, c2, c3, n, m_max):
+    # with F = 2 u omega, lambda^2 int (F/r) phi^2 = int phi'^2/r + n^2 int phi^2/r
+    # > n^2 int phi^2/r >= (n^2 / F_max) int (F/r) phi^2, so lambda / |n| > F_max^-1/2
+    # for every m and n, also where F changes sign
+    coeffs = [1.0, c1, c2, c3]
+    (s,) = sl_spectra(profile_poly(coeffs), [n], m_max)
+    assert np.all(s.eigenvalues / abs(n) > f_max(coeffs) ** -0.5)
+
+
+# u' jumps at 0.3, where the K-panel rule has no edge for most K
+KINK = {"profile": {"expr": "1 + r^2 + 0.2*sqrt((r - 0.3)^2)"},
+        "params": {"n_list": [1, 4], "m_max": 1}}
+# lambda_1 at n = 1: scipy DOP853 at rtol 1e-13 on [0, 0.3] and [0.3, 1], brentq on phi(1)
+KINK_LAMBDA = 1.2019575720832076
+
+
+def test_kink_is_refused_or_right(tmp_path, capsys):
+    # two basis sizes that share one quadrature rule agree on that rule's error:
+    # this spectrum must settle to the right lambda or say that it did not settle
+    try:
+        lam = sl_spectra(parse_config(KINK).profile, [1, 4], 1)[0].eigenvalues[0]
+    except AccuracyError as exc:
+        assert str(exc).startswith("n = 1: ")
+    else:
+        assert abs(lam - KINK_LAMBDA) <= 1e-9
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(KINK))
+    code = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path), "--quiet"])
+    if code == 1:
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["message"].startswith("n = 1: ")
+        assert not (tmp_path / "spectrum.csv").exists()
+    else:
+        rows = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
+        assert code == 0 and abs(rows[0, 2] - KINK_LAMBDA) <= 1e-9
 
 
 def test_conjugate_times_values():

@@ -129,7 +129,7 @@ def test_eigh_galerkin_pencils(profile, n, K):
     # the pencil of n in a stack with those of n = 1 and 10, as the spectrum stacks them
     m_max, ns = 3, [n, 1, 10]
     A, B, M, _, scale = pencil = jacobi._pencil(profile(), K)
-    basis = jacobi._diagonalize(pencil, K)
+    basis = jacobi._diagonalize(pencil)
     lam, coef = jacobi._galerkin(basis, ns, m_max)
     assert lam.shape == (len(ns), m_max) and coef.shape == (len(ns), m_max, K)
     mass = M / scale ** 2   # M is assembled on u times the power of two scale
