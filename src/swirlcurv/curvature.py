@@ -218,38 +218,46 @@ def pressure_bvp_solve(p: RadialProfile, m: FourierMode) -> PressureSolution:
 # ---------------------------------------------------------------------------
 
 # modes of a curvature table, or wavenumbers of the oscillation study, per vector
-# quadrature call: a row that has converged is still evaluated on the finer
-# panels its block's slowest row needs, so one call over every k is slower than
-# one k at a time from k_max ~ 256 on (4.0 s against 1.6 s at 1024); a block bounds
-# the arrays by BLOCK * MAX_PANELS * NODES values per integral (the oscillation study
-# has two, and its complex harmonics take as much again; times NODES for the collocation)
+# quadrature call; a row that has stopped is not evaluated again, so a block only
+# bounds memory: its arrays hold at most BLOCK * MAX_PANELS * NODES values per
+# integral (the oscillation study has two, and its complex harmonics take as much
+# again; times NODES for the collocation)
 BLOCK = 16
 KINDS = ("closed", "oracle", "energy")   # the integrals of a mode, rows in this order
 
 
-def _integrand(p: RadialProfile, rows):
+def _integrand(p: RadialProfile, rows, live):
     """The integrand of ``rows``, (kind, mode) pairs on one panel set in the order
     "closed" (n^2 |g|^2 eta + |H_n / I1|^2) / r, "oracle" n^2 |g|^2 eta / r + r^3 |f u|^2
-    (less its pressure term), "energy" (n^2 |g|^2 + |g'|^2) / r + r^3 |f|^2.  u, eta and
-    each mode's g and f are evaluated once per call, each row in its one-mode order."""
+    (less its pressure term), "energy" (n^2 |g|^2 + |g'|^2) / r + r^3 |f|^2: of the rows
+    that ``live``, ``quad_real``'s ``rows`` mask, marks open, in row order.  u, eta and
+    the g and f of each mode with an open row are evaluated once per call, and the
+    collocation of H_n / I1 runs for the modes of open closed rows; each row is in
+    its one-mode order."""
     modes = list({m.n: m for _, m in rows}.values())
-    slot = {m.n: k for k, m in enumerate(modes)}
-    c, o, e = ([slot[m.n] for kk, m in rows if kk == kind] for kind in KINDS)
+    index = {m.n: k for k, m in enumerate(modes)}
+    slot = np.array([index[m.n] for _, m in rows])
+    kind = np.array([KINDS.index(kk) for kk, _ in rows])
     n2 = np.array([m.n ** 2 for m in modes], dtype=float)[:, None]
 
     def fn(r):
-        g = np.array([m.g(r) for m in modes])
-        f = np.array([m.f(r) for m in modes])
-        r3, s, parts = r ** 3, n2 * np.abs(g) ** 2, []
-        if c or o:
+        need = np.zeros(len(modes), dtype=bool)   # the modes with an open row
+        need[slot[live]] = True
+        ks = np.flatnonzero(need)
+        at = np.cumsum(need) - 1   # a mode's row in the arrays below
+        c, o, e = (at[slot[live & (kind == i)]] for i in range(len(KINDS)))
+        g = np.array([modes[k].g(r) for k in ks])
+        f = np.array([modes[k].f(r) for k in ks])
+        r3, s, parts = r ** 3, n2[ks] * np.abs(g) ** 2, []
+        if c.size or o.size:
             u, s_eta = p.u(r), s * p.eta(r)
-        if c:
-            h = _h_ratio([modes[k] for k in c], r, f[c], u)
+        if c.size:
+            h = _h_ratio([modes[k] for k in ks[c]], r, f[c], u)
             parts.append((s_eta[c] + np.abs(h) ** 2) / r)
-        if o:
+        if o.size:
             parts.append(s_eta[o] / r + r3 * np.abs(f[o] * u) ** 2)
-        if e:
-            dg = np.array([modes[k].g.derivative(r) for k in e])
+        if e.size:
+            dg = np.array([modes[k].g.derivative(r) for k in ks[e]])
             parts.append((s[e] + np.abs(dg) ** 2) / r + r3 * np.abs(f[e]) ** 2)
         return np.concatenate(parts)
 
@@ -270,9 +278,10 @@ def _radial_integrals(p: RadialProfile, rows) -> dict:
         panels[key][1].append((kind, m))
     out = {}
     for points, part in groups.values():
-        fn = _integrand(p, part)
+        live = np.ones(len(part), dtype=bool)
         try:
-            values = quad_real(fn, 0.0, 1.0, points=points).tolist()
+            values = quad_real(_integrand(p, part, live), 0.0, 1.0, points=points,
+                               rows=live).tolist()
         except AccuracyError as exc:
             kind, m = part[exc.row]
             raise AccuracyError(f"n = {m.n}, {kind} integral: {exc}",
@@ -366,6 +375,20 @@ def curvature_table(p: RadialProfile, modes) -> list:
 # Oscillation study (normalized curvature of g = sin(k pi r), f = 0)
 # ---------------------------------------------------------------------------
 
+def _harmonics(z0, turn, keep):
+    """The rows j of the chain z_j = turn z_(j-1), j < ``keep.size``, from z0 that
+    ``keep`` marks; the chain runs through every j, and z0 holds the others."""
+    z = np.empty((np.count_nonzero(keep), z0.size), dtype=complex)
+    slots, harmonic = iter(z), z0
+    for j, kept in enumerate(keep):
+        out = next(slots) if kept else z0
+        if j:
+            harmonic = np.multiply(turn, harmonic, out=out)
+        else:
+            out[...] = harmonic
+    return z
+
+
 def oscillation_study(p: RadialProfile, n: int, k_max: int):
     """Normalized curvature of g = sin(k pi r) modes for k = 1 ... ``k_max``.
 
@@ -377,10 +400,14 @@ def oscillation_study(p: RadialProfile, n: int, k_max: int):
     the numerators, then the denominators, which share sin(k pi r), and an
     ``AccuracyError`` names its k.  The last block runs first (the largest k),
     with the swirl energy <<X, X>> as one more row, bit for bit
-    ``swirl_energy``'s; rows are ascending in k.
+    ``swirl_energy``'s; rows are ascending in k.  A call evaluates the rows
+    that ``quad_real`` marks open: the squares and products of each k with an
+    open row, written in place (at large k the denominators stop a level or
+    more before the numerators, whose rows are then all a call holds).
 
     A block's harmonics z_j = e^(i k_j pi r) come by rotation: z_0 = e^(i k_0 pi r),
-    each later one as z_(j-1) e^(i pi r).  So a node costs two complex
+    each later one as z_(j-1) e^(i pi r), through every k of the block, open or
+    not, so that each keeps its bits.  So a node costs two complex
     exponentials, a cos and a sin each, not 2 ``BLOCK`` calls.  A harmonic lies
     at most ``BLOCK`` - 1 unit-modulus products from an exact one, and the error
     of such products grows at most linearly in their number: against np.sin and
@@ -394,32 +421,36 @@ def oscillation_study(p: RadialProfile, n: int, k_max: int):
         block = range(start, min(start + BLOCK, k_max + 1))
         w = np.array(block)[:, None] * np.pi
         angles = np.pi * np.array([start, 1])
-        turns = [0] + [1] * (len(block) - 1)
         energy = xx is None
+        live = np.ones(2 * len(block) + energy, dtype=bool)
 
         def fn(r):
-            # numerators n^2 (Im z)^2 eta / r, then denominators n^2 (Im z)^2 / r
-            # + (w Re z)^2, written in place, then r^3 u^2 in the first call, in
-            # swirl_energy's operation order
-            z = np.exp(1j * np.multiply.outer(angles, r))[turns]
-            for j in range(1, len(block)):
-                z[j] *= z[j - 1]
-            values = np.empty((2 * len(block) + energy, r.size))
-            numerator, denominator = values[:len(block)], values[len(block):2 * len(block)]
+            # the open rows: numerators n^2 (Im z)^2 eta / r, then denominators
+            # n^2 (Im z)^2 / r + (w Re z)^2, written in place, then r^3 u^2 in
+            # swirl_energy's operation order; the numerators' rows hold n^2 (Im z)^2
+            # of each k with an open row, and those of stopped numerators are dropped
+            num, den = live[:len(block)], live[len(block):2 * len(block)]
+            ks, tail = np.flatnonzero(num | den), live[2 * len(block):].sum()
+            z = _harmonics(*np.exp(1j * np.multiply.outer(angles, r)), num | den)
+            d = den[ks]
+            values = np.empty((ks.size + d.sum() + tail, r.size))
+            numerator, denominator = values[:ks.size], values[ks.size:ks.size + d.sum()]
+            keep = np.concatenate([num[ks], np.ones(len(values) - ks.size, dtype=bool)])
+            d = slice(None) if d.all() else d   # a view while every denominator is open
             np.square(z.imag, out=numerator)
-            np.multiply(w, z.real, out=denominator)
+            np.multiply(w[ks][d], z.real[d], out=denominator)
             del z   # before the temporaries below: 3.9 MB traced at k <= 256, not 4.6
             np.square(denominator, out=denominator)
             np.multiply(n * n, numerator, out=numerator)
-            denominator += numerator / r
+            denominator += numerator[d] / r
             numerator *= p.eta(r)
             numerator /= r
-            if energy:
+            if tail:
                 values[-1] = r ** 3 * p.u(r) ** 2
-            return values
+            return values if keep.all() else values[keep]
 
         try:
-            value = quad_real(fn, 0.0, 1.0, points=p.u.knots)
+            value = quad_real(fn, 0.0, 1.0, points=p.u.knots, rows=live)
         except AccuracyError as exc:
             what = (f"k = {block[exc.row % len(block)]}" if exc.row < 2 * len(block)
                     else "swirl energy")

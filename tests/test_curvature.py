@@ -620,6 +620,46 @@ def test_accuracy_error_names_the_mode_and_the_integral(monkeypatch, g, kind, ns
     assert info.value.error_estimate == alone.value.error_estimate
 
 
+def _traced_peak(fn):
+    """``fn()``'s result, or the ``AccuracyError`` it raises, and its ``tracemalloc`` peak."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn()
+        except AccuracyError as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _block_with(g):
+    """u = 1 + r^2 and a table block: the standard modes n = 1 ... 15, then n = 16 with
+    the expression ``g``, its last row."""
+    bad = FourierMode(16, ComplexRadialFunction(ExpressionFunction(g)), standard_mode(16).f)
+    return u_quadratic(), [standard_mode(n) for n in range(1, 16)] + [bad]
+
+
+def test_rows_that_stopped_are_not_evaluated_on_the_finer_panels_of_their_block():
+    # n = 16's closed, oracle and energy rows refine far past the first check, where
+    # the other 45 rows stop; evaluating those on every finer level peaked at 85 MB
+    p, block = _block_with("r^2*(1-r)*sin(2000*pi*r)")
+    table, peak = _traced_peak(lambda: curvature_table(p, block))
+    assert repr(table[-1]) == repr(curvature_table(p, block[-1:])[0])   # bit for bit
+    assert peak < 32e6
+
+
+def test_a_row_that_exhausts_the_panels_fails_its_block_in_bounded_memory():
+    # |r - 0.3|^-1/2 in n = 16's |g|^2 / r: its closed row exhausts MAX_PANELS while
+    # the other rows stopped at the first check (338 MB when they were evaluated)
+    p, block = _block_with("r^2*(1-r)*sqrt(sqrt((r-0.3)^2))^(-0.5)")
+    error, peak = _traced_peak(lambda: curvature_table(p, block))
+    with pytest.raises(AccuracyError) as alone:
+        curvature_table(p, block[-1:])
+    assert isinstance(error, AccuracyError) and str(error) == str(alone.value)
+    assert peak < 64e6
+
+
 @pytest.mark.parametrize("specs, integrals", [
     ([{"n": n, "g": {"poly": G_BASE}, "f": {"poly": [0, 1, -1]}} for n in range(1, 18)], 1),
     ([{"n": 0, "g": {"poly": [0, 1]}}], 0),
@@ -711,6 +751,27 @@ def test_oscillation_study_matches_mpmath(u, n):
         assert values[k] == pytest.approx(value, rel=1e-14, abs=0)
 
 
+def test_row_integrands_return_the_rows_their_mask_marks_open(monkeypatch):
+    # every mask, including a numerator stopped while its denominator is open,
+    # gives the rows of the all-open call that it marks, bit for bit
+    x, rng, calls = gauss_nodes(panel_edges(0.0, 1.0))[0].ravel(), np.random.default_rng(7), []
+
+    def check(fn, *args, rows, **kwargs):
+        rows[...] = True
+        every = fn(x)
+        for _ in range(30):
+            rows[...] = rng.random(rows.size) < 0.3
+            rows[rng.integers(rows.size)] = True   # the integrand runs with a row open
+            np.testing.assert_array_equal(fn(x), every[rows])
+        calls.append(rows.size)
+        return quad_real(fn, *args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(curvature, "quad_real", check)
+    oscillation_study(u_quadratic(), 3, 20)
+    curvature_table(u_quadratic(), [standard_mode(n) for n in (1, 2, 40)])
+    assert calls == [9, 32, 9]   # k = 17 ... 20 and the swirl energy, k = 1 ... 16, the table
+
+
 def test_oscillation_study_integrates_the_swirl_energy_in_its_first_call(monkeypatch):
     p, values = u_quadratic(), []
     quad = curvature.quad_real
@@ -748,6 +809,13 @@ def test_oscillation_study_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+def test_oscillation_study_to_k_1024_stays_within_its_memory():
+    # the blocks of large k refine to 2048 panels, where their denominators have
+    # stopped and are not evaluated (11 MB traced when every row was)
+    _, peak = _traced_peak(lambda: oscillation_study(u_quadratic(), 3, 1024))
+    assert peak <= 14e6
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,47 @@ def test_unresolved_row_is_named_while_the_others_converge():
     assert info.value.error_estimate == alone.value.error_estimate
 
 
+def _masked(fns, live, calls):
+    """An integrand of the rows ``fns`` that returns the rows that ``live`` marks
+    open, in row order, and records a copy of ``live`` and the number of rows it
+    returned at each call."""
+    def fn(x):
+        values = np.stack([f(x) for f, open_ in zip(fns, live) if open_])
+        calls.append((live.tolist(), len(values)))
+        return values
+    return fn
+
+
+def test_integrand_returns_only_the_open_rows():
+    # the rows stop at the first, second and third call; a stopped row is left
+    # out of every later call, and each value is its one-row call's, bit for bit
+    names = ["sin2_300", "sin2_1", "sin2_150"]
+    live, calls = np.zeros(3, dtype=bool), []
+    values = quad_real(_masked([ROWS[name] for name in names], live, calls), 0.0, 1.0,
+                       rows=live)
+    assert [mask for mask, _ in calls] == [[True, True, True], [True, False, True],
+                                           [True, False, False]]
+    assert [size for _, size in calls] == [sum(mask) for mask, _ in calls]
+    for value, name in zip(values, names):
+        assert value == quad_real(ROWS[name], 0.0, 1.0)
+    slowest = []
+    quad_real(lambda x: slowest.append(x.size) or ROWS["sin2_300"](x), 0.0, 1.0)
+    assert len(calls) == len(slowest)
+
+
+def test_non_finite_sum_of_a_later_call_names_its_full_table_row():
+    # x stops at the first check, so the second call holds rows 1 and 2 only;
+    # row 1 is inf at one node of that call's 128-panel set
+    where = gauss_nodes(_bisect(_bisect(panel_edges(0.0, 1.0))))[0][5, 3]
+    fns = [lambda x: x, lambda x: np.where(x == where, np.inf, ROWS["sin2_300"](x)),
+           ROWS["sin2_150"]]
+    live, calls = np.zeros(3, dtype=bool), []
+    with pytest.raises(AccuracyError, match="^quadrature sum inf on 128 panels") as info:
+        quad_real(_masked(fns, live, calls), 0.0, 1.0, rows=live)
+    assert calls == [([True, True, True], 3), ([False, True, True], 2)]
+    assert info.value.row == 1
+
+
 def _node_counts(monkeypatch):
     """The node count of every integrand call made through ``curvature.quad_real``."""
     counts = []
