@@ -155,6 +155,8 @@ def _cmd_check_profile(cfg: RunConfig, out: Path):
 
 
 def _cmd_curvature(cfg: RunConfig, out: Path):
+    if not cfg.modes:
+        raise ValidationError("'modes' must not be empty for curvature")
     rows = [astuple(res) for res in curvature_table(cfg.profile, cfg.modes)]
     _write_csv(out / "curvature.csv",
                ["n", "kbar_closed", "kbar_oracle", "discrepancy", "k_normalized"], rows)

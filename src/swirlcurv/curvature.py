@@ -230,34 +230,28 @@ def _integrand(p: RadialProfile, rows, live):
     """The integrand of ``rows``, (kind, mode) pairs on one panel set in the order
     "closed" (n^2 |g|^2 eta + |H_n / I1|^2) / r, "oracle" n^2 |g|^2 eta / r + r^3 |f u|^2
     (less its pressure term), "energy" (n^2 |g|^2 + |g'|^2) / r + r^3 |f|^2: of the rows
-    that ``live``, ``quad_real``'s ``rows`` mask, marks open, in row order.  u, eta and
-    the g and f of each mode with an open row are evaluated once per call, and the
-    collocation of H_n / I1 runs for the modes of open closed rows; each row is in
-    its one-mode order."""
-    modes = list({m.n: m for _, m in rows}.values())
-    index = {m.n: k for k, m in enumerate(modes)}
-    slot = np.array([index[m.n] for _, m in rows])
-    kind = np.array([KINDS.index(kk) for kk, _ in rows])
-    n2 = np.array([m.n ** 2 for m in modes], dtype=float)[:, None]
+    that ``live``, ``quad_real``'s ``rows`` mask, marks open, in row order.  A call reads
+    the open rows off the mask: u, eta and g and f of each of their modes are evaluated
+    once, g' for open energy rows and the collocation of H_n / I1 for open closed rows;
+    each row is in its one-mode order."""
 
     def fn(r):
-        need = np.zeros(len(modes), dtype=bool)   # the modes with an open row
-        need[slot[live]] = True
-        ks = np.flatnonzero(need)
-        at = np.cumsum(need) - 1   # a mode's row in the arrays below
-        c, o, e = (at[slot[live & (kind == i)]] for i in range(len(KINDS)))
-        g = np.array([modes[k].g(r) for k in ks])
-        f = np.array([modes[k].f(r) for k in ks])
-        r3, s, parts = r ** 3, n2[ks] * np.abs(g) ** 2, []
-        if c.size or o.size:
+        open_rows = [row for row, o in zip(rows, live) if o]
+        modes = list({m.n: m for _, m in open_rows}.values())
+        at = {m.n: k for k, m in enumerate(modes)}   # a mode's row in the arrays below
+        c, o, e = ([at[m.n] for k, m in open_rows if k == kind] for kind in KINDS)
+        s = np.array([m.n ** 2 * np.abs(m.g(r)) ** 2 for m in modes])   # n^2 |g|^2
+        f = np.array([m.f(r) for m in modes])
+        r3, parts = r ** 3, []
+        if c or o:
             u, s_eta = p.u(r), s * p.eta(r)
-        if c.size:
-            h = _h_ratio([modes[k] for k in ks[c]], r, f[c], u)
+        if c:
+            h = _h_ratio([modes[k] for k in c], r, f[c], u)
             parts.append((s_eta[c] + np.abs(h) ** 2) / r)
-        if o.size:
+        if o:
             parts.append(s_eta[o] / r + r3 * np.abs(f[o] * u) ** 2)
-        if e.size:
-            dg = np.array([modes[k].g.derivative(r) for k in ks[e]])
+        if e:
+            dg = np.array([modes[k].g.derivative(r) for k in e])
             parts.append((s[e] + np.abs(dg) ** 2) / r + r3 * np.abs(f[e]) ** 2)
         return np.concatenate(parts)
 
@@ -350,14 +344,13 @@ def curvature_table(p: RadialProfile, modes) -> list:
     ns = [m.n for m in modes]
     if len(set(ns)) != len(ns):
         raise ValidationError(f"duplicate mode numbers in {ns}")
-    finite = {m.n for m in modes if m.finite_energy}   # the modes with an energy row
-    xx = swirl_energy(p) if finite else None
+    xx = swirl_energy(p) if any(m.finite_energy for m in modes) else None
     out = []
     for start in range(0, len(modes), BLOCK):
         block = modes[start:start + BLOCK]
         route = [m for m in block if m.n != 0]
         rows = ([(kind, m) for kind in KINDS[:2] for m in route]
-                + [("energy", m) for m in block if m.n in finite])
+                + [("energy", m) for m in block if m.finite_energy])
         value = _radial_integrals(p, rows)
         pressure = {m.n: q.energy for m, q in zip(route, _pressure_solutions(p, route))}
         for m in block:   # n = 0 has no closed, oracle or pressure value: Kbar = 0

@@ -79,12 +79,12 @@ class Expression:
         return _shaped(self._run(r), r)
 
     def jet(self, r):
-        """(value, exact first derivative) at ``r``.  The slope starts as the
-        number 1 at ``r``, so a slope that never meets an array stays a number."""
+        """(value, exact first derivative) at ``r``, each of r's shape.  The slope starts
+        as the number 1 at ``r``; one that never meets an array gets r's shape here."""
         r = np.asarray(r, dtype=float)[()]
         y = self._run((r, 1.0))
         value, slope = y if isinstance(y, tuple) else (y, 0.0)
-        return _shaped(value, r), slope
+        return _shaped(value, r), slope if np.ndim(slope) else np.full(np.shape(r), slope)[()]
 
 
 def _shaped(value, r):

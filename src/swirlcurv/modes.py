@@ -52,21 +52,15 @@ class FourierMode:
         """Sample g, g', f and f' once, as the rows of ``samples`` on ``SAMPLE_GRID``
         (a non-finite value is kept, for the config to refuse), and set ``tol``, the
         tolerance of the axis and wall conditions: ``_AXIS_TOL`` times the field's
-        scale, the largest |g|, |g'| or |f| at r = j/64 > 0 (at least 1e-300)."""
+        scale, the largest |g|, |g'| or |f| at r = j/64 > 0 (at least 1e-300).  ``knots``
+        (g's, then f's) and ``finite_energy`` (g'(0) = 0) are set with the sample."""
         with np.errstate(all="ignore"):
             self.samples = np.array([self.g(SAMPLE_GRID), self.g.derivative(SAMPLE_GRID),
                                      self.f(SAMPLE_GRID), self.f.derivative(SAMPLE_GRID)])
             scale = np.max(np.abs(self.samples[:3, _AXIS + 1:]), initial=1e-300)
-        self.tol = _AXIS_TOL * float(scale)
-
-    @property
-    def knots(self):
-        return np.concatenate([self.g.knots, self.f.knots])
-
-    @property
-    def finite_energy(self) -> bool:
-        """g'(0) = 0, without which the kinetic energy diverges at the axis."""
-        return not abs(self.samples[1, _AXIS]) > self.tol
+            self.tol = _AXIS_TOL * float(scale)
+            self.knots = np.concatenate([self.g.knots, self.f.knots])
+            self.finite_energy = not abs(self.samples[1, _AXIS]) > self.tol
 
     def validate(self) -> None:
         """Check g(0) = f(0) = 0 and, for n != 0, g(1) = 0; raises on violation.

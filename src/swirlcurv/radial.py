@@ -120,9 +120,7 @@ class ExpressionFunction(RadialFunction):
         return self.ast.eval(_check_domain(r))
 
     def derivative(self, r):
-        value, slope = self.ast.jet(_check_domain(r))
-        # a constant slope stays a number on the way up: give it the value's shape
-        return slope if np.ndim(slope) else np.full(np.shape(value), slope)[()]
+        return self.ast.jet(_check_domain(r))[1]
 
 
 class TableFunction(RadialFunction):
@@ -181,10 +179,7 @@ class ComplexRadialFunction:
     def __init__(self, real: RadialFunction, imag: RadialFunction | None = None):
         self.real = real
         self.imag = imag
-
-    @property
-    def knots(self):
-        return np.concatenate([self.real.knots, () if self.imag is None else self.imag.knots])
+        self.knots = np.concatenate([real.knots, () if imag is None else imag.knots])
 
     def _evaluate(self, method: str, r):
         re = getattr(self.real, method)(r)

@@ -322,6 +322,12 @@ def table(r, values):
          "fractional-n"),
     case("curvature", {"profile": GOOD_PROFILE, "modes": [MODES[0], MODES[0]]},
          "duplicate-n"),
+    # a table without rows: no modes key (or a misspelt one) and an empty list
+    case("curvature", {"profile": GOOD_PROFILE}, "no-modes", "'modes' must not be empty"),
+    case("curvature", {"profile": GOOD_PROFILE, "mode": MODES}, "misspelt-modes",
+         "'modes' must not be empty"),
+    case("curvature", {"profile": GOOD_PROFILE, "modes": []}, "empty-modes",
+         "'modes' must not be empty"),
     case("spectrum", {"profile": ONE, "params": {"n_list": [1, 1]}}, "repeated-n_list"),
     case("limit-study", {"profile": ONE, "params": {"n_list": [4, 4]}}, "repeated-limit-n"),
     case("limit-study", {"profile": ONE, "params": {"n_list": []}}, "empty-limit-n_list"),

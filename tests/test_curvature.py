@@ -753,8 +753,15 @@ def test_oscillation_study_matches_mpmath(u, n):
 
 def test_row_integrands_return_the_rows_their_mask_marks_open(monkeypatch):
     # every mask, including a numerator stopped while its denominator is open,
-    # gives the rows of the all-open call that it marks, bit for bit
+    # gives the rows of the all-open call that it marks, bit for bit; the table's
+    # integrand evaluates g and f once for each mode with an open row, g' for each
+    # open energy row, and collocates H_n / I1 for the open closed rows, in row order
     x, rng, calls = gauss_nodes(panel_edges(0.0, 1.0))[0].ravel(), np.random.default_rng(7), []
+    table = [standard_mode(n) for n in (1, 2, 40)]
+    part = {id(getattr(m, name)): (m.n, name) for m in table for name in "gf"}
+    integrands = counting(monkeypatch, curvature, "_integrand")
+    evaluated = counting(monkeypatch, ComplexRadialFunction, "_evaluate")
+    collocated = counting(monkeypatch, curvature, "_h_ratio")
 
     def check(fn, *args, rows, **kwargs):
         rows[...] = True
@@ -762,13 +769,24 @@ def test_row_integrands_return_the_rows_their_mask_marks_open(monkeypatch):
         for _ in range(30):
             rows[...] = rng.random(rows.size) < 0.3
             rows[rng.integers(rows.size)] = True   # the integrand runs with a row open
+            evaluated.clear()
+            collocated.clear()
             np.testing.assert_array_equal(fn(x), every[rows])
+            if integrands:   # the table's integrand, of (kind, mode) rows
+                open_rows = [row for row, o in zip(integrands[-1][1], rows) if o]
+                expected = sorted([(n, name, "__call__") for n in {m.n for _, m in open_rows}
+                                   for name in "gf"]
+                                  + [(m.n, "g", "derivative") for k, m in open_rows
+                                     if k == "energy"])
+                assert sorted((*part[id(fn)], method) for fn, method, _ in evaluated) == expected
+                closed = [m.n for k, m in open_rows if k == "closed"]
+                assert [[m.n for m in c[0]] for c in collocated] == ([closed] if closed else [])
         calls.append(rows.size)
         return quad_real(fn, *args, rows=rows, **kwargs)
 
     monkeypatch.setattr(curvature, "quad_real", check)
     oscillation_study(u_quadratic(), 3, 20)
-    curvature_table(u_quadratic(), [standard_mode(n) for n in (1, 2, 40)])
+    curvature_table(u_quadratic(), table)
     assert calls == [9, 32, 9]   # k = 17 ... 20 and the swirl energy, k = 1 ... 16, the table
 
 
